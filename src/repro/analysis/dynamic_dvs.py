@@ -9,11 +9,13 @@
   time series of Fig. 8, together with the benchmark region boundaries.
 
 Both drivers are *streamed*: workloads are walked chunk by chunk through the
-trace pipeline (:mod:`repro.trace.stream`), with each chunk's statistics fed
-simultaneously to the closed loop and to the fixed-VS reduction, so peak
-memory stays O(chunk) regardless of trace length.  That is what makes the
-paper's 10 M cycles per benchmark -- now the default -- practical: a full
-Table 1 at paper scale needs tens of MB, not tens of GB.
+trace pipeline (:mod:`repro.trace.stream`), so peak memory stays O(chunk)
+regardless of trace length.  That is what makes the paper's 10 M cycles per
+benchmark -- now the default -- practical: a full Table 1 at paper scale
+needs tens of MB, not tens of GB.  Table 1 walks each benchmark once: the
+chunk statistics depend only on the data and the wiring, so each chunk is
+fed to every corner's closed loop and to the one fixed-VS reduction all
+corners share.
 """
 
 from __future__ import annotations
@@ -138,69 +140,57 @@ class Table1Result:
 
 
 def _run_benchmark_streamed(
-    bus: CharacterizedBus,
-    system: DVSBusSystem,
+    systems: Sequence[DVSBusSystem],
     workload: BusTrace | TraceSource,
     warmup_fraction: float,
     chunk_cycles: int | None,
     progress,
     engine: str | None = None,
-    jobs: int | None = None,
     scheduler: "ParallelChunkScheduler" | None = None,
-) -> tuple[FixedScalingResult, DVSRunResult]:
-    """One pass over a workload feeding both Table 1 columns.
+) -> list[tuple[FixedScalingResult, DVSRunResult]]:
+    """One pass over a workload feeding both Table 1 columns of every corner.
 
-    The same chunk statistics drive the closed loop and accumulate the
-    summary the fixed-VS baseline (and both nominal references) are computed
-    from, so a 10 M-cycle benchmark is generated and analysed exactly once.
-    Under the parallel engine the shared pass is the fan-out statistics pass:
-    its per-segment summaries both replay the closed loop and merge into the
-    fixed-VS reduction -- still one analysis of the trace, bit-identical to
-    the serial pass.
+    Chunk statistics depend only on the data and the wiring the systems
+    share, never on the corner, so each chunk is analysed once: it drives
+    every system's closed loop and accumulates the one summary all fixed-VS
+    baselines are computed from.  Under the parallel engine the shared pass
+    is the fan-out statistics pass, whose per-segment summaries replay every
+    closed loop -- bit-identical to the serial pass.  Returns one
+    ``(fixed, dvs)`` pair per system.
     """
     source = as_trace_source(workload)
     total = source.n_cycles
     warmup = int(warmup_fraction * total)
-    state = system.stream(total, warmup_cycles=warmup)
+    states = [system.stream(total, warmup_cycles=warmup) for system in systems]
     accumulator = TraceStatisticsAccumulator()
-    parallel = (
-        scheduler is not None
-        or (jobs is not None and jobs > 1)
-        or resolve_engine(engine) == ENGINE_PARALLEL
-    )
-    if parallel:
-        from repro.runtime.parallel import ParallelChunkScheduler
-
-        own = scheduler is None
-        sched = (
-            scheduler
-            if scheduler is not None
-            else ParallelChunkScheduler(n_workers=jobs if jobs is not None else 1)
+    if scheduler is not None:
+        segmenter = systems[0].control_segmenter(total, warmup_cycles=warmup)
+        if any(s.control_segmenter(total, warmup_cycles=warmup) != segmenter for s in systems):
+            raise ValueError("systems sharing one pass must agree on window, ramp and warm-up")
+        summaries = scheduler.segment_summaries(
+            source,
+            segmenter,
+            systems[0].bus.design.topology,
+            engine=engine,
+            chunk_cycles=chunk_cycles,
+            progress=progress,
         )
-        try:
-            summaries = sched.segment_summaries(
-                source,
-                system.control_segmenter(total, warmup_cycles=warmup),
-                bus.design.topology,
-                engine=engine,
-                chunk_cycles=chunk_cycles,
-                progress=progress,
-            )
-        finally:
-            if own:
-                sched.close()
         for summary in summaries:
             accumulator.merge_summary(summary)
-            state.feed_summary(summary)
+            for state in states:
+                state.feed_summary(summary)
     else:
-        for stats, _ in bus.iter_statistics(source, chunk_cycles, engine=engine):
+        for stats, _ in systems[0].bus.iter_statistics(source, chunk_cycles, engine=engine):
             accumulator.accumulate(stats)
-            state.feed(stats)
+            for state in states:
+                state.feed(stats)
             if progress is not None:
-                progress(state.cycles_fed, total)
-    dvs = state.finish()
-    fixed = evaluate_fixed_scaling(bus, accumulator.summary())
-    return fixed, dvs
+                progress(accumulator.n_cycles, total)
+    summary = accumulator.summary()
+    return [
+        (evaluate_fixed_scaling(system.bus, summary), state.finish())
+        for system, state in zip(systems, states)
+    ]
 
 
 def run_table1(
@@ -256,7 +246,8 @@ def run_table1(
     jobs:
         Worker processes for the parallel engine (``jobs > 1`` implies
         ``engine="parallel"``).  One worker pool is created for the whole
-        table and reused across every benchmark x corner cell.
+        table and reused for every benchmark's single statistics pass,
+        which all corners share.
     order:
         Row order of the table; defaults to the paper's
         :data:`~repro.trace.benchmarks.TABLE1_ORDER` (names absent from
@@ -272,7 +263,7 @@ def run_table1(
         order = TABLE1_ORDER
 
     # One persistent worker pool for the whole table: fork/start-up costs are
-    # paid once, every benchmark x corner cell reuses the same workers.
+    # paid once, every benchmark's pass reuses the same workers.
     scheduler: "ParallelChunkScheduler" | None = None
     if (jobs is not None and jobs > 1) or resolve_engine(engine) == ENGINE_PARALLEL:
         from repro.runtime.parallel import ParallelChunkScheduler
@@ -312,16 +303,33 @@ def _run_table1_corners(
     order: Sequence[str],
     scheduler: "ParallelChunkScheduler" | None,
 ) -> list[Table1CornerResult]:
-    """The per-corner benchmark loop of :func:`run_table1`."""
-    corner_results: list[Table1CornerResult] = []
-    for corner in corners:
-        bus = CharacterizedBus(design, corner)
-        system = DVSBusSystem(
-            bus,
+    """The benchmark loop of :func:`run_table1`: one pass per benchmark,
+    shared by every corner, then each corner's rows and totals in order."""
+    systems = [
+        DVSBusSystem(
+            CharacterizedBus(design, corner),
             policy=policy,
             window_cycles=window_cycles,
             ramp_delay_cycles=ramp_delay_cycles,
         )
+        for corner in corners
+    ]
+    if not systems:
+        return []
+    names = [name for name in order if name in workloads]
+    runs: list[list[tuple[FixedScalingResult, DVSRunResult]]] = [[] for _ in systems]
+    for name in names:
+        progress = _auto_progress(
+            as_trace_source(workloads[name]).n_cycles, label=f"table1 {name}"
+        )
+        outcomes = _run_benchmark_streamed(
+            systems, workloads[name], warmup_fraction, chunk_cycles, progress,
+            engine=engine, scheduler=scheduler,
+        )
+        for corner_runs, outcome in zip(runs, outcomes):
+            corner_runs.append(outcome)
+    corner_results: list[Table1CornerResult] = []
+    for corner, corner_runs in zip(corners, runs):
         rows: list[Table1Row] = []
         fixed_energy_total = 0.0
         fixed_reference_total = 0.0
@@ -329,17 +337,7 @@ def _run_table1_corners(
         dvs_reference_total = 0.0
         error_cycles_total = 0
         cycles_total = 0
-        for name in order:
-            if name not in workloads:
-                continue
-            progress = _auto_progress(
-                as_trace_source(workloads[name]).n_cycles,
-                label=f"table1 {name}@{corner.label}",
-            )
-            fixed, dvs = _run_benchmark_streamed(
-                bus, system, workloads[name], warmup_fraction, chunk_cycles, progress,
-                engine=engine, scheduler=scheduler,
-            )
+        for name, (fixed, dvs) in zip(names, corner_runs):
             rows.append(
                 Table1Row(
                     benchmark=name,

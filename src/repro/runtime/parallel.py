@@ -263,8 +263,9 @@ class ParallelChunkScheduler:
 
     The pool is created lazily on first use and persists across
     :meth:`segment_summaries` calls (e.g. the Table 1 driver reuses one
-    scheduler for every benchmark x corner cell), so fork/start-up costs are
-    paid once.  Use as a context manager or call :meth:`close` when done.
+    scheduler for every benchmark's pass, shared by all corners), so
+    fork/start-up costs are paid once.  Use as a context manager or call
+    :meth:`close` when done.
     """
 
     def __init__(self, n_workers: int | None = None, max_inflight: int | None = None) -> None:

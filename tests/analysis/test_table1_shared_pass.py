@@ -1,0 +1,107 @@
+"""Table 1 shares one statistics pass per benchmark across all corners.
+
+A multi-corner :func:`run_table1` must be field-for-field identical to each
+corner run on its own, for every engine, worker count and chunking, and must
+analyse each benchmark exactly once however many corners it evaluates.
+"""
+
+import dataclasses
+
+import pytest
+
+import repro.bus.bus_model as bus_model
+from repro.analysis import run_table1
+from repro.circuit.pvt import BEST_CASE_CORNER, TYPICAL_CORNER, WORST_CASE_CORNER
+from repro.trace import suite_sources
+from repro.trace.workloads import kernel_sources
+
+N_CYCLES = 12_000
+SEED = 23
+NAMES = ("crafty", "mgrid", "vortex")
+CONTROL = dict(window_cycles=1_000, ramp_delay_cycles=300)
+
+
+def _table1(workloads, corners, **kwargs):
+    return run_table1(
+        workloads=workloads,
+        corners=corners,
+        n_cycles=N_CYCLES,
+        seed=SEED,
+        order=tuple(workloads),
+        **CONTROL,
+        **kwargs,
+    )
+
+
+def _assert_matches_single_corner_runs(workloads, corners, **kwargs):
+    shared = _table1(workloads, corners, **kwargs)
+    assert [result.corner for result in shared.corners] == list(corners)
+    for corner, result in zip(corners, shared.corners):
+        alone = _table1(workloads, (corner,), **kwargs)
+        assert dataclasses.asdict(result) == dataclasses.asdict(alone.corners[0])
+    return shared
+
+
+@pytest.fixture(scope="module")
+def synthetic():
+    return suite_sources(names=NAMES, n_cycles=N_CYCLES, seed=SEED)
+
+
+class TestSharedPassEquivalence:
+    @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
+    def test_two_corners_match_each_corner_alone(self, synthetic, engine):
+        _assert_matches_single_corner_runs(
+            synthetic, (WORST_CASE_CORNER, TYPICAL_CORNER), engine=engine
+        )
+
+    def test_parallel_workers(self, synthetic):
+        shared = _assert_matches_single_corner_runs(
+            synthetic, (WORST_CASE_CORNER, TYPICAL_CORNER), jobs=2
+        )
+        serial = _table1(synthetic, (WORST_CASE_CORNER, TYPICAL_CORNER))
+        assert dataclasses.asdict(shared) == dataclasses.asdict(serial)
+
+    def test_prime_chunking(self, synthetic):
+        _assert_matches_single_corner_runs(
+            synthetic, (WORST_CASE_CORNER, TYPICAL_CORNER), chunk_cycles=3_333
+        )
+
+    def test_cpu_kernels_next_to_synthetic(self):
+        workloads = {
+            **suite_sources(names=("crafty",), n_cycles=N_CYCLES, seed=SEED),
+            **kernel_sources(names=("memcopy", "fibonacci"), n_cycles=N_CYCLES, seed=SEED),
+        }
+        _assert_matches_single_corner_runs(workloads, (WORST_CASE_CORNER, TYPICAL_CORNER))
+
+    def test_three_corners_with_a_fast_corner(self, synthetic):
+        _assert_matches_single_corner_runs(
+            synthetic, (WORST_CASE_CORNER, TYPICAL_CORNER, BEST_CASE_CORNER)
+        )
+
+    def test_no_corners(self, synthetic):
+        assert _table1(synthetic, ()).corners == ()
+
+
+class TestPassCount:
+    """Each benchmark is analysed once, however many corners use it."""
+
+    @pytest.fixture
+    def analysed_cycles(self, monkeypatch):
+        counted = []
+        original = bus_model.analyze_trace_statistics
+
+        def counting(trace, topology, engine=None):
+            counted.append(trace.n_cycles)
+            return original(trace, topology, engine=engine)
+
+        monkeypatch.setattr(bus_model, "analyze_trace_statistics", counting)
+        return counted
+
+    @pytest.mark.parametrize("engine", ["vectorized", "parallel"])
+    def test_two_corners_analyse_each_cycle_once(self, synthetic, analysed_cycles, engine):
+        _table1(synthetic, (TYPICAL_CORNER,), engine=engine)
+        one_corner = sum(analysed_cycles)
+        analysed_cycles.clear()
+        _table1(synthetic, (WORST_CASE_CORNER, TYPICAL_CORNER), engine=engine)
+        assert one_corner == len(NAMES) * N_CYCLES
+        assert sum(analysed_cycles) == one_corner
