@@ -117,8 +117,10 @@ class TraceStatistics:
 
     @property
     def mean_toggle_rate(self) -> float:
-        """Average fraction of a 32-bit word switching per cycle (diagnostic)."""
-        return float(np.mean(self.toggles))
+        """Average number of switching wires per cycle (diagnostic)."""
+        if self.n_cycles == 0:
+            return 0.0
+        return float(np.sum(self.toggles)) / self.n_cycles
 
     def summarize(self) -> TraceSummary:
         """Reduce these per-cycle arrays to a :class:`TraceSummary`."""

@@ -30,6 +30,13 @@ default 0.15), the per-cycle worst factor is just ``table[max(score)]``; a
 non-monotone weight first remaps scores through a rank table so the maximum
 is still taken on integers.
 
+In the monotone case that maximum is *bit-sliced*: each of the six bits of
+``8 * p + q`` is a bitplane lane, and a walk from the top bit down keeps the
+candidate wires carrying each bit wherever any does -- a branch-free select
+-- so the bits found spell the maximum without per-wire scores.  Chunks are
+walked in cache-sized sub-blocks of ``_SUB_BLOCK_CYCLES`` transitions, each
+filling all three statistics from one set of toggle/direction lanes.
+
 Bit-level identities used (``t`` = per-wire transition in ``{-1, 0, +1}``):
 
 * ``toggled = word_new XOR word_old`` (``|t|`` as a bitplane),
@@ -73,6 +80,11 @@ MAX_LANE_BITS = 64
 #: Number of distinct per-wire scores: ``8 * p + q`` with ``p, q`` in 0..4.
 _N_SCORES = 8 * 4 + 4 + 1
 
+#: Transitions per sub-block of the lane walk: small enough that a sub-block's
+#: lane temporaries (128 KiB each as uint32) stay in cache.  Results do not
+#: depend on it.
+_SUB_BLOCK_CYCLES = 32_768
+
 
 def lanes_supported(n_bits: int) -> bool:
     """Whether the lane kernels can run for an ``n_bits``-wide bus."""
@@ -113,17 +125,17 @@ def _wire_mask(bits: np.ndarray, dtype: type) -> np.number:
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
 
     def _popcount(lanes: np.ndarray) -> np.ndarray:
-        """Per-lane population count as int64."""
-        return np.bitwise_count(lanes).astype(np.int64)
+        """Per-lane population count as uint8."""
+        return np.bitwise_count(lanes)
 
 else:  # pragma: no cover - exercised only on numpy < 2.0
     _POPCOUNT8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
         axis=1
-    ).astype(np.uint16)
+    ).astype(np.uint8)
 
     def _popcount(lanes: np.ndarray) -> np.ndarray:
         as_bytes = lanes.reshape(-1, 1).view(np.uint8)
-        return _POPCOUNT8[as_bytes].sum(axis=1).astype(np.int64)
+        return _POPCOUNT8[as_bytes].sum(axis=1, dtype=np.uint8)
 
 
 def _unpack_plane(plane: np.ndarray, n_bits: int) -> np.ndarray:
@@ -202,74 +214,182 @@ def coupling_score_tables(topology: NeighborTopology) -> CouplingScoreTables:
     )
 
 
+def _lane_masks(topology: NeighborTopology, dtype: type) -> tuple[np.number, ...]:
+    """The topology's AND masks as lane integers.
+
+    In order: victims with a signal wire as near left / right neighbour; as
+    relevant second left / right neighbour (no shield in either gap, as in
+    the scalar kernel); lower wires of signal pairs; wires whose own swing
+    counts once (pair-lower or right-shielded); left-shielded wires.
+    """
+    left_shield = topology.left_is_shield
+    right_shield = topology.right_is_shield
+    pair = np.zeros(topology.n_wires, dtype=bool)
+    pair[:-1] = ~right_shield[:-1]
+    planes = (
+        ~left_shield,
+        ~right_shield,
+        ~(left_shield | np.roll(left_shield, 1)),
+        ~(right_shield | np.roll(right_shield, -1)),
+        pair,
+        pair | right_shield,
+        left_shield,
+    )
+    return tuple(_wire_mask(plane, dtype) for plane in planes)
+
+
 def _neighbor_planes(
     tog: np.ndarray,
-    direction: np.ndarray,
-    shift: int,
-    left: bool,
-    mask: np.number,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(opposite, same) bitplanes of one neighbour relation.
+    new: np.ndarray,
+    shift: np.number,
+    mask_left: np.number,
+    mask_right: np.number,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(opposite, same) bitplanes of the left, then of the right, neighbour.
 
-    ``shift`` is the wire distance (1 or 2); ``left`` selects the direction
-    (a *left* neighbour's bit reaches the victim's position via ``<<``).
-    ``mask`` clears victims whose neighbour is a shield (or absent) -- those
-    wires see the neutral quiet factor, i.e. contribute to neither plane.
+    ``shift`` is the wire distance (1 or 2).  Bit ``i`` of ``pairs`` flags
+    wires ``i`` and ``i - shift`` toggling together; shifted back down, the
+    same flags describe each wire's right neighbour.  The masks clear victims
+    whose neighbour is a shield (or absent) -- those wires see the neutral
+    quiet factor, i.e. land in neither plane.
     """
-    if left:
-        neighbor_tog = (tog << shift) & mask
-        neighbor_dir = direction << shift
-    else:
-        neighbor_tog = (tog >> shift) & mask
-        neighbor_dir = direction >> shift
-    both = tog & neighbor_tog
-    opposite = both & (direction ^ neighbor_dir)
-    same = both ^ opposite
-    return opposite, same
+    pairs = tog & (tog << shift)
+    opposite_pairs = pairs & (new ^ (new << shift))
+    opposite_left = opposite_pairs & mask_left
+    opposite_right = (opposite_pairs >> shift) & mask_right
+    same_left = (pairs & mask_left) ^ opposite_left
+    same_right = ((pairs >> shift) & mask_right) ^ opposite_right
+    return opposite_left, same_left, opposite_right, same_right
 
 
-def _transition_lanes(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(toggled, new-value) lanes of every transition of a word stream."""
+def _class_bitplanes(
+    opposite_a: np.ndarray, same_a: np.ndarray, opposite_b: np.ndarray, same_b: np.ndarray
+) -> list[np.ndarray]:
+    """Bitplanes of the class ``2 + #opposite - #same`` (0..4), MSB first.
+
+    Meaningful on toggling wires only.  Bit 2 is class 4 (both neighbours
+    opposite); bit 1 is class 2 or 3: not class 4, and no same-direction
+    neighbour without an opposite one to balance it; bit 0 is an odd class
+    (exactly one neighbour switching).
+    """
+    four = opposite_a & opposite_b
+    below_two = (same_a & ~opposite_b) | (same_b & ~opposite_a)
+    odd = (opposite_a | same_a) ^ (opposite_b | same_b)
+    return [four, ~(four | below_two), odd]
+
+
+def _bit_sliced_max(cand: np.ndarray, planes: list[np.ndarray]) -> np.ndarray:
+    """Per cycle: the largest value the ``cand`` wires spell on ``planes``.
+
+    ``planes`` are a per-wire integer's bitplanes, most significant first.
+    Each step keeps the candidates carrying the bit wherever any does, by
+    mask arithmetic rather than a data-dependent ``where``, and records
+    whether any did as that bit of the maximum.  Returns uint8 (0 for cycles
+    without candidates); ``cand`` is overwritten.
+    """
+    level = np.zeros(len(cand), dtype=np.uint8)
+    for plane in planes:
+        carrying = cand & plane
+        present = carrying != 0
+        cand ^= (cand ^ carrying) * present
+        level <<= np.uint8(1)
+        level |= present
+    return level
+
+
+def _unpacked_class(
+    opposite_a: np.ndarray, same_a: np.ndarray, opposite_b: np.ndarray, same_b: np.ndarray, n: int
+) -> np.ndarray:
+    """Per-wire class ``2 + #opposite - #same`` of the first ``n`` wires, as uint8."""
+    level = _unpack_plane(opposite_a, n) + _unpack_plane(opposite_b, n) + np.uint8(2)
+    level -= _unpack_plane(same_a, n)
+    level -= _unpack_plane(same_b, n)
+    return level
+
+
+def _sub_block_statistics(
+    lanes: np.ndarray,
+    topology: NeighborTopology | None,
+    masks: tuple[np.number, ...],
+    worst: np.ndarray | None,
+    toggles: np.ndarray | None,
+    weights: np.ndarray | None,
+) -> None:
+    """Fill the requested float64 outputs for one sub-block's transitions.
+
+    ``lanes`` holds one word more than the outputs have cycles; an output of
+    ``None`` is skipped (``topology`` may be ``None`` if only ``toggles`` is
+    wanted).  ``masks`` are the topology's :func:`_lane_masks`.  The toggle
+    and direction lanes are computed once for all three outputs.
+    """
     new = lanes[1:]
-    return new ^ lanes[:-1], new
+    tog = new ^ lanes[:-1]
+    if toggles is not None:
+        toggles[:] = _popcount(tog)
+    if topology is None:
+        return
+    one, two = lanes.dtype.type(1), lanes.dtype.type(2)
+    left, right, left2, right2, pair, own_swing, left_shield = masks
+    o_l, s_l, o_r, s_r = _neighbor_planes(tog, new, one, left, right)
+    if weights is not None:
+        # (t_i - t_j)^2 = tog_i + tog_j + 2 opp_ij - 2 same_ij over every
+        # signal pair -- o_r / s_r are exactly the pair planes -- plus each
+        # wire's own swing once per shield neighbour.  The total fits int16.
+        total = _popcount(tog & own_swing).astype(np.int16)
+        total += _popcount((tog >> one) & pair)
+        total += _popcount(tog & left_shield)
+        total += np.uint8(2) * _popcount(o_r)
+        total -= np.uint8(2) * _popcount(s_r)
+        weights[:] = total
+    if worst is None:
+        return
+    o_l2, s_l2, o_r2, s_r2 = _neighbor_planes(tog, new, two, left2, right2)
+    tables = coupling_score_tables(topology)
+    if tables.monotone:
+        # max(8 p + q) over the toggling wires, bit-sliced: three p bits,
+        # then three q bits.  Quiet cycles keep score 0, i.e. 0.0 like the
+        # scalar kernel.  tog is not needed again, so it seeds the candidates.
+        planes = _class_bitplanes(o_l, s_l, o_r, s_r) + _class_bitplanes(
+            o_l2, s_l2, o_r2, s_r2
+        )
+        np.take(tables.value_by_score, _bit_sliced_max(tog, planes), out=worst)
+        return
+    # Non-monotone factor table: materialise per-wire scores (uint8) and take
+    # the maximum in rank space instead.  Quiet wires are forced to score 0,
+    # which the tables map to the same 0.0 the scalar kernel reports.
+    n_bits = topology.n_wires
+    score = _unpacked_class(o_l, s_l, o_r, s_r, n_bits)
+    score <<= np.uint8(3)
+    score += _unpacked_class(o_l2, s_l2, o_r2, s_r2, n_bits)
+    score *= _unpack_plane(tog, n_bits)
+    np.take(tables.value_by_rank, tables.rank_by_score[score].max(axis=1), out=worst)
 
 
-def _class_planes(
-    tog: np.ndarray,
-    opposite_a: np.ndarray,
-    same_a: np.ndarray,
-    opposite_b: np.ndarray,
-    same_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bitplanes of the five ``2 + #opp - #same`` classes, descending (4..0).
+def _lane_statistics(
+    lanes: np.ndarray,
+    topology: NeighborTopology | None,
+    *,
+    worst: bool = False,
+    toggles: bool = False,
+    weights: bool = False,
+) -> list[np.ndarray | None]:
+    """``[worst, toggles, weights]`` of a lane stream (``None`` if unwanted).
 
-    The two opposite/same planes of one neighbour pair are mutually exclusive
-    per wire, so every *toggling* wire lands in exactly one class; quiet
-    wires are in none (all inputs carry the victim-toggles factor).
+    The stream is walked in sub-blocks of ``_SUB_BLOCK_CYCLES`` transitions,
+    each filling its slice of every wanted output.
     """
-    class4 = opposite_a & opposite_b
-    class3 = (opposite_a ^ opposite_b) & ~(same_a | same_b)
-    class1 = (same_a ^ same_b) & ~(opposite_a | opposite_b)
-    class0 = same_a & same_b
-    class2 = tog & ~(class4 | class3 | class1 | class0)
-    return class4, class3, class2, class1, class0
-
-
-def _pick_highest(planes: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Per cycle: the highest non-empty plane's level (4..0) and its wires.
-
-    ``planes`` are descending class bitplanes; returns the uint8 level per
-    cycle (0 when every plane is empty) and the lane of wires sitting in
-    that level's plane.
-    """
-    level = np.zeros(len(planes[0]), dtype=np.uint8)
-    selected = planes[-1].copy()
-    # Walk upward so higher classes overwrite lower ones in one where-chain.
-    for rank, plane in enumerate(reversed(planes[:-1]), start=1):
-        present = plane != 0
-        np.copyto(level, np.uint8(rank), where=present)
-        np.copyto(selected, plane, where=present)
-    return level, selected
+    n_cycles = max(len(lanes) - 1, 0)
+    outputs = [np.empty(n_cycles) if wanted else None for wanted in (worst, toggles, weights)]
+    masks = () if topology is None else _lane_masks(topology, lanes.dtype.type)
+    for start in range(0, n_cycles, _SUB_BLOCK_CYCLES):
+        stop = min(start + _SUB_BLOCK_CYCLES, n_cycles)
+        _sub_block_statistics(
+            lanes[start : stop + 1],
+            topology,
+            masks,
+            *(None if out is None else out[start:stop] for out in outputs),
+        )
+    return outputs
 
 
 def block_worst_coupling(lanes: np.ndarray, topology: NeighborTopology) -> np.ndarray:
@@ -277,77 +397,16 @@ def block_worst_coupling(lanes: np.ndarray, topology: NeighborTopology) -> np.nd
 
     Bit-identical to
     :func:`repro.interconnect.crosstalk.worst_coupling_factor_per_cycle` over
-    the unpacked transitions of the same words.
-
-    The per-cycle maximum is taken hierarchically, entirely on lanes: wires
-    are classified into the five primary (``p``) classes bit-parallel, the
-    best class present in each cycle is selected, and the secondary (``q``)
-    level is refined among that class's wires only -- the maximum of the
-    lexicographic score without ever materialising per-wire scores.  A
-    topology whose factor table is not monotone in the score (a
-    ``secondary_weight`` above 0.25, where a strong secondary term can beat a
-    primary step) cannot use the lexicographic shortcut and falls back to
-    explicit per-wire scores remapped through a rank table.
+    the unpacked transitions of the same words.  With a monotone factor table
+    (``secondary_weight <= 0.25``) the maximum score is taken bit-sliced, with
+    no per-wire scores; otherwise per-wire scores go through a rank table.
     """
-    dtype = lanes.dtype.type
-    shift1, shift2 = dtype(1), dtype(2)
-    tog, direction = _transition_lanes(lanes)
-
-    left_shield = topology.left_is_shield
-    right_shield = topology.right_is_shield
-    mask_left = _wire_mask(~left_shield, dtype)
-    mask_right = _wire_mask(~right_shield, dtype)
-    # A second neighbour is electrically irrelevant when either of the two
-    # gaps it acts across is shielded (same masking as the scalar kernel; the
-    # wrap-around of its np.roll only ever affects wires the << / >> zero-fill
-    # already silences).
-    mask_left2 = _wire_mask(~(left_shield | np.roll(left_shield, 1)), dtype)
-    mask_right2 = _wire_mask(~(right_shield | np.roll(right_shield, -1)), dtype)
-
-    o_l, s_l = _neighbor_planes(tog, direction, shift1, True, mask_left)
-    o_r, s_r = _neighbor_planes(tog, direction, shift1, False, mask_right)
-    o_l2, s_l2 = _neighbor_planes(tog, direction, shift2, True, mask_left2)
-    o_r2, s_r2 = _neighbor_planes(tog, direction, shift2, False, mask_right2)
-
-    tables = coupling_score_tables(topology)
-    if tables.monotone:
-        p_planes = _class_planes(tog, o_l, s_l, o_r, s_r)
-        p_level, p_wires = _pick_highest(p_planes)
-        q_planes = _class_planes(tog, o_l2, s_l2, o_r2, s_r2)
-        q_level, _ = _pick_highest(tuple(p_wires & plane for plane in q_planes))
-        # Cycles with no toggling wire have every plane empty: both levels
-        # resolve to 0, and score 0 maps to the scalar kernel's 0.0.
-        score = p_level
-        score <<= np.uint8(3)
-        score += q_level
-        return tables.value_by_score[score]
-
-    # Non-monotone factor table: materialise per-wire scores (uint8) and take
-    # the maximum in rank space instead.
-    n_bits = topology.n_wires
-    score = _unpack_plane(o_l, n_bits)
-    score += _unpack_plane(o_r, n_bits)
-    score += np.uint8(2)
-    score -= _unpack_plane(s_l, n_bits)
-    score -= _unpack_plane(s_r, n_bits)
-    score <<= np.uint8(3)
-    far = _unpack_plane(o_l2, n_bits)
-    far += _unpack_plane(o_r2, n_bits)
-    far += np.uint8(2)
-    far -= _unpack_plane(s_l2, n_bits)
-    far -= _unpack_plane(s_r2, n_bits)
-    score += far
-    # Quiet wires have no delay event: force their score to 0, which the
-    # tables map to the same 0.0 the scalar kernel reports for them.
-    score *= _unpack_plane(tog, n_bits)
-    ranks = tables.rank_by_score[score]
-    return tables.value_by_rank[ranks.max(axis=1)]
+    return _lane_statistics(lanes, topology, worst=True)[0]
 
 
 def block_toggle_counts(lanes: np.ndarray) -> np.ndarray:
     """Toggling wires per cycle (matches :func:`crosstalk.toggle_counts`)."""
-    tog, _ = _transition_lanes(lanes)
-    return _popcount(tog).astype(np.float64)
+    return _lane_statistics(lanes, None, toggles=True)[1]
 
 
 def block_coupling_energy_weights(
@@ -359,28 +418,7 @@ def block_coupling_energy_weights(
     :func:`repro.interconnect.crosstalk.packed_coupling_energy_weights`, with
     popcounts taken on whole lanes instead of byte rows.
     """
-    dtype = lanes.dtype.type
-    shift1 = dtype(1)
-    tog, direction = _transition_lanes(lanes)
-
-    pair_mask = np.zeros(topology.n_wires, dtype=bool)
-    pair_mask[:-1] = ~topology.right_is_shield[:-1]
-    pair_bits = _wire_mask(pair_mask, dtype)
-    left_bits = _wire_mask(topology.left_is_shield, dtype)
-    right_bits = _wire_mask(topology.right_is_shield, dtype)
-
-    upper_tog = tog >> shift1
-    both = tog & upper_tog
-    opposite = both & (direction ^ (direction >> shift1))
-    same = both ^ opposite
-
-    weights = _popcount(tog & pair_bits)
-    weights += _popcount(upper_tog & pair_bits)
-    weights -= 2 * _popcount(same & pair_bits)
-    weights += 2 * _popcount(opposite & pair_bits)
-    weights += _popcount(tog & left_bits)
-    weights += _popcount(tog & right_bits)
-    return weights.astype(np.float64)
+    return _lane_statistics(lanes, topology, weights=True)[2]
 
 
 def block_statistics_arrays(
@@ -389,8 +427,9 @@ def block_statistics_arrays(
     """(worst_coupling, toggles, coupling_weights) of one packed word block.
 
     The vectorized engine's whole-chunk entry point: one lane conversion,
-    three kernels, no per-cycle Python.  Each array is bit-identical to its
-    scalar counterpart in :class:`repro.bus.bus_model.TraceStatistics`.
+    then one walk over cache-sized sub-blocks filling all three arrays, no
+    per-cycle Python.  Each array is bit-identical to its scalar counterpart
+    in :class:`repro.bus.bus_model.TraceStatistics`.
     """
     packed = np.asarray(packed, dtype=np.uint8)
     expected_bytes = (topology.n_wires + 7) // 8
@@ -399,9 +438,7 @@ def block_statistics_arrays(
             f"packed width {packed.shape[1]} does not match topology "
             f"({topology.n_wires} wires, {expected_bytes} bytes)"
         )
-    lanes = lanes_from_packed(packed)
-    return (
-        block_worst_coupling(lanes, topology),
-        block_toggle_counts(lanes),
-        block_coupling_energy_weights(lanes, topology),
+    worst, toggles, weights = _lane_statistics(
+        lanes_from_packed(packed), topology, worst=True, toggles=True, weights=True
     )
+    return worst, toggles, weights

@@ -17,6 +17,7 @@ difference at all is a bug.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,19 @@ class TestChunkedStatistics:
             assert typical_corner_bus.error_rate(summary, vdd) == typical_corner_bus.error_rate(
                 crafty_stats, vdd
             )
+
+    def test_mean_toggle_rate_matches_summary(self, crafty_stats):
+        rate = crafty_stats.mean_toggle_rate
+        assert rate == crafty_stats.summarize().mean_toggle_rate
+        # A count of switching wires, not a fraction of the word.
+        assert 1.0 < rate <= crafty_stats.toggles.max()
+
+    def test_mean_toggle_rate_of_no_cycles_is_zero(self, crafty_stats):
+        empty = crafty_stats.slice(0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert empty.mean_toggle_rate == 0.0
+            assert empty.summarize().mean_toggle_rate == 0.0
 
 
 class TestChunkedDVSRun:

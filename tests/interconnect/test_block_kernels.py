@@ -9,11 +9,18 @@ the rank-table path).  These tests sweep that whole space against randomized
 traces, making the scalar path an executable oracle.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from repro.interconnect import block_kernels
 from repro.interconnect.block_kernels import (
+    block_coupling_energy_weights,
     block_statistics_arrays,
+    block_toggle_counts,
     block_worst_coupling,
     coupling_score_tables,
     lanes_from_packed,
@@ -29,6 +36,9 @@ from repro.interconnect.crosstalk import (
 )
 from repro.trace.trace import pack_values, words_to_bits, words_to_packed
 
+#: The kernels' sub-block length: chunks are walked in slices of this many cycles.
+SUB_BLOCK = block_kernels._SUB_BLOCK_CYCLES
+
 
 def _random_values(rng, n_cycles: int, n_bits: int) -> np.ndarray:
     return rng.integers(0, 2, size=(n_cycles + 1, n_bits), dtype=np.uint8)
@@ -41,6 +51,14 @@ def _scalar_reference(values: np.ndarray, topology: NeighborTopology):
         toggle_counts(transitions),
         coupling_energy_weights(transitions, topology),
     )
+
+
+def _assert_matches_scalar(values: np.ndarray, topology: NeighborTopology) -> None:
+    expected = _scalar_reference(values, topology)
+    got = block_statistics_arrays(pack_values(values), topology)
+    for reference, measured in zip(expected, got):
+        assert measured.dtype == np.float64
+        np.testing.assert_array_equal(measured, reference)
 
 
 class TestLaneLayout:
@@ -109,11 +127,7 @@ class TestKernelBitIdentity:
     @pytest.mark.parametrize("n_bits", (1, 2, 3, 8, 9, 31, 32, 33, 48, 64))
     def test_widths(self, rng, n_bits):
         topology = grouped_shield_topology(n_bits, min(4, n_bits))
-        values = _random_values(rng, 2_000, n_bits)
-        expected = _scalar_reference(values, topology)
-        got = block_statistics_arrays(pack_values(values), topology)
-        for reference, measured in zip(expected, got):
-            np.testing.assert_array_equal(measured, reference)
+        _assert_matches_scalar(_random_values(rng, 2_000, n_bits), topology)
 
     @pytest.mark.parametrize("weight", (0.0, 0.15, 0.25, 0.3, 0.5, 1.0))
     def test_secondary_weights_cover_both_max_strategies(self, rng, weight):
@@ -128,11 +142,7 @@ class TestKernelBitIdentity:
     @pytest.mark.parametrize("shield_group", (1, 2, 3, 4, 8, 16, 32))
     def test_shield_layouts(self, rng, shield_group):
         topology = grouped_shield_topology(32, shield_group)
-        values = _random_values(rng, 2_000, 32)
-        expected = _scalar_reference(values, topology)
-        got = block_statistics_arrays(pack_values(values), topology)
-        for reference, measured in zip(expected, got):
-            np.testing.assert_array_equal(measured, reference)
+        _assert_matches_scalar(_random_values(rng, 2_000, 32), topology)
 
     def test_unshielded_topology(self, rng):
         # No edge shields at all: every wire pair couples, the wrap-around
@@ -142,11 +152,7 @@ class TestKernelBitIdentity:
             left_is_shield=np.zeros(16, dtype=bool),
             right_is_shield=np.zeros(16, dtype=bool),
         )
-        values = _random_values(rng, 3_000, 16)
-        expected = _scalar_reference(values, topology)
-        got = block_statistics_arrays(pack_values(values), topology)
-        for reference, measured in zip(expected, got):
-            np.testing.assert_array_equal(measured, reference)
+        _assert_matches_scalar(_random_values(rng, 3_000, 16), topology)
 
     def test_adversarial_patterns(self):
         # All-quiet, all-toggle, alternating, single-wire and worst-case
@@ -175,8 +181,73 @@ class TestKernelBitIdentity:
         topology = grouped_shield_topology(32, 4)
         for density in (0.01, 0.2, 0.5, 0.9):
             flips = rng.random(size=(2_001, 32)) < density
-            values = (np.cumsum(flips, axis=0) & 1).astype(np.uint8)
-            expected = _scalar_reference(values, topology)
-            got = block_statistics_arrays(pack_values(values), topology)
-            for reference, measured in zip(expected, got):
-                np.testing.assert_array_equal(measured, reference)
+            _assert_matches_scalar((np.cumsum(flips, axis=0) & 1).astype(np.uint8), topology)
+
+
+class TestSubBlocks:
+    """Chunks longer than one sub-block are walked in slices; no seams allowed."""
+
+    @pytest.mark.parametrize("weight", (0.15, 0.5))
+    @pytest.mark.parametrize(
+        "n_cycles", (SUB_BLOCK - 1, SUB_BLOCK, SUB_BLOCK + 1, 2 * SUB_BLOCK + 1)
+    )
+    def test_statistics_across_sub_block_boundaries(self, rng, weight, n_cycles):
+        topology = grouped_shield_topology(32, 4, secondary_weight=weight)
+        # Toggle density swept along the trace, so every sub-block mixes
+        # quiet, sparse and saturated cycles.
+        density = np.linspace(0.0, 1.0, n_cycles + 1)[:, None]
+        flips = rng.random(size=(n_cycles + 1, 32)) < density
+        _assert_matches_scalar((np.cumsum(flips, axis=0) & 1).astype(np.uint8), topology)
+
+    def test_single_statistic_entry_points_agree(self, rng):
+        topology = grouped_shield_topology(48, 4)
+        values = _random_values(rng, 2 * SUB_BLOCK + 1, 48)
+        worst, toggles, weights = block_statistics_arrays(pack_values(values), topology)
+        lanes = lanes_from_packed(pack_values(values))
+        np.testing.assert_array_equal(block_worst_coupling(lanes, topology), worst)
+        np.testing.assert_array_equal(block_toggle_counts(lanes), toggles)
+        np.testing.assert_array_equal(
+            block_coupling_energy_weights(lanes, topology), weights
+        )
+
+    def test_empty_and_single_word_blocks(self):
+        topology = grouped_shield_topology(32, 4)
+        for n_words in (0, 1):
+            got = block_statistics_arrays(np.zeros((n_words, 4), dtype=np.uint8), topology)
+            for measured in got:
+                assert measured.shape == (0,) and measured.dtype == np.float64
+
+
+#: Secondary weights either side of 0.25, where the factor table stops being
+#: monotone and the kernel switches from the bit-sliced max to rank tables.
+_WEIGHTS = st.sampled_from((0.0, 0.15, 0.25, 0.3, 0.5, 1.0)) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _random_designs(draw):
+    n_bits = draw(st.integers(1, 64))
+    shields = st.lists(st.booleans(), min_size=n_bits, max_size=n_bits)
+    topology = NeighborTopology(
+        n_wires=n_bits,
+        left_is_shield=np.array(draw(shields), dtype=bool),
+        right_is_shield=np.array(draw(shields), dtype=bool),
+        secondary_weight=draw(_WEIGHTS),
+    )
+    return topology, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestDifferential:
+    @seed(2005)
+    @settings(max_examples=80, deadline=None)
+    @given(
+        design=_random_designs(),
+        n_cycles=st.integers(0, 600),
+        sub_block=st.integers(1, 700),
+    )
+    def test_random_designs_match_scalar(self, design, n_cycles, sub_block):
+        topology, density, trace_seed = design
+        generator = np.random.default_rng(trace_seed)
+        flips = generator.random(size=(n_cycles + 1, topology.n_wires)) < density
+        values = (np.cumsum(flips, axis=0) & 1).astype(np.uint8)
+        with mock.patch.object(block_kernels, "_SUB_BLOCK_CYCLES", sub_block):
+            _assert_matches_scalar(values, topology)
