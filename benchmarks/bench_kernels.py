@@ -3,7 +3,8 @@
 
 Times every hot kernel of the streaming pipeline in isolation -- the three
 per-cycle statistics kernels in both engines, trace generation, the
-closed-loop feed, and the end-to-end DVS run -- and writes the results to a
+closed-loop replay of precomputed statistics, and the end-to-end DVS run --
+and writes the results to a
 JSON report (``BENCH_kernels.json``).  With ``--baseline`` the run **fails on
 a >2x throughput regression in any kernel**, so CI catches a regression in a
 single kernel even when the end-to-end number still looks healthy (e.g. a
@@ -61,6 +62,7 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
         transitions_from_values,
         worst_coupling_factor_per_cycle,
     )
+    from repro.runtime.parallel import statistics_pass
     from repro.telemetry import Telemetry, use_telemetry
     from repro.trace import benchmark_trace_source
 
@@ -71,7 +73,7 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
     telemetry = Telemetry(label="bench_kernels")
 
     # Shared inputs, prepared once: the packed trace (vectorized input), the
-    # unpacked transitions (scalar input) and the per-cycle statistics (feed
+    # unpacked transitions (scalar input) and the per-cycle statistics (replay
     # input).  Preparation is timed as the trace-generation kernel.
     _observe_repeats(
         telemetry, "trace_generation_packed", lambda: source.materialize(packed=True), repeats
@@ -82,9 +84,14 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
     stats = bus.analyze_trace(trace)
 
     def run_feed() -> None:
+        # Reduce the precomputed statistics to control-segment summaries and
+        # replay the closed loop over them.
         system = DVSBusSystem(bus)
         state = system.stream(stats.n_cycles)
-        state.feed(stats)
+        for summary in statistics_pass(
+            stats, system.control_segmenter(stats.n_cycles), topology
+        ):
+            state.feed_summary(summary)
         state.finish()
 
     kernels: Dict[str, Callable[[], object]] = {

@@ -1,13 +1,12 @@
 #!/usr/bin/env python
-"""Scaling benchmark of the parallel two-pass DVS engine.
+"""Scaling benchmark of the DVS statistics pass over worker processes.
 
-Runs the same closed-loop DVS workload end to end through the serial
-vectorized engine and through the parallel engine at 1, 2 and 4 workers,
-checks every parallel result bit-identical to the serial one, and writes
-throughput, speedup and scaling efficiency to a JSON report
-(``BENCH_parallel.json``).  Each worker config reuses one persistent
-:class:`ParallelChunkScheduler`, so the numbers measure steady-state scaling,
-not pool spin-up.
+Runs the same closed-loop DVS workload end to end serially and with
+``jobs`` = 1, 2 and 4 worker processes, checks every result bit-identical
+to the serial one, and writes throughput, speedup and scaling efficiency to
+a JSON report (``BENCH_parallel.json``).  Each run starts and stops its own
+worker pool, exactly like a user's ``run(..., jobs=N)``, so the numbers
+include pool start-up.
 
 With ``--baseline`` the run **fails on a >2x throughput regression in any
 config**, exactly like the per-kernel gates; on hosts with at least two CPUs
@@ -53,7 +52,7 @@ def _observe_repeats(telemetry, name: str, fn: Callable[[], object], repeats: in
 
 
 def _assert_identical(name: str, measured, reference) -> None:
-    """Hard bit-identity check between a parallel and the serial run."""
+    """Hard bit-identity check between a multi-worker and the serial run."""
     mismatches = []
     if measured.total_errors != reference.total_errors:
         mismatches.append("total_errors")
@@ -76,7 +75,6 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
     from repro.bus import BusDesign, CharacterizedBus
     from repro.circuit.pvt import TYPICAL_CORNER
     from repro.core.dvs_system import DVSBusSystem
-    from repro.runtime import ParallelChunkScheduler
     from repro.telemetry import Telemetry, use_telemetry
     from repro.trace import benchmark_trace_source
 
@@ -98,20 +96,15 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
 
     for n_workers in WORKER_COUNTS:
         name = f"parallel_{n_workers}"
-        with ParallelChunkScheduler(n_workers=n_workers) as scheduler:
-            # Identity first (also warms the pool up), then the timed repeats.
-            _assert_identical(
+        # Identity first, then the timed repeats.
+        _assert_identical(name, system.run(source, jobs=n_workers), reference)
+        with use_telemetry(telemetry):
+            _observe_repeats(
+                telemetry,
                 name,
-                system.run(source, engine="parallel", scheduler=scheduler),
-                reference,
+                lambda: system.run(source, jobs=n_workers),
+                repeats,
             )
-            with use_telemetry(telemetry):
-                _observe_repeats(
-                    telemetry,
-                    name,
-                    lambda: system.run(source, engine="parallel", scheduler=scheduler),
-                    repeats,
-                )
         seconds = telemetry.metrics.histograms[f"bench.{name}.seconds"].min
         speedup = serial_seconds / seconds
         results[name] = {
@@ -199,7 +192,7 @@ def main(argv: list | None = None) -> int:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)
             return 1
-        print("OK: parallel engine within the baseline gates", file=sys.stderr)
+        print("OK: multi-worker runs within the baseline gates", file=sys.stderr)
     elif args.baseline is not None:
         print(f"note: no baseline at {args.baseline}; recorded only", file=sys.stderr)
     return 0

@@ -112,7 +112,9 @@ def _signature(obj: object) -> str:
 
 
 def _stable_repr(value: object) -> str:
-    """``repr`` with memory addresses stripped, so output is deterministic."""
+    """``repr`` without memory addresses or file paths, so output is deterministic."""
+    if inspect.ismodule(value):
+        return f"<module {value.__name__!r}>"
     return _strip_addresses(repr(value))
 
 

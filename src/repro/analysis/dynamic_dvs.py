@@ -8,14 +8,14 @@
   nominal supply) and returns the supply-voltage and instantaneous error-rate
   time series of Fig. 8, together with the benchmark region boundaries.
 
-Both drivers are *streamed*: workloads are walked chunk by chunk through the
-trace pipeline (:mod:`repro.trace.stream`), so peak memory stays O(chunk)
-regardless of trace length.  That is what makes the paper's 10 M cycles per
-benchmark -- now the default -- practical: a full Table 1 at paper scale
-needs tens of MB, not tens of GB.  Table 1 walks each benchmark once: the
-chunk statistics depend only on the data and the wiring, so each chunk is
-fed to every corner's closed loop and to the one fixed-VS reduction all
-corners share.
+Both drivers are *streamed*: the statistics pass
+(:mod:`repro.runtime.parallel`) walks workloads chunk by chunk, so peak
+memory stays O(chunk) regardless of trace length.  That is what makes the
+paper's 10 M cycles per benchmark -- now the default -- practical: a full
+Table 1 at paper scale needs tens of MB, not tens of GB.  Table 1 walks each
+benchmark once: the segment summaries depend only on the data, the wiring
+and the control timing, so each is replayed into every corner's closed loop
+and merged into the one fixed-VS summary all corners share.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.bus.bus_design import BusDesign
-from repro.bus.bus_model import CharacterizedBus, TraceStatisticsAccumulator
-from repro.bus.engine import ENGINE_PARALLEL, resolve_engine
+from repro.bus.bus_model import CharacterizedBus
 from repro.circuit.pvt import TYPICAL_CORNER, WORST_CASE_CORNER, PVTCorner
 from repro.core.dvs_system import DVSBusSystem, DVSRunResult
 from repro.core.fixed_vs import FixedScalingResult, evaluate_fixed_scaling
@@ -145,48 +144,38 @@ def _run_benchmark_streamed(
     warmup_fraction: float,
     chunk_cycles: int | None,
     progress,
-    engine: str | None = None,
-    scheduler: "ParallelChunkScheduler" | None = None,
+    engine: str | None,
+    scheduler: ParallelChunkScheduler,
 ) -> list[tuple[FixedScalingResult, DVSRunResult]]:
-    """One pass over a workload feeding both Table 1 columns of every corner.
+    """One statistics pass over a workload feeding both Table 1 columns of every corner.
 
-    Chunk statistics depend only on the data and the wiring the systems
-    share, never on the corner, so each chunk is analysed once: it drives
-    every system's closed loop and accumulates the one summary all fixed-VS
-    baselines are computed from.  Under the parallel engine the shared pass
-    is the fan-out statistics pass, whose per-segment summaries replay every
-    closed loop -- bit-identical to the serial pass.  Returns one
-    ``(fixed, dvs)`` pair per system.
+    Segment summaries depend only on the data, the wiring and the control
+    timing the systems share, never on the corner, so each benchmark is
+    analysed once: its summaries replay every system's closed loop and merge
+    into the one summary all fixed-VS baselines are computed from.  Returns
+    one ``(fixed, dvs)`` pair per system.
     """
+    from repro.runtime.parallel import tree_merge_summaries
+
     source = as_trace_source(workload)
     total = source.n_cycles
     warmup = int(warmup_fraction * total)
+    segmenter = systems[0].control_segmenter(total, warmup_cycles=warmup)
+    if any(s.control_segmenter(total, warmup_cycles=warmup) != segmenter for s in systems):
+        raise ValueError("systems sharing one pass must agree on window, ramp and warm-up")
+    summaries = scheduler.segment_summaries(
+        source,
+        segmenter,
+        systems[0].bus.design.topology,
+        engine=engine,
+        chunk_cycles=chunk_cycles,
+        progress=progress,
+    )
     states = [system.stream(total, warmup_cycles=warmup) for system in systems]
-    accumulator = TraceStatisticsAccumulator()
-    if scheduler is not None:
-        segmenter = systems[0].control_segmenter(total, warmup_cycles=warmup)
-        if any(s.control_segmenter(total, warmup_cycles=warmup) != segmenter for s in systems):
-            raise ValueError("systems sharing one pass must agree on window, ramp and warm-up")
-        summaries = scheduler.segment_summaries(
-            source,
-            segmenter,
-            systems[0].bus.design.topology,
-            engine=engine,
-            chunk_cycles=chunk_cycles,
-            progress=progress,
-        )
-        for summary in summaries:
-            accumulator.merge_summary(summary)
-            for state in states:
-                state.feed_summary(summary)
-    else:
-        for stats, _ in systems[0].bus.iter_statistics(source, chunk_cycles, engine=engine):
-            accumulator.accumulate(stats)
-            for state in states:
-                state.feed(stats)
-            if progress is not None:
-                progress(accumulator.n_cycles, total)
-    summary = accumulator.summary()
+    for summary in summaries:
+        for state in states:
+            state.feed_summary(summary)
+    summary = tree_merge_summaries(summaries)
     return [
         (evaluate_fixed_scaling(system.bus, summary), state.finish())
         for system, state in zip(systems, states)
@@ -241,13 +230,11 @@ def run_table1(
         Streaming granularity; results are bit-identical for any value.
     engine:
         Kernel engine for the per-cycle statistics (:mod:`repro.bus.engine`);
-        results are bit-identical for every engine, including
-        ``"parallel"``.
+        results are bit-identical for every engine.
     jobs:
-        Worker processes for the parallel engine (``jobs > 1`` implies
-        ``engine="parallel"``).  One worker pool is created for the whole
-        table and reused for every benchmark's single statistics pass,
-        which all corners share.
+        Worker processes for the statistics pass (inline for ``None`` or 1).
+        One worker pool is created for the whole table and reused for every
+        benchmark's single statistics pass, which all corners share.
     order:
         Row order of the table; defaults to the paper's
         :data:`~repro.trace.benchmarks.TABLE1_ORDER` (names absent from
@@ -264,13 +251,10 @@ def run_table1(
 
     # One persistent worker pool for the whole table: fork/start-up costs are
     # paid once, every benchmark's pass reuses the same workers.
-    scheduler: "ParallelChunkScheduler" | None = None
-    if (jobs is not None and jobs > 1) or resolve_engine(engine) == ENGINE_PARALLEL:
-        from repro.runtime.parallel import ParallelChunkScheduler
+    from repro.runtime.parallel import ParallelChunkScheduler
 
-        scheduler = ParallelChunkScheduler(n_workers=jobs if jobs is not None else 1)
-
-    try:
+    n_workers = jobs if jobs is not None and jobs > 1 else 1
+    with ParallelChunkScheduler(n_workers=n_workers) as scheduler:
         corner_results = _run_table1_corners(
             design=design,
             workloads=workloads,
@@ -284,9 +268,6 @@ def run_table1(
             order=order,
             scheduler=scheduler,
         )
-    finally:
-        if scheduler is not None:
-            scheduler.close()
     return Table1Result(corners=tuple(corner_results), n_cycles_per_benchmark=n_cycles)
 
 
@@ -301,7 +282,7 @@ def _run_table1_corners(
     chunk_cycles: int | None,
     engine: str | None,
     order: Sequence[str],
-    scheduler: "ParallelChunkScheduler" | None,
+    scheduler: ParallelChunkScheduler,
 ) -> list[Table1CornerResult]:
     """The benchmark loop of :func:`run_table1`: one pass per benchmark,
     shared by every corner, then each corner's rows and totals in order."""

@@ -20,12 +20,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.bus.bus_design import BusDesign
-from repro.bus.bus_model import (
-    CharacterizedBus,
-    TraceStatistics,
-    TraceStatisticsAccumulator,
-    TraceSummary,
-)
+from repro.bus.bus_model import CharacterizedBus, TraceStatistics, TraceSummary
 from repro.circuit.pvt import STANDARD_CORNERS, PVTCorner
 from repro.energy.gains import breakdown_gain_percent, normalized_energy
 from repro.trace.stream import TraceSource
@@ -124,13 +119,16 @@ def combine_summaries(
     rates and energies at constant grid voltages -- matches while paper-scale
     suites sweep in O(chunk) memory.
     """
+    from repro.runtime.parallel import tree_merge_summaries
+
     if not workloads:
         raise ValueError("workloads must contain at least one trace")
-    accumulator = TraceStatisticsAccumulator()
-    for workload in workloads.values():
-        for stats, _ in bus.iter_statistics(workload, chunk_cycles, engine=engine):
-            accumulator.accumulate(stats)
-    return accumulator.summary()
+    return tree_merge_summaries(
+        [
+            bus.summarize(workload, chunk_cycles=chunk_cycles, engine=engine)
+            for workload in workloads.values()
+        ]
+    )
 
 
 def resolve_workload_statistics(

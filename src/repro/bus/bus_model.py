@@ -5,44 +5,34 @@ summing the coupling-energy weights -- depends only on the data trace, not on
 the supply voltage.  :class:`TraceStatistics` captures those per-cycle arrays
 once; :class:`CharacterizedBus` then evaluates timing errors and energy for
 any (possibly per-cycle) supply voltage with a handful of vectorised numpy
-operations, which is what makes multi-million-cycle DVS simulations fast.
+operations.
 
-For paper-scale (10 M cycle) runs even the per-cycle statistics are too big
-to hold, so the model also supports *streaming reductions*:
-
-* :meth:`CharacterizedBus.iter_statistics` walks any workload (a trace, a
-  :class:`~repro.trace.stream.TraceSource`, or pre-computed statistics) as
-  chunk-local :class:`TraceStatistics`, and
-* :class:`TraceStatisticsAccumulator` folds those chunks into a
-  :class:`TraceSummary` -- exact totals plus the (tiny, discrete)
-  distribution of per-cycle worst coupling factors -- from which error rates
-  and energies at any *constant* supply are computed exactly, independent of
-  how the trace was chunked.
+Simulations never hold a whole run's per-cycle arrays.  The statistics pass
+(:func:`repro.runtime.parallel.statistics_pass`) analyses one chunk at a time
+into :class:`CodedStatistics` -- the worst coupling factor as small integer
+codes into a value table -- and :meth:`CodedStatistics.summaries` reduces
+each chunk to one :class:`TraceSummary` per control segment it touches:
+exact totals plus the (tiny, discrete) distribution of worst coupling
+factors, from which error rates and energies at any *constant* supply follow
+exactly, independent of how the trace was chunked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-from collections.abc import Iterator
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.bus.bus_design import BusDesign
 from repro.bus.characterization import default_voltage_grid
-from repro.bus.engine import (
-    ENGINE_PARALLEL,
-    ENGINE_SCALAR,
-    ENGINE_VECTORIZED,
-    default_chunk_cycles,
-    kernel_engine,
-    resolve_engine,
-)
+from repro.bus.engine import ENGINE_VECTORIZED, resolve_engine
 from repro.circuit.energy_model import FlipFlopEnergyParams
 from repro.circuit.lookup_table import DelayEnergyTable, VoltageGrid
 from repro.circuit.pvt import PVTCorner
 from repro.energy.accounting import EnergyBreakdown
-from repro.interconnect.block_kernels import block_statistics_arrays, lanes_supported
+from repro.interconnect.block_kernels import block_statistics_codes, lanes_supported
 from repro.interconnect.crosstalk import (
     NeighborTopology,
     coupling_energy_weights,
@@ -53,12 +43,11 @@ from repro.interconnect.crosstalk import (
     worst_coupling_factor_per_cycle,
 )
 from repro.telemetry import get_telemetry
-from repro.trace.stream import TraceSource, as_trace_source
+from repro.trace.stream import TraceSource
 from repro.trace.trace import BusTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.chardb.database import CharacterizationDatabase
-    from repro.runtime.parallel import ParallelChunkScheduler
 
 VoltageLike = float | np.ndarray
 
@@ -124,9 +113,9 @@ class TraceStatistics:
 
     def summarize(self) -> TraceSummary:
         """Reduce these per-cycle arrays to a :class:`TraceSummary`."""
-        accumulator = TraceStatisticsAccumulator()
-        accumulator.accumulate(self)
-        return accumulator.summary()
+        if self.n_cycles == 0:
+            return TraceSummary(0, 0.0, 0.0, np.empty(0), np.empty(0, dtype=np.int64))
+        return CodedStatistics.from_statistics(self).summaries([0])[0]
 
 
 @dataclass(frozen=True)
@@ -196,11 +185,12 @@ class TraceSummary:
 
 
 class TraceStatisticsAccumulator:
-    """Incremental reducer of chunk statistics into a :class:`TraceSummary`.
+    """Ordered merge of :class:`TraceSummary` pieces into one summary.
 
-    Accumulation is exact (integer totals, discrete worst-coupling
-    histogram), so the resulting summary is bit-identical no matter how the
-    trace was split into chunks.
+    Every field is an exact integer (or small dyadic) total and the
+    worst-coupling histogram is discrete, so the merged summary is
+    bit-identical for any grouping of the pieces -- linear, tree-shaped, or
+    one piece per chunk.
     """
 
     def __init__(self) -> None:
@@ -209,25 +199,8 @@ class TraceStatisticsAccumulator:
         self._weights = 0.0
         self._histogram: dict[float, int] = {}
 
-    def accumulate(self, stats: TraceStatistics) -> TraceStatisticsAccumulator:
-        """Fold one chunk's per-cycle statistics into the running reduction."""
-        self._n_cycles += stats.n_cycles
-        self._toggles += float(np.sum(stats.toggles))
-        self._weights += float(np.sum(stats.coupling_weights))
-        values, counts = np.unique(stats.worst_coupling, return_counts=True)
-        for value, count in zip(values.tolist(), counts.tolist()):
-            self._histogram[value] = self._histogram.get(value, 0) + int(count)
-        return self
-
     def merge_summary(self, summary: TraceSummary) -> TraceStatisticsAccumulator:
-        """Fold an already-reduced :class:`TraceSummary` into the reduction.
-
-        The parallel engine's merge step: per-segment summaries computed by
-        worker processes fold in exactly like raw chunks, and because every
-        field is an exact integer (or small dyadic) total, any merge grouping
-        -- linear, tree-shaped, or mixed with :meth:`accumulate` calls --
-        produces bit-identical results.
-        """
+        """Fold one :class:`TraceSummary` into the reduction."""
         self._n_cycles += summary.n_cycles
         self._toggles += summary.toggles_total
         self._weights += summary.coupling_weights_total
@@ -237,14 +210,6 @@ class TraceStatisticsAccumulator:
         ):
             self._histogram[value] = self._histogram.get(value, 0) + int(count)
         return self
-
-    #: Alias so the accumulator can be used as a chunk observer.
-    update = accumulate
-
-    @property
-    def n_cycles(self) -> int:
-        """Cycles accumulated so far."""
-        return self._n_cycles
 
     def summary(self) -> TraceSummary:
         """The reduction accumulated so far, as an immutable summary."""
@@ -259,10 +224,132 @@ class TraceStatisticsAccumulator:
         )
 
 
+@dataclass(frozen=True)
+class CodedStatistics:
+    """Per-cycle statistics with the worst coupling factor as integer codes.
+
+    Cycle ``i``'s worst coupling factor is ``values[codes[i]]``; ``values``
+    is non-decreasing, and several codes may share one value.  The vectorized
+    kernels emit this form directly (their uint8 score or rank, see
+    :func:`repro.interconnect.block_kernels.block_statistics_codes`), so the
+    statistics pass histograms small integers and never builds a float
+    worst-coupling array.
+    """
+
+    codes: np.ndarray
+    values: np.ndarray
+    toggles: np.ndarray
+    coupling_weights: np.ndarray
+
+    @classmethod
+    def from_statistics(cls, stats: TraceStatistics) -> CodedStatistics:
+        """Code float statistics by their distinct worst-coupling values.
+
+        The codes are what ``np.unique(..., return_inverse=True)`` returns,
+        found by a ``searchsorted`` into the distinct values, which is
+        several times faster than the inverse's argsort.
+        """
+        values = np.unique(stats.worst_coupling)
+        codes = np.searchsorted(values, stats.worst_coupling)
+        return cls(codes, values, stats.toggles, stats.coupling_weights)
+
+    @property
+    def n_cycles(self) -> int:
+        """Number of cycles (transitions)."""
+        return len(self.codes)
+
+    def summaries(self, offsets: Sequence[int] | np.ndarray) -> list[TraceSummary]:
+        """One exact :class:`TraceSummary` per piece of these cycles.
+
+        Piece ``k`` covers ``[offsets[k], offsets[k + 1])`` and the last piece
+        ends at :attr:`n_cycles`; ``offsets`` must start at 0 and increase
+        strictly.  Each piece's histogram is one row of a single bincount
+        over ``piece * n_codes + code``, and its toggle and weight totals
+        come from one ``np.add.reduceat`` each.  All of them are exact
+        integer totals, so the summaries do not depend on how cycles were
+        grouped into chunks or pieces.  Codes that share a value are folded
+        into one bin, since summary values must be distinct.
+        """
+        offsets = np.asarray(offsets, dtype=np.intp)
+        lengths = np.diff(offsets, append=self.n_cycles)
+        if len(offsets) == 0 or offsets[0] != 0 or np.any(lengths <= 0):
+            raise ValueError(
+                f"piece offsets must start at 0 and increase strictly below "
+                f"{self.n_cycles}, got {offsets.tolist()}"
+            )
+        n_pieces, n_codes = len(offsets), len(self.values)
+        if n_pieces == 1:
+            histograms = np.bincount(self.codes, minlength=n_codes)[None, :]
+        else:
+            binned = np.repeat(np.arange(0, n_pieces * n_codes, n_codes), lengths)
+            binned += self.codes
+            histograms = np.bincount(binned, minlength=n_pieces * n_codes).reshape(
+                n_pieces, n_codes
+            )
+        values = self.values
+        distinct = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+        if len(distinct) < n_codes:
+            histograms = np.add.reduceat(histograms, distinct, axis=1)
+            values = values[distinct]
+        toggles = np.add.reduceat(self.toggles, offsets)
+        weights = np.add.reduceat(self.coupling_weights, offsets)
+        summaries = []
+        for length, histogram, toggle_total, weight_total in zip(
+            lengths.tolist(), histograms, toggles.tolist(), weights.tolist()
+        ):
+            seen = histogram > 0
+            summaries.append(
+                TraceSummary(
+                    n_cycles=length,
+                    toggles_total=toggle_total,
+                    coupling_weights_total=weight_total,
+                    worst_coupling_values=values[seen],
+                    worst_coupling_counts=histogram[seen],
+                )
+            )
+        return summaries
+
+
 #: Anything the bus model can evaluate a workload from.
 WorkloadLike = BusTrace | TraceSource | TraceStatistics
 #: Workload statistics in either per-cycle or reduced form.
 StatisticsLike = TraceStatistics | TraceSummary
+
+
+def _check_width(trace: BusTrace, topology: NeighborTopology) -> None:
+    if trace.n_bits != topology.n_wires:
+        raise ValueError(
+            f"transition width {trace.n_bits} does not match topology "
+            f"({topology.n_wires})"
+        )
+
+
+def _uses_lanes(engine: str | None, n_bits: int) -> bool:
+    """Whether ``engine`` runs the lane kernels for an ``n_bits``-wide bus."""
+    return resolve_engine(engine) == ENGINE_VECTORIZED and lanes_supported(n_bits)
+
+
+def analyze_trace_codes(
+    trace: BusTrace,
+    topology: NeighborTopology,
+    engine: str | None = None,
+) -> CodedStatistics:
+    """Per-cycle statistics of a trace in the coded form the statistics pass reduces.
+
+    The lane kernels hand over their uint8 worst-coupling codes with the
+    matching value table; the scalar kernels (``engine="scalar"``, and the
+    fallback for buses the lanes cannot hold) are coded by their distinct
+    float values.  Either way the decoded statistics are bit-identical to
+    :func:`analyze_trace_statistics`.
+    """
+    _check_width(trace, topology)
+    if not _uses_lanes(engine, trace.n_bits):
+        return CodedStatistics.from_statistics(_scalar_statistics(trace, topology))
+    telemetry = get_telemetry()
+    with telemetry.span("kernel.block_statistics", cycles=trace.n_cycles):
+        codes, values, toggles, weights = block_statistics_codes(trace.packed_values, topology)
+    telemetry.count("kernel.invocations.vectorized")
+    return CodedStatistics(codes, values, toggles, weights)
 
 
 def analyze_trace_statistics(
@@ -274,31 +361,28 @@ def analyze_trace_statistics(
 
     This is the kernel dispatch behind
     :meth:`CharacterizedBus.analyze_trace`, factored to module level because
-    it depends only on the (tiny, picklable) :class:`NeighborTopology` -- the
-    parallel engine's worker processes call it without ever materialising a
-    characterised bus.  With the default ``engine="vectorized"`` (which
-    ``"parallel"`` maps to, see :func:`repro.bus.engine.kernel_engine`) all
-    three per-cycle arrays come from the integer-lane block kernels straight
-    off the packed words; ``engine="scalar"`` runs the per-wire reference
-    kernels.  Results are **bit-identical** either way, and configurations
-    the lane kernels cannot represent (buses wider than 64 wires, big-endian
-    hosts) fall back to the reference path.
+    it depends only on the (tiny, picklable) :class:`NeighborTopology`.  With
+    the default ``engine="vectorized"`` all three per-cycle arrays come from
+    the integer-lane block kernels straight off the packed words;
+    ``engine="scalar"`` runs the per-wire reference kernels.  Results are
+    **bit-identical** either way, and configurations the lane kernels cannot
+    represent (buses wider than 64 wires, big-endian hosts) fall back to the
+    reference path.
     """
-    if trace.n_bits != topology.n_wires:
-        raise ValueError(
-            f"transition width {trace.n_bits} does not match topology "
-            f"({topology.n_wires})"
-        )
-    telemetry = get_telemetry()
-    if kernel_engine(engine) == ENGINE_VECTORIZED and lanes_supported(trace.n_bits):
-        with telemetry.span("kernel.block_statistics", cycles=trace.n_cycles):
-            worst, toggles, weights = block_statistics_arrays(
-                trace.packed_values, topology
-            )
-        telemetry.count("kernel.invocations.vectorized")
+    if _uses_lanes(engine, trace.n_bits):
+        coded = analyze_trace_codes(trace, topology, engine)
         return TraceStatistics(
-            worst_coupling=worst, toggles=toggles, coupling_weights=weights
+            worst_coupling=coded.values[coded.codes],
+            toggles=coded.toggles,
+            coupling_weights=coded.coupling_weights,
         )
+    _check_width(trace, topology)
+    return _scalar_statistics(trace, topology)
+
+
+def _scalar_statistics(trace: BusTrace, topology: NeighborTopology) -> TraceStatistics:
+    """The per-wire reference kernels over a packed or unpacked trace."""
+    telemetry = get_telemetry()
     telemetry.count("kernel.invocations.scalar")
     if not trace.is_packed:
         with telemetry.span("kernel.scalar_statistics", cycles=trace.n_cycles):
@@ -416,93 +500,32 @@ class CharacterizedBus:
         """
         return analyze_trace_statistics(trace, self.design.topology, engine=engine)
 
-    def iter_statistics(
-        self,
-        workload: WorkloadLike,
-        chunk_cycles: int | None = None,
-        engine: str | None = None,
-    ) -> Iterator[tuple[TraceStatistics, int]]:
-        """Walk a workload as ``(chunk statistics, start cycle)`` pairs.
-
-        Accepts pre-computed :class:`TraceStatistics` (yielded whole, or
-        sliced when ``chunk_cycles`` is given), a :class:`BusTrace`, or any
-        :class:`~repro.trace.stream.TraceSource`.  Never holds more than one
-        chunk of per-cycle arrays for streamed workloads.  ``engine`` picks
-        the kernel implementation (see :mod:`repro.bus.engine`); the
-        vectorized engine streams packed chunks and prefers larger ones, but
-        the yielded statistics are bit-identical for any engine/chunking.
-        """
-        engine = resolve_engine(engine)
-        if isinstance(workload, TraceStatistics):
-            if chunk_cycles is None:
-                yield workload, 0
-            else:
-                for start in range(0, workload.n_cycles, chunk_cycles):
-                    stop = min(start + chunk_cycles, workload.n_cycles)
-                    yield workload.slice(start, stop), start
-            return
-        source = as_trace_source(workload)
-        packed = kernel_engine(engine) == ENGINE_VECTORIZED and lanes_supported(source.n_bits)
-        if chunk_cycles is None:
-            # The scalar kernels (also the fallback when the lane kernels
-            # cannot represent this bus) want small cache-resident chunks;
-            # size by the path actually taken, not the requested name.
-            chunk_cycles = default_chunk_cycles(engine if packed else ENGINE_SCALAR)
-        for chunk in source.chunks(chunk_cycles, packed=packed):
-            yield self.analyze_trace(chunk.trace, engine=engine), chunk.start_cycle
-
     def summarize(
         self,
         workload: WorkloadLike,
         chunk_cycles: int | None = None,
         engine: str | None = None,
         jobs: int | None = None,
-        scheduler: "ParallelChunkScheduler" | None = None,
     ) -> TraceSummary:
-        """Reduce a workload to a :class:`TraceSummary` in O(chunk) memory.
+        """Reduce a workload to one :class:`TraceSummary` in O(chunk) memory.
 
-        With ``engine="parallel"``, ``jobs > 1`` or an explicit
-        :class:`~repro.runtime.parallel.ParallelChunkScheduler`, the kernel
-        work fans out to worker processes and the per-chunk summaries are
-        merged in submission order -- bit-identical to the serial reduction
-        because every accumulated quantity is exact (see
-        :class:`TraceStatisticsAccumulator.merge_summary`).  Pre-computed
-        :class:`TraceStatistics` workloads always reduce serially (there is
-        no kernel work to parallelise).
+        This is the statistics pass with the whole run as one segment;
+        ``jobs > 1`` fans its kernel work out to worker processes, with
+        bit-identical results.
         """
-        parallel = scheduler is not None or (jobs is not None and jobs > 1) or (
-            resolve_engine(engine) == ENGINE_PARALLEL
-        )
-        if parallel and not isinstance(workload, TraceStatistics):
-            from repro.runtime.parallel import ChunkSegmenter, ParallelChunkScheduler
+        if isinstance(workload, TraceStatistics):
+            return workload.summarize()
+        from repro.runtime.parallel import ChunkSegmenter, statistics_pass
 
-            source = as_trace_source(workload)
-            segmenter = ChunkSegmenter(n_cycles=source.n_cycles)
-            own = scheduler is None
-            sched = (
-                scheduler
-                if scheduler is not None
-                else ParallelChunkScheduler(n_workers=jobs if jobs is not None else 1)
-            )
-            try:
-                summaries = sched.segment_summaries(
-                    source,
-                    segmenter,
-                    self.design.topology,
-                    engine=engine,
-                    chunk_cycles=chunk_cycles,
-                )
-            finally:
-                if own:
-                    sched.close()
-            accumulator = TraceStatisticsAccumulator()
-            for summary in summaries:
-                accumulator.merge_summary(summary)
-            return accumulator.summary()
-        accumulator = TraceStatisticsAccumulator()
-        for stats, _ in self.iter_statistics(workload, chunk_cycles, engine=engine):
-            accumulator.accumulate(stats)
-        return accumulator.summary()
+        (summary,) = statistics_pass(
+            workload,
+            ChunkSegmenter(n_cycles=workload.n_cycles),
+            self.design.topology,
+            engine=engine,
+            chunk_cycles=chunk_cycles,
+            jobs=jobs,
+        )
+        return summary
 
     # ------------------------------------------------------------------ #
     # Timing queries

@@ -51,11 +51,13 @@ The runtime flags steer the engine for the commands that go through it:
 re-simulating) and ``--cache-dir`` selects the cache for ``cache``;
 ``--jobs N`` applies to ``sweep`` and ``report``, fanning cache misses out
 over N worker processes with bit-identical results.  ``run``, ``simulate``
-and ``profile`` honour ``--jobs`` too: a single invocation fans its
-*statistics pass* out over N workers via the parallel two-pass engine
-(``repro simulate --jobs 4``), again bit-identical to serial.  The other
-one-off commands (``characterize``, ``compare-schemes``) always simulate
-directly.
+and ``profile`` honour ``--jobs`` too: every simulation is one statistics
+pass over the workload followed by a replay of its segment summaries, and
+``--jobs N`` fans that pass out over N workers (``repro simulate --jobs
+4``), again bit-identical to serial.  ``--jobs`` is the only parallelism
+knob; ``--engine`` only picks the kernel (``vectorized`` or the ``scalar``
+reference), also bit-identical.  The other one-off commands
+(``characterize``, ``compare-schemes``) always simulate directly.
 
 ``--telemetry[=PATH]`` (global, and on ``run``/``sweep``/``simulate``/
 ``report``/``profile``) installs the span tracer for the command and writes
@@ -87,7 +89,7 @@ import numpy as np
 from repro.analysis.experiments import EXPERIMENTS, accepted_kwargs, run_experiment
 from repro.baselines import format_scheme_comparison, run_scheme_comparison
 from repro.bus import BusDesign, CharacterizedBus
-from repro.bus.engine import DEFAULT_ENGINE, ENGINE_PARALLEL, ENGINES
+from repro.bus.engine import DEFAULT_ENGINE, ENGINES
 from repro.circuit.pvt import PVTCorner
 from repro.core.dvs_system import DVSBusSystem
 from repro.cpu import KERNELS
@@ -137,25 +139,6 @@ def _workload_error(error: Exception) -> int:
     return 2
 
 
-def _parallel_jobs_error(engine: str | None, jobs: int | None) -> int | None:
-    """Reject ``--engine parallel`` without a worker fan-out to use.
-
-    The library accepts ``engine="parallel"`` with no jobs (it reduces the
-    chunks inline, still two-pass); on the command line that combination is
-    almost always a mistyped request for actual parallelism, so it fails
-    loudly instead of silently running serially.
-    """
-    if engine == ENGINE_PARALLEL and (jobs is None or jobs <= 1):
-        print(
-            "error: --engine parallel needs --jobs N with N >= 2 "
-            "(one worker cannot fan the statistics pass out; drop --engine "
-            "parallel to run serially -- the results are bit-identical)",
-            file=sys.stderr,
-        )
-        return 2
-    return None
-
-
 def _add_corner_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--corner",
@@ -184,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             metavar="N",
             default=1 if top_level else argparse.SUPPRESS,
-            help="worker processes (sweep/report cache misses, or the parallel "
-            "statistics pass of run/simulate/profile; results are identical to serial)",
+            help="worker processes (sweep/report cache misses, or the statistics "
+            "pass of run/simulate/profile; results are identical to serial)",
         )
         target.add_argument(
             "--cache-dir",
@@ -249,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine",
             choices=ENGINES,
             default=None if top_level else argparse.SUPPRESS,
-            help="simulation kernel engine (results are bit-identical; "
-            f"default: {DEFAULT_ENGINE})",
+            help="statistics kernel: the lane kernels or the scalar reference "
+            f"(results are bit-identical; default: {DEFAULT_ENGINE}; "
+            "parallelism is --jobs)",
         )
 
     add_runtime_flags(parser, top_level=True)
@@ -377,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         default=argparse.SUPPRESS,
-        help="worker processes for the parallel statistics pass",
+        help="worker processes for the statistics pass",
     )
     add_telemetry_flag(profile_parser, top_level=False)
     add_chardb_flag(profile_parser, top_level=False)
@@ -418,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         default=argparse.SUPPRESS,
-        help="worker processes for the parallel statistics pass",
+        help="worker processes for the statistics pass",
     )
     simulate_parser.add_argument("--seed", type=int, default=2005)
     simulate_parser.add_argument("--window", type=int, default=10_000, help="error window (cycles)")
@@ -765,8 +749,8 @@ def _command_profile(
 
     ``main`` installs the telemetry collector and writes the JSONL/Chrome
     exports after this returns; this handler's job is the bounded run itself
-    plus the on-stdout span/counter summary (including the parallel-engine
-    scaling block whenever the run engaged the two-pass reduction).
+    plus the on-stdout span/counter summary (including the scaling block
+    whenever the statistics pass fanned out over worker processes).
     """
     runner = EXPERIMENTS[experiment].runner
     telemetry = get_telemetry()
@@ -1391,9 +1375,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache | None) -> int:
     if args.command == "list":
         return _command_list()
     if args.command == "run":
-        code = _parallel_jobs_error(args.engine, args.jobs)
-        if code is not None:
-            return code
         return _command_run(
             args.experiment,
             args.cycles,
@@ -1434,9 +1415,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache | None) -> int:
     if args.command == "cache":
         return _command_cache(args.action, args.cache_dir, telemetry_base=args.telemetry)
     if args.command == "profile":
-        code = _parallel_jobs_error(args.engine, args.jobs)
-        if code is not None:
-            return code
         return _command_profile(
             args.experiment,
             args.cycles,
@@ -1450,9 +1428,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache | None) -> int:
     if args.command == "characterize":
         return _command_characterize(args.corner)
     if args.command == "simulate":
-        code = _parallel_jobs_error(args.engine, args.jobs)
-        if code is not None:
-            return code
         return _command_simulate(
             args.benchmark,
             args.corner,

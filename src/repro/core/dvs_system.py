@@ -10,19 +10,23 @@ of the paper's Fig. 7:
 3. the regulator applies the change 3 000 cycles later (its ramp delay) and
    never goes below the conservative shadow-latch safety floor.
 
-The simulation is *streamed*: the workload -- a trace, pre-computed
-statistics, or a :class:`~repro.trace.stream.TraceSource` -- is consumed one
-chunk at a time through :class:`DVSRunState`, which carries the regulator,
-controller and error-counter state plus exact per-grid-voltage energy
-accumulators across chunk boundaries.  Within a chunk each constant-voltage
-block reduces to a few numpy comparisons, so paper-scale (10 M cycle) runs
-take seconds per benchmark while peak memory stays O(chunk).
+The supply can only change at window starts and regulator ramp
+applications -- cycles fixed by the configuration, never by the data -- so a
+run is two steps.  The statistics pass
+(:func:`repro.runtime.parallel.statistics_pass`) streams the workload -- a
+trace, pre-computed statistics, or a
+:class:`~repro.trace.stream.TraceSource` -- chunk by chunk and reduces it to
+one exact :class:`~repro.bus.bus_model.TraceSummary` per segment between two
+such boundaries.  :class:`DVSRunState` then replays the regulator,
+controller and error counter over those summaries, with exact
+per-grid-voltage energy accumulators.
 
 Because the control trajectory is a deterministic function of integer
 per-window error counts, and the energy accumulators are exact integer
-totals contracted in fixed grid order, a chunked run is **bit-identical** to
-a monolithic one for any chunk size -- a guarantee the streaming-equivalence
-tests enforce.
+totals contracted in fixed grid order, a run is **bit-identical** for any
+chunk size, engine and worker count -- a guarantee the streaming-equivalence
+tests enforce, and the flip-flop-level reference simulator checks
+independently.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.bus.bus_model import CharacterizedBus, TraceStatistics, TraceSummary
-from repro.bus.engine import ENGINE_PARALLEL, resolve_engine
 from repro.circuit.pvt import PVTCorner
 from repro.core.error_detection import DEFAULT_WINDOW_CYCLES, ErrorCounter
 from repro.core.policies import BangBangPolicy, ControlPolicy
@@ -42,11 +45,11 @@ from repro.core.regulator import VoltageEvent, VoltageRegulator
 from repro.core.voltage_controller import WindowedVoltageController
 from repro.energy.accounting import EnergyBreakdown
 from repro.energy.gains import breakdown_gain_percent
-from repro.trace.stream import TraceSource, as_trace_source
+from repro.trace.stream import TraceSource
 from repro.trace.trace import BusTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.runtime.parallel import ChunkSegmenter, ParallelChunkScheduler
+    from repro.runtime.parallel import ChunkSegmenter
 
 #: A per-chunk progress callback: ``callback(done_cycles, total_cycles)``.
 ProgressCallback = Callable[[int, int], None]
@@ -113,13 +116,14 @@ class DVSRunResult:
 
 
 class DVSRunState:
-    """The closed loop mid-run: feed chunk statistics, then finish.
+    """The closed loop mid-run: feed segment summaries, then finish.
 
-    Created by :meth:`DVSBusSystem.stream`; callers that already walk a
-    workload chunk by chunk (e.g. the Table 1 driver, which reduces the same
-    chunks for the fixed-VS baseline in the same pass) feed each chunk's
-    :class:`TraceStatistics` in order and collect the
-    :class:`DVSRunResult` from :meth:`finish`.
+    Created by :meth:`DVSBusSystem.stream`; callers that share one
+    statistics pass between several consumers (e.g. the Table 1 driver,
+    which replays every corner and the fixed-VS baseline from the same
+    summaries) feed each segment's :class:`TraceSummary` in order with
+    :meth:`feed_summary` and collect the :class:`DVSRunResult` from
+    :meth:`finish`.
     """
 
     def __init__(
@@ -155,7 +159,7 @@ class DVSRunState:
         )
         self._counter = ErrorCounter(system.window_cycles)
 
-        # Error thresholds per grid-voltage index (the block loop only ever
+        # Error thresholds per grid-voltage index (the replay only ever
         # sees on-grid voltages, so both deadlines tabulate once).
         deadline = bus.design.clocking.main_deadline
         shadow = bus.design.clocking.shadow_deadline
@@ -178,7 +182,7 @@ class DVSRunState:
         self._next_window_start = 0
         self._failures = 0
         self._min_voltage = float("inf")
-        self._cursor = 0  # next global cycle expected by feed()
+        self._cursor = 0  # next global cycle expected by feed_summary()
         self._voltage_per_cycle = np.empty(n_cycles) if keep_cycle_voltage else None
 
     @property
@@ -186,87 +190,17 @@ class DVSRunState:
         """Total cycles this run will cover."""
         return self._n_cycles
 
-    @property
-    def cycles_fed(self) -> int:
-        """Cycles consumed so far."""
-        return self._cursor
-
-    def feed(self, stats: TraceStatistics) -> None:
-        """Advance the closed loop over the next chunk of per-cycle statistics."""
-        n = stats.n_cycles
-        start = self._cursor
-        if start + n > self._n_cycles:
-            raise ValueError(
-                f"chunk of {n} cycles overruns the declared run length "
-                f"({start} + {n} > {self._n_cycles})"
-            )
-        regulator = self._regulator
-        grid = self._system.bus.grid
-        window_cycles = self._system.window_cycles
-        worst = stats.worst_coupling
-        toggles = stats.toggles
-        weights = stats.coupling_weights
-        warmup = self._warmup
-
-        position = 0
-        while position < n:
-            cycle = start + position
-            if cycle == self._next_window_start:
-                # Window voltages are sampled *before* any change that lands
-                # exactly on the window boundary is applied.
-                self._window_voltages.append(regulator.current_voltage)
-                self._next_window_start += window_cycles
-            regulator.apply_until(cycle)
-            voltage = regulator.current_voltage
-            v_index = grid.index_of(voltage)
-
-            window_end = (cycle // window_cycles + 1) * window_cycles
-            block_end = min(window_end, start + n, self._n_cycles)
-            pending = regulator.pending_change
-            if pending is not None and cycle < pending.cycle < block_end:
-                block_end = pending.cycle
-
-            block = slice(position, position + (block_end - cycle))
-            block_worst = worst[block]
-            block_errors = int(np.count_nonzero(block_worst > self._thr_main[v_index]))
-            self._failures += int(
-                np.count_nonzero(block_worst > self._thr_shadow[v_index])
-            )
-            if self._voltage_per_cycle is not None:
-                self._voltage_per_cycle[cycle:block_end] = voltage
-            self._min_voltage = min(self._min_voltage, voltage)
-
-            # Measured (post-warm-up) accounting for energy and error rate.
-            measured_start = max(cycle, warmup)
-            if measured_start < block_end:
-                mslice = slice(position + (measured_start - cycle), block.stop)
-                self._meas_cycles[v_index] += block_end - measured_start
-                self._meas_toggles[v_index] += float(np.sum(toggles[mslice]))
-                self._meas_weights[v_index] += float(np.sum(weights[mslice]))
-                if measured_start == cycle:
-                    self._meas_errors += block_errors
-                else:
-                    self._meas_errors += int(
-                        np.count_nonzero(worst[mslice] > self._thr_main[v_index])
-                    )
-
-            for measurement in self._counter.record(block_end - cycle, block_errors):
-                self._controller.on_window(measurement)
-            position += block_end - cycle
-        self._cursor = start + n
-
     def feed_summary(self, summary: TraceSummary) -> None:
         """Advance the closed loop over one *constant-state segment* summary.
 
-        This is the parallel engine's replay step: the summary must cover
-        exactly the next segment between two control boundaries (window
-        starts, ramp applications, the warm-up edge -- see
-        :meth:`DVSBusSystem.control_segmenter`), over which the supply
-        voltage and the accounting regime are provably constant.  Within
-        such a segment the serial block loop of :meth:`feed` reduces to the
-        summary's exact totals, so replaying segment summaries reproduces
-        the serial run bit-identically.  Raises if the segment would
-        straddle a boundary (a summary cannot be split after the fact).
+        The summary must cover exactly the next segment between two control
+        boundaries (window starts, ramp applications, the warm-up edge --
+        see :meth:`DVSBusSystem.control_segmenter`), over which the supply
+        voltage and the accounting regime are provably constant: the
+        segment's errors are its cycles whose worst coupling factor exceeds
+        the threshold at that voltage, and its energy follows from its
+        exact totals.  Raises if the segment would straddle a boundary (a
+        summary cannot be split after the fact).
         """
         n = summary.n_cycles
         start = self._cursor
@@ -283,8 +217,8 @@ class DVSRunState:
         window_cycles = self._system.window_cycles
         cycle = start
         if cycle == self._next_window_start:
-            # Same ordering as feed(): the window voltage is sampled before
-            # any change landing exactly on the window boundary is applied.
+            # The window voltage is sampled before any change landing
+            # exactly on the window boundary is applied.
             self._window_voltages.append(regulator.current_voltage)
             self._next_window_start += window_cycles
         regulator.apply_until(cycle)
@@ -422,12 +356,11 @@ class DVSBusSystem:
         keep_cycle_voltage: bool = False,
         warmup_cycles: int = 0,
     ) -> DVSRunState:
-        """Open a chunk-by-chunk run of ``n_cycles`` cycles.
+        """Open a segment-by-segment run of ``n_cycles`` cycles.
 
-        Use this when the caller drives the chunk loop itself (e.g. to share
-        one pass over a :class:`~repro.trace.stream.TraceSource` between the
-        closed loop and other reductions); otherwise :meth:`run` does the
-        walking.
+        Use this when the caller replays summaries itself (e.g. to share one
+        statistics pass between several closed loops); otherwise :meth:`run`
+        does the pass and the replay.
         """
         return DVSRunState(self, n_cycles, initial_voltage, keep_cycle_voltage, warmup_cycles)
 
@@ -437,8 +370,8 @@ class DVSBusSystem:
         The supply voltage can only change at window starts and regulator
         ramp applications -- cycles fixed by the configuration, never by the
         data -- and the accounting regime flips once at the warm-up edge.
-        The parallel engine reduces each such segment to an exact summary
-        and replays them through :meth:`DVSRunState.feed_summary`.
+        The statistics pass reduces each such segment to an exact summary,
+        which :meth:`DVSRunState.feed_summary` replays.
         """
         from repro.runtime.parallel import ChunkSegmenter
 
@@ -459,7 +392,6 @@ class DVSBusSystem:
         progress: ProgressCallback | None = None,
         engine: str | None = None,
         jobs: int | None = None,
-        scheduler: "ParallelChunkScheduler" | None = None,
     ) -> DVSRunResult:
         """Simulate the closed loop over a workload.
 
@@ -491,28 +423,20 @@ class DVSBusSystem:
             Optional ``callback(done_cycles, total_cycles)`` invoked after
             every chunk (see :class:`repro.runtime.progress.ChunkProgress`).
         engine:
-            Kernel engine computing the per-cycle statistics
+            Kernel computing the per-cycle statistics
             (:mod:`repro.bus.engine`): the default ``"vectorized"`` runs the
             integer-lane block kernels over packed chunks, ``"scalar"`` the
-            per-wire reference path, and ``"parallel"`` the two-pass
-            multicore pipeline.  Results are bit-identical in every case.
+            per-wire reference path.  Results are bit-identical either way.
         jobs:
-            Worker processes for the parallel engine.  ``jobs > 1`` implies
-            ``engine="parallel"``; ``engine="parallel"`` without ``jobs``
-            runs the same two-pass pipeline inline (one process).
-        scheduler:
-            An existing :class:`~repro.runtime.parallel.ParallelChunkScheduler`
-            to reuse (keeps one worker pool warm across many runs); implies
-            the parallel engine.  The caller retains ownership.
+            Worker processes for the statistics pass; ``None`` or 1 runs it
+            inline.  Results are bit-identical for any value.
         """
-        if isinstance(workload, TraceStatistics):
-            total = workload.n_cycles
-        elif isinstance(workload, (BusTrace, TraceSource)):
-            total = workload.n_cycles
-        else:
+        if not isinstance(workload, (TraceStatistics, BusTrace, TraceSource)):
             raise TypeError(f"cannot simulate a workload of type {type(workload).__name__}")
+        from repro.runtime.parallel import statistics_pass
         from repro.telemetry import get_telemetry
 
+        total = workload.n_cycles
         telemetry = get_telemetry()
         state = self.stream(
             total,
@@ -520,53 +444,21 @@ class DVSBusSystem:
             keep_cycle_voltage=keep_cycle_voltage,
             warmup_cycles=warmup_cycles,
         )
-        parallel = (
-            scheduler is not None
-            or (jobs is not None and jobs > 1)
-            or resolve_engine(engine) == ENGINE_PARALLEL
-        ) and not isinstance(workload, TraceStatistics)
         with telemetry.span(
             "dvs.run", workload=getattr(workload, "name", ""), cycles=total
         ):
-            if parallel:
-                # Two-pass pipeline: parallel per-segment statistics, then a
-                # sequential replay of the closed loop over the summaries.
-                # Segments end exactly at the (data-independent) control
-                # boundaries, so the replay is bit-identical to the serial
-                # block loop below.
-                from repro.runtime.parallel import ParallelChunkScheduler
-
-                source = as_trace_source(workload)
-                segmenter = self.control_segmenter(total, warmup_cycles=warmup_cycles)
-                own = scheduler is None
-                sched = (
-                    scheduler
-                    if scheduler is not None
-                    else ParallelChunkScheduler(n_workers=jobs if jobs is not None else 1)
-                )
-                try:
-                    summaries = sched.segment_summaries(
-                        source,
-                        segmenter,
-                        self.bus.design.topology,
-                        engine=engine,
-                        chunk_cycles=chunk_cycles,
-                        progress=progress,
-                    )
-                finally:
-                    if own:
-                        sched.close()
-                with telemetry.span("dvs.replay", segments=len(summaries)):
-                    for summary in summaries:
-                        state.feed_summary(summary)
-            else:
-                for stats, start in self.bus.iter_statistics(
-                    workload, chunk_cycles, engine=engine
-                ):
-                    with telemetry.span("dvs.chunk", start_cycle=start):
-                        state.feed(stats)
-                    if progress is not None:
-                        progress(state.cycles_fed, total)
+            summaries = statistics_pass(
+                workload,
+                self.control_segmenter(total, warmup_cycles=warmup_cycles),
+                self.bus.design.topology,
+                engine=engine,
+                chunk_cycles=chunk_cycles,
+                jobs=jobs,
+                progress=progress,
+            )
+            with telemetry.span("dvs.replay", segments=len(summaries)):
+                for summary in summaries:
+                    state.feed_summary(summary)
             result = state.finish()
         if telemetry.enabled:
             # Controller-side accounting for the end-of-run summary: how much

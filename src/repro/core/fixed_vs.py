@@ -13,7 +13,6 @@ process corner -- regardless of the conditions that actually prevail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.bus.bus_model import CharacterizedBus, TraceStatistics, TraceSummary
 from repro.circuit.lookup_table import VoltageGrid
@@ -22,9 +21,6 @@ from repro.energy.accounting import EnergyBreakdown
 from repro.energy.gains import breakdown_gain_percent
 from repro.trace.stream import TraceSource
 from repro.trace.trace import BusTrace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.runtime.parallel import ParallelChunkScheduler
 
 #: Margins a conventional scheme must keep: worst-case temperature and IR drop.
 ASSUMED_WORST_TEMPERATURE_C = 100.0
@@ -87,7 +83,6 @@ def evaluate_fixed_scaling(
     chunk_cycles: int | None = None,
     engine: str | None = None,
     jobs: int | None = None,
-    scheduler: "ParallelChunkScheduler" | None = None,
 ) -> FixedScalingResult:
     """Run the fixed VS baseline on a workload and report its energy gain.
 
@@ -101,14 +96,12 @@ def evaluate_fixed_scaling(
     :class:`TraceSummary` statistics are fully sufficient; traces and
     :class:`~repro.trace.stream.TraceSource` workloads are reduced on the
     fly in O(chunk) memory, which is what makes the 10 M-cycle Table 1
-    baseline column feasible.  With ``engine="parallel"``, ``jobs > 1`` or
-    an explicit scheduler, that reduction fans out over worker processes --
-    the exact merge makes the result bit-identical either way.
+    baseline column feasible.  With ``jobs > 1`` that reduction fans out
+    over worker processes -- the exact merge makes the result bit-identical
+    either way.
     """
     if isinstance(stats, (BusTrace, TraceSource)):
-        stats = bus.summarize(
-            stats, chunk_cycles=chunk_cycles, engine=engine, jobs=jobs, scheduler=scheduler
-        )
+        stats = bus.summarize(stats, chunk_cycles=chunk_cycles, engine=engine, jobs=jobs)
     voltage = fixed_scaling_voltage(bus, process_corner)
     error_rate = bus.error_rate(stats, voltage)
     n_errors = int(round(error_rate * stats.n_cycles))

@@ -15,21 +15,16 @@ controller can achieve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.bus.bus_model import CharacterizedBus, TraceStatistics
-from repro.bus.engine import ENGINE_PARALLEL, resolve_engine
 from repro.core.error_detection import DEFAULT_WINDOW_CYCLES
 from repro.energy.accounting import EnergyBreakdown
 from repro.energy.gains import breakdown_gain_percent
-from repro.trace.stream import TraceSource, as_trace_source
+from repro.trace.stream import TraceSource
 from repro.trace.trace import BusTrace
 from repro.utils.validation import check_fraction
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.runtime.parallel import ParallelChunkScheduler
 
 
 @dataclass(frozen=True)
@@ -113,131 +108,7 @@ def _resolve_floor(bus: CharacterizedBus, v_floor: float | None) -> float:
     return bus.grid.snap(max(v_floor, bus.grid.v_min))
 
 
-def _budgeted_window_choice(
-    histogram: np.ndarray,
-    window_fill: int,
-    target_error_rate: float,
-    floor_index: int,
-) -> tuple[int, int]:
-    """The oracle's per-window decision from a grid-index histogram.
-
-    ``histogram[i]`` counts cycles whose minimum safe voltage is grid index
-    ``i``; bin ``n_grid`` holds cycles unsafe even at the top grid voltage.
-    Returns ``(chosen_index, realised_errors)``.  Shared by the serial
-    streaming path and the parallel per-window replay so the (integer-exact)
-    selection logic exists exactly once.
-    """
-    n_grid = len(histogram) - 1
-    # tail[i] = cycles whose minimum safe voltage exceeds grid voltage i
-    # (cycles unsafe even at v_max error at every grid voltage).
-    tail = (histogram[::-1].cumsum()[::-1] - histogram)[:n_grid]
-    selection_tail = tail.copy()
-    selection_tail[-1] = 0  # the selection clips unsatisfiable cycles to v_max
-    budget = int(np.floor(target_error_rate * window_fill))
-    eligible = np.nonzero(selection_tail <= budget)[0]
-    chosen_index = max(int(eligible[0]), floor_index)
-    return chosen_index, int(tail[chosen_index])
-
-
-def _streamed_oracle_schedule(
-    bus: CharacterizedBus,
-    workload: BusTrace | TraceSource,
-    target_error_rate: float,
-    window_cycles: int,
-    v_floor: float,
-    chunk_cycles: int | None,
-    engine: str | None,
-) -> OracleSchedule:
-    """The oracle over a streamed workload, in O(chunk) memory.
-
-    Per window the oracle only needs *how many* cycles demand each grid
-    voltage, so each window reduces to a histogram over grid indices; the
-    budgeted choice and the realised error count are exact tail sums of that
-    histogram, and energy accumulates per grid-voltage level exactly as in
-    the streamed DVS run -- so the schedule is independent of chunking and
-    matches the monolithic path window for window.
-    """
-    grid = bus.grid
-    n_grid = len(grid)
-    deadline = bus.design.clocking.main_deadline
-    thresholds = np.array(
-        [bus.table.failing_coupling_factor(v, deadline) for v in grid.voltages]
-    )
-    floor_index = grid.index_of(v_floor)
-
-    window_voltages: list[float] = []
-    window_error_rates: list[float] = []
-    level_cycles = np.zeros(n_grid, dtype=np.int64)
-    level_toggles = np.zeros(n_grid)
-    level_weights = np.zeros(n_grid)
-    total_errors = 0
-
-    # Bin n_grid holds cycles that error even at the top grid voltage.  The
-    # voltage *selection* treats them as satisfied at v_max -- matching the
-    # clipped per-cycle requirement of the monolithic path -- but the realised
-    # error counts must include them, exactly as ``bus.error_mask`` does.
-    histogram = np.zeros(n_grid + 1, dtype=np.int64)
-    window_toggles = 0.0
-    window_weights = 0.0
-    window_fill = 0
-
-    def close_window() -> None:
-        nonlocal window_toggles, window_weights, window_fill, total_errors
-        chosen_index, errors = _budgeted_window_choice(
-            histogram, window_fill, target_error_rate, floor_index
-        )
-        window_voltages.append(float(grid.voltages[chosen_index]))
-        window_error_rates.append(errors / window_fill)
-        level_cycles[chosen_index] += window_fill
-        level_toggles[chosen_index] += window_toggles
-        level_weights[chosen_index] += window_weights
-        total_errors += errors
-        histogram[:] = 0
-        window_toggles = 0.0
-        window_weights = 0.0
-        window_fill = 0
-
-    for stats, _ in bus.iter_statistics(workload, chunk_cycles, engine=engine):
-        position = 0
-        while position < stats.n_cycles:
-            take = min(window_cycles - window_fill, stats.n_cycles - position)
-            segment = slice(position, position + take)
-            indices = np.searchsorted(
-                thresholds, stats.worst_coupling[segment], side="left"
-            )
-            # int64 bin counts: integer addition is associative.
-            histogram += np.bincount(indices, minlength=n_grid + 1).astype(np.int64)  # repro: noqa[DET004]
-            # Per-window float sums; bit-identity across chunk shapes is
-            # proven by test_oracle_streamed_matches_monolithic.
-            window_toggles += float(np.sum(stats.toggles[segment]))  # repro: noqa[DET004]
-            window_weights += float(np.sum(stats.coupling_weights[segment]))  # repro: noqa[DET004]
-            window_fill += take
-            position += take
-            if window_fill == window_cycles:
-                close_window()
-    if window_fill:
-        close_window()
-
-    energy = bus.energy_from_voltage_totals(
-        level_cycles, level_toggles, level_weights, total_errors
-    )
-    reference = bus.energy_at_constant_supply(
-        bus.design.nominal_vdd,
-        int(level_cycles.sum()),
-        float(level_toggles.sum()),
-        float(level_weights.sum()),
-    )
-    return OracleSchedule(
-        window_cycles=window_cycles,
-        window_voltages=np.array(window_voltages),
-        window_error_rates=np.array(window_error_rates),
-        target_error_rate=target_error_rate,
-        energy=energy,
-        reference_energy=reference,
-    )
-
-
-def _parallel_oracle_schedule(
+def _segment_oracle_schedule(
     bus: CharacterizedBus,
     workload: BusTrace | TraceSource,
     target_error_rate: float,
@@ -246,39 +117,28 @@ def _parallel_oracle_schedule(
     chunk_cycles: int | None,
     engine: str | None,
     jobs: int | None,
-    scheduler: "ParallelChunkScheduler" | None,
 ) -> OracleSchedule:
-    """The oracle via the two-pass parallel engine.
+    """The oracle over a streamed workload, in O(chunk) memory.
 
     The statistics pass reduces each scheduling window to an exact
     :class:`~repro.bus.bus_model.TraceSummary` (the segmenter splits at
-    window starts only -- the oracle has no regulator state), and the replay
-    scatters each summary's worst-coupling histogram onto grid indices and
-    applies the identical :func:`_budgeted_window_choice`.  Both the
-    histogram (integer counts) and the energy totals are exact, so the
-    schedule is bit-identical to the serial streaming path.
+    window starts only -- the oracle has no regulator state).  Per window
+    the oracle only needs *how many* cycles demand each grid voltage, so the
+    replay scatters each summary's worst-coupling histogram onto grid
+    indices; the budgeted choice and the realised error count are exact tail
+    sums of that histogram, and energy accumulates per grid-voltage level --
+    so the schedule matches the monolithic path window for window.
     """
-    from repro.runtime.parallel import ChunkSegmenter, ParallelChunkScheduler
+    from repro.runtime.parallel import ChunkSegmenter, statistics_pass
 
-    source = as_trace_source(workload)
-    segmenter = ChunkSegmenter(n_cycles=source.n_cycles, window_cycles=window_cycles)
-    own = scheduler is None
-    sched = (
-        scheduler
-        if scheduler is not None
-        else ParallelChunkScheduler(n_workers=jobs if jobs is not None else 1)
+    summaries = statistics_pass(
+        workload,
+        ChunkSegmenter(n_cycles=workload.n_cycles, window_cycles=window_cycles),
+        bus.design.topology,
+        engine=engine,
+        chunk_cycles=chunk_cycles,
+        jobs=jobs,
     )
-    try:
-        summaries = sched.segment_summaries(
-            source,
-            segmenter,
-            bus.design.topology,
-            engine=engine,
-            chunk_cycles=chunk_cycles,
-        )
-    finally:
-        if own:
-            sched.close()
 
     grid = bus.grid
     n_grid = len(grid)
@@ -297,12 +157,22 @@ def _parallel_oracle_schedule(
 
     for summary in summaries:
         window_fill = summary.n_cycles
+        # histogram[i] counts cycles whose minimum safe voltage is grid index
+        # i; bin n_grid holds cycles unsafe even at the top grid voltage.  The
+        # voltage *selection* treats those as satisfied at v_max -- matching
+        # the clipped per-cycle requirement of the monolithic path -- but the
+        # realised error counts include them, exactly as ``bus.error_mask``
+        # does.
         histogram = np.zeros(n_grid + 1, dtype=np.int64)
         indices = np.searchsorted(thresholds, summary.worst_coupling_values, side="left")
         np.add.at(histogram, indices, summary.worst_coupling_counts)
-        chosen_index, errors = _budgeted_window_choice(
-            histogram, window_fill, target_error_rate, floor_index
-        )
+        # tail[i] = cycles whose minimum safe voltage exceeds grid voltage i.
+        tail = (histogram[::-1].cumsum()[::-1] - histogram)[:n_grid]
+        selection_tail = tail.copy()
+        selection_tail[-1] = 0
+        budget = int(np.floor(target_error_rate * window_fill))
+        chosen_index = max(int(np.nonzero(selection_tail <= budget)[0][0]), floor_index)
+        errors = int(tail[chosen_index])
         window_voltages.append(float(grid.voltages[chosen_index]))
         window_error_rates.append(errors / window_fill)
         level_cycles[chosen_index] += window_fill
@@ -338,7 +208,6 @@ def oracle_voltage_schedule(
     chunk_cycles: int | None = None,
     engine: str | None = None,
     jobs: int | None = None,
-    scheduler: "ParallelChunkScheduler" | None = None,
 ) -> OracleSchedule:
     """Choose the optimal per-window voltages for a target error rate.
 
@@ -363,40 +232,18 @@ def oracle_voltage_schedule(
         Streaming granularity for trace/source workloads.
     engine:
         Kernel engine for streamed statistics (:mod:`repro.bus.engine`);
-        results are bit-identical for every engine, including
-        ``"parallel"``.
+        results are bit-identical for every engine.
     jobs:
-        Worker processes for the parallel engine (``jobs > 1`` implies
-        ``engine="parallel"``).
-    scheduler:
-        An existing :class:`~repro.runtime.parallel.ParallelChunkScheduler`
-        to reuse; implies the parallel engine.  The caller retains
-        ownership.
+        Worker processes for the statistics pass of streamed workloads;
+        results are bit-identical for any value.
     """
     check_fraction("target_error_rate", target_error_rate)
     if window_cycles <= 0:
         raise ValueError(f"window_cycles must be positive, got {window_cycles}")
     floor = _resolve_floor(bus, v_floor)
-    parallel = (
-        scheduler is not None
-        or (jobs is not None and jobs > 1)
-        or resolve_engine(engine) == ENGINE_PARALLEL
-    )
     if isinstance(stats, (BusTrace, TraceSource)):
-        if parallel:
-            return _parallel_oracle_schedule(
-                bus,
-                stats,
-                target_error_rate,
-                window_cycles,
-                floor,
-                chunk_cycles,
-                engine,
-                jobs,
-                scheduler,
-            )
-        return _streamed_oracle_schedule(
-            bus, stats, target_error_rate, window_cycles, floor, chunk_cycles, engine
+        return _segment_oracle_schedule(
+            bus, stats, target_error_rate, window_cycles, floor, chunk_cycles, engine, jobs
         )
     v_floor = floor
 

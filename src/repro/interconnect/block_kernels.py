@@ -63,6 +63,7 @@ __all__ = [
     "lanes_supported",
     "lanes_from_packed",
     "block_statistics_arrays",
+    "block_statistics_codes",
     "block_worst_coupling",
     "block_toggle_counts",
     "block_coupling_energy_weights",
@@ -156,6 +157,15 @@ class CouplingScoreTables:
     """
 
     __slots__ = ("monotone", "value_by_score", "rank_by_score", "value_by_rank")
+
+    @property
+    def value_by_code(self) -> np.ndarray:
+        """The non-decreasing value table the kernels' per-cycle codes index.
+
+        A code is the maximum score (monotone tables) or the maximum rank
+        (otherwise); either way ``value_by_code[code]`` is the factor.
+        """
+        return self.value_by_score if self.monotone else self.value_by_rank
 
     def __init__(
         self,
@@ -311,16 +321,19 @@ def _sub_block_statistics(
     lanes: np.ndarray,
     topology: NeighborTopology | None,
     masks: tuple[np.number, ...],
-    worst: np.ndarray | None,
+    codes: np.ndarray | None,
     toggles: np.ndarray | None,
     weights: np.ndarray | None,
 ) -> None:
-    """Fill the requested float64 outputs for one sub-block's transitions.
+    """Fill the requested outputs for one sub-block's transitions.
 
-    ``lanes`` holds one word more than the outputs have cycles; an output of
-    ``None`` is skipped (``topology`` may be ``None`` if only ``toggles`` is
-    wanted).  ``masks`` are the topology's :func:`_lane_masks`.  The toggle
-    and direction lanes are computed once for all three outputs.
+    ``codes`` (uint8) receives each cycle's worst-coupling code, an index
+    into :attr:`CouplingScoreTables.value_by_code`; ``toggles`` and
+    ``weights`` are float64.  ``lanes`` holds one word more than the outputs
+    have cycles; an output of ``None`` is skipped (``topology`` may be
+    ``None`` if only ``toggles`` is wanted).  ``masks`` are the topology's
+    :func:`_lane_masks`.  The toggle and direction lanes are computed once
+    for all three outputs.
     """
     new = lanes[1:]
     tog = new ^ lanes[:-1]
@@ -341,7 +354,7 @@ def _sub_block_statistics(
         total += np.uint8(2) * _popcount(o_r)
         total -= np.uint8(2) * _popcount(s_r)
         weights[:] = total
-    if worst is None:
+    if codes is None:
         return
     o_l2, s_l2, o_r2, s_r2 = _neighbor_planes(tog, new, two, left2, right2)
     tables = coupling_score_tables(topology)
@@ -352,7 +365,7 @@ def _sub_block_statistics(
         planes = _class_bitplanes(o_l, s_l, o_r, s_r) + _class_bitplanes(
             o_l2, s_l2, o_r2, s_r2
         )
-        np.take(tables.value_by_score, _bit_sliced_max(tog, planes), out=worst)
+        codes[:] = _bit_sliced_max(tog, planes)
         return
     # Non-monotone factor table: materialise per-wire scores (uint8) and take
     # the maximum in rank space instead.  Quiet wires are forced to score 0,
@@ -362,24 +375,27 @@ def _sub_block_statistics(
     score <<= np.uint8(3)
     score += _unpacked_class(o_l2, s_l2, o_r2, s_r2, n_bits)
     score *= _unpack_plane(tog, n_bits)
-    np.take(tables.value_by_rank, tables.rank_by_score[score].max(axis=1), out=worst)
+    codes[:] = tables.rank_by_score[score].max(axis=1)
 
 
 def _lane_statistics(
     lanes: np.ndarray,
     topology: NeighborTopology | None,
     *,
-    worst: bool = False,
+    codes: bool = False,
     toggles: bool = False,
     weights: bool = False,
 ) -> list[np.ndarray | None]:
-    """``[worst, toggles, weights]`` of a lane stream (``None`` if unwanted).
+    """``[codes, toggles, weights]`` of a lane stream (``None`` if unwanted).
 
     The stream is walked in sub-blocks of ``_SUB_BLOCK_CYCLES`` transitions,
     each filling its slice of every wanted output.
     """
     n_cycles = max(len(lanes) - 1, 0)
-    outputs = [np.empty(n_cycles) if wanted else None for wanted in (worst, toggles, weights)]
+    outputs = [
+        np.empty(n_cycles, dtype=dtype) if wanted else None
+        for wanted, dtype in ((codes, np.uint8), (toggles, np.float64), (weights, np.float64))
+    ]
     masks = () if topology is None else _lane_masks(topology, lanes.dtype.type)
     for start in range(0, n_cycles, _SUB_BLOCK_CYCLES):
         stop = min(start + _SUB_BLOCK_CYCLES, n_cycles)
@@ -401,7 +417,8 @@ def block_worst_coupling(lanes: np.ndarray, topology: NeighborTopology) -> np.nd
     (``secondary_weight <= 0.25``) the maximum score is taken bit-sliced, with
     no per-wire scores; otherwise per-wire scores go through a rank table.
     """
-    return _lane_statistics(lanes, topology, worst=True)[0]
+    codes = _lane_statistics(lanes, topology, codes=True)[0]
+    return coupling_score_tables(topology).value_by_code[codes]
 
 
 def block_toggle_counts(lanes: np.ndarray) -> np.ndarray:
@@ -421,15 +438,17 @@ def block_coupling_energy_weights(
     return _lane_statistics(lanes, topology, weights=True)[2]
 
 
-def block_statistics_arrays(
+def block_statistics_codes(
     packed: np.ndarray, topology: NeighborTopology
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(worst_coupling, toggles, coupling_weights) of one packed word block.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(codes, value_by_code, toggles, coupling_weights) of one packed block.
 
     The vectorized engine's whole-chunk entry point: one lane conversion,
-    then one walk over cache-sized sub-blocks filling all three arrays, no
-    per-cycle Python.  Each array is bit-identical to its scalar counterpart
-    in :class:`repro.bus.bus_model.TraceStatistics`.
+    then one walk over cache-sized sub-blocks filling all three per-cycle
+    outputs, no per-cycle Python.  The worst coupling factor of a cycle is
+    ``value_by_code[codes[cycle]]``, so reductions that only count cycles
+    per factor (segment summaries) bin the uint8 codes and never build the
+    float array.
     """
     packed = np.asarray(packed, dtype=np.uint8)
     expected_bytes = (topology.n_wires + 7) // 8
@@ -438,7 +457,20 @@ def block_statistics_arrays(
             f"packed width {packed.shape[1]} does not match topology "
             f"({topology.n_wires} wires, {expected_bytes} bytes)"
         )
-    worst, toggles, weights = _lane_statistics(
-        lanes_from_packed(packed), topology, worst=True, toggles=True, weights=True
+    codes, toggles, weights = _lane_statistics(
+        lanes_from_packed(packed), topology, codes=True, toggles=True, weights=True
     )
-    return worst, toggles, weights
+    return codes, coupling_score_tables(topology).value_by_code, toggles, weights
+
+
+def block_statistics_arrays(
+    packed: np.ndarray, topology: NeighborTopology
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(worst_coupling, toggles, coupling_weights) of one packed word block.
+
+    :func:`block_statistics_codes` with the codes looked up as float64
+    factors.  Each array is bit-identical to its scalar counterpart in
+    :class:`repro.bus.bus_model.TraceStatistics`.
+    """
+    codes, value_by_code, toggles, weights = block_statistics_codes(packed, topology)
+    return value_by_code[codes], toggles, weights

@@ -19,11 +19,12 @@ production-style execution system:
   kill-based cancellation and worker-death recovery.
 * **Tasks** (:mod:`~repro.runtime.tasks`) -- the registry of named,
   picklable simulation units (`dvs_run`, `characterize`, `experiment`).
-* **Parallel engine** (:mod:`~repro.runtime.parallel`) -- the
-  :class:`ParallelChunkScheduler` behind ``engine="parallel"``: a persistent
-  worker pool that fans the chunk statistics pass of a *single* run out
-  across processes and reduces the per-segment summaries deterministically
-  (bit-identical to the serial engines).
+* **Statistics pass** (:mod:`~repro.runtime.parallel`) -- the one pass
+  every simulation makes (:func:`statistics_pass`): a
+  :class:`ParallelChunkScheduler` that analyses a *single* run's chunks --
+  inline, or fanned out over ``jobs`` worker processes -- and reduces them
+  deterministically to per-segment summaries (bit-identical for any worker
+  count).
 * **Store** (:mod:`~repro.runtime.store`) -- JSONL result records plus a
   run manifest and artifact registry for downstream reporting.
 * **Sweeps** (:mod:`~repro.runtime.sweeps`) -- named, ready-to-run grids
@@ -57,6 +58,7 @@ from repro.runtime.parallel import (
     ChunkSegmenter,
     ParallelChunkScheduler,
     ParallelExecutionError,
+    statistics_pass,
     tree_merge_summaries,
 )
 from repro.runtime.spec import JobSpec, SweepSpec
@@ -102,6 +104,7 @@ __all__ = [
     "ChunkSegmenter",
     "ParallelChunkScheduler",
     "ParallelExecutionError",
+    "statistics_pass",
     "tree_merge_summaries",
     "JobSpec",
     "SweepSpec",

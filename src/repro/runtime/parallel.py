@@ -1,31 +1,35 @@
-"""Parallel-chunk statistics pass with deterministic ordered reduction.
+"""The statistics pass: every simulation's chunk fan-out and ordered reduction.
 
-This module is the fan-out half of the two-pass parallel engine
-(``engine="parallel"``, :mod:`repro.bus.engine`):
+Every driver -- the closed-loop DVS run, the oracle, fixed-VS and static
+scaling, the Table 1 and Fig. 8 runners -- reduces its workload through
+:func:`statistics_pass` and then replays the resulting segment summaries:
 
-1. **Statistics pass (parallel).**  The master walks a
+1. **Statistics pass.**  The master walks a
    :class:`~repro.trace.stream.TraceSource` chunk by chunk (boundary-carrying
-   chunks, so per-chunk transition computations are chunk-local and exact)
-   and ships each chunk's packed words to a persistent worker pool.  Workers
-   run the vectorized block kernels
-   (:func:`repro.bus.bus_model.analyze_trace_statistics`), split the chunk's
-   per-cycle statistics at the *segment boundaries* of a
-   :class:`ChunkSegmenter`, and return one exact
+   chunks, so per-chunk transition computations are chunk-local and exact),
+   splits each chunk at the *segment boundaries* of a :class:`ChunkSegmenter`
+   and hands the chunk's words plus its piece offsets to a worker.  The
+   worker runs the kernels
+   (:func:`repro.bus.bus_model.analyze_trace_codes`) and reduces them with
+   :meth:`repro.bus.bus_model.CodedStatistics.summaries` to one exact
    :class:`~repro.bus.bus_model.TraceSummary` per (chunk x segment) piece.
 
 2. **Reduction (deterministic).**  The master collects results in
    *submission order* and folds each segment's pieces with an ordered
    pairwise tree merge (:func:`tree_merge_summaries`).  Every merged
-   quantity is an exact integer (or small dyadic) total, so the merge
-   grouping -- linear, tree-shaped, 1 worker or 16 -- cannot change a single
-   bit; the result equals the serial reduction exactly.
+   quantity is an exact integer (or small dyadic) total, so neither the
+   merge grouping nor the chunk size nor the worker count can change a
+   single bit.
 
 The consumer (e.g. :meth:`repro.core.dvs_system.DVSBusSystem.run`) then
 replays its sequential state machine over the per-segment summaries.  For
 the DVS loop the segments are exactly the intervals between the
 data-independent control boundaries (window starts, regulator ramp
-applications, the warm-up edge), which is why the cheap replay reproduces
-the serial engine's voltage/error/energy trajectory bit-identically.
+applications, the warm-up edge), over which the supply is constant, so the
+replay is exact.
+
+``jobs`` is the one parallelism knob: with one worker (the default) the same
+pass runs inline in the calling process, with more it fans out to a pool.
 
 Scheduling notes
 ----------------
@@ -36,12 +40,11 @@ Scheduling notes
 * In-flight chunks are bounded (``max_inflight``, default twice the worker
   count) so the master never races ahead of the pool by more than a few
   chunks of memory.
-* Environments that cannot fork (sandboxes, daemonic sweep workers,
-  ``n_workers=1``) transparently run the same two-pass pipeline inline in
-  the master process -- same results, one process.
-* With telemetry enabled, each worker records a ``parallel.chunk`` span into
-  a fresh collector and ships the snapshot back; the master merges them onto
-  its own timeline (``fork`` children share the monotonic clock) under a
+* Environments that cannot fork (sandboxes, daemonic sweep workers) run the
+  pass inline, like ``n_workers=1`` -- same results, one process.
+* With telemetry enabled, each chunk records a ``parallel.chunk`` span
+  (pool workers into a fresh collector whose snapshot the master merges onto
+  its own timeline -- ``fork`` children share the monotonic clock) under a
   ``parallel.pass1`` span, and the reduction runs under ``parallel.merge``.
 """
 
@@ -53,7 +56,7 @@ from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -62,19 +65,22 @@ from repro.bus.engine import (
     ENGINE_SCALAR,
     ENGINE_VECTORIZED,
     default_chunk_cycles,
-    kernel_engine,
     resolve_engine,
 )
 from repro.interconnect.block_kernels import lanes_supported
 from repro.interconnect.crosstalk import NeighborTopology
 from repro.telemetry import Telemetry, get_telemetry, use_telemetry
-from repro.trace.stream import TraceSource
+from repro.trace.stream import TraceSource, as_trace_source
 from repro.trace.trace import BusTrace
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    from repro.bus.bus_model import TraceStatistics, TraceSummary
 
 __all__ = [
     "ChunkSegmenter",
     "ParallelChunkScheduler",
     "ParallelExecutionError",
+    "statistics_pass",
     "tree_merge_summaries",
 ]
 
@@ -122,17 +128,25 @@ class ChunkSegmenter:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def boundaries(self) -> np.ndarray:
-        """Sorted boundary cycles, always including 0 and ``n_cycles``."""
-        points = {0, self.n_cycles}
+        """Sorted boundary cycles, always including 0 and ``n_cycles``.
+
+        Computed once per segmenter and returned as the same read-only array
+        on every call.
+        """
+        cached = self.__dict__.get("_boundaries")
+        if cached is not None:
+            return cached
+        points = np.array([0, self.n_cycles], dtype=np.int64)
         if self.window_cycles > 0:
             starts = np.arange(0, self.n_cycles, self.window_cycles, dtype=np.int64)
-            points.update(int(start) for start in starts)
-            if self.ramp_delay_cycles > 0:
-                applies = starts + self.ramp_delay_cycles
-                points.update(int(cycle) for cycle in applies[applies < self.n_cycles])
+            applies = starts + self.ramp_delay_cycles
+            points = np.union1d(points, starts)
+            points = np.union1d(points, applies[applies < self.n_cycles])
         if 0 < self.warmup_cycles < self.n_cycles:
-            points.add(self.warmup_cycles)
-        return np.array(sorted(points), dtype=np.int64)
+            points = np.union1d(points, [self.warmup_cycles])
+        points.flags.writeable = False
+        object.__setattr__(self, "_boundaries", points)
+        return points
 
     @property
     def n_segments(self) -> int:
@@ -143,8 +157,7 @@ class ChunkSegmenter:
         """Index of the segment containing ``cycle``."""
         if not 0 <= cycle < self.n_cycles:
             raise ValueError(f"cycle {cycle} outside [0, {self.n_cycles})")
-        bounds = self.boundaries()
-        return int(np.searchsorted(bounds, cycle, side="right")) - 1
+        return int(np.searchsorted(self.boundaries(), cycle, side="right")) - 1
 
     def pieces(self, start: int, end: int) -> Iterator[tuple[int, int, int]]:
         """Split ``[start, end)`` at segment boundaries.
@@ -157,16 +170,14 @@ class ChunkSegmenter:
                 f"[{start}, {end}) is not a sub-interval of [0, {self.n_cycles})"
             )
         bounds = self.boundaries()
-        index = int(np.searchsorted(bounds, start, side="right")) - 1
-        position = start
-        while position < end:
-            piece_end = min(end, int(bounds[index + 1]))
-            yield index, position, piece_end
-            position = piece_end
-            index += 1
+        first = int(np.searchsorted(bounds, start, side="right")) - 1
+        last = int(np.searchsorted(bounds, end, side="left"))
+        edges = [start, *bounds[first + 1 : last].tolist(), end]
+        for offset, (piece_start, piece_end) in enumerate(zip(edges, edges[1:])):
+            yield first + offset, piece_start, piece_end
 
 
-def tree_merge_summaries(summaries: Sequence["Any"]) -> Any:
+def tree_merge_summaries(summaries: Sequence[TraceSummary]) -> TraceSummary:
     """Merge trace summaries with an ordered pairwise tree.
 
     Because every summary field is an exact total, this is bit-identical to
@@ -192,15 +203,17 @@ def tree_merge_summaries(summaries: Sequence["Any"]) -> Any:
     return level[0]
 
 
-#: One chunk of work shipped to a worker: the segmenter, the (tiny) wiring
-#: topology, the engine name, the chunk's global start cycle, its word array
-#: (packed bytes or 0/1 values), the representation flag, the bus width, and
-#: whether to capture telemetry into a snapshot.
+#: One chunk of work shipped to a worker: the segment index of its first
+#: piece, the (tiny) wiring topology, the engine name, the chunk's global
+#: start cycle, its word array (packed bytes or 0/1 values), the
+#: representation flag, the bus width, the chunk-relative start of each
+#: (chunk x segment) piece, and whether to capture telemetry into a snapshot.
 _ChunkPayload = tuple[
-    ChunkSegmenter, NeighborTopology, str | None, int, np.ndarray, bool, int, bool
+    int, NeighborTopology, str | None, int, np.ndarray, bool, int, np.ndarray, bool
 ]
-#: A worker's result: per-(chunk x segment) summaries plus optional telemetry.
-_ChunkResult = tuple[list[tuple[int, Any]], dict[str, Any] | None]
+#: A worker's result: the first piece's segment index, one summary per piece,
+#: and optional telemetry.
+_ChunkResult = tuple[int, list["TraceSummary"], dict[str, Any] | None]
 
 
 def _probe_worker() -> int:
@@ -209,26 +222,21 @@ def _probe_worker() -> int:
 
 
 def _chunk_pieces(
-    segmenter: ChunkSegmenter,
     topology: NeighborTopology,
     engine: str | None,
     start_cycle: int,
     words: np.ndarray,
     packed: bool,
     n_bits: int,
-) -> list[tuple[int, Any]]:
-    """Analyze one chunk and reduce it to per-segment summaries."""
-    from repro.bus.bus_model import analyze_trace_statistics
+    offsets: np.ndarray,
+) -> list[TraceSummary]:
+    """Analyze one chunk and reduce it to one summary per piece."""
+    from repro.bus.bus_model import analyze_trace_codes
 
     trace = BusTrace(packed=words, n_bits=n_bits) if packed else BusTrace(values=words)
     telemetry = get_telemetry()
     with telemetry.span("parallel.chunk", start_cycle=start_cycle, cycles=trace.n_cycles):
-        stats = analyze_trace_statistics(trace, topology, engine=engine)
-        end_cycle = start_cycle + stats.n_cycles
-        return [
-            (index, stats.slice(a - start_cycle, b - start_cycle).summarize())
-            for index, a, b in segmenter.pieces(start_cycle, end_cycle)
-        ]
+        return analyze_trace_codes(trace, topology, engine=engine).summaries(offsets)
 
 
 def _analyze_chunk_payload(payload: _ChunkPayload) -> _ChunkResult:
@@ -239,24 +247,24 @@ def _analyze_chunk_payload(payload: _ChunkPayload) -> _ChunkResult:
     the master to merge; without it (inline mode) spans record straight into
     the active collector.
     """
-    segmenter, topology, engine, start_cycle, words, packed, n_bits, capture = payload
+    first, *arguments, capture = payload
     if capture:
         telemetry = Telemetry(label="parallel-worker")
         with use_telemetry(telemetry):
-            result = _chunk_pieces(segmenter, topology, engine, start_cycle, words, packed, n_bits)
-        return result, telemetry.snapshot()
-    return _chunk_pieces(segmenter, topology, engine, start_cycle, words, packed, n_bits), None
+            result = _chunk_pieces(*arguments)
+        return first, result, telemetry.snapshot()
+    return first, _chunk_pieces(*arguments), None
 
 
 class ParallelChunkScheduler:
-    """Persistent worker pool running the parallel statistics pass.
+    """Worker pool running the statistics pass (inline with one worker).
 
     Parameters
     ----------
     n_workers:
         Worker processes; ``None`` means one per CPU.  ``1`` (or any
         environment where process pools are unavailable -- sandboxes,
-        daemonic sweep workers) runs the identical two-pass pipeline inline.
+        daemonic sweep workers) runs the identical pass inline.
     max_inflight:
         Bound on submitted-but-uncollected chunks (backpressure); defaults
         to twice the worker count.
@@ -343,27 +351,26 @@ class ParallelChunkScheduler:
         engine: str | None = None,
         chunk_cycles: int | None = None,
         progress: ProgressCallback | None = None,
-    ) -> list[Any]:
-        """Run the parallel statistics pass over ``source``.
+    ) -> list[TraceSummary]:
+        """Run the statistics pass over ``source``.
 
         Returns one exact :class:`~repro.bus.bus_model.TraceSummary` per
         segment of ``segmenter``, in segment order -- bit-identical for any
-        worker count, chunk size or merge grouping.
+        engine, worker count, chunk size or merge grouping.
         """
-        engine = resolve_engine(engine)
         if source.n_cycles != segmenter.n_cycles:
             raise ValueError(
                 f"source covers {source.n_cycles} cycles but the segmenter "
                 f"was built for {segmenter.n_cycles}"
             )
-        packed = kernel_engine(engine) == ENGINE_VECTORIZED and lanes_supported(source.n_bits)
+        packed = resolve_engine(engine) == ENGINE_VECTORIZED and lanes_supported(source.n_bits)
         if chunk_cycles is None:
             chunk_cycles = default_chunk_cycles(engine if packed else ENGINE_SCALAR)
         telemetry = get_telemetry()
         executor = self._ensure_executor()
         capture = executor is not None and telemetry.enabled
 
-        pieces: list[list[Any]] = [[] for _ in range(segmenter.n_segments)]
+        pieces: list[list[TraceSummary]] = [[] for _ in range(segmenter.n_segments)]
         total = source.n_cycles
         done = 0
         n_chunks = 0
@@ -371,10 +378,10 @@ class ParallelChunkScheduler:
         def consume(result: _ChunkResult) -> None:
             """Fold one chunk's worker result in (always in submission order)."""
             nonlocal done
-            chunk_pieces, snapshot = result
+            first, chunk_pieces, snapshot = result
             if snapshot is not None:
                 telemetry.merge_snapshot(snapshot)
-            for index, summary in chunk_pieces:
+            for index, summary in enumerate(chunk_pieces, start=first):
                 pieces[index].append(summary)
                 done += summary.n_cycles
             telemetry.count("parallel.chunks")
@@ -386,19 +393,21 @@ class ParallelChunkScheduler:
             workers=self.effective_workers if executor is not None else 1,
             cycles=total,
         ):
-            inflight: deque["Future[_ChunkResult]"] = deque()
+            inflight: deque[Future[_ChunkResult]] = deque()
             try:
                 for chunk in source.chunks(chunk_cycles, packed=packed):
                     trace = chunk.trace
-                    words = trace.packed_values if trace.is_packed else trace.values
+                    start = chunk.start_cycle
+                    pieces_here = list(segmenter.pieces(start, start + trace.n_cycles))
                     payload: _ChunkPayload = (
-                        segmenter,
+                        pieces_here[0][0],
                         topology,
                         engine,
-                        chunk.start_cycle,
-                        words,
+                        start,
+                        trace.packed_values if trace.is_packed else trace.values,
                         trace.is_packed,
                         trace.n_bits,
+                        np.array([piece[1] - start for piece in pieces_here]),
                         capture,
                     )
                     n_chunks += 1
@@ -420,7 +429,7 @@ class ParallelChunkScheduler:
 
         with telemetry.span("parallel.merge", segments=segmenter.n_segments, chunks=n_chunks):
             bounds = segmenter.boundaries()
-            merged: list[Any] = []
+            merged: list[TraceSummary] = []
             for index, parts in enumerate(pieces):
                 if not parts:
                     raise ParallelExecutionError(
@@ -436,3 +445,43 @@ class ParallelChunkScheduler:
                     )
                 merged.append(summary)
         return merged
+
+
+def statistics_pass(
+    workload: BusTrace | TraceSource | TraceStatistics,
+    segmenter: ChunkSegmenter,
+    topology: NeighborTopology,
+    *,
+    engine: str | None = None,
+    chunk_cycles: int | None = None,
+    jobs: int | None = None,
+    progress: ProgressCallback | None = None,
+) -> list[TraceSummary]:
+    """One exact summary per segment of ``segmenter``: the pass every driver makes.
+
+    Traces and sources stream through a :class:`ParallelChunkScheduler` with
+    ``jobs`` workers (inline for ``jobs`` of ``None`` or 1).  Precomputed
+    :class:`~repro.bus.bus_model.TraceStatistics` have no kernel work left
+    and reduce in one call of the same reducer.  Results are bit-identical
+    for every engine, chunk size and worker count.
+    """
+    from repro.bus.bus_model import CodedStatistics, TraceStatistics
+
+    resolve_engine(engine)
+    if isinstance(workload, TraceStatistics):
+        if workload.n_cycles != segmenter.n_cycles:
+            raise ValueError(
+                f"statistics cover {workload.n_cycles} cycles but the segmenter "
+                f"was built for {segmenter.n_cycles}"
+            )
+        return CodedStatistics.from_statistics(workload).summaries(segmenter.boundaries()[:-1])
+    n_workers = jobs if jobs is not None and jobs > 1 else 1
+    with ParallelChunkScheduler(n_workers=n_workers) as scheduler:
+        return scheduler.segment_summaries(
+            as_trace_source(workload),
+            segmenter,
+            topology,
+            engine=engine,
+            chunk_cycles=chunk_cycles,
+            progress=progress,
+        )

@@ -244,9 +244,9 @@ def dvs_run(
     scale ``n_cycles`` to the paper's 10 M without touching worker sizing;
     ``chunk_cycles`` only trades memory against batch efficiency and
     ``engine`` selects the kernel implementation (results are bit-identical
-    for any value of either).  ``jobs > 1`` (or ``engine="parallel"``)
-    fans the statistics pass of this single run out over worker processes,
-    still bit-identical thanks to the deterministic two-pass reduction.
+    for any value of either).  ``jobs > 1`` fans the statistics pass of this
+    single run out over worker processes, still bit-identical thanks to the
+    deterministic reduction.
 
     The workload is named either by ``benchmark`` (a synthetic Table 1
     profile, the historical axis) or by ``workload`` -- any spec the

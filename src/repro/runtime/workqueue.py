@@ -107,7 +107,7 @@ _TERMINAL_EVENTS = ("result", "error", "cancelled")
 _BATCH_PARAMS = ("corner", "coupling_scale")
 
 #: Span names a worker process relays to the parent as progress events.
-_PROGRESS_SPANS = ("dvs.chunk", "parallel.chunk")
+_PROGRESS_SPANS = ("parallel.chunk",)
 
 
 class QueueClosedError(RuntimeError):

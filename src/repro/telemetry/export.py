@@ -248,29 +248,28 @@ def _table(headers: Sequence[str], rows: Sequence[tuple[str, ...]]) -> list[str]
 
 
 def format_parallel_summary(telemetry: Telemetry) -> str | None:
-    """Scaling report for a run that went through the parallel engine.
+    """Scaling report for a run whose statistics pass used worker processes.
 
     Returns ``None`` when the collector recorded no ``parallel.pass1`` span
-    (the run never engaged the two-pass reduction).  *Busy* time is the sum
-    of the ``parallel.chunk`` spans -- pool workers and the inline fallback
-    both record them, and merged worker snapshots land in the same collector
-    -- so ``busy / wall`` is the achieved speedup of the statistics pass and
-    dividing by the worker count gives the scaling efficiency (1.0 = every
-    worker crunched chunks for the whole pass).
+    or the pass ran inline (one worker: nothing to scale).  *Busy* time is
+    the sum of the ``parallel.chunk`` spans -- merged worker snapshots land
+    in the same collector -- so ``busy / wall`` is the achieved speedup of
+    the statistics pass and dividing by the worker count gives the scaling
+    efficiency (1.0 = every worker crunched chunks for the whole pass).
     """
     pass1_wall = sum(
         event.duration_s for event in telemetry.events if event.name == "parallel.pass1"
     )
-    if pass1_wall <= 0.0:
+    workers = max(1, int(telemetry.metrics.gauges.get("parallel.workers", 1)))
+    if pass1_wall <= 0.0 or workers == 1:
         return None
     busy = sum(event.duration_s for event in telemetry.events if event.name == "parallel.chunk")
     merge = sum(event.duration_s for event in telemetry.events if event.name == "parallel.merge")
     replay = sum(event.duration_s for event in telemetry.events if event.name == "dvs.replay")
-    workers = max(1, int(telemetry.metrics.gauges.get("parallel.workers", 1)))
     chunks = int(telemetry.metrics.counters.get("parallel.chunks", 0))
     speedup = busy / pass1_wall
     lines = [
-        "parallel engine scaling:",
+        "statistics pass scaling:",
         f"  workers             : {workers}",
         f"  chunks analyzed     : {chunks}",
         f"  pass-1 wall time    : {pass1_wall * 1000:.1f} ms",

@@ -88,16 +88,16 @@ class TestPassCount:
     @pytest.fixture
     def analysed_cycles(self, monkeypatch):
         counted = []
-        original = bus_model.analyze_trace_statistics
+        original = bus_model.analyze_trace_codes
 
         def counting(trace, topology, engine=None):
             counted.append(trace.n_cycles)
             return original(trace, topology, engine=engine)
 
-        monkeypatch.setattr(bus_model, "analyze_trace_statistics", counting)
+        monkeypatch.setattr(bus_model, "analyze_trace_codes", counting)
         return counted
 
-    @pytest.mark.parametrize("engine", ["vectorized", "parallel"])
+    @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
     def test_two_corners_analyse_each_cycle_once(self, synthetic, analysed_cycles, engine):
         _table1(synthetic, (TYPICAL_CORNER,), engine=engine)
         one_corner = sum(analysed_cycles)

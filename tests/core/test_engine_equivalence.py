@@ -5,8 +5,8 @@ per measurement window, chunks may split *anywhere* -- must survive the
 nastiest chunkings: one cycle per chunk, one cycle less/more than the
 control window, and prime sizes co-prime with everything.  Each driver
 (closed-loop dynamic DVS, the per-window oracle, the fixed-VS baseline) is
-swept over all of them x both engines and compared, exactly, against a
-single scalar monolithic reference.
+swept over all of them x both engines x worker counts and compared,
+exactly, against a single scalar single-chunk reference.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.bus.engine import ENGINES
 from repro.core.dvs_system import DVSBusSystem
 from repro.core.fixed_vs import evaluate_fixed_scaling
 from repro.core.oracle import oracle_voltage_schedule
-from repro.runtime import ParallelChunkScheduler
 from repro.trace import SyntheticTraceSource
 
 #: Control window of the fast test loop.
@@ -148,54 +147,31 @@ class TestOracle:
         )
 
 
-@pytest.fixture(scope="module")
-def schedulers():
-    """Shared worker pools, one per requested size, spun up at most once.
-
-    Forking a pool costs ~100 ms; the multi-worker sweep would otherwise
-    pay it per test.  Sharing the scheduler across tests is also exactly
-    the intended API for batch drivers (run_table1 does the same).
-    """
-    pools = {}
-
-    def get(n_workers):
-        if n_workers not in pools:
-            pools[n_workers] = ParallelChunkScheduler(n_workers=n_workers)
-        return pools[n_workers]
-
-    yield get
-    for scheduler in pools.values():
-        scheduler.close()
-
-
 class TestParallelWorkers:
     """True multi-process runs: worker count x chunk size x workload.
 
-    The plain ``ENGINES`` sweeps above already cover ``engine="parallel"``
-    with the inline (no-pool) reduction; these push the same adversarial
-    chunkings through real worker pools and demand the same bit-identity
-    against the scalar monolithic reference.
+    The ``ENGINES`` sweeps above run the statistics pass inline; these push
+    the same adversarial chunkings through real worker pools (``jobs``) and
+    demand the same bit-identity against the scalar single-chunk reference.
     """
 
     @pytest.mark.parametrize("n_workers", (2, 3))
     @pytest.mark.parametrize("chunk_cycles", (WINDOW - 1, WINDOW + 1, 997))
     def test_dvs_bit_identity(
-        self, typical_corner_bus, source, dvs_reference, schedulers, n_workers, chunk_cycles
+        self, typical_corner_bus, source, dvs_reference, n_workers, chunk_cycles
     ):
         measured = _system(typical_corner_bus).run(
-            source,
-            chunk_cycles=chunk_cycles,
-            engine="parallel",
-            scheduler=schedulers(n_workers),
+            source, chunk_cycles=chunk_cycles, jobs=n_workers
         )
         _assert_dvs_identical(measured, dvs_reference)
 
-    def test_dvs_own_pool_via_jobs(self, typical_corner_bus, source, dvs_reference):
-        # No explicit scheduler: ``jobs=2`` must build (and clean up) its own.
-        measured = _system(typical_corner_bus).run(source, chunk_cycles=2_503, jobs=2)
+    def test_dvs_scalar_kernels_in_workers(self, typical_corner_bus, source, dvs_reference):
+        measured = _system(typical_corner_bus).run(
+            source, chunk_cycles=2_503, engine="scalar", jobs=2
+        )
         _assert_dvs_identical(measured, dvs_reference)
 
-    def test_dvs_warmup_and_voltage_capture(self, typical_corner_bus, tiny_source, schedulers):
+    def test_dvs_warmup_and_voltage_capture(self, typical_corner_bus, tiny_source):
         system = DVSBusSystem(typical_corner_bus, window_cycles=500, ramp_delay_cycles=150)
         reference = system.run(
             tiny_source.materialize(),
@@ -207,8 +183,7 @@ class TestParallelWorkers:
         measured = system.run(
             tiny_source,
             chunk_cycles=331,
-            engine="parallel",
-            scheduler=schedulers(2),
+            jobs=2,
             warmup_cycles=600,
             keep_cycle_voltage=True,
         )
@@ -218,19 +193,17 @@ class TestParallelWorkers:
         )
 
     @pytest.mark.parametrize("profile", ("vortex", "mgrid"))
-    def test_dvs_workload_sweep(self, typical_corner_bus, schedulers, profile):
+    def test_dvs_workload_sweep(self, typical_corner_bus, profile):
         workload = SyntheticTraceSource(profile, TINY_CYCLES, seed=13)
         system = DVSBusSystem(typical_corner_bus, window_cycles=500, ramp_delay_cycles=150)
         reference = system.run(
             workload.materialize(), engine="scalar", chunk_cycles=TINY_CYCLES
         )
-        measured = system.run(
-            workload, chunk_cycles=499, engine="parallel", scheduler=schedulers(2)
-        )
+        measured = system.run(workload, chunk_cycles=499, jobs=2)
         _assert_dvs_identical(measured, reference)
 
     @pytest.mark.parametrize("chunk_cycles", (WINDOW - 1, 997))
-    def test_oracle_bit_identity(self, typical_corner_bus, source, schedulers, chunk_cycles):
+    def test_oracle_bit_identity(self, typical_corner_bus, source, chunk_cycles):
         reference = oracle_voltage_schedule(
             typical_corner_bus,
             source,
@@ -245,7 +218,7 @@ class TestParallelWorkers:
             0.02,
             window_cycles=WINDOW,
             chunk_cycles=chunk_cycles,
-            scheduler=schedulers(2),
+            jobs=2,
         )
         np.testing.assert_array_equal(measured.window_voltages, reference.window_voltages)
         np.testing.assert_array_equal(
@@ -256,12 +229,12 @@ class TestParallelWorkers:
                 reference.energy, component
             )
 
-    def test_fixed_vs_bit_identity(self, typical_corner_bus, tiny_source, schedulers):
+    def test_fixed_vs_bit_identity(self, typical_corner_bus, tiny_source):
         reference = evaluate_fixed_scaling(
             typical_corner_bus, tiny_source, chunk_cycles=TINY_CYCLES, engine="scalar"
         )
         measured = evaluate_fixed_scaling(
-            typical_corner_bus, tiny_source, chunk_cycles=313, scheduler=schedulers(2)
+            typical_corner_bus, tiny_source, chunk_cycles=313, jobs=2
         )
         assert measured.voltage == reference.voltage
         assert measured.error_rate == reference.error_rate

@@ -22,7 +22,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.bus.bus_model import TraceStatisticsAccumulator
 from repro.bus.engine import ENGINES
 from repro.core.dvs_system import DVSBusSystem
 from repro.core.fixed_vs import evaluate_fixed_scaling
@@ -65,11 +64,10 @@ class TestChunkedStatistics:
         self, typical_corner_bus, crafty_trace, chunk_cycles, engine
     ):
         monolithic = typical_corner_bus.analyze(crafty_trace.values)
+        packed = engine == "vectorized"
         pieces = [
-            stats
-            for stats, _ in typical_corner_bus.iter_statistics(
-                crafty_trace, chunk_cycles, engine=engine
-            )
+            typical_corner_bus.analyze_trace(chunk.trace, engine=engine)
+            for chunk in as_trace_source(crafty_trace).chunks(chunk_cycles, packed=packed)
         ]
         rebuilt = pieces[0]
         for piece in pieces[1:]:
@@ -193,11 +191,19 @@ class TestChunkedDVSRun:
     def test_stream_state_rejects_overrun_and_underrun(self, typical_corner_bus, crafty_stats):
         system = _fast_system(typical_corner_bus)
         state = system.stream(crafty_stats.n_cycles)
-        state.feed(crafty_stats.slice(0, 1_000))
+        state.feed_summary(crafty_stats.slice(0, 1_000).summarize())
         with pytest.raises(ValueError, match="only 1000 were fed"):
             state.finish()
         with pytest.raises(ValueError, match="overruns"):
-            state.feed(crafty_stats)
+            state.feed_summary(crafty_stats.summarize())
+
+    def test_stream_state_rejects_straddling_segments(self, typical_corner_bus, crafty_stats):
+        state = _fast_system(typical_corner_bus).stream(crafty_stats.n_cycles)
+        with pytest.raises(ValueError, match="straddles a control boundary"):
+            state.feed_summary(crafty_stats.slice(0, 1_001).summarize())
+        state = _fast_system(typical_corner_bus).stream(crafty_stats.n_cycles, warmup_cycles=150)
+        with pytest.raises(ValueError, match="straddles the warm-up boundary"):
+            state.feed_summary(crafty_stats.slice(0, 200).summarize())
 
 
 class TestStreamedBaselines:
@@ -342,10 +348,7 @@ class TestConstantMemory:
         assert long < short * 1.4
 
     def test_accumulator_state_is_tiny(self, typical_corner_bus, crafty_trace):
-        accumulator = TraceStatisticsAccumulator()
-        for stats, _ in typical_corner_bus.iter_statistics(crafty_trace, 5_000):
-            accumulator.accumulate(stats)
-        summary = accumulator.summary()
+        summary = typical_corner_bus.summarize(crafty_trace, chunk_cycles=5_000)
         # The worst-coupling distribution is discrete and small -- that is
         # what makes the O(1) summary exact.
         assert len(summary.worst_coupling_values) < 200

@@ -1,10 +1,10 @@
-"""Unit and fault tests for the parallel-chunk scheduler.
+"""Unit and fault tests for the statistics pass and its chunk scheduler.
 
 The equivalence sweeps (tests/core/test_engine_equivalence.py) prove the
-two-pass engine bit-identical end to end; this file tests the scheduler's
-own contracts: segment geometry, merge-order invariance, backpressure,
-inline fallbacks, and -- most importantly -- that a dead worker surfaces a
-clean :class:`ParallelExecutionError` instead of a hang.
+pass bit-identical end to end; this file tests the scheduler's own
+contracts: segment geometry, merge-order invariance, backpressure, inline
+fallbacks, and -- most importantly -- that a dead worker surfaces a clean
+:class:`ParallelExecutionError` instead of a hang.
 """
 
 import os
@@ -73,6 +73,41 @@ class TestChunkSegmenter:
         bounds = segmenter.boundaries()
         for index, start, end in pieces:
             assert bounds[index] <= start < end <= bounds[index + 1]
+
+    def test_boundaries_are_cached_and_read_only(self):
+        segmenter = ChunkSegmenter(
+            n_cycles=1_000, window_cycles=300, ramp_delay_cycles=100, warmup_cycles=450
+        )
+        bounds = segmenter.boundaries()
+        assert segmenter.boundaries() is bounds
+        assert not bounds.flags.writeable
+        with pytest.raises(ValueError):
+            bounds[1] = 7
+        # The cache is not part of the segmenter's identity.
+        assert segmenter == ChunkSegmenter(
+            n_cycles=1_000, window_cycles=300, ramp_delay_cycles=100, warmup_cycles=450
+        )
+
+    def test_pieces_tile_paper_scale_chunks(self):
+        # A paper-scale Fig. 8 run: 100M cycles, 20 001 boundaries.
+        n_cycles = 100_000_000
+        segmenter = ChunkSegmenter(
+            n_cycles=n_cycles, window_cycles=10_000, ramp_delay_cycles=3_000
+        )
+        bounds = segmenter.boundaries()
+        assert len(bounds) == 20_001
+        chunk = 262_144
+        for start in (0, chunk, 137 * chunk, n_cycles - n_cycles % chunk):
+            end = min(start + chunk, n_cycles)
+            pieces = list(segmenter.pieces(start, end))
+            assert pieces[0][1] == start and pieces[-1][2] == end
+            for (index_a, _, end_a), (index_b, start_b, _) in zip(pieces, pieces[1:]):
+                assert end_a == start_b and index_b == index_a + 1
+            for index, piece_start, piece_end in pieces:
+                assert bounds[index] <= piece_start < piece_end <= bounds[index + 1]
+            # Interior cuts are exactly the boundaries inside the chunk.
+            inner = bounds[(bounds > start) & (bounds < end)].tolist()
+            assert [piece[1] for piece in pieces[1:]] == inner
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -217,7 +252,7 @@ class TestParallelTelemetry:
         system = DVSBusSystem(typical_corner_bus, window_cycles=1_000, ramp_delay_cycles=300)
         telemetry = Telemetry(label="test-parallel")
         with use_telemetry(telemetry):
-            system.run(source, engine="parallel", jobs=2, chunk_cycles=997)
+            system.run(source, jobs=2, chunk_cycles=997)
         names = {event.name for event in telemetry.events}
         assert {"parallel.pass1", "parallel.chunk", "parallel.merge", "dvs.replay"} <= names
         assert telemetry.metrics.counters["parallel.chunks"] == 7  # ceil(6000 / 997)

@@ -48,8 +48,9 @@ class TestDVSRunInstrumentation:
         telemetry, _ = collected
         paths = {event.path for event in telemetry.events}
         assert "dvs.run" in paths
-        assert "dvs.run/dvs.chunk" in paths
-        assert "dvs.run/kernel.block_statistics" in paths
+        assert "dvs.run/parallel.pass1/parallel.chunk" in paths
+        assert "dvs.run/parallel.pass1/parallel.chunk/kernel.block_statistics" in paths
+        assert "dvs.run/dvs.replay" in paths
 
     def test_voltage_gauges_are_reported(self, collected):
         telemetry, result = collected
