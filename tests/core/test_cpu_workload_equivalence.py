@@ -4,17 +4,17 @@ Mirror of ``tests/core/test_engine_equivalence.py`` for the
 :class:`~repro.trace.stream.CpuKernelTraceSource`: the closed-loop DVS run
 over an executed-kernel trace must be bit-identical to a single scalar
 monolithic reference for every adversarial chunking (one-cycle chunks,
-window straddles, prime sizes) on both engines, and the registry-resolved
-``cpu:`` spec must stream the exact same workload.
+window straddles, prime sizes) on both engines and over worker processes,
+and the registry-resolved ``cpu:`` spec must stream the exact same workload.
 """
 
 import numpy as np
 import pytest
 
-from repro.bus.engine import ENGINES
 from repro.core.dvs_system import DVSBusSystem
 from repro.cpu import kernel_seed_sequence
 from repro.trace import CpuKernelTraceSource, resolve_workload
+from tests.core.conftest import PASSES, pass_kwargs
 
 #: Control window of the fast test loop.
 WINDOW = 500
@@ -55,20 +55,20 @@ def _assert_dvs_identical(measured, reference):
 
 
 class TestCpuKernelDVSEquivalence:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PASSES)
     @pytest.mark.parametrize("chunk_cycles", CHUNK_SIZES)
     def test_adversarial_chunkings(
         self, typical_corner_bus, source, reference, chunk_cycles, engine
     ):
         system = DVSBusSystem(typical_corner_bus, window_cycles=WINDOW, ramp_delay_cycles=150)
-        measured = system.run(source, chunk_cycles=chunk_cycles, engine=engine)
+        measured = system.run(source, chunk_cycles=chunk_cycles, **pass_kwargs(engine))
         _assert_dvs_identical(measured, reference)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PASSES)
     def test_registry_spec_is_the_same_workload(
         self, typical_corner_bus, source, reference, engine
     ):
         resolved = resolve_workload("cpu:memcopy", n_cycles=N_CYCLES, seed=31)
         system = DVSBusSystem(typical_corner_bus, window_cycles=WINDOW, ramp_delay_cycles=150)
-        measured = system.run(resolved, chunk_cycles=997, engine=engine)
+        measured = system.run(resolved, chunk_cycles=997, **pass_kwargs(engine))
         _assert_dvs_identical(measured, reference)

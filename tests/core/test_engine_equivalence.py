@@ -12,11 +12,11 @@ exactly, against a single scalar single-chunk reference.
 import numpy as np
 import pytest
 
-from repro.bus.engine import ENGINES
 from repro.core.dvs_system import DVSBusSystem
 from repro.core.fixed_vs import evaluate_fixed_scaling
 from repro.core.oracle import oracle_voltage_schedule
 from repro.trace import SyntheticTraceSource
+from tests.core.conftest import PASSES, pass_kwargs
 
 #: Control window of the fast test loop.
 WINDOW = 1_000
@@ -68,28 +68,28 @@ def dvs_reference(typical_corner_bus, source):
 
 
 class TestDynamicDVS:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PASSES)
     @pytest.mark.parametrize("chunk_cycles", CHUNK_SIZES)
     def test_adversarial_chunkings(
         self, typical_corner_bus, source, dvs_reference, chunk_cycles, engine
     ):
         measured = _system(typical_corner_bus).run(
-            source, chunk_cycles=chunk_cycles, engine=engine
+            source, chunk_cycles=chunk_cycles, **pass_kwargs(engine)
         )
         _assert_dvs_identical(measured, dvs_reference)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PASSES)
     def test_one_cycle_chunks(self, typical_corner_bus, tiny_source, engine):
         system = DVSBusSystem(typical_corner_bus, window_cycles=500, ramp_delay_cycles=150)
         reference = system.run(
             tiny_source.materialize(), engine="scalar", chunk_cycles=TINY_CYCLES
         )
-        measured = system.run(tiny_source, chunk_cycles=1, engine=engine)
+        measured = system.run(tiny_source, chunk_cycles=1, **pass_kwargs(engine))
         _assert_dvs_identical(measured, reference)
 
 
 class TestOracle:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PASSES)
     @pytest.mark.parametrize("chunk_cycles", CHUNK_SIZES)
     def test_adversarial_chunkings(self, typical_corner_bus, source, chunk_cycles, engine):
         # Streamed scalar single-chunk run: the energy reference with the
@@ -108,7 +108,7 @@ class TestOracle:
             0.02,
             window_cycles=WINDOW,
             chunk_cycles=chunk_cycles,
-            engine=engine,
+            **pass_kwargs(engine),
         )
         np.testing.assert_array_equal(
             measured.window_voltages, reference.window_voltages
@@ -121,7 +121,7 @@ class TestOracle:
                 reference.energy, component
             )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PASSES)
     def test_one_cycle_chunks(self, typical_corner_bus, tiny_source, engine):
         reference = oracle_voltage_schedule(
             typical_corner_bus,
@@ -137,7 +137,7 @@ class TestOracle:
             0.02,
             window_cycles=500,
             chunk_cycles=1,
-            engine=engine,
+            **pass_kwargs(engine),
         )
         np.testing.assert_array_equal(
             measured.window_voltages, reference.window_voltages
@@ -150,9 +150,10 @@ class TestOracle:
 class TestParallelWorkers:
     """True multi-process runs: worker count x chunk size x workload.
 
-    The ``ENGINES`` sweeps above run the statistics pass inline; these push
-    the same adversarial chunkings through real worker pools (``jobs``) and
-    demand the same bit-identity against the scalar single-chunk reference.
+    The ``PASSES`` sweeps above run each kernel inline and the vectorized one
+    over a two-worker pool; these push more worker counts, workloads and
+    options through real worker pools (``jobs``) and demand the same
+    bit-identity against the scalar single-chunk reference.
     """
 
     @pytest.mark.parametrize("n_workers", (2, 3))
@@ -163,6 +164,11 @@ class TestParallelWorkers:
         measured = _system(typical_corner_bus).run(
             source, chunk_cycles=chunk_cycles, jobs=n_workers
         )
+        _assert_dvs_identical(measured, dvs_reference)
+
+    def test_dvs_own_pool_via_jobs(self, typical_corner_bus, source, dvs_reference):
+        # No explicit scheduler: ``jobs=2`` must build (and clean up) its own.
+        measured = _system(typical_corner_bus).run(source, chunk_cycles=2_503, jobs=2)
         _assert_dvs_identical(measured, dvs_reference)
 
     def test_dvs_scalar_kernels_in_workers(self, typical_corner_bus, source, dvs_reference):
@@ -245,7 +251,7 @@ class TestParallelWorkers:
 
 
 class TestFixedVS:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PASSES)
     @pytest.mark.parametrize("chunk_cycles", CHUNK_SIZES + (1,))
     def test_adversarial_chunkings(
         self, typical_corner_bus, tiny_source, chunk_cycles, engine
@@ -257,7 +263,10 @@ class TestFixedVS:
             engine="scalar",
         )
         measured = evaluate_fixed_scaling(
-            typical_corner_bus, tiny_source, chunk_cycles=chunk_cycles, engine=engine
+            typical_corner_bus,
+            tiny_source,
+            chunk_cycles=chunk_cycles,
+            **pass_kwargs(engine),
         )
         assert measured.voltage == reference.voltage
         assert measured.error_rate == reference.error_rate

@@ -27,6 +27,7 @@ from repro.core.dvs_system import DVSBusSystem
 from repro.core.fixed_vs import evaluate_fixed_scaling
 from repro.core.oracle import oracle_voltage_schedule
 from repro.trace import SyntheticTraceSource, as_trace_source
+from tests.core.conftest import PASSES, pass_kwargs
 
 #: Chunk sizes exercised everywhere: smaller than, straddling, and larger
 #: than the 1 000-cycle test control window (and co-prime with it).
@@ -141,14 +142,14 @@ class TestChunkedStatistics:
 
 
 class TestChunkedDVSRun:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PASSES)
     @pytest.mark.parametrize("chunk_cycles", CHUNK_SIZES)
     def test_bit_identical_to_monolithic(
         self, typical_corner_bus, crafty_trace, chunk_cycles, engine
     ):
         monolithic = _fast_system(typical_corner_bus).run(crafty_trace, engine="scalar")
         chunked = _fast_system(typical_corner_bus).run(
-            crafty_trace, chunk_cycles=chunk_cycles, engine=engine
+            crafty_trace, chunk_cycles=chunk_cycles, **pass_kwargs(engine)
         )
         _assert_runs_identical(chunked, monolithic)
 
@@ -207,7 +208,7 @@ class TestChunkedDVSRun:
 
 
 class TestStreamedBaselines:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PASSES)
     def test_fixed_scaling_summary_matches_stats(
         self, typical_corner_bus, crafty_trace, engine
     ):
@@ -217,7 +218,7 @@ class TestStreamedBaselines:
             typical_corner_bus,
             as_trace_source(crafty_trace),
             chunk_cycles=3_333,
-            engine=engine,
+            **pass_kwargs(engine),
         )
         assert from_source.voltage == from_stats.voltage
         assert from_source.error_rate == from_stats.error_rate
@@ -254,7 +255,7 @@ class TestStreamedBaselines:
             streamed.window_error_rates, monolithic.window_error_rates
         )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PASSES)
     @pytest.mark.parametrize("target", (0.0, 0.02, 0.05))
     def test_oracle_streamed_matches_monolithic(
         self, typical_corner_bus, crafty_trace, target, engine
@@ -269,7 +270,7 @@ class TestStreamedBaselines:
             target,
             window_cycles=5_000,
             chunk_cycles=1_777,
-            engine=engine,
+            **pass_kwargs(engine),
         )
         np.testing.assert_array_equal(streamed.window_voltages, monolithic.window_voltages)
         np.testing.assert_array_equal(
