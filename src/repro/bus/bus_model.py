@@ -32,7 +32,11 @@ from repro.circuit.energy_model import FlipFlopEnergyParams
 from repro.circuit.lookup_table import DelayEnergyTable, VoltageGrid
 from repro.circuit.pvt import PVTCorner
 from repro.energy.accounting import EnergyBreakdown
-from repro.interconnect.block_kernels import block_statistics_codes, lanes_supported
+from repro.interconnect.block_kernels import (
+    block_statistics_arrays,
+    block_statistics_codes,
+    lanes_supported,
+)
 from repro.interconnect.crosstalk import (
     NeighborTopology,
     coupling_energy_weights,
@@ -50,6 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.chardb.database import CharacterizationDatabase
 
 VoltageLike = float | np.ndarray
+
+#: Most distinct worst-coupling values :meth:`CodedStatistics.from_statistics`
+#: codes with one compare pass per value (uint8 codes, and past this the
+#: per-cycle binary search is cheaper).
+_COMPARE_CODING_MAX_VALUES = 48
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,7 @@ class TraceStatistics:
     def summarize(self) -> TraceSummary:
         """Reduce these per-cycle arrays to a :class:`TraceSummary`."""
         if self.n_cycles == 0:
-            return TraceSummary(0, 0.0, 0.0, np.empty(0), np.empty(0, dtype=np.int64))
+            return TraceSummary.empty()
         return CodedStatistics.from_statistics(self).summaries([0])[0]
 
 
@@ -160,6 +169,11 @@ class TraceSummary:
             )
         object.__setattr__(self, "worst_coupling_values", values)
         object.__setattr__(self, "worst_coupling_counts", counts)
+
+    @classmethod
+    def empty(cls) -> TraceSummary:
+        """The summary of zero cycles."""
+        return cls(0, 0.0, 0.0, np.empty(0), np.empty(0, dtype=np.int64))
 
     @property
     def mean_toggle_rate(self) -> float:
@@ -245,12 +259,21 @@ class CodedStatistics:
     def from_statistics(cls, stats: TraceStatistics) -> CodedStatistics:
         """Code float statistics by their distinct worst-coupling values.
 
-        The codes are what ``np.unique(..., return_inverse=True)`` returns,
-        found by a ``searchsorted`` into the distinct values, which is
-        several times faster than the inverse's argsort.
+        The codes are what ``np.unique(..., return_inverse=True)`` returns.
+        Kernel output only holds a handful of distinct factors, so a cycle's
+        code is counted as the number of distinct values above the smallest
+        that it reaches: one vectorised compare per value, several times
+        faster than a binary search per cycle (``searchsorted``, kept for
+        statistics with many distinct values).
         """
-        values = np.unique(stats.worst_coupling)
-        codes = np.searchsorted(values, stats.worst_coupling)
+        worst = stats.worst_coupling
+        values = np.unique(worst)
+        if len(values) > _COMPARE_CODING_MAX_VALUES:
+            codes = np.searchsorted(values, worst)
+        else:
+            codes = np.zeros(len(worst), dtype=np.uint8)
+            for value in values[1:]:
+                np.add(codes, worst >= value, out=codes, casting="unsafe")
         return cls(codes, values, stats.toggles, stats.coupling_weights)
 
     @property
@@ -287,26 +310,33 @@ class CodedStatistics:
                 n_pieces, n_codes
             )
         values = self.values
-        distinct = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+        distinct = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
         if len(distinct) < n_codes:
             histograms = np.add.reduceat(histograms, distinct, axis=1)
             values = values[distinct]
-        toggles = np.add.reduceat(self.toggles, offsets)
-        weights = np.add.reduceat(self.coupling_weights, offsets)
+        # The occupied bins of every piece, row after row, so each summary
+        # takes a slice instead of masking its own row.
+        seen = histograms > 0
+        counts = histograms[seen]
+        seen_values = np.broadcast_to(values, histograms.shape)[seen]
+        ends = np.cumsum(np.count_nonzero(seen, axis=1)).tolist()
+        toggles = np.add.reduceat(self.toggles, offsets).tolist()
+        weights = np.add.reduceat(self.coupling_weights, offsets).tolist()
         summaries = []
-        for length, histogram, toggle_total, weight_total in zip(
-            lengths.tolist(), histograms, toggles.tolist(), weights.tolist()
+        start = 0
+        for length, end, toggle_total, weight_total in zip(
+            lengths.tolist(), ends, toggles, weights
         ):
-            seen = histogram > 0
             summaries.append(
                 TraceSummary(
                     n_cycles=length,
                     toggles_total=toggle_total,
                     coupling_weights_total=weight_total,
-                    worst_coupling_values=values[seen],
-                    worst_coupling_counts=histogram[seen],
+                    worst_coupling_values=seen_values[start:end],
+                    worst_coupling_counts=counts[start:end],
                 )
             )
+            start = end
         return summaries
 
 
@@ -369,15 +399,14 @@ def analyze_trace_statistics(
     represent (buses wider than 64 wires, big-endian hosts) fall back to the
     reference path.
     """
-    if _uses_lanes(engine, trace.n_bits):
-        coded = analyze_trace_codes(trace, topology, engine)
-        return TraceStatistics(
-            worst_coupling=coded.values[coded.codes],
-            toggles=coded.toggles,
-            coupling_weights=coded.coupling_weights,
-        )
     _check_width(trace, topology)
-    return _scalar_statistics(trace, topology)
+    if not _uses_lanes(engine, trace.n_bits):
+        return _scalar_statistics(trace, topology)
+    telemetry = get_telemetry()
+    with telemetry.span("kernel.block_statistics", cycles=trace.n_cycles):
+        worst, toggles, weights = block_statistics_arrays(trace.packed_values, topology)
+    telemetry.count("kernel.invocations.vectorized")
+    return TraceStatistics(worst_coupling=worst, toggles=toggles, coupling_weights=weights)
 
 
 def _scalar_statistics(trace: BusTrace, topology: NeighborTopology) -> TraceStatistics:
@@ -515,6 +544,8 @@ class CharacterizedBus:
         """
         if isinstance(workload, TraceStatistics):
             return workload.summarize()
+        if workload.n_cycles == 0:
+            return TraceSummary.empty()
         from repro.runtime.parallel import ChunkSegmenter, statistics_pass
 
         (summary,) = statistics_pass(

@@ -169,6 +169,7 @@ class DVSRunState:
         self._thr_shadow = np.array(
             [bus.table.failing_coupling_factor(v, shadow) for v in bus.grid.voltages]
         )
+        self._grid_index: dict[float, int] = {}  # voltage -> grid index, filled lazily
 
         # Exact per-grid-voltage accumulators over the measured (post-warm-up)
         # region; these make the final energy independent of chunking.
@@ -223,7 +224,9 @@ class DVSRunState:
             self._next_window_start += window_cycles
         regulator.apply_until(cycle)
         voltage = regulator.current_voltage
-        v_index = grid.index_of(voltage)
+        v_index = self._grid_index.get(voltage)
+        if v_index is None:
+            v_index = self._grid_index[voltage] = grid.index_of(voltage)
 
         window_end = (cycle // window_cycles + 1) * window_cycles
         boundary = min(window_end, self._n_cycles)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.bus.bus_model import (
     CodedStatistics,
+    TraceStatistics,
     analyze_trace_codes,
     analyze_trace_statistics,
 )
@@ -126,6 +127,21 @@ class TestCodedSummaries:
             _reference(stats, edges),
         )
         _assert_matches([stats.summarize()], _reference(stats, [0, 900]))
+
+    @pytest.mark.parametrize("n_values", (1, 2, 48, 49, 300))
+    def test_precomputed_codes_are_unique_inverse(self, n_values):
+        # Few distinct values are coded by compare passes, many by a binary
+        # search; both must give np.unique's inverse.
+        generator = np.random.default_rng(n_values)
+        table = np.sort(generator.choice(np.linspace(0.0, 4.0, 1_000), n_values, replace=False))
+        worst = generator.permutation(np.resize(table, 2_000))
+        stats = TraceStatistics(worst, np.ones(2_000), np.zeros(2_000))
+        coded = CodedStatistics.from_statistics(stats)
+        values, inverse = np.unique(worst, return_inverse=True)
+        np.testing.assert_array_equal(coded.values, values)
+        np.testing.assert_array_equal(coded.codes, inverse)
+        edges = [0, 1, 999, 2_000]
+        _assert_matches(coded.summaries(edges[:-1]), _reference(stats, edges))
 
     @pytest.mark.parametrize("offsets", ([], [1, 5], [0, 5, 5], [0, 10]))
     def test_invalid_offsets_are_rejected(self, offsets):

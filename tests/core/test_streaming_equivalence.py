@@ -26,12 +26,23 @@ from repro.bus.engine import ENGINES
 from repro.core.dvs_system import DVSBusSystem
 from repro.core.fixed_vs import evaluate_fixed_scaling
 from repro.core.oracle import oracle_voltage_schedule
-from repro.trace import SyntheticTraceSource, as_trace_source
+from repro.trace import SyntheticTraceSource, TraceSource, as_trace_source
 from tests.core.conftest import PASSES, pass_kwargs
 
 #: Chunk sizes exercised everywhere: smaller than, straddling, and larger
 #: than the 1 000-cycle test control window (and co-prime with it).
 CHUNK_SIZES = (777, 1_000, 3_333, 10_000)
+
+
+class _OneWordSource(TraceSource):
+    """A source holding only the initial bus word: zero transitions."""
+
+    n_cycles = 0
+    n_bits = 32
+    name = "one-word"
+
+    def _word_blocks(self):
+        yield np.zeros((1, self.n_bits), dtype=np.uint8)
 
 
 def _fast_system(bus):
@@ -139,6 +150,18 @@ class TestChunkedStatistics:
             warnings.simplefilter("error")
             assert empty.mean_toggle_rate == 0.0
             assert empty.summarize().mean_toggle_rate == 0.0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_source_without_transitions_summarizes_empty(self, typical_corner_bus, engine):
+        summary = typical_corner_bus.summarize(_OneWordSource(), engine=engine)
+        assert (summary.n_cycles, summary.toggles_total, summary.coupling_weights_total) == (
+            0,
+            0.0,
+            0.0,
+        )
+        assert summary.worst_coupling_values.size == summary.worst_coupling_counts.size == 0
+        fixed = evaluate_fixed_scaling(typical_corner_bus, _OneWordSource(), engine=engine)
+        assert fixed.error_rate == 0.0
 
 
 class TestChunkedDVSRun:
