@@ -2,9 +2,9 @@
 """Per-kernel throughput benchmarks of the block-simulation engine.
 
 Times every hot kernel of the streaming pipeline in isolation -- the three
-per-cycle statistics kernels in both engines, trace generation, the
-closed-loop replay of precomputed statistics, and the end-to-end DVS run --
-and writes the results to a
+per-cycle statistics kernels on the lanes and in the scalar reference, trace
+generation, the closed-loop replay of precomputed statistics, and the
+end-to-end DVS run on either kernel -- and writes the results to a
 JSON report (``BENCH_kernels.json``).  With ``--baseline`` the run **fails on
 a >2x throughput regression in any kernel**, so CI catches a regression in a
 single kernel even when the end-to-end number still looks healthy (e.g. a
@@ -47,7 +47,8 @@ def _observe_repeats(telemetry, name: str, fn: Callable[[], object], repeats: in
 def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
     """Measure every kernel on the same workload; returns name -> metrics."""
     from repro import __version__
-    from repro.bus import BusDesign, CharacterizedBus
+    from repro.bus import BusDesign, CharacterizedBus, bus_model
+    from repro.bus.bus_model import scalar_trace_statistics
     from repro.circuit.pvt import TYPICAL_CORNER
     from repro.core.dvs_system import DVSBusSystem
     from repro.interconnect.block_kernels import (
@@ -64,7 +65,7 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
     )
     from repro.runtime.parallel import statistics_pass
     from repro.telemetry import Telemetry, use_telemetry
-    from repro.trace import benchmark_trace_source
+    from repro.trace import DEFAULT_CHUNK_CYCLES, benchmark_trace_source
 
     bus = CharacterizedBus(BusDesign.paper_bus(), TYPICAL_CORNER)
     topology = bus.design.topology
@@ -94,6 +95,16 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
             state.feed_summary(summary)
         state.finish()
 
+    def run_scalar_end_to_end() -> None:
+        # The paper bus runs on the lanes; swap the pass's one kernel choice
+        # for the scalar reference at its own chunk length, for this run only.
+        production = bus_model.kernel_plan
+        bus_model.kernel_plan = lambda n_bits: (False, DEFAULT_CHUNK_CYCLES)
+        try:
+            DVSBusSystem(bus).run(source)
+        finally:
+            bus_model.kernel_plan = production
+
     kernels: Dict[str, Callable[[], object]] = {
         "worst_coupling_scalar": lambda: worst_coupling_factor_per_cycle(
             transitions, topology
@@ -107,15 +118,11 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
         "coupling_weights_vectorized": lambda: block_coupling_energy_weights(
             lanes, topology
         ),
-        "analyze_chunk_scalar": lambda: bus.analyze_trace(trace, engine="scalar"),
-        "analyze_chunk_vectorized": lambda: bus.analyze_trace(
-            trace, engine="vectorized"
-        ),
+        "analyze_chunk_scalar": lambda: scalar_trace_statistics(trace, topology),
+        "analyze_chunk_vectorized": lambda: bus.analyze_trace(trace),
         "dvs_feed": run_feed,
-        "end_to_end_scalar": lambda: DVSBusSystem(bus).run(source, engine="scalar"),
-        "end_to_end_vectorized": lambda: DVSBusSystem(bus).run(
-            source, engine="vectorized"
-        ),
+        "end_to_end_scalar": run_scalar_end_to_end,
+        "end_to_end_vectorized": lambda: DVSBusSystem(bus).run(source),
     }
 
     with use_telemetry(telemetry):

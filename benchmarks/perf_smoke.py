@@ -36,7 +36,7 @@ def _peak_rss_mb() -> float:
     return peak / 1024.0
 
 
-def run_smoke(cycles: int, chunk_cycles: int | None, benchmark: str, seed: int) -> dict:
+def run_smoke(cycles: int, benchmark: str, seed: int) -> dict:
     """One streamed DVS run; returns the metrics record.
 
     The run executes under its own telemetry collector, and the reported
@@ -47,7 +47,7 @@ def run_smoke(cycles: int, chunk_cycles: int | None, benchmark: str, seed: int) 
     """
     from repro import __version__
     from repro.bus import BusDesign, CharacterizedBus
-    from repro.bus.engine import default_chunk_cycles
+    from repro.bus.bus_model import kernel_plan
     from repro.circuit.pvt import TYPICAL_CORNER
     from repro.core.dvs_system import DVSBusSystem
     from repro.telemetry import Telemetry, use_telemetry
@@ -59,7 +59,7 @@ def run_smoke(cycles: int, chunk_cycles: int | None, benchmark: str, seed: int) 
 
     telemetry = Telemetry(label="perf_smoke")
     with use_telemetry(telemetry):
-        result = system.run(source, chunk_cycles=chunk_cycles)
+        result = system.run(source)
 
     elapsed = sum(
         event.duration_s for event in telemetry.events if event.name == "dvs.run"
@@ -73,7 +73,7 @@ def run_smoke(cycles: int, chunk_cycles: int | None, benchmark: str, seed: int) 
         "python": platform.python_version(),
         "benchmark": benchmark,
         "cycles": cycles,
-        "chunk_cycles": chunk_cycles if chunk_cycles is not None else default_chunk_cycles(None),
+        "chunk_cycles": kernel_plan(source.n_bits)[1],
         "seconds": round(elapsed, 3),
         "cycles_per_sec": round(cycles_simulated / elapsed, 1),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
@@ -94,7 +94,6 @@ def run_smoke(cycles: int, chunk_cycles: int | None, benchmark: str, seed: int) 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cycles", type=int, default=1_000_000)
-    parser.add_argument("--chunk-cycles", type=int, default=None)
     parser.add_argument("--benchmark", default="crafty")
     parser.add_argument("--seed", type=int, default=2005)
     parser.add_argument("--out", type=Path, default=Path("BENCH_streaming.json"))
@@ -106,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    record = run_smoke(args.cycles, args.chunk_cycles, args.benchmark, args.seed)
+    record = run_smoke(args.cycles, args.benchmark, args.seed)
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps(record, indent=2))
 

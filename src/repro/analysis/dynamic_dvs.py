@@ -142,9 +142,7 @@ def _run_benchmark_streamed(
     systems: Sequence[DVSBusSystem],
     workload: BusTrace | TraceSource,
     warmup_fraction: float,
-    chunk_cycles: int | None,
     progress,
-    engine: str | None,
     scheduler: ParallelChunkScheduler,
 ) -> list[tuple[FixedScalingResult, DVSRunResult]]:
     """One statistics pass over a workload feeding both Table 1 columns of every corner.
@@ -167,8 +165,6 @@ def _run_benchmark_streamed(
         source,
         segmenter,
         systems[0].bus.design.topology,
-        engine=engine,
-        chunk_cycles=chunk_cycles,
         progress=progress,
     )
     states = [system.stream(total, warmup_cycles=warmup) for system in systems]
@@ -192,8 +188,6 @@ def run_table1(
     policy: ControlPolicy | None = None,
     window_cycles: int = 10_000,
     ramp_delay_cycles: int = 3000,
-    chunk_cycles: int | None = None,
-    engine: str | None = None,
     jobs: int | None = None,
     order: Sequence[str] | None = None,
 ) -> Table1Result:
@@ -226,11 +220,6 @@ def run_table1(
         Control-loop timing; the paper's values (10 000 and 3 000 cycles) by
         default.  Short test runs scale both down proportionally so the loop
         still reaches steady state.
-    chunk_cycles:
-        Streaming granularity; results are bit-identical for any value.
-    engine:
-        Kernel engine for the per-cycle statistics (:mod:`repro.bus.engine`);
-        results are bit-identical for every engine.
     jobs:
         Worker processes for the statistics pass (inline for ``None`` or 1).
         One worker pool is created for the whole table and reused for every
@@ -263,8 +252,6 @@ def run_table1(
             policy=policy,
             window_cycles=window_cycles,
             ramp_delay_cycles=ramp_delay_cycles,
-            chunk_cycles=chunk_cycles,
-            engine=engine,
             order=order,
             scheduler=scheduler,
         )
@@ -279,8 +266,6 @@ def _run_table1_corners(
     policy: ControlPolicy | None,
     window_cycles: int,
     ramp_delay_cycles: int,
-    chunk_cycles: int | None,
-    engine: str | None,
     order: Sequence[str],
     scheduler: ParallelChunkScheduler,
 ) -> list[Table1CornerResult]:
@@ -304,8 +289,7 @@ def _run_table1_corners(
             as_trace_source(workloads[name]).n_cycles, label=f"table1 {name}"
         )
         outcomes = _run_benchmark_streamed(
-            systems, workloads[name], warmup_fraction, chunk_cycles, progress,
-            engine=engine, scheduler=scheduler,
+            systems, workloads[name], warmup_fraction, progress, scheduler=scheduler
         )
         for corner_runs, outcome in zip(runs, outcomes):
             corner_runs.append(outcome)
@@ -425,8 +409,6 @@ def run_fig8(
     policy: ControlPolicy | None = None,
     window_cycles: int = 10_000,
     ramp_delay_cycles: int = 3000,
-    chunk_cycles: int | None = None,
-    engine: str | None = None,
     jobs: int | None = None,
 ) -> Fig8Result:
     """Reproduce Fig. 8: the suite run back-to-back under closed-loop DVS.
@@ -457,9 +439,7 @@ def run_fig8(
     run = system.run(
         suite,
         initial_voltage=design.nominal_vdd,
-        chunk_cycles=chunk_cycles,
         progress=_auto_progress(suite.n_cycles, label=f"fig8@{corner.label}"),
-        engine=engine,
         jobs=jobs,
     )
 

@@ -71,14 +71,14 @@ class Experiment:
 def accepted_kwargs(function: Callable[..., Any], candidates: dict[str, Any]) -> dict[str, Any]:
     """The subset of ``candidates`` that ``function`` names as parameters.
 
-    Used to thread workload-scale knobs (``n_cycles``, ``chunk_cycles``,
-    ``engine``, ``seed``) through heterogeneous experiment runners and sweep tasks:
+    Used to thread workload-scale knobs (``n_cycles``, ``seed``, ``jobs``,
+    ``workload``) through heterogeneous experiment runners and sweep tasks:
     workload-free entries (e.g. the scaling study) simply never see them.
     ``None`` values are dropped so defaults stay in charge.
 
     >>> def runner(n_cycles=100, seed=0):
     ...     pass
-    >>> accepted_kwargs(runner, {"n_cycles": 5, "chunk_cycles": 2, "seed": None})
+    >>> accepted_kwargs(runner, {"n_cycles": 5, "jobs": 2, "seed": None})
     {'n_cycles': 5}
     """
     parameters = inspect.signature(function).parameters
@@ -158,8 +158,6 @@ def _workload_mapping(workload: str, n_cycles: int | None, seed: int):
 def _run_table1(
     n_cycles: int | None = None,
     seed: int = 2005,
-    chunk_cycles: int | None = None,
-    engine: str | None = None,
     jobs: int | None = None,
     workload: str | None = None,
 ) -> tuple[Any, str]:
@@ -177,22 +175,16 @@ def _run_table1(
             order=tuple(workloads),
             n_cycles=effective,
             seed=seed,
-            chunk_cycles=chunk_cycles,
-            engine=engine,
             jobs=jobs,
         )
     else:
-        result = run_table1(
-            n_cycles=n_cycles, seed=seed, chunk_cycles=chunk_cycles, engine=engine, jobs=jobs
-        )
+        result = run_table1(n_cycles=n_cycles, seed=seed, jobs=jobs)
     return result, reporting.format_table1(result)
 
 
 def _run_table1_kernels(
     n_cycles: int = 60_000,
     seed: int = 2005,
-    chunk_cycles: int | None = None,
-    engine: str | None = None,
     jobs: int | None = None,
 ) -> tuple[Any, str]:
     # Cross-workload Table 1: the 10 synthetic benchmarks next to all 7
@@ -209,8 +201,6 @@ def _run_table1_kernels(
         order=tuple(TABLE1_ORDER) + tuple(sorted(kernels)),
         n_cycles=n_cycles,
         seed=seed,
-        chunk_cycles=chunk_cycles,
-        engine=engine,
         jobs=jobs,
     )
     return result, reporting.format_table1(result)
@@ -219,8 +209,6 @@ def _run_table1_kernels(
 def _run_fig8(
     n_cycles: int | None = None,
     seed: int = 2005,
-    chunk_cycles: int | None = None,
-    engine: str | None = None,
     jobs: int | None = None,
     workload: str | None = None,
 ) -> tuple[Any, str]:
@@ -232,14 +220,10 @@ def _run_fig8(
             benchmark_order=tuple(workloads),
             n_cycles=effective,
             seed=seed,
-            chunk_cycles=chunk_cycles,
-            engine=engine,
             jobs=jobs,
         )
     else:
-        result = run_fig8(
-            n_cycles=n_cycles, seed=seed, chunk_cycles=chunk_cycles, engine=engine, jobs=jobs
-        )
+        result = run_fig8(n_cycles=n_cycles, seed=seed, jobs=jobs)
     return result, reporting.format_fig8(result)
 
 

@@ -108,8 +108,6 @@ def combine_statistics(
 def combine_summaries(
     bus: CharacterizedBus,
     workloads: Mapping[str, BusTrace | TraceSource],
-    chunk_cycles: int | None = None,
-    engine: str | None = None,
 ) -> TraceSummary:
     """Reduce a suite of traces/sources to one :class:`TraceSummary`.
 
@@ -123,19 +121,11 @@ def combine_summaries(
 
     if not workloads:
         raise ValueError("workloads must contain at least one trace")
-    return tree_merge_summaries(
-        [
-            bus.summarize(workload, chunk_cycles=chunk_cycles, engine=engine)
-            for workload in workloads.values()
-        ]
-    )
+    return tree_merge_summaries([bus.summarize(workload) for workload in workloads.values()])
 
 
 def resolve_workload_statistics(
-    bus: CharacterizedBus,
-    workloads: WorkloadsLike,
-    chunk_cycles: int | None = None,
-    engine: str | None = None,
+    bus: CharacterizedBus, workloads: WorkloadsLike
 ) -> TraceStatistics | TraceSummary:
     """Normalise a static-study workload argument to evaluable statistics.
 
@@ -146,7 +136,7 @@ def resolve_workload_statistics(
     if isinstance(workloads, (TraceStatistics, TraceSummary)):
         return workloads
     if any(isinstance(workload, TraceSource) for workload in workloads.values()):
-        return combine_summaries(bus, workloads, chunk_cycles=chunk_cycles, engine=engine)
+        return combine_summaries(bus, workloads)
     return combine_statistics(bus, workloads)
 
 
@@ -154,8 +144,6 @@ def run_static_voltage_sweep(
     bus: CharacterizedBus,
     workloads: WorkloadsLike,
     v_stop: float | None = None,
-    chunk_cycles: int | None = None,
-    engine: str | None = None,
 ) -> StaticScalingSweep:
     """Sweep the static supply at one corner and measure error rate and energy.
 
@@ -172,12 +160,8 @@ def run_static_voltage_sweep(
         Lowest voltage to sweep; defaults to the lowest grid voltage at which
         the worst-case pattern still meets the *shadow-latch* deadline at this
         corner (the paper's sweep stop condition).
-    chunk_cycles:
-        Streaming granularity when sources are reduced.
-    engine:
-        Kernel engine for streamed statistics (:mod:`repro.bus.engine`).
     """
-    stats = resolve_workload_statistics(bus, workloads, chunk_cycles, engine=engine)
+    stats = resolve_workload_statistics(bus, workloads)
     if v_stop is None:
         v_stop = bus.table.min_voltage_meeting(
             bus.design.clocking.shadow_deadline, bus.design.topology.max_coupling_factor
@@ -275,7 +259,6 @@ def run_corner_gain_study(
     targets: Sequence[float] = (0.0, 0.02, 0.05),
     corners: Mapping[int, PVTCorner] | None = None,
     design_label: str = "original bus",
-    chunk_cycles: int | None = None,
 ) -> CornerGainStudy:
     """Reproduce Fig. 5 (or Fig. 10 when given the modified bus design).
 
@@ -294,7 +277,7 @@ def run_corner_gain_study(
     for index in sorted(corners):
         corner = corners[index]
         bus = CharacterizedBus(design, corner)
-        stats = resolve_workload_statistics(bus, workloads, chunk_cycles)
+        stats = resolve_workload_statistics(bus, workloads)
         sweep = run_static_voltage_sweep(bus, stats)
         reference = bus.nominal_energy(stats)
         nominal_delay = bus.table.worst_delay(

@@ -13,13 +13,6 @@ from repro.bus.bus_model import (
     TraceStatisticsAccumulator,
     TraceSummary,
 )
-from repro.bus.engine import (
-    DEFAULT_ENGINE,
-    ENGINE_SCALAR,
-    ENGINE_VECTORIZED,
-    ENGINES,
-    resolve_engine,
-)
 
 __all__ = [
     "BusDesign",
@@ -31,9 +24,4 @@ __all__ = [
     "TraceStatistics",
     "TraceStatisticsAccumulator",
     "TraceSummary",
-    "DEFAULT_ENGINE",
-    "ENGINE_SCALAR",
-    "ENGINE_VECTORIZED",
-    "ENGINES",
-    "resolve_engine",
 ]

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.bus.bus_design import BusDesign
 from repro.bus.characterization import default_voltage_grid
-from repro.bus.engine import ENGINE_VECTORIZED, resolve_engine
 from repro.circuit.energy_model import FlipFlopEnergyParams
 from repro.circuit.lookup_table import DelayEnergyTable, VoltageGrid
 from repro.circuit.pvt import PVTCorner
@@ -47,7 +46,7 @@ from repro.interconnect.crosstalk import (
     worst_coupling_factor_per_cycle,
 )
 from repro.telemetry import get_telemetry
-from repro.trace.stream import TraceSource
+from repro.trace.stream import DEFAULT_CHUNK_CYCLES, TraceSource
 from repro.trace.trace import BusTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -186,16 +185,6 @@ class TraceSummary:
         """Cycles whose worst coupling factor exceeds ``coupling_threshold``."""
         mask = self.worst_coupling_values > coupling_threshold
         return int(self.worst_coupling_counts[mask].sum())
-
-    @classmethod
-    def from_source(
-        cls,
-        bus: CharacterizedBus,
-        workload: WorkloadLike,
-        chunk_cycles: int | None = None,
-    ) -> TraceSummary:
-        """Stream a workload through ``bus`` and reduce it to a summary."""
-        return bus.summarize(workload, chunk_cycles=chunk_cycles)
 
 
 class TraceStatisticsAccumulator:
@@ -354,27 +343,41 @@ def _check_width(trace: BusTrace, topology: NeighborTopology) -> None:
         )
 
 
-def _uses_lanes(engine: str | None, n_bits: int) -> bool:
-    """Whether ``engine`` runs the lane kernels for an ``n_bits``-wide bus."""
-    return resolve_engine(engine) == ENGINE_VECTORIZED and lanes_supported(n_bits)
+#: Chunk length of the statistics pass on the lane kernels.  They touch ~50
+#: bytes per cycle and want chunks big enough to amortise per-call numpy
+#: overhead; the scalar kernels allocate ~1.5 kB of float temporaries per
+#: cycle and keep :data:`~repro.trace.stream.DEFAULT_CHUNK_CYCLES` so those
+#: stay cache resident.  Results are bit-identical for any chunk length.
+LANE_CHUNK_CYCLES = 262_144
 
 
-def analyze_trace_codes(
-    trace: BusTrace,
-    topology: NeighborTopology,
-    engine: str | None = None,
-) -> CodedStatistics:
+def kernel_plan(n_bits: int) -> tuple[bool, int]:
+    """``(lanes, chunk_cycles)`` of the statistics pass for an ``n_bits``-wide bus.
+
+    The one place the kernel and the chunk length are chosen: the
+    integer-lane kernels run exactly when
+    :func:`~repro.interconnect.block_kernels.lanes_supported`, the per-wire
+    reference (:func:`scalar_trace_statistics`) otherwise -- buses wider
+    than 64 wires and big-endian hosts.  Every choice gives bit-identical
+    results.
+    """
+    if lanes_supported(n_bits):
+        return True, LANE_CHUNK_CYCLES
+    return False, DEFAULT_CHUNK_CYCLES
+
+
+def analyze_trace_codes(trace: BusTrace, topology: NeighborTopology) -> CodedStatistics:
     """Per-cycle statistics of a trace in the coded form the statistics pass reduces.
 
     The lane kernels hand over their uint8 worst-coupling codes with the
-    matching value table; the scalar kernels (``engine="scalar"``, and the
-    fallback for buses the lanes cannot hold) are coded by their distinct
+    matching value table; the scalar reference is coded by its distinct
     float values.  Either way the decoded statistics are bit-identical to
     :func:`analyze_trace_statistics`.
     """
     _check_width(trace, topology)
-    if not _uses_lanes(engine, trace.n_bits):
-        return CodedStatistics.from_statistics(_scalar_statistics(trace, topology))
+    lanes, _ = kernel_plan(trace.n_bits)
+    if not lanes:
+        return CodedStatistics.from_statistics(scalar_trace_statistics(trace, topology))
     telemetry = get_telemetry()
     with telemetry.span("kernel.block_statistics", cycles=trace.n_cycles):
         codes, values, toggles, weights = block_statistics_codes(trace.packed_values, topology)
@@ -382,26 +385,21 @@ def analyze_trace_codes(
     return CodedStatistics(codes, values, toggles, weights)
 
 
-def analyze_trace_statistics(
-    trace: BusTrace,
-    topology: NeighborTopology,
-    engine: str | None = None,
-) -> TraceStatistics:
+def analyze_trace_statistics(trace: BusTrace, topology: NeighborTopology) -> TraceStatistics:
     """Per-cycle statistics of a trace over a wiring topology.
 
     This is the kernel dispatch behind
     :meth:`CharacterizedBus.analyze_trace`, factored to module level because
-    it depends only on the (tiny, picklable) :class:`NeighborTopology`.  With
-    the default ``engine="vectorized"`` all three per-cycle arrays come from
-    the integer-lane block kernels straight off the packed words;
-    ``engine="scalar"`` runs the per-wire reference kernels.  Results are
-    **bit-identical** either way, and configurations the lane kernels cannot
-    represent (buses wider than 64 wires, big-endian hosts) fall back to the
-    reference path.
+    it depends only on the (tiny, picklable) :class:`NeighborTopology`.
+    Where :func:`kernel_plan` picks the lanes, all three per-cycle arrays
+    come from the integer-lane block kernels straight off the packed words;
+    elsewhere the per-wire reference runs.  Results are **bit-identical**
+    either way.
     """
     _check_width(trace, topology)
-    if not _uses_lanes(engine, trace.n_bits):
-        return _scalar_statistics(trace, topology)
+    lanes, _ = kernel_plan(trace.n_bits)
+    if not lanes:
+        return scalar_trace_statistics(trace, topology)
     telemetry = get_telemetry()
     with telemetry.span("kernel.block_statistics", cycles=trace.n_cycles):
         worst, toggles, weights = block_statistics_arrays(trace.packed_values, topology)
@@ -409,8 +407,12 @@ def analyze_trace_statistics(
     return TraceStatistics(worst_coupling=worst, toggles=toggles, coupling_weights=weights)
 
 
-def _scalar_statistics(trace: BusTrace, topology: NeighborTopology) -> TraceStatistics:
-    """The per-wire reference kernels over a packed or unpacked trace."""
+def scalar_trace_statistics(trace: BusTrace, topology: NeighborTopology) -> TraceStatistics:
+    """The per-wire reference kernels over a packed or unpacked trace.
+
+    The executable model the lane kernels are held bit-identical to, and the
+    kernels :func:`kernel_plan` picks where the lanes cannot run.
+    """
     telemetry = get_telemetry()
     telemetry.count("kernel.invocations.scalar")
     if not trace.is_packed:
@@ -520,22 +522,15 @@ class CharacterizedBus:
             coupling_weights=coupling_energy_weights(transitions, topology),
         )
 
-    def analyze_trace(self, trace: BusTrace, engine: str | None = None) -> TraceStatistics:
-        """:meth:`analyze` for a :class:`BusTrace`, choosing a kernel engine.
+    def analyze_trace(self, trace: BusTrace) -> TraceStatistics:
+        """:meth:`analyze` for a :class:`BusTrace`, on the kernel the bus width picks.
 
         Delegates to the module-level :func:`analyze_trace_statistics`, which
-        carries the full kernel-dispatch contract (bit-identical engines,
-        scalar fallback for unsupported configurations).
+        carries the full kernel-dispatch contract.
         """
-        return analyze_trace_statistics(trace, self.design.topology, engine=engine)
+        return analyze_trace_statistics(trace, self.design.topology)
 
-    def summarize(
-        self,
-        workload: WorkloadLike,
-        chunk_cycles: int | None = None,
-        engine: str | None = None,
-        jobs: int | None = None,
-    ) -> TraceSummary:
+    def summarize(self, workload: WorkloadLike, jobs: int | None = None) -> TraceSummary:
         """Reduce a workload to one :class:`TraceSummary` in O(chunk) memory.
 
         This is the statistics pass with the whole run as one segment;
@@ -552,8 +547,6 @@ class CharacterizedBus:
             workload,
             ChunkSegmenter(n_cycles=workload.n_cycles),
             self.design.topology,
-            engine=engine,
-            chunk_cycles=chunk_cycles,
             jobs=jobs,
         )
         return summary

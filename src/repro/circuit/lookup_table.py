@@ -161,11 +161,14 @@ class DelayEnergyTable:
         return self.delay(vdd, max_coupling_factor)
 
     def failing_coupling_factor(self, vdd: float, deadline: float) -> float:
-        """Smallest effective coupling factor whose delay exceeds ``deadline``.
+        """Largest effective coupling factor whose delay still meets ``deadline``.
 
-        Any cycle whose worst wire has an effective coupling factor at or
-        above the returned value misses the deadline at this voltage.  Returns
-        ``inf`` when even the worst-case pattern meets the deadline.
+        A cycle misses the deadline at this voltage when its worst wire's
+        effective coupling factor is strictly *above* the returned value; a
+        factor equal to it has delay == deadline and meets it.  Consumers
+        compare with ``>`` (or ``searchsorted(side="left")``).  Returns 0.0
+        when even an uncoupled transition is late, and ``inf`` when the
+        coupling delay is zero and the deadline is met.
         """
         index = self.grid.index_of(vdd)
         d0 = float(self.base_delay[index])

@@ -54,10 +54,10 @@ over N worker processes with bit-identical results.  ``run``, ``simulate``
 and ``profile`` honour ``--jobs`` too: every simulation is one statistics
 pass over the workload followed by a replay of its segment summaries, and
 ``--jobs N`` fans that pass out over N workers (``repro simulate --jobs
-4``), again bit-identical to serial.  ``--jobs`` is the only parallelism
-knob; ``--engine`` only picks the kernel (``vectorized`` or the ``scalar``
-reference), also bit-identical.  The other one-off commands
-(``characterize``, ``compare-schemes``) always simulate directly.
+4``), again bit-identical to serial.  ``--jobs`` is the only setting of the
+statistics pass: its kernel and chunk length follow from the bus width.
+The other one-off commands (``characterize``, ``compare-schemes``) always
+simulate directly.
 
 ``--telemetry[=PATH]`` (global, and on ``run``/``sweep``/``simulate``/
 ``report``/``profile``) installs the span tracer for the command and writes
@@ -89,7 +89,6 @@ import numpy as np
 from repro.analysis.experiments import EXPERIMENTS, accepted_kwargs, run_experiment
 from repro.baselines import format_scheme_comparison, run_scheme_comparison
 from repro.bus import BusDesign, CharacterizedBus
-from repro.bus.engine import DEFAULT_ENGINE, ENGINES
 from repro.circuit.pvt import PVTCorner
 from repro.core.dvs_system import DVSBusSystem
 from repro.cpu import KERNELS
@@ -221,21 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="cycles per benchmark (experiments default to the paper's 10M "
             "for table1/fig8, streamed in O(chunk) memory)",
         )
-        target.add_argument(
-            "--chunk-cycles",
-            type=int,
-            metavar="M",
-            default=None if top_level else argparse.SUPPRESS,
-            help="streaming chunk size (results are bit-identical for any value)",
-        )
-        target.add_argument(
-            "--engine",
-            choices=ENGINES,
-            default=None if top_level else argparse.SUPPRESS,
-            help="statistics kernel: the lane kernels or the scalar reference "
-            f"(results are bit-identical; default: {DEFAULT_ENGINE}; "
-            "parallelism is --jobs)",
-        )
 
     add_runtime_flags(parser, top_level=True)
     add_workload_flags(parser, top_level=True)
@@ -351,12 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cycles per benchmark (default 50000 -- bounded, unlike 'run')",
     )
     profile_parser.add_argument(
-        "--chunk-cycles", type=int, default=argparse.SUPPRESS, help="streaming chunk size"
-    )
-    profile_parser.add_argument(
-        "--engine", choices=ENGINES, default=argparse.SUPPRESS, help="kernel engine"
-    )
-    profile_parser.add_argument(
         "--jobs",
         type=int,
         metavar="N",
@@ -385,17 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="registry workload spec (overrides --benchmark; see 'repro trace --list')",
     )
     _add_corner_argument(simulate_parser)
-    # SUPPRESS keeps the global --cycles / --chunk-cycles usable before the
-    # subcommand: a subparser default would overwrite the already-parsed
-    # top-level value.  The handler applies the 200k fallback.
+    # SUPPRESS keeps the global --cycles usable before the subcommand: a
+    # subparser default would overwrite the already-parsed top-level value.
+    # The handler applies the 200k fallback.
     simulate_parser.add_argument(
         "--cycles", type=int, default=argparse.SUPPRESS, help="cycles to simulate (default 200000)"
-    )
-    simulate_parser.add_argument(
-        "--chunk-cycles", type=int, default=argparse.SUPPRESS, help="streaming chunk size"
-    )
-    simulate_parser.add_argument(
-        "--engine", choices=ENGINES, default=argparse.SUPPRESS, help="kernel engine"
     )
     simulate_parser.add_argument(
         "--jobs",
@@ -570,9 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="trace length for generative workloads (default 20000)",
     )
-    trace_parser.add_argument(
-        "--chunk-cycles", type=int, default=argparse.SUPPRESS, help="streaming chunk size"
-    )
     trace_parser.add_argument("--seed", type=int, default=2005, help="workload seed")
     trace_parser.add_argument(
         "--out",
@@ -596,15 +565,12 @@ def _command_list() -> int:
     return 0
 
 
-def _command_run(experiment: str, cycles: int | None, chunk_cycles: int | None,
-                 engine: str | None, seed: int, cache: ResultCache | None,
+def _command_run(experiment: str, cycles: int | None, seed: int, cache: ResultCache | None,
                  workload: str | None = None, jobs: int | None = None,
                  chardb: str | None = None) -> int:
     runner = EXPERIMENTS[experiment].runner
     requested = {
         "n_cycles": cycles,
-        "chunk_cycles": chunk_cycles,
-        "engine": engine,
         # --jobs defaults to 1 at the top level; only an explicit fan-out
         # request is worth forwarding (and warning about when unsupported).
         "jobs": jobs if jobs is not None and jobs > 1 else None,
@@ -613,8 +579,6 @@ def _command_run(experiment: str, cycles: int | None, chunk_cycles: int | None,
     kwargs = accepted_kwargs(runner, {"seed": seed, **requested})
     flags = {
         "n_cycles": "--cycles",
-        "chunk_cycles": "--chunk-cycles",
-        "engine": "--engine",
         "jobs": "--jobs",
         "workload": "--workload",
     }
@@ -651,8 +615,6 @@ def _command_sweep(
     cache: ResultCache | None,
     jobs: int,
     cycles: int | None = None,
-    chunk_cycles: int | None = None,
-    engine: str | None = None,
     chardb: str | None = None,
 ) -> int:
     if list_sweeps or name is None:
@@ -667,16 +629,13 @@ def _command_sweep(
 
     sweep = get_sweep(name)
     specs = sweep.expand(limit=limit)
-    if cycles is not None or chunk_cycles is not None or engine is not None:
-        # Scale every grid point that understands the workload knobs; the
+    if cycles is not None:
+        # Scale every grid point that understands the workload length; the
         # overridden params flow into the cache key, so scaled runs never
         # alias unscaled ones.
         overridden = []
         for spec in specs:
-            overrides = accepted_kwargs(
-                get_task(spec.task),
-                {"n_cycles": cycles, "chunk_cycles": chunk_cycles, "engine": engine},
-            )
+            overrides = accepted_kwargs(get_task(spec.task), {"n_cycles": cycles})
             overridden.append(spec.with_params(**overrides) if overrides else spec)
         specs = tuple(overridden)
     if chardb is not None:
@@ -697,8 +656,6 @@ def _command_report(
     experiments: str,
     out: Path,
     cycles: int | None,
-    chunk_cycles: int | None,
-    engine: str | None,
     seed: int,
     quiet: bool,
     cache: ResultCache | None,
@@ -719,8 +676,6 @@ def _command_report(
         cache=cache,
         jobs=jobs,
         n_cycles=cycles,
-        chunk_cycles=chunk_cycles,
-        engine=engine,
         seed=seed,
         progress=progress,
     )
@@ -738,8 +693,6 @@ def _command_report(
 def _command_profile(
     experiment: str,
     cycles: int | None,
-    chunk_cycles: int | None,
-    engine: str | None,
     seed: int,
     top: int,
     workload: str | None = None,
@@ -760,8 +713,6 @@ def _command_profile(
         {
             "seed": seed,
             "n_cycles": cycles if cycles is not None else 50_000,
-            "chunk_cycles": chunk_cycles,
-            "engine": engine,
             "jobs": jobs if jobs is not None and jobs > 1 else None,
             "workload": workload,
         },
@@ -960,8 +911,6 @@ def _command_simulate(
     seed: int,
     window: int,
     ramp: int,
-    chunk_cycles: int | None = None,
-    engine: str | None = None,
     jobs: int | None = None,
     workload: str | None = None,
 ) -> int:
@@ -985,11 +934,7 @@ def _command_simulate(
     system = DVSBusSystem(bus, window_cycles=window, ramp_delay_cycles=ramp)
     progress = auto_chunk_progress(source.n_cycles, label=f"simulate {label}")
     result = system.run(
-        source,
-        chunk_cycles=chunk_cycles,
-        progress=progress,
-        engine=engine,
-        jobs=jobs if jobs is not None and jobs > 1 else None,
+        source, progress=progress, jobs=jobs if jobs is not None and jobs > 1 else None
     )
 
     print(f"Closed-loop DVS: workload {label!r}, corner {corner.label}")
@@ -1081,8 +1026,6 @@ def _command_serve(
 def _command_submit(
     experiment: str,
     cycles: int | None,
-    chunk_cycles: int | None,
-    engine: str | None,
     seed: int,
     workload: str | None,
     host: str | None,
@@ -1098,8 +1041,6 @@ def _command_submit(
         {
             "seed": seed,
             "n_cycles": cycles,
-            "chunk_cycles": chunk_cycles,
-            "engine": engine,
             "workload": workload,
         },
     )
@@ -1241,7 +1182,6 @@ def _command_trace(
     cycles: int | None,
     seed: int,
     out: Path | None,
-    chunk_cycles: int | None = None,
 ) -> int:
     from repro.trace.workloads import WORKLOADS
 
@@ -1282,7 +1222,7 @@ def _command_trace(
     total_toggles = 0
     busiest_cycle = 0
     collected = [] if out is not None else None
-    for chunk in source.chunks(chunk_cycles):
+    for chunk in source.chunks():
         transitions = chunk.values[1:] != chunk.values[:-1]
         total_toggles += int(transitions.sum())
         if transitions.size:
@@ -1378,8 +1318,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache | None) -> int:
         return _command_run(
             args.experiment,
             args.cycles,
-            args.chunk_cycles,
-            args.engine,
             args.seed,
             cache,
             workload=args.workload,
@@ -1396,8 +1334,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache | None) -> int:
             cache,
             args.jobs,
             cycles=args.cycles,
-            chunk_cycles=args.chunk_cycles,
-            engine=args.engine,
             chardb=args.chardb,
         )
     if args.command == "report":
@@ -1405,8 +1341,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache | None) -> int:
             args.experiments,
             args.out,
             args.cycles,
-            args.chunk_cycles,
-            args.engine,
             args.seed,
             args.quiet,
             cache,
@@ -1418,8 +1352,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache | None) -> int:
         return _command_profile(
             args.experiment,
             args.cycles,
-            args.chunk_cycles,
-            args.engine,
             args.seed,
             args.top,
             workload=args.workload,
@@ -1435,8 +1367,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache | None) -> int:
             args.seed,
             args.window,
             args.ramp,
-            chunk_cycles=args.chunk_cycles,
-            engine=args.engine,
             jobs=args.jobs,
             workload=args.workload,
         )
@@ -1454,8 +1384,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache | None) -> int:
         return _command_submit(
             args.experiment,
             args.cycles,
-            args.chunk_cycles,
-            args.engine,
             args.seed,
             args.workload,
             args.host,
@@ -1484,7 +1412,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache | None) -> int:
             args.cycles,
             args.seed,
             args.out,
-            chunk_cycles=args.chunk_cycles,
         )
     raise ValueError(f"unhandled command {args.command!r}")  # pragma: no cover
 

@@ -24,7 +24,7 @@ per-grid-voltage energy accumulators.
 Because the control trajectory is a deterministic function of integer
 per-window error counts, and the energy accumulators are exact integer
 totals contracted in fixed grid order, a run is **bit-identical** for any
-chunk size, engine and worker count -- a guarantee the streaming-equivalence
+chunk size, kernel and worker count -- a guarantee the streaming-equivalence
 tests enforce, and the flip-flop-level reference simulator checks
 independently.
 """
@@ -391,9 +391,7 @@ class DVSBusSystem:
         initial_voltage: float | None = None,
         keep_cycle_voltage: bool = False,
         warmup_cycles: int = 0,
-        chunk_cycles: int | None = None,
         progress: ProgressCallback | None = None,
-        engine: str | None = None,
         jobs: int | None = None,
     ) -> DVSRunResult:
         """Simulate the closed loop over a workload.
@@ -418,18 +416,9 @@ class DVSBusSystem:
             reported gain reflects steady-state behaviour rather than the
             start-up transient.  The voltage/error time series always cover
             the whole run.
-        chunk_cycles:
-            Streaming granularity for trace/source workloads.  Results are
-            bit-identical for any value; it only trades memory against numpy
-            batch efficiency.
         progress:
             Optional ``callback(done_cycles, total_cycles)`` invoked after
             every chunk (see :class:`repro.runtime.progress.ChunkProgress`).
-        engine:
-            Kernel computing the per-cycle statistics
-            (:mod:`repro.bus.engine`): the default ``"vectorized"`` runs the
-            integer-lane block kernels over packed chunks, ``"scalar"`` the
-            per-wire reference path.  Results are bit-identical either way.
         jobs:
             Worker processes for the statistics pass; ``None`` or 1 runs it
             inline.  Results are bit-identical for any value.
@@ -454,8 +443,6 @@ class DVSBusSystem:
                 workload,
                 self.control_segmenter(total, warmup_cycles=warmup_cycles),
                 self.bus.design.topology,
-                engine=engine,
-                chunk_cycles=chunk_cycles,
                 jobs=jobs,
                 progress=progress,
             )

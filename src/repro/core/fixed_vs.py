@@ -80,8 +80,6 @@ def evaluate_fixed_scaling(
     bus: CharacterizedBus,
     stats: TraceStatistics | TraceSummary | BusTrace | TraceSource,
     process_corner: ProcessCorner | None = None,
-    chunk_cycles: int | None = None,
-    engine: str | None = None,
     jobs: int | None = None,
 ) -> FixedScalingResult:
     """Run the fixed VS baseline on a workload and report its energy gain.
@@ -101,7 +99,7 @@ def evaluate_fixed_scaling(
     either way.
     """
     if isinstance(stats, (BusTrace, TraceSource)):
-        stats = bus.summarize(stats, chunk_cycles=chunk_cycles, engine=engine, jobs=jobs)
+        stats = bus.summarize(stats, jobs=jobs)
     voltage = fixed_scaling_voltage(bus, process_corner)
     error_rate = bus.error_rate(stats, voltage)
     n_errors = int(round(error_rate * stats.n_cycles))

@@ -114,8 +114,6 @@ def _segment_oracle_schedule(
     target_error_rate: float,
     window_cycles: int,
     v_floor: float,
-    chunk_cycles: int | None,
-    engine: str | None,
     jobs: int | None,
 ) -> OracleSchedule:
     """The oracle over a streamed workload, in O(chunk) memory.
@@ -135,8 +133,6 @@ def _segment_oracle_schedule(
         workload,
         ChunkSegmenter(n_cycles=workload.n_cycles, window_cycles=window_cycles),
         bus.design.topology,
-        engine=engine,
-        chunk_cycles=chunk_cycles,
         jobs=jobs,
     )
 
@@ -205,8 +201,6 @@ def oracle_voltage_schedule(
     target_error_rate: float,
     window_cycles: int = DEFAULT_WINDOW_CYCLES,
     v_floor: float | None = None,
-    chunk_cycles: int | None = None,
-    engine: str | None = None,
     jobs: int | None = None,
 ) -> OracleSchedule:
     """Choose the optimal per-window voltages for a target error rate.
@@ -228,11 +222,6 @@ def oracle_voltage_schedule(
         Minimum allowed voltage; defaults to the regulator safety floor for
         the bus's process corner (shadow-latch setup under assumed worst-case
         temperature and IR drop).
-    chunk_cycles:
-        Streaming granularity for trace/source workloads.
-    engine:
-        Kernel engine for streamed statistics (:mod:`repro.bus.engine`);
-        results are bit-identical for every engine.
     jobs:
         Worker processes for the statistics pass of streamed workloads;
         results are bit-identical for any value.
@@ -243,7 +232,7 @@ def oracle_voltage_schedule(
     floor = _resolve_floor(bus, v_floor)
     if isinstance(stats, (BusTrace, TraceSource)):
         return _segment_oracle_schedule(
-            bus, stats, target_error_rate, window_cycles, floor, chunk_cycles, engine, jobs
+            bus, stats, target_error_rate, window_cycles, floor, jobs
         )
     v_floor = floor
 

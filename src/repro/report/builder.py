@@ -136,18 +136,12 @@ def _regenerate_command(
     identifiers: Sequence[str],
     out_dir: Path,
     n_cycles: int | None,
-    chunk_cycles: int | None,
     seed: int,
-    engine: str | None = None,
 ) -> str:
     """The exact CLI invocation that reproduces this report (and hits its cache)."""
     command = f"python -m repro report --experiments {','.join(identifiers)}"
     if n_cycles is not None:
         command += f" --cycles {n_cycles}"
-    if chunk_cycles is not None:
-        command += f" --chunk-cycles {chunk_cycles}"
-    if engine is not None:
-        command += f" --engine {engine}"
     if seed != 2005:
         command += f" --seed {seed}"
     command += f" --out {out_dir}"
@@ -207,9 +201,7 @@ def build_report(
     cache: Any | None = None,
     jobs: int = 1,
     n_cycles: int | None = None,
-    chunk_cycles: int | None = None,
     seed: int = 2005,
-    engine: str | None = None,
     registry: ReferenceRegistry = PAPER_REFERENCES,
     progress: Any | None = None,
 ) -> ReportBuild:
@@ -227,7 +219,7 @@ def build_report(
         previously simulated experiments load instead of re-running.
     jobs:
         Worker processes for cache misses (experiments are independent jobs).
-    n_cycles / chunk_cycles / seed:
+    n_cycles / seed:
         Workload scale knobs, forwarded to every experiment that accepts
         them (the cache key covers them, so scaled runs never alias).
     registry:
@@ -243,12 +235,7 @@ def build_report(
     identifiers = _validate_ids(experiments)
     telemetry.count("report.experiments_requested", len(identifiers))
 
-    requested = {
-        "n_cycles": n_cycles,
-        "chunk_cycles": chunk_cycles,
-        "engine": engine,
-        "seed": seed,
-    }
+    requested = {"n_cycles": n_cycles, "seed": seed}
     specs = []
     for identifier in identifiers:
         entry = EXPERIMENTS[identifier]
@@ -300,11 +287,9 @@ def build_report(
     params = {
         "experiments": ",".join(identifiers),
         "n_cycles": n_cycles if n_cycles is not None else "paper-default",
-        "chunk_cycles": chunk_cycles if chunk_cycles is not None else "auto",
-        "engine": engine if engine is not None else "default",
         "seed": seed,
     }
-    command = _regenerate_command(identifiers, out_dir, n_cycles, chunk_cycles, seed, engine)
+    command = _regenerate_command(identifiers, out_dir, n_cycles, seed)
     index = _index_markdown(rendered, fidelity, params, command)
     index_path = _write_text(out_dir / "index.md", index)
     written.append(index_path)

@@ -61,13 +61,6 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from repro.bus.engine import (
-    ENGINE_SCALAR,
-    ENGINE_VECTORIZED,
-    default_chunk_cycles,
-    resolve_engine,
-)
-from repro.interconnect.block_kernels import lanes_supported
 from repro.interconnect.crosstalk import NeighborTopology
 from repro.telemetry import Telemetry, get_telemetry, use_telemetry
 from repro.trace.stream import TraceSource, as_trace_source
@@ -204,13 +197,11 @@ def tree_merge_summaries(summaries: Sequence[TraceSummary]) -> TraceSummary:
 
 
 #: One chunk of work shipped to a worker: the segment index of its first
-#: piece, the (tiny) wiring topology, the engine name, the chunk's global
-#: start cycle, its word array (packed bytes or 0/1 values), the
-#: representation flag, the bus width, the chunk-relative start of each
-#: (chunk x segment) piece, and whether to capture telemetry into a snapshot.
-_ChunkPayload = tuple[
-    int, NeighborTopology, str | None, int, np.ndarray, bool, int, np.ndarray, bool
-]
+#: piece, the (tiny) wiring topology, the chunk's global start cycle, its
+#: word array (packed bytes or 0/1 values), the representation flag, the bus
+#: width, the chunk-relative start of each (chunk x segment) piece, and
+#: whether to capture telemetry into a snapshot.
+_ChunkPayload = tuple[int, NeighborTopology, int, np.ndarray, bool, int, np.ndarray, bool]
 #: A worker's result: the first piece's segment index, one summary per piece,
 #: and optional telemetry.
 _ChunkResult = tuple[int, list["TraceSummary"], dict[str, Any] | None]
@@ -223,7 +214,6 @@ def _probe_worker() -> int:
 
 def _chunk_pieces(
     topology: NeighborTopology,
-    engine: str | None,
     start_cycle: int,
     words: np.ndarray,
     packed: bool,
@@ -236,7 +226,7 @@ def _chunk_pieces(
     trace = BusTrace(packed=words, n_bits=n_bits) if packed else BusTrace(values=words)
     telemetry = get_telemetry()
     with telemetry.span("parallel.chunk", start_cycle=start_cycle, cycles=trace.n_cycles):
-        return analyze_trace_codes(trace, topology, engine=engine).summaries(offsets)
+        return analyze_trace_codes(trace, topology).summaries(offsets)
 
 
 def _analyze_chunk_payload(payload: _ChunkPayload) -> _ChunkResult:
@@ -348,24 +338,24 @@ class ParallelChunkScheduler:
         source: TraceSource,
         segmenter: ChunkSegmenter,
         topology: NeighborTopology,
-        engine: str | None = None,
-        chunk_cycles: int | None = None,
         progress: ProgressCallback | None = None,
     ) -> list[TraceSummary]:
         """Run the statistics pass over ``source``.
 
         Returns one exact :class:`~repro.bus.bus_model.TraceSummary` per
         segment of ``segmenter``, in segment order -- bit-identical for any
-        engine, worker count, chunk size or merge grouping.
+        kernel, worker count, chunk size or merge grouping.  The kernel and
+        the chunk size come from the bus width
+        (:func:`~repro.bus.bus_model.kernel_plan`).
         """
+        from repro.bus.bus_model import kernel_plan
+
         if source.n_cycles != segmenter.n_cycles:
             raise ValueError(
                 f"source covers {source.n_cycles} cycles but the segmenter "
                 f"was built for {segmenter.n_cycles}"
             )
-        packed = resolve_engine(engine) == ENGINE_VECTORIZED and lanes_supported(source.n_bits)
-        if chunk_cycles is None:
-            chunk_cycles = default_chunk_cycles(engine if packed else ENGINE_SCALAR)
+        packed, chunk_cycles = kernel_plan(source.n_bits)
         telemetry = get_telemetry()
         executor = self._ensure_executor()
         capture = executor is not None and telemetry.enabled
@@ -402,7 +392,6 @@ class ParallelChunkScheduler:
                     payload: _ChunkPayload = (
                         pieces_here[0][0],
                         topology,
-                        engine,
                         start,
                         trace.packed_values if trace.is_packed else trace.values,
                         trace.is_packed,
@@ -452,8 +441,6 @@ def statistics_pass(
     segmenter: ChunkSegmenter,
     topology: NeighborTopology,
     *,
-    engine: str | None = None,
-    chunk_cycles: int | None = None,
     jobs: int | None = None,
     progress: ProgressCallback | None = None,
 ) -> list[TraceSummary]:
@@ -463,11 +450,10 @@ def statistics_pass(
     ``jobs`` workers (inline for ``jobs`` of ``None`` or 1).  Precomputed
     :class:`~repro.bus.bus_model.TraceStatistics` have no kernel work left
     and reduce in one call of the same reducer.  Results are bit-identical
-    for every engine, chunk size and worker count.
+    for every kernel, chunk size and worker count.
     """
     from repro.bus.bus_model import CodedStatistics, TraceStatistics
 
-    resolve_engine(engine)
     if isinstance(workload, TraceStatistics):
         if workload.n_cycles != segmenter.n_cycles:
             raise ValueError(
@@ -481,7 +467,5 @@ def statistics_pass(
             as_trace_source(workload),
             segmenter,
             topology,
-            engine=engine,
-            chunk_cycles=chunk_cycles,
             progress=progress,
         )

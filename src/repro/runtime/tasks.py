@@ -229,8 +229,6 @@ def dvs_run(
     encoder: str | None = None,
     coupling_scale: float | None = None,
     warmup_fraction: float = 0.0,
-    chunk_cycles: int | None = None,
-    engine: str | None = None,
     jobs: int | None = None,
     workload: str | None = None,
     chardb: str | None = None,
@@ -241,12 +239,9 @@ def dvs_run(
     trace (optionally through an encoder), characterise the (possibly
     modified) bus at the corner, run the closed control loop and report
     scalar metrics.  The whole point runs in O(chunk) memory, so sweeps can
-    scale ``n_cycles`` to the paper's 10 M without touching worker sizing;
-    ``chunk_cycles`` only trades memory against batch efficiency and
-    ``engine`` selects the kernel implementation (results are bit-identical
-    for any value of either).  ``jobs > 1`` fans the statistics pass of this
-    single run out over worker processes, still bit-identical thanks to the
-    deterministic reduction.
+    scale ``n_cycles`` to the paper's 10 M without touching worker sizing.
+    ``jobs > 1`` fans the statistics pass of this single run out over worker
+    processes, bit-identical thanks to the deterministic reduction.
 
     The workload is named either by ``benchmark`` (a synthetic Table 1
     profile, the historical axis) or by ``workload`` -- any spec the
@@ -281,9 +276,7 @@ def dvs_run(
         window, ramp = _control_defaults(source.n_cycles, window_cycles, ramp_delay_cycles)
         system = DVSBusSystem(bus, window_cycles=window, ramp_delay_cycles=ramp)
         warmup = int(warmup_fraction * source.n_cycles)
-        result = system.run(
-            source, warmup_cycles=warmup, chunk_cycles=chunk_cycles, engine=engine, jobs=jobs
-        )
+        result = system.run(source, warmup_cycles=warmup, jobs=jobs)
 
     return {
         "benchmark": workload if workload is not None else benchmark,

@@ -1,8 +1,10 @@
 """Table 1 shares one statistics pass per benchmark across all corners.
 
 A multi-corner :func:`run_table1` must be field-for-field identical to each
-corner run on its own, for every engine, worker count and chunking, and must
+corner run on its own, for every kernel, worker count and chunking, and must
 analyse each benchmark exactly once however many corners it evaluates.
+Kernels and chunk lengths are forced through the test seam
+(:mod:`tests.pass_plan`).
 """
 
 import dataclasses
@@ -11,9 +13,12 @@ import pytest
 
 import repro.bus.bus_model as bus_model
 from repro.analysis import run_table1
+from repro.analysis.experiments import EXPERIMENTS
 from repro.circuit.pvt import BEST_CASE_CORNER, TYPICAL_CORNER, WORST_CASE_CORNER
+from repro.interconnect import block_kernels
 from repro.trace import suite_sources
 from repro.trace.workloads import kernel_sources
+from tests.pass_plan import KERNELS, SCALAR, VECTORIZED, forced_plan
 
 N_CYCLES = 12_000
 SEED = 23
@@ -48,11 +53,10 @@ def synthetic():
 
 
 class TestSharedPassEquivalence:
-    @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
-    def test_two_corners_match_each_corner_alone(self, synthetic, engine):
-        _assert_matches_single_corner_runs(
-            synthetic, (WORST_CASE_CORNER, TYPICAL_CORNER), engine=engine
-        )
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_two_corners_match_each_corner_alone(self, synthetic, kernel):
+        with forced_plan(kernel):
+            _assert_matches_single_corner_runs(synthetic, (WORST_CASE_CORNER, TYPICAL_CORNER))
 
     def test_parallel_workers(self, synthetic):
         shared = _assert_matches_single_corner_runs(
@@ -62,9 +66,8 @@ class TestSharedPassEquivalence:
         assert dataclasses.asdict(shared) == dataclasses.asdict(serial)
 
     def test_prime_chunking(self, synthetic):
-        _assert_matches_single_corner_runs(
-            synthetic, (WORST_CASE_CORNER, TYPICAL_CORNER), chunk_cycles=3_333
-        )
+        with forced_plan(chunk_cycles=3_333):
+            _assert_matches_single_corner_runs(synthetic, (WORST_CASE_CORNER, TYPICAL_CORNER))
 
     def test_cpu_kernels_next_to_synthetic(self):
         workloads = {
@@ -90,18 +93,41 @@ class TestPassCount:
         counted = []
         original = bus_model.analyze_trace_codes
 
-        def counting(trace, topology, engine=None):
+        def counting(trace, topology):
             counted.append(trace.n_cycles)
-            return original(trace, topology, engine=engine)
+            return original(trace, topology)
 
         monkeypatch.setattr(bus_model, "analyze_trace_codes", counting)
         return counted
 
-    @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
-    def test_two_corners_analyse_each_cycle_once(self, synthetic, analysed_cycles, engine):
-        _table1(synthetic, (TYPICAL_CORNER,), engine=engine)
-        one_corner = sum(analysed_cycles)
-        analysed_cycles.clear()
-        _table1(synthetic, (WORST_CASE_CORNER, TYPICAL_CORNER), engine=engine)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_two_corners_analyse_each_cycle_once(self, synthetic, analysed_cycles, kernel):
+        with forced_plan(kernel):
+            _table1(synthetic, (TYPICAL_CORNER,))
+            one_corner = sum(analysed_cycles)
+            analysed_cycles.clear()
+            _table1(synthetic, (WORST_CASE_CORNER, TYPICAL_CORNER))
         assert one_corner == len(NAMES) * N_CYCLES
         assert sum(analysed_cycles) == one_corner
+
+
+class TestKernelCrossCheck:
+    """``repro run table1`` prints the same table on both kernels.
+
+    The paper-suite table at its default control timing, as the CLI prints
+    it.  With 40 009-cycle chunks, the first chunk of every benchmark holds
+    a 32 768-cycle lane sub-block seam, and later chunks cross chunk seams.
+    """
+
+    @pytest.mark.parametrize(
+        "n_cycles, chunk_cycles", [(30_000, None), (50_000, 40_009)], ids=["default", "blocks"]
+    )
+    def test_printed_table_matches(self, n_cycles, chunk_cycles):
+        assert block_kernels._SUB_BLOCK_CYCLES < 40_009 < 50_000
+        runner = EXPERIMENTS["table1"].runner
+        with forced_plan(VECTORIZED, chunk_cycles):
+            vectorized, vectorized_text = runner(n_cycles=n_cycles)
+        with forced_plan(SCALAR, chunk_cycles):
+            scalar, scalar_text = runner(n_cycles=n_cycles)
+        assert vectorized_text == scalar_text
+        assert dataclasses.asdict(vectorized) == dataclasses.asdict(scalar)

@@ -21,12 +21,14 @@ from repro.bus.bus_model import (
     TraceStatistics,
     analyze_trace_codes,
     analyze_trace_statistics,
+    scalar_trace_statistics,
 )
 from repro.interconnect import block_kernels
 from repro.interconnect.block_kernels import coupling_score_tables
 from repro.interconnect.crosstalk import NeighborTopology, grouped_shield_topology
 from repro.runtime.parallel import ChunkSegmenter, statistics_pass
 from repro.trace.trace import BusTrace
+from tests.pass_plan import KERNELS, forced_plan
 
 
 def _random_trace(n_cycles: int, n_bits: int, trace_seed: int, density: float = 0.4) -> BusTrace:
@@ -72,7 +74,7 @@ class TestCodedSummaries:
     def test_kernel_codes_match_reference(self, weight):
         topology = _topology(32, weight)
         trace = _random_trace(2_000, 32, trace_seed=3)
-        reference_stats = analyze_trace_statistics(trace, topology, engine="scalar")
+        reference_stats = scalar_trace_statistics(trace, topology)
         edges = [0, 1, 2, 3, 500, 501, 1_024, 1_999, 2_000]
         coded = analyze_trace_codes(trace, topology)
         _assert_matches(coded.summaries(edges[:-1]), _reference(reference_stats, edges))
@@ -92,7 +94,7 @@ class TestCodedSummaries:
         table = coupling_score_tables(topology).value_by_code
         assert len(np.unique(table)) < len(table)
         trace = _random_trace(3_000, 32, trace_seed=9, density=0.6)
-        stats = analyze_trace_statistics(trace, topology, engine="scalar")
+        stats = scalar_trace_statistics(trace, topology)
         edges = [0, 1_500, 3_000]
         _assert_matches(
             analyze_trace_codes(trace, topology).summaries(edges[:-1]), _reference(stats, edges)
@@ -106,13 +108,13 @@ class TestCodedSummaries:
         assert np.all(np.diff(coded.values) >= 0)
         np.testing.assert_array_equal(
             coded.values[coded.codes],
-            analyze_trace_statistics(trace, topology, engine="scalar").worst_coupling,
+            scalar_trace_statistics(trace, topology).worst_coupling,
         )
 
     def test_bus_wider_than_lanes_codes_distinct_floats(self):
         topology = _topology(72, 0.15)
         trace = _random_trace(700, 72, trace_seed=17)
-        stats = analyze_trace_statistics(trace, topology, engine="scalar")
+        stats = scalar_trace_statistics(trace, topology)
         coded = analyze_trace_codes(trace, topology)
         assert np.all(np.diff(coded.values) > 0)
         edges = [0, 1, 350, 699, 700]
@@ -187,15 +189,16 @@ class TestPassSeams:
         data=st.data(),
         chunk_cycles=st.integers(1, 400),
         sub_block=st.integers(1, 300),
-        engine=st.sampled_from(("vectorized", "scalar")),
+        kernel=st.sampled_from(KERNELS),
     )
     def test_pass_matches_per_segment_reference(
-        self, kernels, data, chunk_cycles, sub_block, engine
+        self, kernels, data, chunk_cycles, sub_block, kernel
     ):
         topology, trace, segmenter = data.draw(_passes(WIDTHS[kernels]))
-        reference_stats = analyze_trace_statistics(trace, topology, engine="scalar")
-        with mock.patch.object(block_kernels, "_SUB_BLOCK_CYCLES", sub_block):
-            summaries = statistics_pass(
-                trace, segmenter, topology, engine=engine, chunk_cycles=chunk_cycles
-            )
+        reference_stats = scalar_trace_statistics(trace, topology)
+        with (
+            mock.patch.object(block_kernels, "_SUB_BLOCK_CYCLES", sub_block),
+            forced_plan(kernel, chunk_cycles),
+        ):
+            summaries = statistics_pass(trace, segmenter, topology)
         _assert_matches(summaries, _reference(reference_stats, segmenter.boundaries().tolist()))

@@ -2,23 +2,32 @@
 
 from __future__ import annotations
 
-from repro.bus.engine import ENGINE_SCALAR, ENGINE_VECTORIZED, ENGINES
+from collections.abc import Iterator
+from contextlib import contextmanager
+
+from tests.pass_plan import SCALAR, VECTORIZED, forced_plan
 
 #: Worker processes of the ``"parallel"`` configuration.
 PARALLEL_JOBS = 2
 
-#: Keyword arguments of each configuration, by test id: either kernel run
-#: inline, and the vectorized kernels fanned out over a worker pool (``jobs``).
-PASS_KWARGS = {
-    ENGINE_VECTORIZED: {"engine": ENGINE_VECTORIZED},
-    ENGINE_SCALAR: {"engine": ENGINE_SCALAR},
-    "parallel": {"engine": ENGINE_VECTORIZED, "jobs": PARALLEL_JOBS},
+#: Kernel and worker count of each configuration, by test id: either kernel
+#: run inline, and the vectorized kernels fanned out over a worker pool.
+PASS_PLANS = {
+    VECTORIZED: (VECTORIZED, None),
+    SCALAR: (SCALAR, None),
+    "parallel": (VECTORIZED, PARALLEL_JOBS),
 }
 
 #: Every configuration a driver sweep must agree on, bit for bit.
-PASSES = ENGINES + ("parallel",)
+PASSES = tuple(PASS_PLANS)
 
 
-def pass_kwargs(name: str) -> dict:
-    """The ``engine``/``jobs`` keyword arguments of a configuration."""
-    return dict(PASS_KWARGS[name])
+@contextmanager
+def configured_pass(name: str, chunk_cycles: int | None = None) -> Iterator[dict]:
+    """Force configuration ``name``'s kernel and ``chunk_cycles``.
+
+    Yields the ``jobs`` keyword arguments the driver call takes.
+    """
+    kernel, jobs = PASS_PLANS[name]
+    with forced_plan(kernel, chunk_cycles):
+        yield {} if jobs is None else {"jobs": jobs}

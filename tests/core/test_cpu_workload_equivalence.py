@@ -1,10 +1,10 @@
-"""Engine/chunk equivalence sweeps for the streaming CPU-kernel workload.
+"""Kernel/chunk equivalence sweeps for the streaming CPU-kernel workload.
 
 Mirror of ``tests/core/test_engine_equivalence.py`` for the
 :class:`~repro.trace.stream.CpuKernelTraceSource`: the closed-loop DVS run
 over an executed-kernel trace must be bit-identical to a single scalar
 monolithic reference for every adversarial chunking (one-cycle chunks,
-window straddles, prime sizes) on both engines and over worker processes,
+window straddles, prime sizes) on both kernels and over worker processes,
 and the registry-resolved ``cpu:`` spec must stream the exact same workload.
 """
 
@@ -14,7 +14,8 @@ import pytest
 from repro.core.dvs_system import DVSBusSystem
 from repro.cpu import kernel_seed_sequence
 from repro.trace import CpuKernelTraceSource, resolve_workload
-from tests.core.conftest import PASSES, pass_kwargs
+from tests.core.conftest import PASSES, configured_pass
+from tests.pass_plan import SCALAR, forced_plan
 
 #: Control window of the fast test loop.
 WINDOW = 500
@@ -38,7 +39,8 @@ def source():
 @pytest.fixture(scope="module")
 def reference(typical_corner_bus, source):
     system = DVSBusSystem(typical_corner_bus, window_cycles=WINDOW, ramp_delay_cycles=150)
-    return system.run(source.materialize(), engine="scalar", chunk_cycles=source.n_cycles)
+    with forced_plan(SCALAR, source.n_cycles):
+        return system.run(source.materialize())
 
 
 def _assert_dvs_identical(measured, reference):
@@ -55,20 +57,22 @@ def _assert_dvs_identical(measured, reference):
 
 
 class TestCpuKernelDVSEquivalence:
-    @pytest.mark.parametrize("engine", PASSES)
+    @pytest.mark.parametrize("config", PASSES)
     @pytest.mark.parametrize("chunk_cycles", CHUNK_SIZES)
     def test_adversarial_chunkings(
-        self, typical_corner_bus, source, reference, chunk_cycles, engine
+        self, typical_corner_bus, source, reference, chunk_cycles, config
     ):
         system = DVSBusSystem(typical_corner_bus, window_cycles=WINDOW, ramp_delay_cycles=150)
-        measured = system.run(source, chunk_cycles=chunk_cycles, **pass_kwargs(engine))
+        with configured_pass(config, chunk_cycles) as kwargs:
+            measured = system.run(source, **kwargs)
         _assert_dvs_identical(measured, reference)
 
-    @pytest.mark.parametrize("engine", PASSES)
+    @pytest.mark.parametrize("config", PASSES)
     def test_registry_spec_is_the_same_workload(
-        self, typical_corner_bus, source, reference, engine
+        self, typical_corner_bus, source, reference, config
     ):
         resolved = resolve_workload("cpu:memcopy", n_cycles=N_CYCLES, seed=31)
         system = DVSBusSystem(typical_corner_bus, window_cycles=WINDOW, ramp_delay_cycles=150)
-        measured = system.run(resolved, chunk_cycles=997, **pass_kwargs(engine))
+        with configured_pass(config, 997) as kwargs:
+            measured = system.run(resolved, **kwargs)
         _assert_dvs_identical(measured, reference)

@@ -5,8 +5,9 @@ per measurement window, chunks may split *anywhere* -- must survive the
 nastiest chunkings: one cycle per chunk, one cycle less/more than the
 control window, and prime sizes co-prime with everything.  Each driver
 (closed-loop dynamic DVS, the per-window oracle, the fixed-VS baseline) is
-swept over all of them x both engines x worker counts and compared,
-exactly, against a single scalar single-chunk reference.
+swept over all of them x both kernels x worker counts and compared,
+exactly, against a single scalar single-chunk reference.  Kernels and chunk
+lengths are forced through the test seam (:mod:`tests.pass_plan`).
 """
 
 import numpy as np
@@ -16,7 +17,8 @@ from repro.core.dvs_system import DVSBusSystem
 from repro.core.fixed_vs import evaluate_fixed_scaling
 from repro.core.oracle import oracle_voltage_schedule
 from repro.trace import SyntheticTraceSource
-from tests.core.conftest import PASSES, pass_kwargs
+from tests.core.conftest import PASSES, configured_pass
+from tests.pass_plan import SCALAR, forced_plan
 
 #: Control window of the fast test loop.
 WINDOW = 1_000
@@ -62,54 +64,44 @@ def _assert_dvs_identical(measured, reference):
 
 @pytest.fixture(scope="module")
 def dvs_reference(typical_corner_bus, source):
-    return _system(typical_corner_bus).run(
-        source.materialize(), engine="scalar", chunk_cycles=source.n_cycles
-    )
+    with forced_plan(SCALAR, source.n_cycles):
+        return _system(typical_corner_bus).run(source.materialize())
 
 
 class TestDynamicDVS:
-    @pytest.mark.parametrize("engine", PASSES)
+    @pytest.mark.parametrize("config", PASSES)
     @pytest.mark.parametrize("chunk_cycles", CHUNK_SIZES)
     def test_adversarial_chunkings(
-        self, typical_corner_bus, source, dvs_reference, chunk_cycles, engine
+        self, typical_corner_bus, source, dvs_reference, chunk_cycles, config
     ):
-        measured = _system(typical_corner_bus).run(
-            source, chunk_cycles=chunk_cycles, **pass_kwargs(engine)
-        )
+        with configured_pass(config, chunk_cycles) as kwargs:
+            measured = _system(typical_corner_bus).run(source, **kwargs)
         _assert_dvs_identical(measured, dvs_reference)
 
-    @pytest.mark.parametrize("engine", PASSES)
-    def test_one_cycle_chunks(self, typical_corner_bus, tiny_source, engine):
+    @pytest.mark.parametrize("config", PASSES)
+    def test_one_cycle_chunks(self, typical_corner_bus, tiny_source, config):
         system = DVSBusSystem(typical_corner_bus, window_cycles=500, ramp_delay_cycles=150)
-        reference = system.run(
-            tiny_source.materialize(), engine="scalar", chunk_cycles=TINY_CYCLES
-        )
-        measured = system.run(tiny_source, chunk_cycles=1, **pass_kwargs(engine))
+        with forced_plan(SCALAR, TINY_CYCLES):
+            reference = system.run(tiny_source.materialize())
+        with configured_pass(config, 1) as kwargs:
+            measured = system.run(tiny_source, **kwargs)
         _assert_dvs_identical(measured, reference)
 
 
 class TestOracle:
-    @pytest.mark.parametrize("engine", PASSES)
+    @pytest.mark.parametrize("config", PASSES)
     @pytest.mark.parametrize("chunk_cycles", CHUNK_SIZES)
-    def test_adversarial_chunkings(self, typical_corner_bus, source, chunk_cycles, engine):
+    def test_adversarial_chunkings(self, typical_corner_bus, source, chunk_cycles, config):
         # Streamed scalar single-chunk run: the energy reference with the
         # exact same (chunk-invariant) accumulation contract.
-        reference = oracle_voltage_schedule(
-            typical_corner_bus,
-            source,
-            0.02,
-            window_cycles=WINDOW,
-            chunk_cycles=source.n_cycles,
-            engine="scalar",
-        )
-        measured = oracle_voltage_schedule(
-            typical_corner_bus,
-            source,
-            0.02,
-            window_cycles=WINDOW,
-            chunk_cycles=chunk_cycles,
-            **pass_kwargs(engine),
-        )
+        with forced_plan(SCALAR, source.n_cycles):
+            reference = oracle_voltage_schedule(
+                typical_corner_bus, source, 0.02, window_cycles=WINDOW
+            )
+        with configured_pass(config, chunk_cycles) as kwargs:
+            measured = oracle_voltage_schedule(
+                typical_corner_bus, source, 0.02, window_cycles=WINDOW, **kwargs
+            )
         np.testing.assert_array_equal(
             measured.window_voltages, reference.window_voltages
         )
@@ -121,24 +113,16 @@ class TestOracle:
                 reference.energy, component
             )
 
-    @pytest.mark.parametrize("engine", PASSES)
-    def test_one_cycle_chunks(self, typical_corner_bus, tiny_source, engine):
-        reference = oracle_voltage_schedule(
-            typical_corner_bus,
-            tiny_source,
-            0.02,
-            window_cycles=500,
-            chunk_cycles=TINY_CYCLES,
-            engine="scalar",
-        )
-        measured = oracle_voltage_schedule(
-            typical_corner_bus,
-            tiny_source,
-            0.02,
-            window_cycles=500,
-            chunk_cycles=1,
-            **pass_kwargs(engine),
-        )
+    @pytest.mark.parametrize("config", PASSES)
+    def test_one_cycle_chunks(self, typical_corner_bus, tiny_source, config):
+        with forced_plan(SCALAR, TINY_CYCLES):
+            reference = oracle_voltage_schedule(
+                typical_corner_bus, tiny_source, 0.02, window_cycles=500
+            )
+        with configured_pass(config, 1) as kwargs:
+            measured = oracle_voltage_schedule(
+                typical_corner_bus, tiny_source, 0.02, window_cycles=500, **kwargs
+            )
         np.testing.assert_array_equal(
             measured.window_voltages, reference.window_voltages
         )
@@ -161,38 +145,31 @@ class TestParallelWorkers:
     def test_dvs_bit_identity(
         self, typical_corner_bus, source, dvs_reference, n_workers, chunk_cycles
     ):
-        measured = _system(typical_corner_bus).run(
-            source, chunk_cycles=chunk_cycles, jobs=n_workers
-        )
+        with forced_plan(chunk_cycles=chunk_cycles):
+            measured = _system(typical_corner_bus).run(source, jobs=n_workers)
         _assert_dvs_identical(measured, dvs_reference)
 
     def test_dvs_own_pool_via_jobs(self, typical_corner_bus, source, dvs_reference):
         # No explicit scheduler: ``jobs=2`` must build (and clean up) its own.
-        measured = _system(typical_corner_bus).run(source, chunk_cycles=2_503, jobs=2)
+        with forced_plan(chunk_cycles=2_503):
+            measured = _system(typical_corner_bus).run(source, jobs=2)
         _assert_dvs_identical(measured, dvs_reference)
 
     def test_dvs_scalar_kernels_in_workers(self, typical_corner_bus, source, dvs_reference):
-        measured = _system(typical_corner_bus).run(
-            source, chunk_cycles=2_503, engine="scalar", jobs=2
-        )
+        with forced_plan(SCALAR, 2_503):
+            measured = _system(typical_corner_bus).run(source, jobs=2)
         _assert_dvs_identical(measured, dvs_reference)
 
     def test_dvs_warmup_and_voltage_capture(self, typical_corner_bus, tiny_source):
         system = DVSBusSystem(typical_corner_bus, window_cycles=500, ramp_delay_cycles=150)
-        reference = system.run(
-            tiny_source.materialize(),
-            engine="scalar",
-            chunk_cycles=TINY_CYCLES,
-            warmup_cycles=600,
-            keep_cycle_voltage=True,
-        )
-        measured = system.run(
-            tiny_source,
-            chunk_cycles=331,
-            jobs=2,
-            warmup_cycles=600,
-            keep_cycle_voltage=True,
-        )
+        with forced_plan(SCALAR, TINY_CYCLES):
+            reference = system.run(
+                tiny_source.materialize(), warmup_cycles=600, keep_cycle_voltage=True
+            )
+        with forced_plan(chunk_cycles=331):
+            measured = system.run(
+                tiny_source, jobs=2, warmup_cycles=600, keep_cycle_voltage=True
+            )
         _assert_dvs_identical(measured, reference)
         np.testing.assert_array_equal(
             measured.per_cycle_voltage, reference.per_cycle_voltage
@@ -202,30 +179,22 @@ class TestParallelWorkers:
     def test_dvs_workload_sweep(self, typical_corner_bus, profile):
         workload = SyntheticTraceSource(profile, TINY_CYCLES, seed=13)
         system = DVSBusSystem(typical_corner_bus, window_cycles=500, ramp_delay_cycles=150)
-        reference = system.run(
-            workload.materialize(), engine="scalar", chunk_cycles=TINY_CYCLES
-        )
-        measured = system.run(workload, chunk_cycles=499, jobs=2)
+        with forced_plan(SCALAR, TINY_CYCLES):
+            reference = system.run(workload.materialize())
+        with forced_plan(chunk_cycles=499):
+            measured = system.run(workload, jobs=2)
         _assert_dvs_identical(measured, reference)
 
     @pytest.mark.parametrize("chunk_cycles", (WINDOW - 1, 997))
     def test_oracle_bit_identity(self, typical_corner_bus, source, chunk_cycles):
-        reference = oracle_voltage_schedule(
-            typical_corner_bus,
-            source,
-            0.02,
-            window_cycles=WINDOW,
-            chunk_cycles=source.n_cycles,
-            engine="scalar",
-        )
-        measured = oracle_voltage_schedule(
-            typical_corner_bus,
-            source,
-            0.02,
-            window_cycles=WINDOW,
-            chunk_cycles=chunk_cycles,
-            jobs=2,
-        )
+        with forced_plan(SCALAR, source.n_cycles):
+            reference = oracle_voltage_schedule(
+                typical_corner_bus, source, 0.02, window_cycles=WINDOW
+            )
+        with forced_plan(chunk_cycles=chunk_cycles):
+            measured = oracle_voltage_schedule(
+                typical_corner_bus, source, 0.02, window_cycles=WINDOW, jobs=2
+            )
         np.testing.assert_array_equal(measured.window_voltages, reference.window_voltages)
         np.testing.assert_array_equal(
             measured.window_error_rates, reference.window_error_rates
@@ -236,12 +205,10 @@ class TestParallelWorkers:
             )
 
     def test_fixed_vs_bit_identity(self, typical_corner_bus, tiny_source):
-        reference = evaluate_fixed_scaling(
-            typical_corner_bus, tiny_source, chunk_cycles=TINY_CYCLES, engine="scalar"
-        )
-        measured = evaluate_fixed_scaling(
-            typical_corner_bus, tiny_source, chunk_cycles=313, jobs=2
-        )
+        with forced_plan(SCALAR, TINY_CYCLES):
+            reference = evaluate_fixed_scaling(typical_corner_bus, tiny_source)
+        with forced_plan(chunk_cycles=313):
+            measured = evaluate_fixed_scaling(typical_corner_bus, tiny_source, jobs=2)
         assert measured.voltage == reference.voltage
         assert measured.error_rate == reference.error_rate
         for component in ("bus_dynamic", "leakage", "flipflop_clocking", "recovery_overhead"):
@@ -251,23 +218,15 @@ class TestParallelWorkers:
 
 
 class TestFixedVS:
-    @pytest.mark.parametrize("engine", PASSES)
+    @pytest.mark.parametrize("config", PASSES)
     @pytest.mark.parametrize("chunk_cycles", CHUNK_SIZES + (1,))
     def test_adversarial_chunkings(
-        self, typical_corner_bus, tiny_source, chunk_cycles, engine
+        self, typical_corner_bus, tiny_source, chunk_cycles, config
     ):
-        reference = evaluate_fixed_scaling(
-            typical_corner_bus,
-            tiny_source,
-            chunk_cycles=TINY_CYCLES,
-            engine="scalar",
-        )
-        measured = evaluate_fixed_scaling(
-            typical_corner_bus,
-            tiny_source,
-            chunk_cycles=chunk_cycles,
-            **pass_kwargs(engine),
-        )
+        with forced_plan(SCALAR, TINY_CYCLES):
+            reference = evaluate_fixed_scaling(typical_corner_bus, tiny_source)
+        with configured_pass(config, chunk_cycles) as kwargs:
+            measured = evaluate_fixed_scaling(typical_corner_bus, tiny_source, **kwargs)
         assert measured.voltage == reference.voltage
         assert measured.error_rate == reference.error_rate
         for component in ("bus_dynamic", "leakage", "flipflop_clocking", "recovery_overhead"):

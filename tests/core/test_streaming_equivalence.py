@@ -7,13 +7,14 @@ closed-loop DVS run, the fixed-VS baseline, the oracle and the drivers):
   results bit-identical to the monolithic path, for any chunk size,
   including sizes that straddle the controller's 10 000-cycle measurement
   window, while peak memory stays O(chunk); and
-* **engine identity** -- the vectorized block engine produces results
+* **kernel identity** -- the vectorized block kernels produce results
   bit-identical to the scalar reference implementation, which makes the
   scalar path an executable *oracle* for the fast kernels.
 
-Every cross-engine assertion is exact (no tolerances): the vectorized
+Every cross-kernel assertion is exact (no tolerances): the vectorized
 kernels are constructed to perform the same float64 arithmetic, so any
-difference at all is a bug.
+difference at all is a bug.  Kernels and chunk lengths are forced through
+the test seam (:mod:`tests.pass_plan`).
 """
 
 import tracemalloc
@@ -22,12 +23,13 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.bus.engine import ENGINES
+from repro.bus.bus_model import scalar_trace_statistics
 from repro.core.dvs_system import DVSBusSystem
 from repro.core.fixed_vs import evaluate_fixed_scaling
 from repro.core.oracle import oracle_voltage_schedule
 from repro.trace import SyntheticTraceSource, TraceSource, as_trace_source
-from tests.core.conftest import PASSES, pass_kwargs
+from tests.core.conftest import PASSES, configured_pass
+from tests.pass_plan import KERNELS, SCALAR, VECTORIZED, forced_plan
 
 #: Chunk sizes exercised everywhere: smaller than, straddling, and larger
 #: than the 1 000-cycle test control window (and co-prime with it).
@@ -70,17 +72,18 @@ def _assert_runs_identical(chunked, monolithic):
 
 
 class TestChunkedStatistics:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("chunk_cycles", CHUNK_SIZES)
     def test_chunked_analysis_concatenates_to_monolithic(
-        self, typical_corner_bus, crafty_trace, chunk_cycles, engine
+        self, typical_corner_bus, crafty_trace, chunk_cycles, kernel
     ):
         monolithic = typical_corner_bus.analyze(crafty_trace.values)
-        packed = engine == "vectorized"
-        pieces = [
-            typical_corner_bus.analyze_trace(chunk.trace, engine=engine)
-            for chunk in as_trace_source(crafty_trace).chunks(chunk_cycles, packed=packed)
-        ]
+        packed = kernel == VECTORIZED
+        with forced_plan(kernel):
+            pieces = [
+                typical_corner_bus.analyze_trace(chunk.trace)
+                for chunk in as_trace_source(crafty_trace).chunks(chunk_cycles, packed=packed)
+            ]
         rebuilt = pieces[0]
         for piece in pieces[1:]:
             rebuilt = rebuilt.concatenate(piece)
@@ -88,37 +91,35 @@ class TestChunkedStatistics:
         np.testing.assert_array_equal(rebuilt.toggles, monolithic.toggles)
         np.testing.assert_array_equal(rebuilt.coupling_weights, monolithic.coupling_weights)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_packed_analysis_matches_unpacked(self, typical_corner_bus, crafty_trace, engine):
-        unpacked = typical_corner_bus.analyze_trace(crafty_trace, engine=engine)
-        packed = typical_corner_bus.analyze_trace(crafty_trace.pack(), engine=engine)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_packed_analysis_matches_unpacked(self, typical_corner_bus, crafty_trace, kernel):
+        with forced_plan(kernel):
+            unpacked = typical_corner_bus.analyze_trace(crafty_trace)
+            packed = typical_corner_bus.analyze_trace(crafty_trace.pack())
         np.testing.assert_array_equal(packed.worst_coupling, unpacked.worst_coupling)
         np.testing.assert_array_equal(packed.toggles, unpacked.toggles)
         np.testing.assert_array_equal(packed.coupling_weights, unpacked.coupling_weights)
 
     def test_engines_produce_identical_statistics(self, typical_corner_bus, crafty_trace):
-        scalar = typical_corner_bus.analyze_trace(crafty_trace, engine="scalar")
-        vectorized = typical_corner_bus.analyze_trace(crafty_trace, engine="vectorized")
+        scalar = scalar_trace_statistics(crafty_trace, typical_corner_bus.design.topology)
+        vectorized = typical_corner_bus.analyze_trace(crafty_trace)
         np.testing.assert_array_equal(vectorized.worst_coupling, scalar.worst_coupling)
         np.testing.assert_array_equal(vectorized.toggles, scalar.toggles)
         np.testing.assert_array_equal(vectorized.coupling_weights, scalar.coupling_weights)
 
-    def test_unknown_engine_is_rejected(self, typical_corner_bus, crafty_trace):
-        with pytest.raises(ValueError, match="unknown engine"):
-            typical_corner_bus.analyze_trace(crafty_trace, engine="simd")
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_width_mismatch_is_rejected_by_both_engines(self, typical_corner_bus, engine):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_width_mismatch_is_rejected_by_both_engines(self, typical_corner_bus, kernel):
         from repro.trace.trace import BusTrace
 
         narrow = BusTrace(values=np.zeros((10, 16), dtype=np.uint8))
-        with pytest.raises(ValueError, match="does not match topology"):
-            typical_corner_bus.analyze_trace(narrow, engine=engine)
+        with forced_plan(kernel), pytest.raises(ValueError, match="does not match topology"):
+            typical_corner_bus.analyze_trace(narrow)
 
     @pytest.mark.parametrize("chunk_cycles", CHUNK_SIZES)
     def test_summary_is_chunk_invariant(self, typical_corner_bus, crafty_trace, chunk_cycles):
         whole = typical_corner_bus.summarize(crafty_trace)
-        chunked = typical_corner_bus.summarize(crafty_trace, chunk_cycles=chunk_cycles)
+        with forced_plan(chunk_cycles=chunk_cycles):
+            chunked = typical_corner_bus.summarize(crafty_trace)
         assert chunked.n_cycles == whole.n_cycles
         assert chunked.toggles_total == whole.toggles_total
         assert chunked.coupling_weights_total == whole.coupling_weights_total
@@ -151,43 +152,44 @@ class TestChunkedStatistics:
             assert empty.mean_toggle_rate == 0.0
             assert empty.summarize().mean_toggle_rate == 0.0
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_source_without_transitions_summarizes_empty(self, typical_corner_bus, engine):
-        summary = typical_corner_bus.summarize(_OneWordSource(), engine=engine)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_source_without_transitions_summarizes_empty(self, typical_corner_bus, kernel):
+        with forced_plan(kernel):
+            summary = typical_corner_bus.summarize(_OneWordSource())
+            fixed = evaluate_fixed_scaling(typical_corner_bus, _OneWordSource())
         assert (summary.n_cycles, summary.toggles_total, summary.coupling_weights_total) == (
             0,
             0.0,
             0.0,
         )
         assert summary.worst_coupling_values.size == summary.worst_coupling_counts.size == 0
-        fixed = evaluate_fixed_scaling(typical_corner_bus, _OneWordSource(), engine=engine)
         assert fixed.error_rate == 0.0
 
 
 class TestChunkedDVSRun:
-    @pytest.mark.parametrize("engine", PASSES)
+    @pytest.mark.parametrize("config", PASSES)
     @pytest.mark.parametrize("chunk_cycles", CHUNK_SIZES)
     def test_bit_identical_to_monolithic(
-        self, typical_corner_bus, crafty_trace, chunk_cycles, engine
+        self, typical_corner_bus, crafty_trace, chunk_cycles, config
     ):
-        monolithic = _fast_system(typical_corner_bus).run(crafty_trace, engine="scalar")
-        chunked = _fast_system(typical_corner_bus).run(
-            crafty_trace, chunk_cycles=chunk_cycles, **pass_kwargs(engine)
-        )
+        with forced_plan(SCALAR):
+            monolithic = _fast_system(typical_corner_bus).run(crafty_trace)
+        with configured_pass(config, chunk_cycles) as kwargs:
+            chunked = _fast_system(typical_corner_bus).run(crafty_trace, **kwargs)
         _assert_runs_identical(chunked, monolithic)
 
     @pytest.mark.parametrize("chunk_cycles", (777, 3_333))
     def test_bit_identical_with_warmup(self, typical_corner_bus, crafty_trace, chunk_cycles):
         stats = typical_corner_bus.analyze(crafty_trace.values)
         monolithic = _fast_system(typical_corner_bus).run(stats, warmup_cycles=15_000)
-        chunked = _fast_system(typical_corner_bus).run(
-            crafty_trace, warmup_cycles=15_000, chunk_cycles=chunk_cycles
-        )
+        with forced_plan(chunk_cycles=chunk_cycles):
+            chunked = _fast_system(typical_corner_bus).run(crafty_trace, warmup_cycles=15_000)
         _assert_runs_identical(chunked, monolithic)
 
     def test_synthetic_source_matches_materialised_trace(self, typical_corner_bus):
         source = SyntheticTraceSource("vortex", 40_000, seed=19)
-        from_source = _fast_system(typical_corner_bus).run(source, chunk_cycles=7_001)
+        with forced_plan(chunk_cycles=7_001):
+            from_source = _fast_system(typical_corner_bus).run(source)
         from_trace = _fast_system(typical_corner_bus).run(source.materialize())
         _assert_runs_identical(from_source, from_trace)
 
@@ -195,20 +197,18 @@ class TestChunkedDVSRun:
         monolithic = _fast_system(typical_corner_bus).run(
             crafty_trace, keep_cycle_voltage=True
         )
-        chunked = _fast_system(typical_corner_bus).run(
-            crafty_trace, keep_cycle_voltage=True, chunk_cycles=999
-        )
+        with forced_plan(chunk_cycles=999):
+            chunked = _fast_system(typical_corner_bus).run(crafty_trace, keep_cycle_voltage=True)
         np.testing.assert_array_equal(
             chunked.per_cycle_voltage, monolithic.per_cycle_voltage
         )
 
     def test_progress_callback_reports_all_cycles(self, typical_corner_bus, crafty_trace):
         seen = []
-        _fast_system(typical_corner_bus).run(
-            crafty_trace,
-            chunk_cycles=7_000,
-            progress=lambda done, total: seen.append((done, total)),
-        )
+        with forced_plan(chunk_cycles=7_000):
+            _fast_system(typical_corner_bus).run(
+                crafty_trace, progress=lambda done, total: seen.append((done, total))
+            )
         assert seen[-1] == (crafty_trace.n_cycles, crafty_trace.n_cycles)
         assert [done for done, _ in seen] == sorted({done for done, _ in seen})
 
@@ -231,18 +231,16 @@ class TestChunkedDVSRun:
 
 
 class TestStreamedBaselines:
-    @pytest.mark.parametrize("engine", PASSES)
+    @pytest.mark.parametrize("config", PASSES)
     def test_fixed_scaling_summary_matches_stats(
-        self, typical_corner_bus, crafty_trace, engine
+        self, typical_corner_bus, crafty_trace, config
     ):
         stats = typical_corner_bus.analyze(crafty_trace.values)
         from_stats = evaluate_fixed_scaling(typical_corner_bus, stats)
-        from_source = evaluate_fixed_scaling(
-            typical_corner_bus,
-            as_trace_source(crafty_trace),
-            chunk_cycles=3_333,
-            **pass_kwargs(engine),
-        )
+        with configured_pass(config, 3_333) as kwargs:
+            from_source = evaluate_fixed_scaling(
+                typical_corner_bus, as_trace_source(crafty_trace), **kwargs
+            )
         assert from_source.voltage == from_stats.voltage
         assert from_source.error_rate == from_stats.error_rate
         assert from_source.energy_gain_percent == pytest.approx(
@@ -270,31 +268,32 @@ class TestStreamedBaselines:
         stats = bus.analyze(crafty_trace.values)
         assert bus.error_rate(stats, bus.grid.v_max) > 0  # the premise
         monolithic = oracle_voltage_schedule(bus, stats, 0.02, window_cycles=5_000)
-        streamed = oracle_voltage_schedule(
-            bus, as_trace_source(crafty_trace), 0.02, window_cycles=5_000, chunk_cycles=1_777
-        )
+        with forced_plan(chunk_cycles=1_777):
+            streamed = oracle_voltage_schedule(
+                bus, as_trace_source(crafty_trace), 0.02, window_cycles=5_000
+            )
         np.testing.assert_array_equal(streamed.window_voltages, monolithic.window_voltages)
         np.testing.assert_array_equal(
             streamed.window_error_rates, monolithic.window_error_rates
         )
 
-    @pytest.mark.parametrize("engine", PASSES)
+    @pytest.mark.parametrize("config", PASSES)
     @pytest.mark.parametrize("target", (0.0, 0.02, 0.05))
     def test_oracle_streamed_matches_monolithic(
-        self, typical_corner_bus, crafty_trace, target, engine
+        self, typical_corner_bus, crafty_trace, target, config
     ):
         stats = typical_corner_bus.analyze(crafty_trace.values)
         monolithic = oracle_voltage_schedule(
             typical_corner_bus, stats, target, window_cycles=5_000
         )
-        streamed = oracle_voltage_schedule(
-            typical_corner_bus,
-            as_trace_source(crafty_trace),
-            target,
-            window_cycles=5_000,
-            chunk_cycles=1_777,
-            **pass_kwargs(engine),
-        )
+        with configured_pass(config, 1_777) as kwargs:
+            streamed = oracle_voltage_schedule(
+                typical_corner_bus,
+                as_trace_source(crafty_trace),
+                target,
+                window_cycles=5_000,
+                **kwargs,
+            )
         np.testing.assert_array_equal(streamed.window_voltages, monolithic.window_voltages)
         np.testing.assert_array_equal(
             streamed.window_error_rates, monolithic.window_error_rates
@@ -321,7 +320,8 @@ class TestStreamedDrivers:
         traces = {name: generate_suite(names=names, n_cycles=20_000, seed=13)[name] for name in names}
         sources = {name: suite_sources(names=names, n_cycles=20_000, seed=13)[name] for name in names}
         from_traces = run_table1(workloads=traces, **kwargs)
-        from_sources = run_table1(workloads=sources, chunk_cycles=3_333, **kwargs)
+        with forced_plan(chunk_cycles=3_333):
+            from_sources = run_table1(workloads=sources, **kwargs)
         for name in names:
             a = from_traces.corners[0].row(name)
             b = from_sources.corners[0].row(name)
@@ -338,9 +338,8 @@ class TestStreamedDrivers:
         traces = generate_suite(names=names, n_cycles=10_000, seed=17)
         sources = suite_sources(names=names, n_cycles=10_000, seed=17)
         from_traces = run_static_voltage_sweep(typical_corner_bus, traces)
-        from_sources = run_static_voltage_sweep(
-            typical_corner_bus, sources, chunk_cycles=2_500
-        )
+        with forced_plan(chunk_cycles=2_500):
+            from_sources = run_static_voltage_sweep(typical_corner_bus, sources)
         assert len(from_traces.points) == len(from_sources.points)
         for a, b in zip(from_traces.points, from_sources.points):
             assert a.vdd == b.vdd
@@ -359,7 +358,8 @@ class TestConstantMemory:
             system = _fast_system(typical_corner_bus)
             tracemalloc.start()
             try:
-                system.run(source, chunk_cycles=20_000)
+                with forced_plan(chunk_cycles=20_000):
+                    system.run(source)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -372,7 +372,8 @@ class TestConstantMemory:
         assert long < short * 1.4
 
     def test_accumulator_state_is_tiny(self, typical_corner_bus, crafty_trace):
-        summary = typical_corner_bus.summarize(crafty_trace, chunk_cycles=5_000)
+        with forced_plan(chunk_cycles=5_000):
+            summary = typical_corner_bus.summarize(crafty_trace)
         # The worst-coupling distribution is discrete and small -- that is
         # what makes the O(1) summary exact.
         assert len(summary.worst_coupling_values) < 200

@@ -14,8 +14,14 @@ import numpy as np
 import pytest
 
 import repro.runtime.parallel as parallel_mod
-from repro.bus.bus_model import TraceStatisticsAccumulator, analyze_trace_statistics
+from repro.bus.bus_model import (
+    LANE_CHUNK_CYCLES,
+    TraceStatisticsAccumulator,
+    analyze_trace_statistics,
+    kernel_plan,
+)
 from repro.core.dvs_system import DVSBusSystem
+from repro.interconnect.block_kernels import MAX_LANE_BITS, lanes_supported
 from repro.runtime import (
     ChunkSegmenter,
     ParallelChunkScheduler,
@@ -23,7 +29,8 @@ from repro.runtime import (
     tree_merge_summaries,
 )
 from repro.telemetry import Telemetry, format_parallel_summary, use_telemetry
-from repro.trace import SyntheticTraceSource
+from repro.trace import DEFAULT_CHUNK_CYCLES, SyntheticTraceSource
+from tests.pass_plan import KERNELS, forced_plan
 
 N_CYCLES = 6_000
 
@@ -149,9 +156,9 @@ class TestTreeMerge:
 
 class TestSchedulerLifecycle:
     def test_single_worker_runs_inline(self, source, topology):
-        with ParallelChunkScheduler(n_workers=1) as scheduler:
+        with ParallelChunkScheduler(n_workers=1) as scheduler, forced_plan(chunk_cycles=997):
             summaries = scheduler.segment_summaries(
-                source, ChunkSegmenter(n_cycles=N_CYCLES), topology, chunk_cycles=997
+                source, ChunkSegmenter(n_cycles=N_CYCLES), topology
             )
             assert scheduler.effective_workers == 1
         assert len(summaries) == 1
@@ -172,10 +179,11 @@ class TestSchedulerLifecycle:
 
     def test_tight_backpressure_still_exact(self, source, topology):
         segmenter = ChunkSegmenter(n_cycles=N_CYCLES, window_cycles=1_000)
-        with ParallelChunkScheduler(n_workers=2, max_inflight=1) as scheduler:
-            summaries = scheduler.segment_summaries(
-                source, segmenter, topology, chunk_cycles=499
-            )
+        with (
+            forced_plan(chunk_cycles=499),
+            ParallelChunkScheduler(n_workers=2, max_inflight=1) as scheduler,
+        ):
+            summaries = scheduler.segment_summaries(source, segmenter, topology)
         assert [summary.n_cycles for summary in summaries] == [1_000] * 6
 
     def test_validation(self):
@@ -194,11 +202,14 @@ class TestSchedulerLifecycle:
     def test_pool_survives_reuse_and_close(self, source, topology):
         scheduler = ParallelChunkScheduler(n_workers=2)
         segmenter = ChunkSegmenter(n_cycles=N_CYCLES)
-        first = scheduler.segment_summaries(source, segmenter, topology, chunk_cycles=1_024)
-        second = scheduler.segment_summaries(source, segmenter, topology, chunk_cycles=777)
+        with forced_plan(chunk_cycles=1_024):
+            first = scheduler.segment_summaries(source, segmenter, topology)
+        with forced_plan(chunk_cycles=777):
+            second = scheduler.segment_summaries(source, segmenter, topology)
         scheduler.close()
         # A closed scheduler lazily re-creates its pool on next use.
-        third = scheduler.segment_summaries(source, segmenter, topology, chunk_cycles=2_048)
+        with forced_plan(chunk_cycles=2_048):
+            third = scheduler.segment_summaries(source, segmenter, topology)
         scheduler.close()
         for summary in (first[0], second[0], third[0]):
             assert summary.n_cycles == N_CYCLES
@@ -217,42 +228,36 @@ def _raise_worker(payload):
 class TestWorkerFaults:
     def test_crashed_worker_raises_clean_error(self, source, topology, monkeypatch):
         monkeypatch.setattr(parallel_mod, "_analyze_chunk_payload", _exit_worker)
-        with ParallelChunkScheduler(n_workers=2) as scheduler:
+        with ParallelChunkScheduler(n_workers=2) as scheduler, forced_plan(chunk_cycles=1_000):
             with pytest.raises(ParallelExecutionError, match="worker died"):
-                scheduler.segment_summaries(
-                    source, ChunkSegmenter(n_cycles=N_CYCLES), topology, chunk_cycles=1_000
-                )
+                scheduler.segment_summaries(source, ChunkSegmenter(n_cycles=N_CYCLES), topology)
 
     def test_crash_then_recover_with_fresh_pool(self, source, topology, monkeypatch):
         monkeypatch.setattr(parallel_mod, "_analyze_chunk_payload", _exit_worker)
         scheduler = ParallelChunkScheduler(n_workers=2)
-        with pytest.raises(ParallelExecutionError):
-            scheduler.segment_summaries(
-                source, ChunkSegmenter(n_cycles=N_CYCLES), topology, chunk_cycles=1_000
-            )
+        with forced_plan(chunk_cycles=1_000), pytest.raises(ParallelExecutionError):
+            scheduler.segment_summaries(source, ChunkSegmenter(n_cycles=N_CYCLES), topology)
         monkeypatch.undo()
         # The broken pool was torn down; the same scheduler works again.
-        with scheduler:
+        with scheduler, forced_plan(chunk_cycles=1_000):
             summaries = scheduler.segment_summaries(
-                source, ChunkSegmenter(n_cycles=N_CYCLES), topology, chunk_cycles=1_000
+                source, ChunkSegmenter(n_cycles=N_CYCLES), topology
             )
         assert summaries[0].n_cycles == N_CYCLES
 
     def test_worker_exception_propagates(self, source, topology, monkeypatch):
         monkeypatch.setattr(parallel_mod, "_analyze_chunk_payload", _raise_worker)
-        with ParallelChunkScheduler(n_workers=2) as scheduler:
+        with ParallelChunkScheduler(n_workers=2) as scheduler, forced_plan(chunk_cycles=1_000):
             with pytest.raises(ValueError, match="synthetic worker failure"):
-                scheduler.segment_summaries(
-                    source, ChunkSegmenter(n_cycles=N_CYCLES), topology, chunk_cycles=1_000
-                )
+                scheduler.segment_summaries(source, ChunkSegmenter(n_cycles=N_CYCLES), topology)
 
 
 class TestParallelTelemetry:
     def test_spans_and_scaling_summary(self, typical_corner_bus, source):
         system = DVSBusSystem(typical_corner_bus, window_cycles=1_000, ramp_delay_cycles=300)
         telemetry = Telemetry(label="test-parallel")
-        with use_telemetry(telemetry):
-            system.run(source, jobs=2, chunk_cycles=997)
+        with use_telemetry(telemetry), forced_plan(chunk_cycles=997):
+            system.run(source, jobs=2)
         names = {event.name for event in telemetry.events}
         assert {"parallel.pass1", "parallel.chunk", "parallel.merge", "dvs.replay"} <= names
         assert telemetry.metrics.counters["parallel.chunks"] == 7  # ceil(6000 / 997)
@@ -269,6 +274,27 @@ class TestParallelTelemetry:
     def test_serial_run_has_no_parallel_summary(self, typical_corner_bus, source):
         system = DVSBusSystem(typical_corner_bus, window_cycles=1_000, ramp_delay_cycles=300)
         telemetry = Telemetry(label="test-serial")
-        with use_telemetry(telemetry):
-            system.run(source, chunk_cycles=997)
+        with use_telemetry(telemetry), forced_plan(chunk_cycles=997):
+            system.run(source)
         assert format_parallel_summary(telemetry) is None
+
+
+class TestKernelPlan:
+    """The bus width picks the kernel and the chunk length, in one place."""
+
+    def test_plan_follows_the_bus_width(self):
+        assert kernel_plan(MAX_LANE_BITS + 1) == (False, DEFAULT_CHUNK_CYCLES)
+        if lanes_supported(32):
+            assert kernel_plan(32) == (True, LANE_CHUNK_CYCLES)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_forced_plan_reaches_pool_workers(self, typical_corner_bus, source, kernel):
+        # The seam the bit-identity harnesses use: fork-started workers
+        # inherit it, so every chunk runs the forced kernel at the forced length.
+        system = DVSBusSystem(typical_corner_bus, window_cycles=1_000, ramp_delay_cycles=300)
+        telemetry = Telemetry(label="test-plan")
+        with use_telemetry(telemetry), forced_plan(kernel, 997):
+            system.run(source, jobs=2)
+        counters = telemetry.metrics.counters
+        assert counters["parallel.chunks"] == 7  # ceil(6000 / 997)
+        assert counters[f"kernel.invocations.{kernel}"] == 7

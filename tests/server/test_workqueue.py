@@ -28,6 +28,7 @@ from repro.runtime.workqueue import (
 )
 from repro.telemetry import Telemetry, use_telemetry
 
+from tests.pass_plan import forced_plan
 from tests.server.conftest import Gate, echo_job, gated_fn, spec
 
 
@@ -463,7 +464,8 @@ def test_process_cancel_kills_running_worker(slow_task):
 
 def test_process_runner_streams_chunk_progress(tmp_path):
     telemetry = Telemetry(label="progress-test")
-    with use_telemetry(telemetry):
+    # Short chunks: many chunk-progress events, made in the forked worker.
+    with use_telemetry(telemetry), forced_plan(chunk_cycles=2_000):
         queue = _process_queue(n_workers=1, cache=ResultCache(tmp_path / "cache"))
         try:
             handle = queue.submit(
@@ -473,7 +475,6 @@ def test_process_runner_streams_chunk_progress(tmp_path):
                         "benchmark": "crafty",
                         "corner": "typical",
                         "n_cycles": 50_000,
-                        "chunk_cycles": 2_000,
                         "seed": 1,
                     },
                 )

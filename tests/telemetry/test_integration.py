@@ -16,6 +16,7 @@ from repro.runtime.executor import run_jobs
 from repro.runtime.spec import SweepSpec
 from repro.telemetry import Telemetry, use_telemetry
 from repro.trace import benchmark_trace_source
+from tests.pass_plan import forced_plan
 
 SWEEP = SweepSpec(
     name="telemetry-small",
@@ -32,8 +33,8 @@ class TestDVSRunInstrumentation:
         bus = CharacterizedBus(BusDesign.paper_bus(), TYPICAL_CORNER)
         source = benchmark_trace_source("crafty", n_cycles=30_000, seed=7)
         telemetry = Telemetry(label="test")
-        with use_telemetry(telemetry):
-            result = DVSBusSystem(bus).run(source, chunk_cycles=10_000)
+        with use_telemetry(telemetry), forced_plan(chunk_cycles=10_000):
+            result = DVSBusSystem(bus).run(source)
         return telemetry, result
 
     def test_cycle_counters_match_the_run(self, collected):

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.experiments import EXPERIMENTS
 from repro.cli import CORNERS, build_parser, main
 from repro.cpu import KERNELS
+from tests.pass_plan import SCALAR, VECTORIZED, forced_plan
 
 
 @pytest.fixture(autouse=True)
@@ -111,9 +112,9 @@ class TestSimulate:
         assert "doom" in capsys.readouterr().err
 
     def test_global_workload_flags_survive_the_subcommand(self):
-        """--cycles / --chunk-cycles placed before the subcommand must not be
-        clobbered by subparser defaults (simulate and compare-schemes carry
-        their own fallbacks in the handler instead)."""
+        """--cycles placed before the subcommand must not be clobbered by
+        subparser defaults (simulate and compare-schemes carry their own
+        fallbacks in the handler instead)."""
         parser = build_parser()
         before = parser.parse_args(["--cycles", "123", "simulate"])
         assert before.cycles == 123
@@ -121,10 +122,28 @@ class TestSimulate:
         assert after.cycles == 456
         default = parser.parse_args(["simulate"])
         assert default.cycles is None  # handler applies the 200k fallback
-        chunk = parser.parse_args(["--chunk-cycles", "5000", "simulate"])
-        assert chunk.chunk_cycles == 5000
         compare = parser.parse_args(["--cycles", "789", "compare-schemes"])
         assert compare.cycles == 789
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--engine", "scalar", "run", "table1"],
+            ["run", "table1", "--engine", "vectorized"],
+            ["simulate", "--chunk-cycles", "5000"],
+            ["--chunk-cycles", "5000", "sweep", "coupling"],
+            ["trace", "--workload", "crafty", "--chunk-cycles", "5000"],
+            ["profile", "table1", "--engine", "scalar"],
+        ],
+        ids=["global-engine", "run-engine", "simulate-chunk", "global-chunk", "trace-chunk",
+             "profile-engine"],
+    )
+    def test_kernel_and_chunk_flags_are_rejected(self, argv, capsys):
+        """The bus width picks the kernel and the chunk length; no flag does."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_simulate_honours_global_cycles_placement(self, capsys):
         assert main(["--no-cache", "--cycles", "15000", "simulate", "--window", "1000",
@@ -253,7 +272,7 @@ class TestTraceCommand:
 
     def test_trace_roundtrip_generate_save_simulate(self, capsys, tmp_path):
         """The CI smoke's contract: generate -> save npz -> stream into a DVS
-        run, with scalar and vectorized engines printing identical output."""
+        run, with scalar and vectorized kernels printing identical output."""
         archive = tmp_path / "memcopy.npz"
         assert (
             main(["trace", "--workload", "cpu:memcopy", "--cycles", "4000",
@@ -263,12 +282,13 @@ class TestTraceCommand:
         assert archive.exists()
         capsys.readouterr()
         outputs = []
-        for engine in ("scalar", "vectorized"):
-            assert (
-                main(["--no-cache", "simulate", "--workload", f"file:{archive}",
-                      "--window", "500", "--ramp", "150", "--engine", engine])
-                == 0
-            )
+        for kernel in (SCALAR, VECTORIZED):
+            with forced_plan(kernel):
+                assert (
+                    main(["--no-cache", "simulate", "--workload", f"file:{archive}",
+                          "--window", "500", "--ramp", "150"])
+                    == 0
+                )
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert "cycles simulated      : 4000" in outputs[0]
