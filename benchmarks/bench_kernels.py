@@ -77,9 +77,9 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
     # unpacked transitions (scalar input) and the per-cycle statistics (replay
     # input).  Preparation is timed as the trace-generation kernel.
     _observe_repeats(
-        telemetry, "trace_generation_packed", lambda: source.materialize(packed=True), repeats
+        telemetry, "trace_generation_packed", source.materialize, repeats
     )
-    trace = source.materialize(packed=True)
+    trace = source.materialize()
     lanes = lanes_from_packed(trace.packed_values)
     transitions = transitions_from_values(trace.values)
     stats = bus.analyze_trace(trace)

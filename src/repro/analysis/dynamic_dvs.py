@@ -27,7 +27,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.bus.bus_design import BusDesign
-from repro.bus.bus_model import CharacterizedBus
+from repro.bus.bus_model import CharacterizedBus, merge_summaries
 from repro.circuit.pvt import TYPICAL_CORNER, WORST_CASE_CORNER, PVTCorner
 from repro.core.dvs_system import DVSBusSystem, DVSRunResult
 from repro.core.fixed_vs import FixedScalingResult, evaluate_fixed_scaling
@@ -153,8 +153,6 @@ def _run_benchmark_streamed(
     into the one summary all fixed-VS baselines are computed from.  Returns
     one ``(fixed, dvs)`` pair per system.
     """
-    from repro.runtime.parallel import tree_merge_summaries
-
     source = as_trace_source(workload)
     total = source.n_cycles
     warmup = int(warmup_fraction * total)
@@ -171,7 +169,7 @@ def _run_benchmark_streamed(
     for summary in summaries:
         for state in states:
             state.feed_summary(summary)
-    summary = tree_merge_summaries(summaries)
+    summary = merge_summaries(summaries)
     return [
         (evaluate_fixed_scaling(system.bus, summary), state.finish())
         for system, state in zip(systems, states)

@@ -20,7 +20,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.bus.bus_design import BusDesign
-from repro.bus.bus_model import CharacterizedBus, TraceStatistics, TraceSummary
+from repro.bus.bus_model import CharacterizedBus, TraceStatistics, TraceSummary, merge_summaries
 from repro.circuit.pvt import STANDARD_CORNERS, PVTCorner
 from repro.energy.gains import breakdown_gain_percent, normalized_energy
 from repro.trace.stream import TraceSource
@@ -117,11 +117,9 @@ def combine_summaries(
     rates and energies at constant grid voltages -- matches while paper-scale
     suites sweep in O(chunk) memory.
     """
-    from repro.runtime.parallel import tree_merge_summaries
-
     if not workloads:
         raise ValueError("workloads must contain at least one trace")
-    return tree_merge_summaries([bus.summarize(workload) for workload in workloads.values()])
+    return merge_summaries([bus.summarize(workload) for workload in workloads.values()])
 
 
 def resolve_workload_statistics(

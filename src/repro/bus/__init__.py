@@ -12,6 +12,7 @@ from repro.bus.bus_model import (
     TraceStatistics,
     TraceStatisticsAccumulator,
     TraceSummary,
+    merge_summaries,
 )
 
 __all__ = [
@@ -24,4 +25,5 @@ __all__ = [
     "TraceStatistics",
     "TraceStatisticsAccumulator",
     "TraceSummary",
+    "merge_summaries",
 ]

@@ -39,8 +39,6 @@ from repro.interconnect.block_kernels import (
 from repro.interconnect.crosstalk import (
     NeighborTopology,
     coupling_energy_weights,
-    packed_coupling_energy_weights,
-    packed_toggle_counts,
     toggle_counts,
     transitions_from_values,
     worst_coupling_factor_per_cycle,
@@ -192,8 +190,7 @@ class TraceStatisticsAccumulator:
 
     Every field is an exact integer (or small dyadic) total and the
     worst-coupling histogram is discrete, so the merged summary is
-    bit-identical for any grouping of the pieces -- linear, tree-shaped, or
-    one piece per chunk.
+    bit-identical for any grouping of the pieces.
     """
 
     def __init__(self) -> None:
@@ -225,6 +222,19 @@ class TraceStatisticsAccumulator:
             worst_coupling_values=values,
             worst_coupling_counts=counts,
         )
+
+
+def merge_summaries(summaries: Sequence[TraceSummary]) -> TraceSummary:
+    """Fold summaries, in order, into one (see :class:`TraceStatisticsAccumulator`)."""
+    if not summaries:
+        raise ValueError("cannot merge zero summaries")
+    if len(summaries) == 1:
+        # Most segments lie inside one chunk: skip rebuilding the summary.
+        return summaries[0]
+    accumulator = TraceStatisticsAccumulator()
+    for summary in summaries:
+        accumulator.merge_summary(summary)
+    return accumulator.summary()
 
 
 @dataclass(frozen=True)
@@ -408,29 +418,20 @@ def analyze_trace_statistics(trace: BusTrace, topology: NeighborTopology) -> Tra
 
 
 def scalar_trace_statistics(trace: BusTrace, topology: NeighborTopology) -> TraceStatistics:
-    """The per-wire reference kernels over a packed or unpacked trace.
+    """The per-wire reference kernels over a trace's 0/1 words.
 
     The executable model the lane kernels are held bit-identical to, and the
-    kernels :func:`kernel_plan` picks where the lanes cannot run.
+    kernels :func:`kernel_plan` picks where the lanes cannot run.  A packed
+    trace is unpacked once here.
     """
     telemetry = get_telemetry()
     telemetry.count("kernel.invocations.scalar")
-    if not trace.is_packed:
-        with telemetry.span("kernel.scalar_statistics", cycles=trace.n_cycles):
-            transitions = transitions_from_values(trace.values)
-            return TraceStatistics(
-                worst_coupling=worst_coupling_factor_per_cycle(transitions, topology),
-                toggles=toggle_counts(transitions),
-                coupling_weights=coupling_energy_weights(transitions, topology),
-            )
-    with telemetry.span("kernel.scalar_statistics", cycles=trace.n_cycles, packed=True):
-        packed = trace.packed_values
-        values = trace.values  # one unpacked copy for the signed classification
-        transitions = transitions_from_values(values)
+    with telemetry.span("kernel.scalar_statistics", cycles=trace.n_cycles):
+        transitions = transitions_from_values(trace.values)
         return TraceStatistics(
             worst_coupling=worst_coupling_factor_per_cycle(transitions, topology),
-            toggles=packed_toggle_counts(packed),
-            coupling_weights=packed_coupling_energy_weights(packed, topology),
+            toggles=toggle_counts(transitions),
+            coupling_weights=coupling_energy_weights(transitions, topology),
         )
 
 
@@ -514,13 +515,7 @@ class CharacterizedBus:
         ``values`` is an array of shape ``(n_cycles + 1, n_bits)`` of 0/1 bus
         words (the convention used by :class:`repro.trace.trace.BusTrace`).
         """
-        transitions = transitions_from_values(values)
-        topology = self.design.topology
-        return TraceStatistics(
-            worst_coupling=worst_coupling_factor_per_cycle(transitions, topology),
-            toggles=toggle_counts(transitions),
-            coupling_weights=coupling_energy_weights(transitions, topology),
-        )
+        return scalar_trace_statistics(BusTrace(values=values), self.design.topology)
 
     def analyze_trace(self, trace: BusTrace) -> TraceStatistics:
         """:meth:`analyze` for a :class:`BusTrace`, on the kernel the bus width picks.

@@ -1195,8 +1195,6 @@ def _command_trace(
             print("\n(no workload given; use 'trace --workload <spec>' to generate one)")
         return 0
 
-    from repro.trace import pack_values
-
     if out is not None:
         if out.suffix not in (".npz", ".hex"):
             # savez_compressed would silently append ".npz" to any other
@@ -1217,18 +1215,19 @@ def _command_trace(
         return _workload_error(error)
     # One streamed pass computes the inspection statistics and (when saving)
     # collects the words, so generative workloads execute exactly once.  The
-    # collection is kept bit-packed: only one chunk is ever unpacked, so the
-    # pipeline's O(chunk) unpacked-memory property survives paper-scale saves.
+    # chunks arrive packed and are collected as they are: only one chunk is
+    # ever unpacked, so paper-scale saves keep O(chunk) unpacked memory.
     total_toggles = 0
     busiest_cycle = 0
     collected = [] if out is not None else None
     for chunk in source.chunks():
-        transitions = chunk.values[1:] != chunk.values[:-1]
-        total_toggles += int(transitions.sum())
-        if transitions.size:
-            busiest_cycle = max(busiest_cycle, int(transitions.sum(axis=1).max()))
+        values = chunk.values
+        toggles = np.count_nonzero(values[1:] != values[:-1], axis=1)
+        total_toggles += int(toggles.sum())
+        busiest_cycle = max(busiest_cycle, int(toggles.max()))
         if collected is not None:
-            collected.append(pack_values(chunk.values if chunk.is_first else chunk.values[1:]))
+            packed = chunk.trace.packed_values
+            collected.append(packed if chunk.is_first else packed[1:])
 
     print(f"Workload {workload!r} -> trace {source.name!r}")
     print(f"  cycles (transitions) : {source.n_cycles}")

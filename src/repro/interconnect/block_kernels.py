@@ -431,9 +431,8 @@ def block_coupling_energy_weights(
 ) -> np.ndarray:
     """Per-cycle coupling-energy weight (matches the scalar kernel exactly).
 
-    Same integer identity as
-    :func:`repro.interconnect.crosstalk.packed_coupling_energy_weights`, with
-    popcounts taken on whole lanes instead of byte rows.
+    Counts the pair identity of the module docstring with whole-lane
+    popcounts.
     """
     return _lane_statistics(lanes, topology, weights=True)[2]
 

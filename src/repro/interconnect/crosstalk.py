@@ -291,109 +291,6 @@ def toggle_counts(transitions: np.ndarray) -> np.ndarray:
     return np.count_nonzero(np.asarray(transitions), axis=1).astype(np.float64)
 
 
-# --------------------------------------------------------------------------- #
-# Bit-packed computations (XOR + popcount on packbits arrays)
-# --------------------------------------------------------------------------- #
-# The streaming pipeline stores traces bit-packed (``bitorder="little"``:
-# wire i -> byte i//8, bit i%8, see :mod:`repro.trace.trace`).  Toggle counts
-# and coupling-energy weights are pure functions of which wires toggle and in
-# which direction relative to their neighbours, so both reduce to bitwise
-# AND/XOR/shift expressions counted with an 8-bit popcount lookup -- no 0/1
-# unpacking, 8x less data touched.  The identity used for the pair weights:
-# with per-wire transitions t in {-1, 0, +1},
-#
-#     (t_i - t_{i+1})^2 = tog_i + tog_j - 2*same_ij + 2*opp_ij
-#
-# where ``tog`` = |t|, ``same`` = both toggling in the same direction and
-# ``opp`` = both toggling in opposite directions -- all 0/1 quantities with
-# direct bitwise forms (direction = the new wire value).
-
-#: Popcount of every byte value (uint16 so row sums cannot overflow).
-_POPCOUNT8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1
-).astype(np.uint16)
-
-
-def _pack_wire_mask(mask: np.ndarray) -> np.ndarray:
-    """Pack a per-wire boolean mask into the little-bitorder byte layout."""
-    return np.packbits(np.asarray(mask, dtype=np.uint8), bitorder="little")
-
-
-def _popcount_rows(bytes_array: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a 2-D byte array."""
-    return _POPCOUNT8[bytes_array].sum(axis=1).astype(np.int64)
-
-
-def _shift_to_lower_wire(packed: np.ndarray) -> np.ndarray:
-    """Place each wire's bit at the position of the wire one index below.
-
-    With the little bit order, the value of wire ``i + 1`` lands at bit
-    position ``i``: a right shift within each byte with the carry bit pulled
-    in from the following byte.
-    """
-    shifted = packed >> 1
-    if packed.shape[-1] > 1:
-        shifted[..., :-1] |= (packed[..., 1:] & 1) << 7
-    return shifted
-
-
-def packed_toggle_counts(packed_values: np.ndarray) -> np.ndarray:
-    """Toggling wires per cycle, from packed bus words.
-
-    ``packed_values`` has shape ``(n_words, n_bytes)``; the result has one
-    entry per transition (``n_words - 1``).  Bit-identical to
-    :func:`toggle_counts` over the unpacked transitions.
-    """
-    packed_values = np.asarray(packed_values, dtype=np.uint8)
-    toggled = packed_values[1:] ^ packed_values[:-1]
-    return _popcount_rows(toggled).astype(np.float64)
-
-
-def packed_coupling_energy_weights(
-    packed_values: np.ndarray, topology: NeighborTopology
-) -> np.ndarray:
-    """Per-cycle coupling-energy weight from packed bus words.
-
-    Bit-identical to :func:`coupling_energy_weights` over the unpacked
-    transitions (both count the same integer quantities).
-    """
-    packed_values = np.asarray(packed_values, dtype=np.uint8)
-    expected_bytes = (topology.n_wires + 7) // 8
-    if packed_values.shape[1] != expected_bytes:
-        raise ValueError(
-            f"packed width {packed_values.shape[1]} does not match topology "
-            f"({topology.n_wires} wires, {expected_bytes} bytes)"
-        )
-    new = packed_values[1:]
-    toggled = new ^ packed_values[:-1]
-
-    # Signal-signal pairs (i, i+1): bit i marks the pair's lower wire.
-    pair_mask = np.zeros(topology.n_wires, dtype=bool)
-    pair_mask[:-1] = ~topology.right_is_shield[:-1]
-    pair_bits = _pack_wire_mask(pair_mask)
-
-    upper_toggled = _shift_to_lower_wire(toggled)
-    both = toggled & upper_toggled
-    direction_differs = new ^ _shift_to_lower_wire(new)
-    opposite = both & direction_differs
-    same = both & ~direction_differs
-
-    weights = (
-        _popcount_rows(toggled & pair_bits)
-        + _popcount_rows(upper_toggled & pair_bits)
-        - 2 * _popcount_rows(same & pair_bits)
-        + 2 * _popcount_rows(opposite & pair_bits)
-    )
-
-    # Wire-shield pairs: every shield adjacency contributes the wire's own swing.
-    left_bits = _pack_wire_mask(topology.left_is_shield)
-    right_bits = _pack_wire_mask(topology.right_is_shield)
-    weights = weights + _popcount_rows(toggled & left_bits) + _popcount_rows(
-        toggled & right_bits
-    )
-    return weights.astype(np.float64)
-
-
 def classify_pattern(victim: int, left: int, right: int) -> tuple[SwitchingPattern, float]:
     """Classify a single victim/aggressor combination (scalar helper).
 

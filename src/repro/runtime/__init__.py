@@ -59,7 +59,6 @@ from repro.runtime.parallel import (
     ParallelChunkScheduler,
     ParallelExecutionError,
     statistics_pass,
-    tree_merge_summaries,
 )
 from repro.runtime.spec import JobSpec, SweepSpec
 from repro.runtime.store import ResultStore, load_results
@@ -105,7 +104,6 @@ __all__ = [
     "ParallelChunkScheduler",
     "ParallelExecutionError",
     "statistics_pass",
-    "tree_merge_summaries",
     "JobSpec",
     "SweepSpec",
     "InlineRunner",

@@ -29,6 +29,7 @@ import json
 import os
 import pickle
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -85,6 +86,21 @@ def _is_record_key(stem: str) -> bool:
         int(stem, 16)
         return True
     except ValueError:
+        return False
+
+
+# A writer holds its ``.tmp-*`` file for microseconds; one older than this
+# was left by a killed writer and is safe for ``clear()`` to remove.
+_STALE_TEMP_SECONDS = 60.0
+
+
+def _is_live_temp(path: Path) -> bool:
+    """Whether ``path`` is a concurrent writer's in-flight temp file."""
+    if not path.name.startswith(".tmp-"):
+        return False
+    try:
+        return time.time() - path.stat().st_mtime < _STALE_TEMP_SECONDS
+    except OSError:
         return False
 
 
@@ -249,13 +265,20 @@ class ResultCache:
     # Maintenance
     # ------------------------------------------------------------------ #
     def clear(self) -> int:
-        """Delete every record and artifact; returns the number removed."""
+        """Delete every record and artifact; returns the number removed.
+
+        A concurrent writer's in-flight temp file is left alone, so its
+        rename still lands (and its bucket survives the prune); only temp
+        files abandoned by a killed writer are swept.
+        """
         removed = 0
         for subdir in ("objects", "artifacts"):
             base = self.root / subdir
             if not base.is_dir():
                 continue
             for path in sorted(base.glob("*/*")):
+                if _is_live_temp(path):
+                    continue
                 try:
                     os.unlink(path)
                     removed += 1

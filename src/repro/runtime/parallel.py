@@ -15,11 +15,10 @@ scaling, the Table 1 and Fig. 8 runners -- reduces its workload through
    :class:`~repro.bus.bus_model.TraceSummary` per (chunk x segment) piece.
 
 2. **Reduction (deterministic).**  The master collects results in
-   *submission order* and folds each segment's pieces with an ordered
-   pairwise tree merge (:func:`tree_merge_summaries`).  Every merged
-   quantity is an exact integer (or small dyadic) total, so neither the
-   merge grouping nor the chunk size nor the worker count can change a
-   single bit.
+   *submission order* and folds each segment's pieces in order
+   (:func:`~repro.bus.bus_model.merge_summaries`).  Every merged quantity is
+   an exact integer (or small dyadic) total, so neither the merge grouping
+   nor the chunk size nor the worker count can change a single bit.
 
 The consumer (e.g. :meth:`repro.core.dvs_system.DVSBusSystem.run`) then
 replays its sequential state machine over the per-segment summaries.  For
@@ -57,7 +56,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -74,7 +73,6 @@ __all__ = [
     "ParallelChunkScheduler",
     "ParallelExecutionError",
     "statistics_pass",
-    "tree_merge_summaries",
 ]
 
 #: A per-chunk progress callback: ``callback(done_cycles, total_cycles)``.
@@ -170,38 +168,11 @@ class ChunkSegmenter:
             yield first + offset, piece_start, piece_end
 
 
-def tree_merge_summaries(summaries: Sequence[TraceSummary]) -> TraceSummary:
-    """Merge trace summaries with an ordered pairwise tree.
-
-    Because every summary field is an exact total, this is bit-identical to
-    a linear left-to-right merge (a property the scheduler tests assert);
-    the tree shape exists so the merge depth stays logarithmic for segments
-    assembled from many chunk pieces.
-    """
-    from repro.bus.bus_model import TraceStatisticsAccumulator
-
-    if not summaries:
-        raise ValueError("cannot merge zero summaries")
-    level = list(summaries)
-    while len(level) > 1:
-        merged = []
-        for i in range(0, len(level) - 1, 2):
-            accumulator = TraceStatisticsAccumulator()
-            accumulator.merge_summary(level[i])
-            accumulator.merge_summary(level[i + 1])
-            merged.append(accumulator.summary())
-        if len(level) % 2:
-            merged.append(level[-1])
-        level = merged
-    return level[0]
-
-
 #: One chunk of work shipped to a worker: the segment index of its first
 #: piece, the (tiny) wiring topology, the chunk's global start cycle, its
-#: word array (packed bytes or 0/1 values), the representation flag, the bus
-#: width, the chunk-relative start of each (chunk x segment) piece, and
-#: whether to capture telemetry into a snapshot.
-_ChunkPayload = tuple[int, NeighborTopology, int, np.ndarray, bool, int, np.ndarray, bool]
+#: packed words, the bus width, the chunk-relative start of each (chunk x
+#: segment) piece, and whether to capture telemetry into a snapshot.
+_ChunkPayload = tuple[int, NeighborTopology, int, np.ndarray, int, np.ndarray, bool]
 #: A worker's result: the first piece's segment index, one summary per piece,
 #: and optional telemetry.
 _ChunkResult = tuple[int, list["TraceSummary"], dict[str, Any] | None]
@@ -216,14 +187,13 @@ def _chunk_pieces(
     topology: NeighborTopology,
     start_cycle: int,
     words: np.ndarray,
-    packed: bool,
     n_bits: int,
     offsets: np.ndarray,
 ) -> list[TraceSummary]:
     """Analyze one chunk and reduce it to one summary per piece."""
     from repro.bus.bus_model import analyze_trace_codes
 
-    trace = BusTrace(packed=words, n_bits=n_bits) if packed else BusTrace(values=words)
+    trace = BusTrace(packed=words, n_bits=n_bits)
     telemetry = get_telemetry()
     with telemetry.span("parallel.chunk", start_cycle=start_cycle, cycles=trace.n_cycles):
         return analyze_trace_codes(trace, topology).summaries(offsets)
@@ -348,14 +318,14 @@ class ParallelChunkScheduler:
         the chunk size come from the bus width
         (:func:`~repro.bus.bus_model.kernel_plan`).
         """
-        from repro.bus.bus_model import kernel_plan
+        from repro.bus.bus_model import kernel_plan, merge_summaries
 
         if source.n_cycles != segmenter.n_cycles:
             raise ValueError(
                 f"source covers {source.n_cycles} cycles but the segmenter "
                 f"was built for {segmenter.n_cycles}"
             )
-        packed, chunk_cycles = kernel_plan(source.n_bits)
+        _, chunk_cycles = kernel_plan(source.n_bits)
         telemetry = get_telemetry()
         executor = self._ensure_executor()
         capture = executor is not None and telemetry.enabled
@@ -385,7 +355,7 @@ class ParallelChunkScheduler:
         ):
             inflight: deque[Future[_ChunkResult]] = deque()
             try:
-                for chunk in source.chunks(chunk_cycles, packed=packed):
+                for chunk in source.chunks(chunk_cycles):
                     trace = chunk.trace
                     start = chunk.start_cycle
                     pieces_here = list(segmenter.pieces(start, start + trace.n_cycles))
@@ -393,8 +363,7 @@ class ParallelChunkScheduler:
                         pieces_here[0][0],
                         topology,
                         start,
-                        trace.packed_values if trace.is_packed else trace.values,
-                        trace.is_packed,
+                        trace.packed_values,
                         trace.n_bits,
                         np.array([piece[1] - start for piece in pieces_here]),
                         capture,
@@ -425,7 +394,7 @@ class ParallelChunkScheduler:
                         f"segment {index} received no statistics; the chunk "
                         "stream did not cover the declared run"
                     )
-                summary = tree_merge_summaries(parts)
+                summary = merge_summaries(parts)
                 expected = int(bounds[index + 1] - bounds[index])
                 if summary.n_cycles != expected:
                     raise ParallelExecutionError(

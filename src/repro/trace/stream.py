@@ -9,10 +9,14 @@ workloads through this module instead:
   it, and
 
 * :meth:`TraceSource.chunks` iterates the trace as :class:`TraceChunk`\\ s --
-  short :class:`~repro.trace.trace.BusTrace` segments whose first word is the
-  last word of the previous chunk, so per-cycle transition computations are
-  chunk-local and concatenating chunk results reproduces the monolithic
-  computation *exactly*.
+  short bit-packed :class:`~repro.trace.trace.BusTrace` segments whose first
+  word is the last word of the previous chunk, so per-cycle transition
+  computations are chunk-local and concatenating chunk results reproduces
+  the monolithic computation *exactly*.
+
+Every source streams one representation, the packed bytes of
+:mod:`repro.trace.trace`; a chunk's :attr:`TraceChunk.values` unpacks on
+access.
 
 Chunk-size invariance is a hard guarantee: every source produces the same
 words for any ``chunk_cycles``, and the equivalence tests assert
@@ -53,7 +57,7 @@ import numpy as np
 from repro.telemetry import get_telemetry
 from repro.trace.benchmarks import BenchmarkProfile, get_profile
 from repro.trace.synthetic import iter_word_blocks
-from repro.trace.trace import BusTrace, words_to_bits, words_to_packed
+from repro.trace.trace import BusTrace, pack_values, unpack_values, words_to_packed
 from repro.utils.rng import SeedLike
 
 __all__ = [
@@ -97,7 +101,7 @@ class TraceChunk:
 
     @property
     def values(self) -> np.ndarray:
-        """The chunk's 0/1 word array (boundary word included)."""
+        """The chunk's 0/1 word array (boundary word included), unpacked on access."""
         return self.trace.values
 
     @property
@@ -135,11 +139,12 @@ class TraceChunk:
 class TraceSource(abc.ABC):
     """A bus trace of known length, readable chunk by chunk.
 
-    Subclasses implement :meth:`_word_blocks`, yielding consecutive
-    ``(n_words_i, n_bits)`` 0/1 arrays whose concatenation is the full word
-    array (the first block starts with the trace's initial word).  Block
-    sizes are an implementation detail; the base class re-slices them into
-    the requested chunk size with the boundary word carried across chunks.
+    Subclasses implement :meth:`_packed_blocks`, yielding consecutive
+    ``(n_words_i, ceil(n_bits / 8))`` packed byte arrays whose concatenation
+    is the full packed word array (the first block starts with the trace's
+    initial word).  Block sizes are an implementation detail; the base class
+    re-slices them into the requested chunk size with the boundary word
+    carried across chunks.
     """
 
     @property
@@ -158,70 +163,42 @@ class TraceSource(abc.ABC):
         """Trace name carried into chunks and materialised traces."""
 
     @abc.abstractmethod
-    def _word_blocks(self) -> Iterator[np.ndarray]:
-        """Yield consecutive 0/1 word arrays covering the whole trace."""
-
     def _packed_blocks(self) -> Iterator[np.ndarray]:
-        """Yield the same word blocks in the packed byte representation.
-
-        The base implementation packs each unpacked block; sources that hold
-        (or can generate) packed words directly override this so the packed
-        streaming path never widens to 0/1 arrays at all.
-        """
-        from repro.trace.trace import pack_values
-
-        for block in self._word_blocks():
-            yield pack_values(block)
+        """Yield consecutive packed word arrays covering the whole trace."""
 
     # ------------------------------------------------------------------ #
     # Chunked iteration
     # ------------------------------------------------------------------ #
-    def chunks(
-        self, chunk_cycles: int | None = None, packed: bool = False
-    ) -> Iterator[TraceChunk]:
-        """Iterate the trace as boundary-carrying :class:`TraceChunk`\\ s.
+    def chunks(self, chunk_cycles: int | None = None) -> Iterator[TraceChunk]:
+        """Iterate the trace as boundary-carrying, packed :class:`TraceChunk`\\ s.
 
         Every chunk covers ``chunk_cycles`` transitions except possibly the
-        last.  The produced words are identical for any chunk size and either
-        representation; ``packed=True`` yields packed-backed chunks (the
-        vectorized engine's input, 8x less buffered data), ``packed=False``
-        unpacked ones.
+        last.  The produced words are identical for any chunk size.
         """
         if chunk_cycles is None:
             chunk_cycles = DEFAULT_CHUNK_CYCLES
         if chunk_cycles <= 0:
             raise ValueError(f"chunk_cycles must be positive, got {chunk_cycles}")
         total = self.n_cycles
-        blocks = self._packed_blocks() if packed else self._word_blocks()
         buffer: np.ndarray | None = None
         start_cycle = 0
         index = 0
-        for block in blocks:
+        for block in self._packed_blocks():
             buffer = block if buffer is None else np.concatenate([buffer, block], axis=0)
             while buffer.shape[0] - 1 >= chunk_cycles:
-                yield self._make_chunk(
-                    buffer[: chunk_cycles + 1], start_cycle, index, total, packed
-                )
+                yield self._make_chunk(buffer[: chunk_cycles + 1], start_cycle, index, total)
                 # Keep the boundary word; copy so the big parent buffer is freed.
                 buffer = buffer[chunk_cycles:].copy()
                 start_cycle += chunk_cycles
                 index += 1
         if buffer is not None and buffer.shape[0] > 1:
-            yield self._make_chunk(buffer, start_cycle, index, total, packed)
+            yield self._make_chunk(buffer, start_cycle, index, total)
 
     def _make_chunk(
-        self,
-        words: np.ndarray,
-        start_cycle: int,
-        index: int,
-        total: int,
-        packed: bool = False,
+        self, words: np.ndarray, start_cycle: int, index: int, total: int
     ) -> TraceChunk:
         rows = np.ascontiguousarray(words)
-        if packed:
-            trace = BusTrace(packed=rows, n_bits=self.n_bits, name=self.name)
-        else:
-            trace = BusTrace(values=rows, name=self.name)
+        trace = BusTrace(packed=rows, n_bits=self.n_bits, name=self.name)
         chunk = TraceChunk(trace, start_cycle=start_cycle, index=index, total_cycles=total)
         telemetry = get_telemetry()
         if telemetry.enabled:
@@ -235,28 +212,21 @@ class TraceSource(abc.ABC):
     # ------------------------------------------------------------------ #
     # Materialisation
     # ------------------------------------------------------------------ #
-    def materialize(self, packed: bool = False) -> BusTrace:
-        """The whole trace as one in-memory :class:`BusTrace`.
+    def materialize(self) -> BusTrace:
+        """The whole trace as one in-memory, packed :class:`BusTrace`.
 
         Costs O(n) memory -- use only when a monolithic array is genuinely
-        needed (tests, small traces, interop).  ``packed=True`` materialises
-        straight into the bit-packed representation (8x smaller).
+        needed (tests, small traces, interop).
         """
-        if packed:
-            parts = [block for block in self._packed_blocks()]
-            return BusTrace(
-                packed=np.concatenate(parts, axis=0), n_bits=self.n_bits, name=self.name
-            )
-        blocks = list(self._word_blocks())
-        values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
-        return BusTrace(values=values, name=self.name)
+        packed = np.concatenate(list(self._packed_blocks()), axis=0)
+        return BusTrace(packed=packed, n_bits=self.n_bits, name=self.name)
 
 
 class InMemoryTraceSource(TraceSource):
     """Stream an already-materialised :class:`BusTrace`.
 
-    Packed traces are sliced packed and unpacked one chunk at a time, so the
-    8x packed memory saving survives streaming.
+    Packed traces are sliced packed, so the 8x packed memory saving survives
+    streaming; unpacked ones are packed one block at a time.
     """
 
     def __init__(self, trace: BusTrace) -> None:
@@ -279,28 +249,11 @@ class InMemoryTraceSource(TraceSource):
         """The backing trace."""
         return self._trace
 
-    def _word_blocks(self) -> Iterator[np.ndarray]:
-        if not self._trace.is_packed:
-            # Yield bounded views rather than the whole array: `chunks` keeps
-            # a rolling buffer of roughly one block plus one chunk, so a
-            # single whole-trace block would make its carry-over reslicing
-            # quadratic in the trace length (and transiently double memory).
-            values = self._trace.values
-            step = DEFAULT_CHUNK_CYCLES
-            for start in range(0, values.shape[0], step):
-                yield values[start : start + step]
-            return
-        from repro.trace.trace import unpack_values
-
-        packed = self._trace.packed_values
-        n_words = packed.shape[0]
-        step = DEFAULT_CHUNK_CYCLES
-        for start in range(0, n_words, step):
-            yield unpack_values(packed[start : start + step], self._trace.n_bits)
-
     def _packed_blocks(self) -> Iterator[np.ndarray]:
-        from repro.trace.trace import pack_values
-
+        # Yield bounded blocks rather than the whole array: `chunks` keeps a
+        # rolling buffer of roughly one block plus one chunk, so a single
+        # whole-trace block would make its carry-over reslicing quadratic in
+        # the trace length (and transiently double memory).
         step = DEFAULT_CHUNK_CYCLES
         if self._trace.is_packed:
             packed = self._trace.packed_values
@@ -311,9 +264,9 @@ class InMemoryTraceSource(TraceSource):
         for start in range(0, values.shape[0], step):
             yield pack_values(values[start : start + step])
 
-    def materialize(self, packed: bool = False) -> BusTrace:
-        """Return the backing trace (converting representation if asked)."""
-        return self._trace.pack() if packed else self._trace.unpacked()
+    def materialize(self) -> BusTrace:
+        """The backing trace, packed."""
+        return self._trace.pack()
 
 
 class SyntheticTraceSource(TraceSource):
@@ -361,16 +314,10 @@ class SyntheticTraceSource(TraceSource):
     def name(self) -> str:
         return self.profile.name
 
-    def _word_blocks(self) -> Iterator[np.ndarray]:
-        for _, words in iter_word_blocks(
-            self.profile, self._n_cycles, n_bits=self._n_bits, seed=self._root
-        ):
-            yield words_to_bits(words, self._n_bits)
-
     def _packed_blocks(self) -> Iterator[np.ndarray]:
-        # Integer words pack by reinterpretation (no 0/1 detour): this is what
-        # lets the vectorized engine stream synthetic paper-scale traces with
-        # no per-bit work outside the kernels themselves.
+        # Integer words pack by reinterpretation (no 0/1 detour), so
+        # paper-scale synthetic traces stream with no per-bit work outside
+        # the kernels themselves.
         for _, words in iter_word_blocks(
             self.profile, self._n_cycles, n_bits=self._n_bits, seed=self._root
         ):
@@ -388,8 +335,8 @@ class CpuKernelTraceSource(TraceSource):
     and the run index (:func:`repro.cpu.tracing.kernel_run_rng`), which gives
     the same guarantees the synthetic source has:
 
-    * iterating the source any number of times, at any chunk size, in either
-      representation, produces bit-identical words, and
+    * iterating the source any number of times, at any chunk size, produces
+      bit-identical words, and
     * ``materialize()`` equals
       :func:`repro.cpu.tracing.kernel_bus_trace` with the same arguments.
 
@@ -441,17 +388,17 @@ class CpuKernelTraceSource(TraceSource):
     def name(self) -> str:
         return self.kernel.name
 
-    def _run_word_blocks(self) -> Iterator[np.ndarray]:
-        """Yield one ``uint64`` word array per kernel run (truncated at the end)."""
+    def _packed_blocks(self) -> Iterator[np.ndarray]:
+        """Yield one packed block per kernel run (truncated at the end).
+
+        Integer words pack by reinterpretation (which also drops the bits
+        above the bus width): kernel traces stream without ever widening to
+        0/1 arrays.
+        """
         from repro.cpu.memory import DirectMappedCache
         from repro.cpu.tracing import execute_kernel_once, kernel_run_rng
 
         cache = DirectMappedCache() if self.bus_policy == "misses_only" else None
-        mask = (
-            (np.uint64(1) << np.uint64(self._n_bits)) - np.uint64(1)
-            if self._n_bits < 64
-            else ~np.uint64(0)
-        )
         needed = self._n_cycles + 1
         emitted = 0
         run = 0
@@ -463,21 +410,9 @@ class CpuKernelTraceSource(TraceSource):
                 self.bus_policy,
                 self._max_instructions,
             )
-            words = np.asarray(result.bus_words, dtype=np.uint64) & mask
-            if emitted + words.shape[0] > needed:
-                words = words[: needed - emitted]
+            words = np.asarray(result.bus_words, dtype=np.uint64)[: needed - emitted]
             emitted += words.shape[0]
             run += 1
-            yield words
-
-    def _word_blocks(self) -> Iterator[np.ndarray]:
-        for words in self._run_word_blocks():
-            yield words_to_bits(words, self._n_bits)
-
-    def _packed_blocks(self) -> Iterator[np.ndarray]:
-        # Integer words pack by reinterpretation, so the vectorized engine
-        # consumes kernel traces without ever widening to 0/1 arrays.
-        for words in self._run_word_blocks():
             yield words_to_packed(words, self._n_bits)
 
 
@@ -485,8 +420,8 @@ class NpzTraceSource(TraceSource):
     """Stream a trace saved by :func:`repro.trace.io.save_trace_npz`.
 
     The archive is loaded once into the bit-packed representation (8x smaller
-    than the 0/1 array; legacy word archives are packed on load) and unpacked
-    one chunk at a time.
+    than the 0/1 array; legacy word archives are packed on load) and streamed
+    packed.
     """
 
     def __init__(self, path) -> None:
@@ -505,9 +440,6 @@ class NpzTraceSource(TraceSource):
     @property
     def name(self) -> str:
         return self._trace.name
-
-    def _word_blocks(self) -> Iterator[np.ndarray]:
-        yield from InMemoryTraceSource(self._trace)._word_blocks()
 
     def _packed_blocks(self) -> Iterator[np.ndarray]:
         yield from InMemoryTraceSource(self._trace)._packed_blocks()
@@ -564,10 +496,6 @@ class ConcatenatedTraceSource(TraceSource):
             ends.append(offset)
         return ends
 
-    def _word_blocks(self) -> Iterator[np.ndarray]:
-        for source in self._sources:
-            yield from source._word_blocks()
-
     def _packed_blocks(self) -> Iterator[np.ndarray]:
         for source in self._sources:
             yield from source._packed_blocks()
@@ -599,13 +527,16 @@ class EncodedTraceSource(TraceSource):
     def name(self) -> str:
         return self._encoder.encoded_name(self._source.name)
 
-    def _word_blocks(self) -> Iterator[np.ndarray]:
+    def _packed_blocks(self) -> Iterator[np.ndarray]:
         state = None
         first = True
-        for block in self._source._word_blocks():
-            encoded, state = self._encoder.encode_block(block, state, first_word=first)
+        n_bits = self._source.n_bits
+        for block in self._source._packed_blocks():
+            encoded, state = self._encoder.encode_block(
+                unpack_values(block, n_bits), state, first_word=first
+            )
             first = False
-            yield encoded
+            yield pack_values(encoded)
 
 
 WorkloadLike = BusTrace | TraceSource

@@ -273,11 +273,7 @@ class BusTrace:
     # ------------------------------------------------------------------ #
     def toggle_activity(self) -> float:
         """Mean fraction of bits toggling per cycle."""
-        if self.is_packed:
-            from repro.interconnect.crosstalk import packed_toggle_counts
-
-            return float(np.mean(packed_toggle_counts(self._packed))) / self.n_bits
-        changes = np.count_nonzero(np.diff(self._values.astype(np.int8), axis=0), axis=1)
+        changes = np.count_nonzero(np.diff(self.values.astype(np.int8), axis=0), axis=1)
         return float(np.mean(changes)) / self.n_bits
 
     def per_bit_activity(self) -> np.ndarray:

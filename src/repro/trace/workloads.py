@@ -129,7 +129,7 @@ class SimPointTraceSource(TraceSource):
         n_clusters: int = DEFAULT_SIMPOINT_CLUSTERS,
         seed: SeedLike = 0,
     ) -> None:
-        trace = as_trace_source(base).materialize(packed=True)
+        trace = as_trace_source(base).materialize()
         if window_length is None:
             window_length = max(1, trace.n_cycles // DEFAULT_SIMPOINT_WINDOWS)
         self._selection = select_from_signatures(
@@ -197,9 +197,6 @@ class SimPointTraceSource(TraceSource):
     @property
     def name(self) -> str:
         return self._reduced.name
-
-    def _word_blocks(self):
-        return self._reduced._word_blocks()
 
     def _packed_blocks(self):
         return self._reduced._packed_blocks()

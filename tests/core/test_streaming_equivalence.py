@@ -29,7 +29,7 @@ from repro.core.fixed_vs import evaluate_fixed_scaling
 from repro.core.oracle import oracle_voltage_schedule
 from repro.trace import SyntheticTraceSource, TraceSource, as_trace_source
 from tests.core.conftest import PASSES, configured_pass
-from tests.pass_plan import KERNELS, SCALAR, VECTORIZED, forced_plan
+from tests.pass_plan import KERNELS, SCALAR, forced_plan
 
 #: Chunk sizes exercised everywhere: smaller than, straddling, and larger
 #: than the 1 000-cycle test control window (and co-prime with it).
@@ -43,8 +43,8 @@ class _OneWordSource(TraceSource):
     n_bits = 32
     name = "one-word"
 
-    def _word_blocks(self):
-        yield np.zeros((1, self.n_bits), dtype=np.uint8)
+    def _packed_blocks(self):
+        yield np.zeros((1, self.n_bits // 8), dtype=np.uint8)
 
 
 def _fast_system(bus):
@@ -78,11 +78,10 @@ class TestChunkedStatistics:
         self, typical_corner_bus, crafty_trace, chunk_cycles, kernel
     ):
         monolithic = typical_corner_bus.analyze(crafty_trace.values)
-        packed = kernel == VECTORIZED
         with forced_plan(kernel):
             pieces = [
                 typical_corner_bus.analyze_trace(chunk.trace)
-                for chunk in as_trace_source(crafty_trace).chunks(chunk_cycles, packed=packed)
+                for chunk in as_trace_source(crafty_trace).chunks(chunk_cycles)
             ]
         rebuilt = pieces[0]
         for piece in pieces[1:]:

@@ -129,6 +129,19 @@ class TestKernelBitIdentity:
         topology = grouped_shield_topology(n_bits, min(4, n_bits))
         _assert_matches_scalar(_random_values(rng, 2_000, n_bits), topology)
 
+    @pytest.mark.parametrize("n_bits", (3, 9, 13, 31))
+    def test_constant_pad_bits_are_inert(self, rng, n_bits):
+        # The top byte's unused bits never toggle, so setting them must not
+        # move any statistic away from the scalar reference.
+        topology = grouped_shield_topology(n_bits, min(4, n_bits))
+        values = _random_values(rng, 2_000, n_bits)
+        packed = pack_values(values)
+        packed[:, -1] |= (0xFF << (n_bits % 8)) & 0xFF
+        for reference, measured in zip(
+            _scalar_reference(values, topology), block_statistics_arrays(packed, topology)
+        ):
+            np.testing.assert_array_equal(measured, reference)
+
     @pytest.mark.parametrize("weight", (0.0, 0.15, 0.25, 0.3, 0.5, 1.0))
     def test_secondary_weights_cover_both_max_strategies(self, rng, weight):
         topology = grouped_shield_topology(32, 4, secondary_weight=weight)

@@ -186,57 +186,3 @@ class TestPatternClassification:
 
     def test_miller_constants(self):
         assert MILLER_OPPOSITE == 2.0 and MILLER_QUIET == 1.0 and MILLER_SAME == 0.0
-
-
-class TestPackedComputations:
-    """The packed (XOR + popcount) paths must equal the unpacked ones exactly."""
-
-    @pytest.mark.parametrize("n_wires,shield_group", [(32, 4), (32, 8), (16, 3), (7, 4)])
-    def test_packed_toggles_and_weights_match_unpacked(self, n_wires, shield_group):
-        from repro.interconnect.crosstalk import (
-            packed_coupling_energy_weights,
-            packed_toggle_counts,
-            toggle_counts,
-        )
-        from repro.trace.trace import pack_values
-
-        rng = np.random.default_rng(42)
-        topology = grouped_shield_topology(n_wires, shield_group)
-        values = rng.integers(0, 2, size=(2_000, n_wires), dtype=np.uint8)
-        transitions = transitions_from_values(values)
-        packed = pack_values(values)
-        np.testing.assert_array_equal(
-            packed_toggle_counts(packed), toggle_counts(transitions)
-        )
-        np.testing.assert_array_equal(
-            packed_coupling_energy_weights(packed, topology),
-            coupling_energy_weights(transitions, topology),
-        )
-
-    def test_packed_width_mismatch_rejected(self):
-        from repro.interconnect.crosstalk import packed_coupling_energy_weights
-
-        topology = grouped_shield_topology(32, 4)
-        with pytest.raises(ValueError, match="does not match topology"):
-            packed_coupling_energy_weights(np.zeros((3, 2), dtype=np.uint8), topology)
-
-    def test_packed_padding_bits_are_inert(self):
-        from repro.interconnect.crosstalk import (
-            packed_coupling_energy_weights,
-            packed_toggle_counts,
-        )
-        from repro.trace.trace import pack_values
-
-        # 13 wires leave 3 padding bits in the top byte; they must never count.
-        rng = np.random.default_rng(7)
-        topology = grouped_shield_topology(13, 4)
-        values = rng.integers(0, 2, size=(500, 13), dtype=np.uint8)
-        packed = pack_values(values)
-        transitions = transitions_from_values(values)
-        np.testing.assert_array_equal(
-            packed_toggle_counts(packed), np.count_nonzero(transitions, axis=1)
-        )
-        np.testing.assert_array_equal(
-            packed_coupling_energy_weights(packed, topology),
-            coupling_energy_weights(transitions, topology),
-        )

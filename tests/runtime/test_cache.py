@@ -1,6 +1,7 @@
 """Tests for the content-addressed result cache."""
 
 import json
+import os
 
 from repro.runtime.cache import CACHE_SCHEMA_VERSION, ResultCache, shared_cache
 from repro.runtime.hashing import stable_hash
@@ -66,6 +67,22 @@ class TestRecords:
         (bucket / ".tmp-abandoned.json").write_text("{", encoding="utf-8")
         assert list(cache.keys()) == [key]
         assert cache.stats().entries == 1
+
+    def test_clear_sweeps_abandoned_but_not_in_flight_temp_files(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = stable_hash({"i": 1})
+        cache.put(key, {"result": {}})
+        bucket = cache._record_path(key).parent
+        abandoned = bucket / ".tmp-abandoned.json"
+        in_flight = bucket / ".tmp-in-flight.json"
+        abandoned.write_text("{", encoding="utf-8")
+        in_flight.write_text("{", encoding="utf-8")
+        old = abandoned.stat().st_mtime - 3600
+        os.utime(abandoned, (old, old))
+        assert cache.clear() == 2
+        assert not abandoned.exists()
+        assert in_flight.exists()
+        assert list(cache.keys()) == []
 
     def test_stats_counts_entries_and_bytes(self, tmp_path):
         cache = ResultCache(tmp_path)

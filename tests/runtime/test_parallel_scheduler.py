@@ -16,9 +16,9 @@ import pytest
 import repro.runtime.parallel as parallel_mod
 from repro.bus.bus_model import (
     LANE_CHUNK_CYCLES,
-    TraceStatisticsAccumulator,
     analyze_trace_statistics,
     kernel_plan,
+    merge_summaries,
 )
 from repro.core.dvs_system import DVSBusSystem
 from repro.interconnect.block_kernels import MAX_LANE_BITS, lanes_supported
@@ -26,7 +26,6 @@ from repro.runtime import (
     ChunkSegmenter,
     ParallelChunkScheduler,
     ParallelExecutionError,
-    tree_merge_summaries,
 )
 from repro.telemetry import Telemetry, format_parallel_summary, use_telemetry
 from repro.trace import DEFAULT_CHUNK_CYCLES, SyntheticTraceSource
@@ -125,33 +124,33 @@ class TestChunkSegmenter:
             list(ChunkSegmenter(n_cycles=100).pieces(50, 40))
 
 
-class TestTreeMerge:
-    def test_tree_merge_matches_linear_merge(self, source, topology):
-        # Split the trace into ragged pieces, summarize each, then compare
-        # the ordered tree merge against a plain left-to-right fold.
+class TestMergeSummaries:
+    def test_any_grouping_of_ragged_pieces_equals_the_whole(self, source, topology):
+        # Split the trace into ragged pieces, summarize each, and merge them
+        # flat and in nested groups: both must equal the unsplit summary.
         stats = analyze_trace_statistics(source.materialize(), topology)
         edges = [0, 317, 1_000, 1_001, 2_503, 4_000, N_CYCLES]
         summaries = [
             stats.slice(a, b).summarize() for a, b in zip(edges, edges[1:])
         ]
-        tree = tree_merge_summaries(summaries)
-        linear = TraceStatisticsAccumulator()
-        for summary in summaries:
-            linear.merge_summary(summary)
-        linear = linear.summary()
-        assert tree.n_cycles == linear.n_cycles == N_CYCLES
-        assert tree.toggles_total == linear.toggles_total
-        assert tree.coupling_weights_total == linear.coupling_weights_total
-        np.testing.assert_array_equal(tree.worst_coupling_values, linear.worst_coupling_values)
-        np.testing.assert_array_equal(tree.worst_coupling_counts, linear.worst_coupling_counts)
-        # And both equal the unsplit whole-trace summary.
+        flat = merge_summaries(summaries)
+        groups = (summaries[:1], summaries[1:4], summaries[4:])
+        nested = merge_summaries([merge_summaries(group) for group in groups])
         whole = stats.summarize()
-        assert tree.toggles_total == whole.toggles_total
-        assert tree.coupling_weights_total == whole.coupling_weights_total
+        for merged in (flat, nested):
+            assert merged.n_cycles == whole.n_cycles == N_CYCLES
+            assert merged.toggles_total == whole.toggles_total
+            assert merged.coupling_weights_total == whole.coupling_weights_total
+            np.testing.assert_array_equal(
+                merged.worst_coupling_values, whole.worst_coupling_values
+            )
+            np.testing.assert_array_equal(
+                merged.worst_coupling_counts, whole.worst_coupling_counts
+            )
 
     def test_merge_of_nothing_raises(self):
         with pytest.raises(ValueError):
-            tree_merge_summaries([])
+            merge_summaries([])
 
 
 class TestSchedulerLifecycle:

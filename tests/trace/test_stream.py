@@ -21,7 +21,11 @@ from repro.trace import (
     save_trace_npz,
     suite_sources,
 )
-from repro.trace.stream import TraceSource
+from repro.cpu import kernel_bus_trace
+from repro.encoding import default_encoders
+from repro.trace.stream import CpuKernelTraceSource, TraceSource
+from repro.trace.synthetic import GENERATION_BLOCK_WORDS, generate_trace
+from repro.trace.workloads import SimPointTraceSource
 
 
 def _reassemble(source: TraceSource, chunk_cycles: int) -> np.ndarray:
@@ -58,12 +62,6 @@ class TestSyntheticTraceSource:
         source = SyntheticTraceSource(get_profile("mgrid"), 70_000, seed=3)
         np.testing.assert_array_equal(source.materialize().values, trace.values)
 
-    def test_packed_materialize_matches(self):
-        source = SyntheticTraceSource(get_profile("gap"), 20_000, seed=5)
-        packed = source.materialize(packed=True)
-        assert packed.is_packed
-        np.testing.assert_array_equal(packed.values, source.materialize().values)
-
     def test_source_is_reiterable(self):
         source = SyntheticTraceSource(get_profile("vortex"), 5_000, seed=11)
         first = _reassemble(source, 1_234)
@@ -89,42 +87,101 @@ class TestSyntheticTraceSource:
         np.testing.assert_array_equal(_reassemble(source, chunk_cycles), expected)
 
 
-class TestPackedChunks:
-    """chunks(packed=True) must stream the exact same words, packed-backed."""
+def _encoded(encoder):
+    def build(n_cycles, tmp_path):
+        inner = SyntheticTraceSource("vortex", n_cycles, seed=12)
+        reference = encoder.encode(inner.materialize())
+        return EncodedTraceSource(inner, encoder), reference.values
 
-    def _assert_packed_matches_unpacked(self, source, chunk_cycles):
-        unpacked = list(source.chunks(chunk_cycles))
-        packed = list(source.chunks(chunk_cycles, packed=True))
-        assert len(packed) == len(unpacked)
-        for u_chunk, p_chunk in zip(unpacked, packed):
-            assert p_chunk.trace.is_packed
-            assert not u_chunk.trace.is_packed
-            assert (p_chunk.start_cycle, p_chunk.n_cycles) == (
-                u_chunk.start_cycle,
-                u_chunk.n_cycles,
-            )
-            np.testing.assert_array_equal(p_chunk.values, u_chunk.values)
+    return build
 
-    @pytest.mark.parametrize("chunk_cycles", [999, 10_000, 65_536])
-    def test_synthetic_source(self, chunk_cycles):
-        source = SyntheticTraceSource(get_profile("crafty"), 80_000, seed=7)
-        self._assert_packed_matches_unpacked(source, chunk_cycles)
 
-    def test_in_memory_sources(self):
-        trace = generate_benchmark_trace("swim", n_cycles=3_000, seed=4)
-        self._assert_packed_matches_unpacked(InMemoryTraceSource(trace), 700)
-        self._assert_packed_matches_unpacked(InMemoryTraceSource(trace.pack()), 700)
+def _in_memory(pack):
+    def build(n_cycles, tmp_path):
+        trace = generate_benchmark_trace("swim", n_cycles=n_cycles, seed=4)
+        return InMemoryTraceSource(trace.pack() if pack else trace), trace.values
 
-    def test_concatenated_source(self):
-        sources = [
-            SyntheticTraceSource(get_profile(name), 2_000, seed=3)
-            for name in ("crafty", "mgrid")
-        ]
-        self._assert_packed_matches_unpacked(ConcatenatedTraceSource(sources), 777)
+    return build
 
-    def test_narrow_bus_masks_pad_bits(self):
-        source = SyntheticTraceSource(get_profile("crafty"), 5_000, seed=9, n_bits=13)
-        self._assert_packed_matches_unpacked(source, 1_024)
+
+def _synthetic(n_bits):
+    def build(n_cycles, tmp_path):
+        reference = generate_trace(get_profile("crafty"), n_cycles, n_bits=n_bits, seed=7)
+        source = SyntheticTraceSource("crafty", n_cycles, n_bits=n_bits, seed=7)
+        return source, reference.values
+
+    return build
+
+
+def _cpu_kernel(n_cycles, tmp_path):
+    reference = kernel_bus_trace("memcopy", n_cycles, seed=3)
+    return CpuKernelTraceSource("memcopy", n_cycles, seed=3), reference.trace.values
+
+
+def _npz(n_cycles, tmp_path):
+    trace = generate_benchmark_trace("applu", n_cycles=n_cycles, seed=8)
+    path = tmp_path / "applu.npz"
+    save_trace_npz(trace, path)
+    return NpzTraceSource(path), trace.values
+
+
+def _concatenated(n_cycles, tmp_path):
+    names = ("crafty", "mgrid")
+    traces = [generate_benchmark_trace(name, n_cycles=n_cycles, seed=3) for name in names]
+    sources = [SyntheticTraceSource(name, n_cycles, seed=3) for name in names]
+    reference = concatenate_traces(traces)
+    return ConcatenatedTraceSource(sources), reference.values
+
+
+def _simpoint(n_cycles, tmp_path):
+    base = SyntheticTraceSource("mcf", n_cycles, seed=2)
+    source = SimPointTraceSource(base, n_clusters=3)
+    reference = concatenate_traces(source.selection.extract(base.materialize()))
+    return source, reference.values
+
+
+#: Every kind of source, each with a builder returning ``(source, reference
+#: 0/1 words)`` for a trace of ``n_cycles`` transitions.
+SOURCE_KINDS = {
+    "in-memory-unpacked": _in_memory(pack=False),
+    "in-memory-packed": _in_memory(pack=True),
+    "synthetic": _synthetic(n_bits=32),
+    "synthetic-13-bit": _synthetic(n_bits=13),
+    "cpu-kernel": _cpu_kernel,
+    "npz": _npz,
+    "concatenated": _concatenated,
+    **{f"encoded-{encoder.name}": _encoded(encoder) for encoder in default_encoders()},
+    "simpoint": _simpoint,
+}
+
+
+@pytest.mark.parametrize("chunk_cycles", [1, 999, 65_537])
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+def test_packed_chunks_tile_materialize_and_match_reference(kind, chunk_cycles, tmp_path):
+    # At least two chunks, and at the largest size several in-memory blocks
+    # and a generation-block seam for the chunks to straddle.
+    n_cycles = max(2_500, chunk_cycles + 1_500)
+    source, reference = SOURCE_KINDS[kind](n_cycles, tmp_path)
+    chunks = list(source.chunks(chunk_cycles))
+    assert all(chunk.trace.is_packed for chunk in chunks)
+    assert [c.start_cycle for c in chunks] == list(range(0, source.n_cycles, chunk_cycles))
+    for previous, chunk in zip(chunks, chunks[1:]):
+        np.testing.assert_array_equal(
+            chunk.trace.packed_values[0], previous.trace.packed_values[-1]
+        )
+    packed = np.concatenate(
+        [chunks[0].trace.packed_values] + [c.trace.packed_values[1:] for c in chunks[1:]]
+    )
+    whole = source.materialize()
+    assert whole.is_packed and whole.n_bits == source.n_bits
+    np.testing.assert_array_equal(packed, whole.packed_values)
+    np.testing.assert_array_equal(whole.values, reference)
+    # Bits above the bus width stay zero, so the kernels never see them toggle.
+    if source.n_bits % 8:
+        assert not np.any(packed[:, -1] >> (source.n_bits % 8))
+    # Blocks stay bounded: one whole-trace block would make the chunk
+    # iterator's carry-over reslicing quadratic in the trace length.
+    assert max(len(block) for block in source._packed_blocks()) <= GENERATION_BLOCK_WORDS
 
 
 class TestInMemoryTraceSource:
@@ -151,18 +208,6 @@ class TestInMemoryTraceSource:
         trace = BusTrace.from_words([1, 2, 3])
         with pytest.raises(ValueError):
             list(InMemoryTraceSource(trace).chunks(0))
-
-    def test_unpacked_trace_yields_bounded_blocks(self):
-        # A single whole-trace block would make the chunk iterator's
-        # carry-over reslicing quadratic in the trace length.
-        from repro.trace.stream import DEFAULT_CHUNK_CYCLES
-
-        n_cycles = 2 * DEFAULT_CHUNK_CYCLES + 500
-        trace = generate_benchmark_trace("swim", n_cycles=n_cycles, seed=6)
-        blocks = list(InMemoryTraceSource(trace)._word_blocks())
-        assert len(blocks) > 1
-        assert max(block.shape[0] for block in blocks) <= DEFAULT_CHUNK_CYCLES
-        np.testing.assert_array_equal(np.concatenate(blocks, axis=0), trace.values)
 
 
 class TestConcatenatedTraceSource:

@@ -42,11 +42,6 @@ class TestCpuKernelTraceSource:
             _streamed_values(source, chunk_cycles), source.materialize().values
         )
 
-    def test_packed_blocks_match_unpacked(self):
-        source = CpuKernelTraceSource("matmul", 2_000, seed=9)
-        packed = source.materialize(packed=True)
-        np.testing.assert_array_equal(packed.unpacked().values, source.materialize().values)
-
     def test_reiteration_is_bit_identical(self):
         source = CpuKernelTraceSource("stream_sum_float", 2_000, seed=3)
         np.testing.assert_array_equal(source.materialize().values, source.materialize().values)
