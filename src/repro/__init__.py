@@ -42,91 +42,109 @@ True
 Regenerate the paper's artifacts and check them against the published
 values with ``python -m repro report --experiments table1,fig8`` (see
 :mod:`repro.report`).
+
+The names below load on first use (:mod:`repro.utils.lazy`): ``import repro``
+itself loads neither numpy nor scipy, so ``repro --help`` and a cache-hit
+``repro run`` start fast.
 """
 
-from repro.bus import (
-    BusDesign,
-    CharacterizedBus,
-    TraceStatistics,
-    TraceStatisticsAccumulator,
-    TraceSummary,
-    characterize_bus,
-)
-from repro.circuit import (
-    BEST_CASE_CORNER,
-    STANDARD_CORNERS,
-    TYPICAL_CORNER,
-    WORST_CASE_CORNER,
-    ProcessCorner,
-    PVTCorner,
-    VoltageGrid,
-)
-from repro.clocking import PAPER_CLOCKING, ClockingParameters
-from repro.core import (
-    BangBangPolicy,
-    DoubleSamplingFlipFlop,
-    DVSBusSystem,
-    DVSRunResult,
-    ErrorCounter,
-    FlipFlopBank,
-    ProportionalPolicy,
-    VoltageRegulator,
-    WindowedVoltageController,
-    evaluate_fixed_scaling,
-    fixed_scaling_voltage,
-    oracle_voltage_schedule,
-)
-from repro.energy import EnergyBreakdown, breakdown_gain_percent, energy_gain_percent
-from repro.interconnect import TECH_130NM, TechnologyNode
-from repro.trace import (
-    SPEC2000_PROFILES,
-    TABLE1_ORDER,
-    BusTrace,
-    generate_benchmark_trace,
-    generate_concatenated_suite,
-    generate_suite,
+from typing import TYPE_CHECKING
+
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.bus import (
+        BusDesign,
+        CharacterizedBus,
+        TraceStatistics,
+        TraceStatisticsAccumulator,
+        TraceSummary,
+        characterize_bus,
+    )
+    from repro.circuit import (
+        BEST_CASE_CORNER,
+        STANDARD_CORNERS,
+        TYPICAL_CORNER,
+        WORST_CASE_CORNER,
+        ProcessCorner,
+        PVTCorner,
+        VoltageGrid,
+    )
+    from repro.clocking import PAPER_CLOCKING, ClockingParameters
+    from repro.core import (
+        BangBangPolicy,
+        DoubleSamplingFlipFlop,
+        DVSBusSystem,
+        DVSRunResult,
+        ErrorCounter,
+        FlipFlopBank,
+        ProportionalPolicy,
+        VoltageRegulator,
+        WindowedVoltageController,
+        evaluate_fixed_scaling,
+        fixed_scaling_voltage,
+        oracle_voltage_schedule,
+    )
+    from repro.energy import EnergyBreakdown, breakdown_gain_percent, energy_gain_percent
+    from repro.interconnect import TECH_130NM, TechnologyNode
+    from repro.trace import (
+        SPEC2000_PROFILES,
+        TABLE1_ORDER,
+        BusTrace,
+        generate_benchmark_trace,
+        generate_concatenated_suite,
+        generate_suite,
+    )
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.bus": (
+            "BusDesign",
+            "CharacterizedBus",
+            "TraceStatistics",
+            "TraceStatisticsAccumulator",
+            "TraceSummary",
+            "characterize_bus",
+        ),
+        "repro.circuit": (
+            "BEST_CASE_CORNER",
+            "STANDARD_CORNERS",
+            "TYPICAL_CORNER",
+            "WORST_CASE_CORNER",
+            "ProcessCorner",
+            "PVTCorner",
+            "VoltageGrid",
+        ),
+        "repro.clocking": ("PAPER_CLOCKING", "ClockingParameters"),
+        "repro.core": (
+            "BangBangPolicy",
+            "DoubleSamplingFlipFlop",
+            "DVSBusSystem",
+            "DVSRunResult",
+            "ErrorCounter",
+            "FlipFlopBank",
+            "ProportionalPolicy",
+            "VoltageRegulator",
+            "WindowedVoltageController",
+            "evaluate_fixed_scaling",
+            "fixed_scaling_voltage",
+            "oracle_voltage_schedule",
+        ),
+        "repro.energy": ("EnergyBreakdown", "breakdown_gain_percent", "energy_gain_percent"),
+        "repro.interconnect": ("TECH_130NM", "TechnologyNode"),
+        "repro.trace": (
+            "SPEC2000_PROFILES",
+            "TABLE1_ORDER",
+            "BusTrace",
+            "generate_benchmark_trace",
+            "generate_concatenated_suite",
+            "generate_suite",
+        ),
+    },
 )
 
+#: A plain constant, not a lazy export: ``JobSpec.key`` reads it on every
+#: cache lookup.
 __version__ = "1.3.0"
-
-__all__ = [
-    "BusDesign",
-    "CharacterizedBus",
-    "TraceStatistics",
-    "TraceStatisticsAccumulator",
-    "TraceSummary",
-    "characterize_bus",
-    "BEST_CASE_CORNER",
-    "STANDARD_CORNERS",
-    "TYPICAL_CORNER",
-    "WORST_CASE_CORNER",
-    "ProcessCorner",
-    "PVTCorner",
-    "VoltageGrid",
-    "PAPER_CLOCKING",
-    "ClockingParameters",
-    "BangBangPolicy",
-    "DoubleSamplingFlipFlop",
-    "DVSBusSystem",
-    "DVSRunResult",
-    "ErrorCounter",
-    "FlipFlopBank",
-    "ProportionalPolicy",
-    "VoltageRegulator",
-    "WindowedVoltageController",
-    "evaluate_fixed_scaling",
-    "fixed_scaling_voltage",
-    "oracle_voltage_schedule",
-    "EnergyBreakdown",
-    "breakdown_gain_percent",
-    "energy_gain_percent",
-    "TECH_130NM",
-    "TechnologyNode",
-    "SPEC2000_PROFILES",
-    "TABLE1_ORDER",
-    "BusTrace",
-    "generate_benchmark_trace",
-    "generate_concatenated_suite",
-    "generate_suite",
-    "__version__",
-]
+__all__.append("__version__")

@@ -27,18 +27,12 @@ from typing import Any, TYPE_CHECKING
 from collections.abc import Callable
 
 from repro.analysis import reporting
+from repro.circuit.pvt import TYPICAL_CORNER, WORST_CASE_CORNER
+from repro.trace import WorkloadError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runtime.cache import ResultCache
     from repro.runtime.spec import JobSpec
-from repro.analysis.dynamic_dvs import run_fig8, run_table1
-from repro.analysis.modified_bus import run_modified_bus_study, run_technology_scaling_study
-from repro.analysis.oracle_dvs import run_oracle_residency
-from repro.analysis.static_scaling import run_corner_gain_study, run_static_voltage_sweep
-from repro.bus.bus_design import BusDesign
-from repro.bus.bus_model import CharacterizedBus
-from repro.circuit.pvt import TYPICAL_CORNER, WORST_CASE_CORNER
-from repro.trace.generator import generate_suite, suite_sources
 
 ExperimentRunner = Callable[..., tuple[Any, str]]
 
@@ -90,10 +84,15 @@ def accepted_kwargs(function: Callable[..., Any], candidates: dict[str, Any]) ->
 
 
 def _suite(n_cycles: int, seed: int):
+    from repro.trace.generator import generate_suite
+
     return generate_suite(n_cycles=n_cycles, seed=seed)
 
 
 def _run_fig4(corner, n_cycles: int = 60_000, seed: int = 2005) -> tuple[Any, str]:
+    from repro.analysis.static_scaling import run_static_voltage_sweep
+    from repro.bus import BusDesign, CharacterizedBus
+
     design = BusDesign.paper_bus()
     bus = CharacterizedBus(design, corner)
     sweep = run_static_voltage_sweep(bus, _suite(n_cycles, seed))
@@ -109,12 +108,18 @@ def _run_fig4b(n_cycles: int = 60_000, seed: int = 2005) -> tuple[Any, str]:
 
 
 def _run_fig5(n_cycles: int = 60_000, seed: int = 2005) -> tuple[Any, str]:
+    from repro.analysis.static_scaling import run_corner_gain_study
+    from repro.bus import BusDesign
+
     design = BusDesign.paper_bus()
     study = run_corner_gain_study(design, _suite(n_cycles, seed))
     return study, reporting.format_corner_gain_study(study)
 
 
 def _run_fig6(n_cycles: int = 120_000, seed: int = 2005) -> tuple[Any, str]:
+    from repro.analysis.oracle_dvs import run_oracle_residency
+    from repro.bus import BusDesign
+
     design = BusDesign.paper_bus()
     study = run_oracle_residency(design, _suite(n_cycles, seed))
     return study, reporting.format_oracle_residency(study)
@@ -129,9 +134,10 @@ def _workload_mapping(workload: str, n_cycles: int | None, seed: int):
     drive more wires than the paper bus).  Returns
     ``(workloads, effective_n_cycles, design)``.
     """
+    from repro.bus import BusDesign
     from repro.encoding.analysis import design_for_width
     from repro.trace.generator import PAPER_CYCLES_PER_BENCHMARK
-    from repro.trace.workloads import WorkloadError, resolve_workload_mapping
+    from repro.trace.workloads import resolve_workload_mapping
 
     requested = n_cycles if n_cycles is not None else PAPER_CYCLES_PER_BENCHMARK
     try:
@@ -161,6 +167,8 @@ def _run_table1(
     jobs: int | None = None,
     workload: str | None = None,
 ) -> tuple[Any, str]:
+    from repro.analysis.dynamic_dvs import run_table1
+
     # n_cycles=None runs the paper's 10 M cycles per benchmark through the
     # streaming pipeline (O(chunk) memory); pass --cycles to scale down.
     # workload restricts/replaces the suite with comma-separated registry
@@ -191,7 +199,9 @@ def _run_table1_kernels(
     # executed mini-CPU kernels, per-SimPoint-spirit scenario diversity.  The
     # default scale keeps the (interpreted) kernel executions interactive;
     # synthetic rows at this scale differ from the paper-scale table1 run.
+    from repro.analysis.dynamic_dvs import run_table1
     from repro.trace.benchmarks import TABLE1_ORDER
+    from repro.trace.generator import suite_sources
     from repro.trace.workloads import kernel_sources
 
     kernels = kernel_sources(n_cycles=n_cycles, seed=seed)
@@ -212,6 +222,8 @@ def _run_fig8(
     jobs: int | None = None,
     workload: str | None = None,
 ) -> tuple[Any, str]:
+    from repro.analysis.dynamic_dvs import run_fig8
+
     if workload is not None:
         workloads, effective, design = _workload_mapping(workload, n_cycles, seed)
         result = run_fig8(
@@ -228,17 +240,23 @@ def _run_fig8(
 
 
 def _run_fig10(n_cycles: int = 60_000, seed: int = 2005) -> tuple[Any, str]:
+    from repro.analysis.modified_bus import run_modified_bus_study
+
     study = run_modified_bus_study(n_cycles=n_cycles, seed=seed)
     return study, reporting.format_modified_bus_study(study)
 
 
 def _run_scaling(**_: Any) -> tuple[Any, str]:
+    from repro.analysis.modified_bus import run_technology_scaling_study
+
     study = run_technology_scaling_study()
     return study, reporting.format_technology_scaling(study)
 
 
 def _run_baselines(n_cycles: int = 20_000, seed: int = 2005) -> tuple[Any, str]:
     from repro.baselines import format_scheme_comparison, run_scheme_comparison
+    from repro.bus import BusDesign
+    from repro.trace.generator import generate_suite
 
     design = BusDesign.paper_bus()
     suite = generate_suite(names=("crafty", "mgrid"), n_cycles=n_cycles, seed=seed)
@@ -276,6 +294,7 @@ def _run_encoding(n_cycles: int = 20_000, seed: int = 2005) -> tuple[Any, str]:
 
 def _run_ipc(n_cycles: int = 60_000, seed: int = 2005) -> tuple[Any, str]:
     from repro.arch import PIPELINE_MODELS, evaluate_ipc_impact
+    from repro.bus import BusDesign, CharacterizedBus
     from repro.core.dvs_system import DVSBusSystem
     from repro.trace.generator import generate_benchmark_trace
 
@@ -323,6 +342,7 @@ def _run_sensitivity(n_cycles: int = 150_000, seed: int = 2005) -> tuple[Any, st
         run_ramp_delay_sensitivity,
         run_window_length_sensitivity,
     )
+    from repro.bus import BusDesign, CharacterizedBus
     from repro.trace.generator import generate_benchmark_trace
 
     bus = CharacterizedBus(BusDesign.paper_bus(), TYPICAL_CORNER)

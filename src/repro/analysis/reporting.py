@@ -8,11 +8,13 @@ pulling in any plotting dependency.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
-from repro.analysis.dynamic_dvs import Fig8Result, Table1Result
-from repro.analysis.modified_bus import ModifiedBusStudy, TechnologyScalingStudy
-from repro.analysis.oracle_dvs import OracleResidencyStudy
-from repro.analysis.static_scaling import CornerGainStudy, StaticScalingSweep
+if TYPE_CHECKING:  # annotations only: formatting loads no simulation code
+    from repro.analysis.dynamic_dvs import Fig8Result, Table1Result
+    from repro.analysis.modified_bus import ModifiedBusStudy, TechnologyScalingStudy
+    from repro.analysis.oracle_dvs import OracleResidencyStudy
+    from repro.analysis.static_scaling import CornerGainStudy, StaticScalingSweep
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

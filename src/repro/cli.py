@@ -84,28 +84,14 @@ from contextlib import contextmanager
 from pathlib import Path
 from collections.abc import Iterator, Sequence
 
-import numpy as np
-
+# Module top imports only what every command needs -- the parser's choice
+# lists, the result cache and telemetry -- and none of it loads numpy or
+# scipy, so ``--help``, a cache-hit ``run`` and a cache-hit ``submit`` start
+# fast (``tests/test_import_budget.py``).  Each handler imports the
+# simulation code it drives.
 from repro.analysis.experiments import EXPERIMENTS, accepted_kwargs, run_experiment
-from repro.baselines import format_scheme_comparison, run_scheme_comparison
-from repro.bus import BusDesign, CharacterizedBus
-from repro.circuit.pvt import PVTCorner
-from repro.core.dvs_system import DVSBusSystem
-from repro.cpu import KERNELS
-from repro.plotting import Series, line_chart
-from repro.runtime import (
-    CORNERS,
-    SWEEPS,
-    ProgressPrinter,
-    ResultCache,
-    ResultStore,
-    auto_chunk_progress,
-    default_cache_dir,
-    format_sweep_report,
-    get_sweep,
-    run_jobs,
-)
-from repro.runtime.tasks import get_task
+from repro.runtime.cache import ResultCache, default_cache_dir
+from repro.runtime.tasks import CORNERS
 from repro.telemetry import (
     DEFAULT_TELEMETRY_BASE,
     Telemetry,
@@ -119,16 +105,21 @@ from repro.telemetry import (
     write_jsonl,
 )
 from repro.telemetry.metrics import format_quantity
-from repro.trace import (
-    TABLE1_ORDER,
-    BusTrace,
-    benchmark_trace_source,
-    generate_suite,
-    resolve_workload,
-    save_trace_hex,
-    save_trace_npz,
+from repro.trace import WorkloadError
+from repro.trace.benchmarks import TABLE1_ORDER
+
+#: The ids of :data:`repro.runtime.sweeps.SWEEPS`, sorted, for the ``sweep``
+#: parser.  Spelled out because building that registry loads numpy (its
+#: encoder and CPU-kernel axes); ``tests/test_import_budget.py`` checks that
+#: the two agree.
+SWEEP_NAMES = (
+    "controller-grid",
+    "corner-workload",
+    "coupling",
+    "encoding-matrix",
+    "pvt-mega",
+    "workload-matrix",
 )
-from repro.trace.workloads import WorkloadError
 
 
 def _workload_error(error: Exception) -> int:
@@ -247,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "name",
         nargs="?",
-        choices=sorted(SWEEPS),
+        choices=SWEEP_NAMES,
         help="sweep id (omit with --list to enumerate)",
     )
     sweep_parser.add_argument(
@@ -617,6 +608,10 @@ def _command_sweep(
     cycles: int | None = None,
     chardb: str | None = None,
 ) -> int:
+    from repro.runtime import ProgressPrinter, ResultStore, run_jobs
+    from repro.runtime.sweeps import SWEEPS, format_sweep_report, get_sweep
+    from repro.runtime.tasks import get_task
+
     if list_sweeps or name is None:
         width = max(len(sweep_name) for sweep_name in SWEEPS)
         print("Named sweeps (run with 'python -m repro sweep <name>'):")
@@ -662,6 +657,7 @@ def _command_report(
     jobs: int,
 ) -> int:
     from repro.report import build_report, resolve_experiments
+    from repro.runtime import ProgressPrinter
 
     try:
         identifiers = resolve_experiments(experiments)
@@ -877,6 +873,9 @@ def _chardb_env(path: str | None) -> Iterator[None]:
 
 
 def _command_characterize(corner_name: str) -> int:
+    from repro.bus import BusDesign, CharacterizedBus
+    from repro.circuit.pvt import PVTCorner
+
     corner = CORNERS[corner_name]
     bus = CharacterizedBus(BusDesign.paper_bus(), corner)
     clocking = bus.design.clocking
@@ -914,6 +913,13 @@ def _command_simulate(
     jobs: int | None = None,
     workload: str | None = None,
 ) -> int:
+    from repro.bus import BusDesign, CharacterizedBus
+    from repro.core.dvs_system import DVSBusSystem
+    from repro.encoding.analysis import design_for_width
+    from repro.plotting import Series, line_chart
+    from repro.runtime import auto_chunk_progress
+    from repro.trace import benchmark_trace_source, resolve_workload
+
     corner = CORNERS[corner_name]
     if workload is not None:
         # Any registry spec; file-backed workloads keep their recorded
@@ -928,8 +934,6 @@ def _command_simulate(
         label = benchmark
     # Encoded workloads drive more wires than the paper bus; redesign for the
     # source's width exactly like the dvs_run sweep task does.
-    from repro.encoding.analysis import design_for_width
-
     bus = CharacterizedBus(design_for_width(BusDesign.paper_bus(), source.n_bits), corner)
     system = DVSBusSystem(bus, window_cycles=window, ramp_delay_cycles=ramp)
     progress = auto_chunk_progress(source.n_cycles, label=f"simulate {label}")
@@ -1161,6 +1165,10 @@ def _command_jobs(
 
 
 def _command_compare_schemes(corner_name: str, cycles: int, seed: int) -> int:
+    from repro.baselines import format_scheme_comparison, run_scheme_comparison
+    from repro.bus import BusDesign
+    from repro.trace import generate_suite
+
     corner = CORNERS[corner_name]
     design = BusDesign.paper_bus()
     suite = generate_suite(names=("crafty", "vortex", "mgrid"), n_cycles=cycles, seed=seed)
@@ -1183,6 +1191,9 @@ def _command_trace(
     seed: int,
     out: Path | None,
 ) -> int:
+    import numpy as np
+
+    from repro.trace import BusTrace, resolve_workload, save_trace_hex, save_trace_npz
     from repro.trace.workloads import WORKLOADS
 
     if list_workloads or workload is None:
@@ -1250,6 +1261,8 @@ def _command_trace(
 
 
 def _command_kernels() -> int:
+    from repro.cpu import KERNELS
+
     width = max(len(name) for name in KERNELS)
     print("Mini-CPU kernels (see repro.cpu.kernel_bus_trace):")
     for name in sorted(KERNELS):

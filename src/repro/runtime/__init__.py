@@ -31,6 +31,10 @@ production-style execution system:
   (``python -m repro sweep <name>``), including a 300-point design-space
   map.
 
+The names below load on first use (:mod:`repro.utils.lazy`): the cache,
+the specs and the executor import without numpy, so a cache hit never loads
+the simulation stack.
+
 Quickstart
 ----------
 >>> from repro.runtime import SweepSpec, run_jobs, shared_cache
@@ -45,87 +49,90 @@ Quickstart
 [35.2, 11.8, 30.9, 10.4]
 """
 
-from repro.runtime.cache import CacheStats, ResultCache, default_cache_dir, shared_cache
-from repro.runtime.executor import ExecutionReport, JobOutcome, run_jobs
-from repro.runtime.hashing import canonical_json, derive_seed, stable_hash
-from repro.runtime.progress import (
-    ChunkProgress,
-    ProgressPrinter,
-    auto_chunk_progress,
-    null_progress,
-)
-from repro.runtime.parallel import (
-    ChunkSegmenter,
-    ParallelChunkScheduler,
-    ParallelExecutionError,
-    statistics_pass,
-)
-from repro.runtime.spec import JobSpec, SweepSpec
-from repro.runtime.store import ResultStore, load_results
-from repro.runtime.sweeps import SWEEPS, format_sweep_report, get_sweep
-from repro.runtime.workqueue import (
-    InlineRunner,
-    JobCancelledError,
-    JobHandle,
-    ProcessRunner,
-    QueueClosedError,
-    QueueFullError,
-    QuotaExceededError,
-    WorkerDiedError,
-    WorkQueue,
-)
-from repro.runtime.tasks import (
-    CORNERS,
-    ENCODER_NAMES,
-    available_tasks,
-    corner_params,
-    get_task,
-    resolve_corner,
-    run_job_params,
-    task,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CacheStats",
-    "ResultCache",
-    "default_cache_dir",
-    "shared_cache",
-    "ExecutionReport",
-    "JobOutcome",
-    "run_jobs",
-    "canonical_json",
-    "derive_seed",
-    "stable_hash",
-    "ChunkProgress",
-    "ProgressPrinter",
-    "auto_chunk_progress",
-    "null_progress",
-    "ChunkSegmenter",
-    "ParallelChunkScheduler",
-    "ParallelExecutionError",
-    "statistics_pass",
-    "JobSpec",
-    "SweepSpec",
-    "InlineRunner",
-    "JobCancelledError",
-    "JobHandle",
-    "ProcessRunner",
-    "QueueClosedError",
-    "QueueFullError",
-    "QuotaExceededError",
-    "WorkQueue",
-    "WorkerDiedError",
-    "ResultStore",
-    "load_results",
-    "SWEEPS",
-    "format_sweep_report",
-    "get_sweep",
-    "CORNERS",
-    "ENCODER_NAMES",
-    "available_tasks",
-    "corner_params",
-    "get_task",
-    "resolve_corner",
-    "run_job_params",
-    "task",
-]
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.runtime.cache import CacheStats, ResultCache, default_cache_dir, shared_cache
+    from repro.runtime.executor import ExecutionReport, JobOutcome, run_jobs
+    from repro.runtime.hashing import canonical_json, derive_seed, stable_hash
+    from repro.runtime.progress import (
+        ChunkProgress,
+        ProgressPrinter,
+        auto_chunk_progress,
+        null_progress,
+    )
+    from repro.runtime.parallel import (
+        ChunkSegmenter,
+        ParallelChunkScheduler,
+        ParallelExecutionError,
+        statistics_pass,
+    )
+    from repro.runtime.spec import JobSpec, SweepSpec
+    from repro.runtime.store import ResultStore, load_results
+    from repro.runtime.sweeps import ENCODER_NAMES, SWEEPS, format_sweep_report, get_sweep
+    from repro.runtime.workqueue import (
+        InlineRunner,
+        JobCancelledError,
+        JobHandle,
+        ProcessRunner,
+        QueueClosedError,
+        QueueFullError,
+        QuotaExceededError,
+        WorkerDiedError,
+        WorkQueue,
+    )
+    from repro.runtime.tasks import (
+        CORNERS,
+        available_tasks,
+        corner_params,
+        get_task,
+        resolve_corner,
+        run_job_params,
+        task,
+    )
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.runtime.cache": ("CacheStats", "ResultCache", "default_cache_dir", "shared_cache"),
+        "repro.runtime.executor": ("ExecutionReport", "JobOutcome", "run_jobs"),
+        "repro.runtime.hashing": ("canonical_json", "derive_seed", "stable_hash"),
+        "repro.runtime.progress": (
+            "ChunkProgress",
+            "ProgressPrinter",
+            "auto_chunk_progress",
+            "null_progress",
+        ),
+        "repro.runtime.parallel": (
+            "ChunkSegmenter",
+            "ParallelChunkScheduler",
+            "ParallelExecutionError",
+            "statistics_pass",
+        ),
+        "repro.runtime.spec": ("JobSpec", "SweepSpec"),
+        "repro.runtime.workqueue": (
+            "InlineRunner",
+            "JobCancelledError",
+            "JobHandle",
+            "ProcessRunner",
+            "QueueClosedError",
+            "QueueFullError",
+            "QuotaExceededError",
+            "WorkQueue",
+            "WorkerDiedError",
+        ),
+        "repro.runtime.store": ("ResultStore", "load_results"),
+        "repro.runtime.sweeps": ("SWEEPS", "format_sweep_report", "get_sweep", "ENCODER_NAMES"),
+        "repro.runtime.tasks": (
+            "CORNERS",
+            "available_tasks",
+            "corner_params",
+            "get_task",
+            "resolve_corner",
+            "run_job_params",
+            "task",
+        ),
+    },
+)

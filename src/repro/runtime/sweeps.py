@@ -18,12 +18,19 @@ from collections.abc import Sequence
 
 from repro.analysis.reporting import format_table
 from repro.cpu.kernels import KERNELS
+from repro.encoding import encoder_names
 from repro.runtime.executor import ExecutionReport
 from repro.runtime.spec import SweepSpec
-from repro.runtime.tasks import ENCODER_NAMES
 from repro.trace.benchmarks import TABLE1_ORDER
 
-__all__ = ["SWEEPS", "get_sweep", "format_sweep_report"]
+__all__ = ["SWEEPS", "get_sweep", "format_sweep_report", "ENCODER_NAMES"]
+
+#: Encoder aliases accepted by the ``encoder`` sweep parameter.  The encoder
+#: classes in :mod:`repro.encoding` are the single source of truth, so any
+#: encoder added there (including parameterised variants like
+#: ``bus-invert/8``) is immediately addressable from sweep parameters and
+#: ``encoded:`` workload specs alike.
+ENCODER_NAMES: tuple[str, ...] = encoder_names()
 
 #: The five Fig. 5 corners, slowest to fastest.
 _FIVE_CORNERS: tuple[str, ...] = tuple(f"corner{i}" for i in range(1, 6))

@@ -39,7 +39,6 @@ __all__ = [
     "CORNERS",
     "corner_params",
     "resolve_corner",
-    "ENCODER_NAMES",
 ]
 
 TaskFunction = Callable[..., dict[str, Any]]
@@ -132,24 +131,6 @@ def corner_params(spec: CornerLike) -> dict[str, Any]:
 def _corner_key(spec: CornerLike) -> tuple[str, float, float]:
     params = corner_params(spec)
     return (params["process"], params["temperature_c"], params["ir_drop"])
-
-
-def _encoder_names() -> tuple[str, ...]:
-    """Encoder aliases from the single registry in :mod:`repro.encoding`.
-
-    The encoder classes are the single source of truth: this is the same set
-    :func:`repro.encoding.default_encoders` evaluates, so any encoder added
-    there (including parameterised variants like ``bus-invert/8``) is
-    immediately addressable from sweep parameters and ``encoded:`` workload
-    specs alike.
-    """
-    from repro.encoding import encoder_names
-
-    return encoder_names()
-
-
-#: Encoder aliases accepted by the ``encoder`` sweep parameter.
-ENCODER_NAMES: tuple[str, ...] = _encoder_names()
 
 
 def _make_encoder(name: str):

@@ -62,6 +62,7 @@ and counters (``workqueue.submitted`` / ``workqueue.executed`` /
 
 from __future__ import annotations
 
+import importlib
 import pickle
 import queue as queue_module
 import threading
@@ -430,6 +431,20 @@ def _process_worker_main(conn: Any) -> None:
             return
 
 
+#: The simulation stack a worker needs for any task, imported by the parent
+#: before it forks.  ``import repro`` does not load it (the package exports
+#: are lazy), so without this every forked worker -- and every respawn --
+#: would pay the numpy/scipy import again before its first job.
+_PREFORK_MODULES: tuple[str, ...] = (
+    "repro.bus",
+    "repro.core",
+    "repro.trace.workloads",
+    "repro.chardb",
+    "repro.energy",
+    "repro.runtime.parallel",
+)
+
+
 class ProcessRunner:
     """One persistent forked worker process with crash detection and kill.
 
@@ -456,6 +471,8 @@ class ProcessRunner:
         """Fork the worker process (idempotent)."""
         if self._process is not None and self._process.is_alive():
             return
+        for module in _PREFORK_MODULES:
+            importlib.import_module(module)
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_process_worker_main, args=(child_conn,), daemon=True
@@ -688,58 +705,67 @@ class WorkQueue:
         """
         telemetry = get_telemetry()
         key = spec.key
-        cached = self._cache.get(key) if (read_cache and self._cache is not None) else None
-        # Read the (injected, possibly slow) clock before taking the lock.
-        submitted_s = self._clock()
-        with self._lock:
-            if self._closed:
-                raise QueueClosedError("queue is shutting down; submission rejected")
-            if cached is not None and "result" in cached:
-                self._counters["cache_hits"] += 1
-                telemetry.count("workqueue.cache_hits")
-                job = self._new_job(spec, key, submitted_s)
-                job.state = DONE
-                job.cached = True
-                job.result = cached["result"]
-                job.finished.set()
-                handle = JobHandle(self, job, client)
-                # _push is queue.Queue.put on the handle's own unbounded
-                # event queue: non-blocking, no subscriber code runs here.
-                handle._push(self._result_event(job))  # repro: noqa[LCK003]
-                return handle
-            active = self._active_by_key.get(key)
-            if active is not None:
+        cache = self._cache if read_cache else None
+        while True:
+            with self._lock:
+                executed = self._counters["executed"]
+            cached = cache.get(key) if cache is not None else None
+            # Read the (injected, possibly slow) clock before taking the lock.
+            submitted_s = self._clock()
+            with self._lock:
+                if self._closed:
+                    raise QueueClosedError("queue is shutting down; submission rejected")
+                if cached is not None and "result" in cached:
+                    self._counters["cache_hits"] += 1
+                    telemetry.count("workqueue.cache_hits")
+                    job = self._new_job(spec, key, submitted_s)
+                    job.state = DONE
+                    job.cached = True
+                    job.result = cached["result"]
+                    job.finished.set()
+                    handle = JobHandle(self, job, client)
+                    # _push is queue.Queue.put on the handle's own unbounded
+                    # event queue: non-blocking, no subscriber code runs here.
+                    handle._push(self._result_event(job))  # repro: noqa[LCK003]
+                    return handle
+                active = self._active_by_key.get(key)
+                if active is not None:
+                    self._check_quota(client)
+                    handle = JobHandle(self, active, client)
+                    handle.deduped = True
+                    active.handles.append(handle)
+                    self._client_active[client] = self._client_active.get(client, 0) + 1
+                    self._counters["deduped"] += 1
+                    telemetry.count("workqueue.deduped")
+                    now = telemetry.now()
+                    telemetry.record_span(
+                        "server.dedupe", now, now, job=active.id, clients=len(active.handles)
+                    )
+                    if active.state == RUNNING:
+                        # Non-blocking put on the handle's own queue (see above).
+                        handle._push({"event": "started", "job": active.id})  # repro: noqa[LCK003]
+                    return handle
+                if cache is not None and cached is None and self._counters["executed"] != executed:
+                    # A job finished -- and wrote the cache -- after the
+                    # lookup above, perhaps this key's: look again rather
+                    # than execute it twice.
+                    continue
                 self._check_quota(client)
-                handle = JobHandle(self, active, client)
-                handle.deduped = True
-                active.handles.append(handle)
+                if len(self._pending) >= self._max_pending:
+                    raise QueueFullError(
+                        f"queue is full ({self._max_pending} pending); retry after it drains"
+                    )
+                job = self._new_job(spec, key, submitted_s)
+                handle = JobHandle(self, job, client)
+                job.handles.append(handle)
                 self._client_active[client] = self._client_active.get(client, 0) + 1
-                self._counters["deduped"] += 1
-                telemetry.count("workqueue.deduped")
-                now = telemetry.now()
-                telemetry.record_span(
-                    "server.dedupe", now, now, job=active.id, clients=len(active.handles)
-                )
-                if active.state == RUNNING:
-                    # Non-blocking put on the handle's own queue (see above).
-                    handle._push({"event": "started", "job": active.id})  # repro: noqa[LCK003]
+                self._active_by_key[key] = job
+                self._pending.append(job)
+                self._counters["submitted"] += 1
+                telemetry.count("workqueue.submitted")
+                telemetry.gauge("server.queue_depth", len(self._pending))
+                self._wakeup.notify_all()
                 return handle
-            self._check_quota(client)
-            if len(self._pending) >= self._max_pending:
-                raise QueueFullError(
-                    f"queue is full ({self._max_pending} pending); retry after it drains"
-                )
-            job = self._new_job(spec, key, submitted_s)
-            handle = JobHandle(self, job, client)
-            job.handles.append(handle)
-            self._client_active[client] = self._client_active.get(client, 0) + 1
-            self._active_by_key[key] = job
-            self._pending.append(job)
-            self._counters["submitted"] += 1
-            telemetry.count("workqueue.submitted")
-            telemetry.gauge("server.queue_depth", len(self._pending))
-            self._wakeup.notify_all()
-            return handle
 
     def _new_job(self, spec: JobSpec, key: str, submitted_s: float) -> _Job:
         self._seq += 1

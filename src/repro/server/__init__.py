@@ -20,6 +20,9 @@ Layers (each independently testable):
 * :mod:`~repro.server.client` -- :class:`ReproClient`, the typed client
   behind ``repro submit`` / ``repro jobs``.
 
+The names below load on first use (:mod:`repro.utils.lazy`), so ``repro
+submit`` and ``repro jobs`` import only the client and the protocol.
+
 Quickstart
 ----------
 Terminal 1::
@@ -34,31 +37,40 @@ Terminal 2::
     python -m repro jobs --shutdown                # graceful drain + stop
 """
 
-from repro.server.client import ReproClient, ServerError
-from repro.server.protocol import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    decode_message,
-    decode_response,
-    default_address,
-    encode_message,
-)
-from repro.server.server import ReproServer
-from repro.server.service import ServerSession
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "ReproClient",
-    "ReproServer",
-    "ServerError",
-    "ServerSession",
-    "decode_message",
-    "decode_response",
-    "default_address",
-    "encode_message",
-]
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.server.client import ReproClient, ServerError
+    from repro.server.protocol import (
+        DEFAULT_HOST,
+        DEFAULT_PORT,
+        PROTOCOL_VERSION,
+        ProtocolError,
+        decode_message,
+        decode_response,
+        default_address,
+        encode_message,
+    )
+    from repro.server.server import ReproServer
+    from repro.server.service import ServerSession
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.server.protocol": (
+            "DEFAULT_HOST",
+            "DEFAULT_PORT",
+            "PROTOCOL_VERSION",
+            "ProtocolError",
+            "decode_message",
+            "decode_response",
+            "default_address",
+            "encode_message",
+        ),
+        "repro.server.client": ("ReproClient", "ServerError"),
+        "repro.server.server": ("ReproServer",),
+        "repro.server.service": ("ServerSession",),
+    },
+)

@@ -57,6 +57,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.trace import WorkloadError
 from repro.trace.benchmarks import SPEC2000_PROFILES, TABLE1_ORDER, get_profile
 from repro.trace.generator import DEFAULT_CYCLES_PER_BENCHMARK
 from repro.trace.simpoint import (
@@ -89,16 +90,6 @@ __all__ = [
     "available_workloads",
 ]
 
-
-class WorkloadError(ValueError):
-    """A workload spec could not be resolved or is unusable as requested.
-
-    Raised by consumers that need to distinguish *bad user input* (an
-    unknown spec, workloads of incompatible widths) from internal failures
-    -- e.g. the CLI catches exactly this to print a clean error instead of
-    a traceback.  The registry itself raises ``KeyError``/``TypeError`` so
-    lookups stay idiomatic; wrap at the boundary that owns the user input.
-    """
 
 #: Number of equal windows the SimPoint reduction splits a trace into when no
 #: explicit window length is given.

@@ -67,6 +67,35 @@ def test_cache_hit_completes_instantly(make_queue, tmp_path):
     assert stats["executed"] == 1 and stats["cache_hits"] == 1
 
 
+def test_job_finishing_during_the_cache_lookup_is_not_executed_again(make_queue, tmp_path):
+    # The lookup misses, then the running job of the same key finishes and
+    # writes the cache before the submission takes the queue lock.
+    gate = Gate()
+    running = []
+
+    class RacingCache(ResultCache):
+        race_next_lookup = False
+
+        def get(self, key):
+            record = super().get(key)
+            if self.race_next_lookup:
+                self.race_next_lookup = False
+                gate.release.set()
+                running[0].result(timeout=5)
+            return record
+
+    cache = RacingCache(tmp_path / "cache")
+    queue = make_queue(gated_fn(gate), n_workers=1, cache=cache)
+    running.append(queue.submit(spec(x=1)))
+    gate.wait_started()
+    cache.race_next_lookup = True
+    again = queue.submit(spec(x=1))
+    assert again.cached
+    assert again.result(timeout=5) == running[0].result(timeout=5)
+    stats = queue.stats()
+    assert stats["executed"] == 1 and stats["cache_hits"] == 1
+
+
 def test_unknown_job_status_is_none(make_queue):
     queue = make_queue()
     assert queue.status("job-99") is None
