@@ -44,8 +44,8 @@ values with ``python -m repro report --experiments table1,fig8`` (see
 :mod:`repro.report`).
 
 The names below load on first use (:mod:`repro.utils.lazy`): ``import repro``
-itself loads neither numpy nor scipy, so ``repro --help`` and a cache-hit
-``repro run`` start fast.
+itself does not load numpy, so ``repro --help`` and a cache-hit ``repro run``
+start fast.
 """
 
 from typing import TYPE_CHECKING

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.circuit.pvt import ProcessCorner, PVTCorner
+from repro.circuit.pvt import ProcessCorner
 from repro.utils.units import CELSIUS_TO_KELVIN
 from repro.utils.validation import check_positive
 
@@ -162,11 +162,6 @@ class AlphaPowerModel:
         if current == 0.0:
             return math.inf
         return self.params.resistance_fit * vdd / current
-
-    def drive_resistance(self, corner_vdd: float, corner: PVTCorner, size: float = 1.0) -> float:
-        """Convenience wrapper taking a :class:`PVTCorner` and the *effective*
-        (post-IR-drop) supply voltage."""
-        return self.effective_resistance(corner_vdd, corner.process, corner.temperature_c, size)
 
     # ------------------------------------------------------------------ #
     # Capacitance

@@ -85,10 +85,10 @@ from pathlib import Path
 from collections.abc import Iterator, Sequence
 
 # Module top imports only what every command needs -- the parser's choice
-# lists, the result cache and telemetry -- and none of it loads numpy or
-# scipy, so ``--help``, a cache-hit ``run`` and a cache-hit ``submit`` start
-# fast (``tests/test_import_budget.py``).  Each handler imports the
-# simulation code it drives.
+# lists, the result cache and telemetry -- and none of it loads numpy, so
+# ``--help``, a cache-hit ``run`` and a cache-hit ``submit`` start fast
+# (``tests/test_import_budget.py``).  Each handler imports the simulation
+# code it drives.
 from repro.analysis.experiments import EXPERIMENTS, accepted_kwargs, run_experiment
 from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.tasks import CORNERS

@@ -128,12 +128,6 @@ class NeighborTopology:
         )
         return float(np.max(primary_max + self.secondary_weight * secondary_max))
 
-    def signal_pair_count(self) -> int:
-        """Number of adjacent signal-signal pairs (for energy accounting)."""
-        return int(np.count_nonzero(~self.right_is_shield[:-1])) + (
-            0 if self.right_is_shield[-1] else 0
-        )
-
 
 def grouped_shield_topology(
     n_wires: int, shield_group: int, secondary_weight: float = 0.15

@@ -3,17 +3,15 @@
 The paper's bus is divided into 1.5 mm segments by repeaters that are "sized
 so that the maximum delay ... on the bus is 600 ps" at the worst-case PVT
 corner and switching pattern.  :func:`size_for_target_delay` reproduces that
-design step: it finds the smallest repeater size whose worst-case delay meets
-the target, mirroring the typical design philosophy of spending no more
-repeater area (and energy) than the constraint requires.
+design step in closed form: it solves for the smallest repeater size whose
+worst-case delay meets the target, mirroring the design philosophy of
+spending no more repeater area (and energy) than the constraint requires.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import optimize
 
 from repro.circuit.delay_model import DriverDelayModel
 from repro.circuit.pvt import PVTCorner
@@ -103,11 +101,15 @@ def size_for_target_delay(
 ) -> RepeaterChain:
     """Find the smallest repeater size meeting ``target_delay`` at the corner.
 
-    The worst-case delay is monotonically decreasing in repeater size until
-    self-loading takes over, so the smallest size meeting the target is found
-    with a bracketed root search on the decreasing branch.  If even the
-    delay-optimal size misses the target the bus cannot be built for this
-    clock frequency and :class:`RepeaterSizingError` is raised.
+    Drive current is linear in the repeater size ``s`` and the gate and drain
+    capacitances scale with it, so the worst-case delay is exactly
+    ``A + B/s + C*s`` (``C*s`` is the wire charging the next repeater's gate,
+    zero for one segment).  The delay-optimal size is ``sqrt(B/C)`` clamped
+    to ``[1, MAX_REPEATER_SIZE]``; the smallest size meeting the target is
+    the smaller root of ``C*s**2 - (target - A)*s + B``.  If even the
+    delay-optimal size misses the target (or the supply is at or below
+    threshold) the bus cannot be built for this clock frequency and
+    :class:`RepeaterSizingError` is raised.
     """
     check_positive("target_delay", target_delay)
 
@@ -117,27 +119,36 @@ def size_for_target_delay(
         )
         return chain.worst_case_delay(vdd, corner, segment, driver_model, max_coupling_factor)
 
-    # Locate the delay-optimal size (the minimum of the convex delay curve).
-    result = optimize.minimize_scalar(
-        worst_delay, bounds=(1.0, MAX_REPEATER_SIZE), method="bounded"
-    )
-    optimal_size = float(result.x)
-    optimal_delay = float(result.fun)
+    # Solve A, B and C from the delays at sizes h/k, h and h*k (1, 32, 1024).
+    # Powers of two scale the drive current and the capacitances exactly.
+    h = k = 32.0
+    at_one, at_h = worst_delay(h / k), worst_delay(h)
+    below = (at_one - at_h) / (k - 1.0)  # B/h - C*h/k
+    above = (worst_delay(h * k) - at_h) / (k - 1.0)  # C*h - B/(h*k)
+    b_h = (below + above / k) / (1.0 - 1.0 / k**2)
+    c_h = (above + below / k) / (1.0 - 1.0 / k**2)
+    a, b, c = at_h - b_h - c_h, b_h * h, c_h / h
+
+    # C vanishes (up to rounding) for one segment and is NaN below threshold.
+    optimal_size = MAX_REPEATER_SIZE
+    if c > 0.0:
+        optimal_size = min(max(math.sqrt(b / c), 1.0), MAX_REPEATER_SIZE)
+    optimal_delay = worst_delay(optimal_size)
     if optimal_delay > target_delay:
         raise RepeaterSizingError(
             f"target delay {target_delay * 1e12:.0f} ps unreachable at corner "
             f"{corner.label}: best achievable is {optimal_delay * 1e12:.0f} ps"
         )
 
-    if worst_delay(1.0) <= target_delay:
+    if at_one <= target_delay:
         smallest = 1.0
     else:
-        smallest = float(
-            optimize.brentq(lambda s: worst_delay(s) - target_delay, 1.0, optimal_size)
-        )
+        # The cancellation-free form of the smaller root, exact when C = 0.
+        slack = target_delay - a
+        smallest = 2.0 * b / (slack + math.sqrt(max(slack * slack - 4.0 * b * c, 0.0)))
         # A sliver of margin keeps the design-corner worst case strictly inside
-        # the deadline despite the root finder's finite tolerance, so the bus
-        # is genuinely error-free at the design point.
+        # the deadline despite rounding in the solved terms, so the bus is
+        # genuinely error-free at the design point.
         smallest = min(smallest * 1.002, optimal_size)
     return RepeaterChain(
         n_segments=n_segments, size=smallest, receiver_capacitance=receiver_capacitance

@@ -11,7 +11,7 @@ by the Section 6 technology-scaling discussion are produced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.circuit.mosfet import TransistorParams
 from repro.interconnect.geometry import WireGeometry
@@ -76,10 +76,6 @@ class TechnologyNode:
             dielectric_height=self.dielectric_height,
             length=length,
         )
-
-    def with_transistor(self, transistor: TransistorParams) -> TechnologyNode:
-        """Return a copy of this node with different device parameters."""
-        return replace(self, transistor=transistor)
 
 
 #: The paper's 0.13 um node: 1.2 V nominal supply, 0.8 um minimum global pitch.

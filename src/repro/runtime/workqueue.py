@@ -434,7 +434,7 @@ def _process_worker_main(conn: Any) -> None:
 #: The simulation stack a worker needs for any task, imported by the parent
 #: before it forks.  ``import repro`` does not load it (the package exports
 #: are lazy), so without this every forked worker -- and every respawn --
-#: would pay the numpy/scipy import again before its first job.
+#: would import numpy and the stack again before its first job.
 _PREFORK_MODULES: tuple[str, ...] = (
     "repro.bus",
     "repro.core",

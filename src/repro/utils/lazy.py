@@ -1,8 +1,8 @@
 """Lazy package exports (PEP 562): a package's public names load on first use.
 
 A package ``__init__`` that re-exports names from heavy submodules makes
-every importer pay for all of them -- ``import repro`` used to load numpy,
-scipy and the whole simulation stack just so ``repro --help`` could print.
+every importer pay for all of them -- ``import repro`` used to load numpy
+and the whole simulation stack just so ``repro --help`` could print.
 With :func:`lazy_exports` the package keeps one table of its exports and
 imports a defining module only when one of its names is first read::
 

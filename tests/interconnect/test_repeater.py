@@ -1,13 +1,18 @@
 """Tests for Elmore coefficients, repeater sizing and technology scaling."""
 
+import math
+
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from repro.circuit.delay_model import DriverDelayModel
-from repro.circuit.pvt import TYPICAL_CORNER, WORST_CASE_CORNER
+from repro.circuit.pvt import BEST_CASE_CORNER, TYPICAL_CORNER, WORST_CASE_CORNER
 from repro.clocking import PAPER_CLOCKING
 from repro.interconnect.elmore import bus_delay_coefficients, segment_delay_coefficients
 from repro.interconnect.parasitics import extract_parasitics
 from repro.interconnect.repeater import (
+    MAX_REPEATER_SIZE,
     RepeaterChain,
     RepeaterSizingError,
     size_for_target_delay,
@@ -98,6 +103,143 @@ class TestRepeaterSizing:
             RepeaterChain(n_segments=0, size=10.0)
         with pytest.raises(ValueError):
             RepeaterChain(n_segments=4, size=-1.0)
+
+
+def _delay_optimum(delay):
+    """``(size, delay)`` at the minimum of the convex delay curve on
+    ``[1, MAX_REPEATER_SIZE]``, by ternary search."""
+    lo, hi = 1.0, MAX_REPEATER_SIZE
+    for _ in range(100):
+        left, right = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if delay(left) <= delay(right):
+            hi = right
+        else:
+            lo = left
+    optimum = 0.5 * (lo + hi)
+    if optimum >= MAX_REPEATER_SIZE * (1.0 - 1e-9):
+        optimum = MAX_REPEATER_SIZE
+    return optimum, delay(optimum)
+
+
+def _reference_sizing(delay, target):
+    """Test-local sizing by search on ``delay``.
+
+    The smallest size meeting ``target`` is found by bisection on the
+    decreasing branch of the delay curve.  Returns ``(branch, size, best
+    delay, conditioned)``: rounding in the delay moves the root by
+    ``delay / (size * |slope|)`` times as much, so near the flat bottom of
+    the curve only the delay, not the size, is pinned down.
+    """
+    at_one = delay(1.0)
+    if math.isinf(at_one):
+        return "sub-threshold", None, math.inf, False
+    optimum, best = _delay_optimum(delay)
+    if target < best:
+        return "unreachable", None, best, False
+    if at_one <= target:
+        return "size-1", 1.0, best, True
+    lo, hi = 1.0, optimum  # delay(lo) > target >= delay(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if delay(mid) > target else (lo, mid)
+    slope = (delay(hi * (1.0 + 1e-6)) - delay(hi * (1.0 - 1e-6))) / (2e-6 * hi)
+    conditioned = delay(hi) <= 1e3 * hi * abs(slope)
+    if hi * 1.002 < optimum:
+        return "root", hi * 1.002, best, conditioned
+    return ("max-clamp" if optimum == MAX_REPEATER_SIZE else "optimum"), optimum, best, conditioned
+
+
+CORNERS = {"worst": WORST_CASE_CORNER, "typical": TYPICAL_CORNER, "best": BEST_CASE_CORNER}
+
+#: One drawn case per branch of the sizer, as ``(n_segments, corner, vdd,
+#: length_mm, coupling, position)``.  ``position`` puts the target below the
+#: best delay (< 0), between it and the size-1 delay (0 to 1), or above that.
+BRANCH_EXAMPLES = {
+    branch: dict(zip(("n_segments", "corner", "vdd", "length_mm", "coupling", "position"), case))
+    for branch, case in {
+        "root": (4, "worst", 1.2, 6.0, 4.15, 0.3),
+        "size-1": (3, "typical", 1.0, 2.0, 2.0, 1.5),
+        "unreachable": (2, "worst", 1.0, 12.0, 4.0, -0.5),
+        "sub-threshold": (4, "worst", 0.3, 6.0, 4.0, 0.5),
+        "max-clamp": (1, "best", 1.2, 3.0, 4.0, 1e-6),
+        "optimum": (4, "worst", 1.2, 6.0, 4.15, 1e-8),
+        "c-zero": (1, "worst", 0.9, 3.0, 6.0, 0.5),
+    }.items()
+}
+
+
+def _sizing_case(wire, driver_model, n_segments, corner, vdd, length_mm, coupling, position):
+    """The sizer's arguments for one drawn case, and its delay curve."""
+    segment = wire.for_length(length_mm * 1e-3 / n_segments)
+    args = (vdd, CORNERS[corner], segment, driver_model)
+
+    def delay(size):
+        return RepeaterChain(n_segments, size).worst_case_delay(*args, coupling)
+
+    at_one = delay(1.0)
+    if math.isinf(at_one):  # below threshold: no delay to place the target by
+        return 600e-12, args, delay
+    best = _delay_optimum(delay)[1]
+    if position < 0.0:
+        target = best * (1.0 + 0.5 * position)
+    else:
+        target = best + position * (at_one - best)
+    return target, args, delay
+
+
+@pytest.fixture(scope="module")
+def wire():
+    geometry = TECH_130NM.wire_geometry(6e-3)
+    return extract_parasitics(geometry, TECH_130NM.resistivity, TECH_130NM.dielectric_constant)
+
+
+class TestSizingMatchesBisection:
+    """The closed-form sizer against a test-local search on the delay curve."""
+
+    @pytest.mark.parametrize("branch", sorted(BRANCH_EXAMPLES))
+    def test_examples_reach_their_branch(self, wire, driver_model, branch):
+        case = BRANCH_EXAMPLES[branch]
+        target, _, delay = _sizing_case(wire, driver_model, **case)
+        assert _reference_sizing(delay, target)[0] == ("root" if branch == "c-zero" else branch)
+
+    @seed(2005)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_segments=st.integers(1, 8),
+        corner=st.sampled_from(sorted(CORNERS)),
+        vdd=st.floats(0.25, 1.3),
+        length_mm=st.floats(0.5, 20.0),
+        coupling=st.floats(1.0, 6.0),
+        position=st.floats(-1.0, 2.0),
+    )
+    @example(**BRANCH_EXAMPLES["root"])
+    @example(**BRANCH_EXAMPLES["size-1"])
+    @example(**BRANCH_EXAMPLES["unreachable"])
+    @example(**BRANCH_EXAMPLES["sub-threshold"])
+    @example(**BRANCH_EXAMPLES["max-clamp"])
+    @example(**BRANCH_EXAMPLES["c-zero"])
+    @example(**BRANCH_EXAMPLES["optimum"])
+    def test_sizer_agrees_with_bisection(
+        self, wire, driver_model, n_segments, corner, vdd, length_mm, coupling, position
+    ):
+        target, args, delay = _sizing_case(
+            wire, driver_model, n_segments, corner, vdd, length_mm, coupling, position
+        )
+        branch, size, best, conditioned = _reference_sizing(delay, target)
+        if math.isfinite(best) and abs(target / best - 1.0) <= 1e-9:
+            return  # reachability is decided by rounding this close to the best delay
+
+        def sized():
+            return size_for_target_delay(target, *args, n_segments, max_coupling_factor=coupling)
+
+        if branch in ("sub-threshold", "unreachable"):
+            with pytest.raises(RepeaterSizingError):
+                sized()
+            return
+        chain = sized()
+        assert delay(chain.size) <= target
+        assert delay(chain.size) == pytest.approx(delay(size), rel=1e-12)
+        if conditioned:
+            assert chain.size == pytest.approx(size, rel=1e-12)
 
 
 class TestTechnologyScaling:

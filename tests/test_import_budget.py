@@ -9,7 +9,9 @@ every module the process imported.
 The rest of the file covers what that budget rests on: the lazy package
 exports (:mod:`repro.utils.lazy`), the numpy-free choice lists of the CLI
 parser, and the pre-fork import that hands forked workers the simulation
-stack the parent no longer loads on ``import repro``.
+stack the parent no longer loads on ``import repro``.  The last case runs
+the simulating stack with scipy blocked: numpy is the only runtime
+dependency.
 """
 
 from __future__ import annotations
@@ -284,6 +286,52 @@ def test_process_workers_start_with_the_simulation_stack():
         capture_output=True,
         text=True,
         timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "ok"
+
+
+# --------------------------------------------------------------------------- #
+# numpy is the only runtime dependency
+# --------------------------------------------------------------------------- #
+SCIPY_BLOCKED_PROBE = """
+import random
+import sys
+
+sys.modules["scipy"] = None  # every ``import scipy...`` now raises ImportError
+
+from repro.analysis.dynamic_dvs import run_table1
+from repro.bus.bus_design import BusDesign
+from repro.interconnect.design_space import run_shield_interval_study
+
+paper = BusDesign.paper_bus()
+assert abs(paper.repeaters.size - 27.915320234811446) <= 1e-13 * 27.915320234811446
+
+rng = random.Random(2005)
+design = BusDesign.paper_bus(
+    length=rng.uniform(3e-3, 8e-3), n_segments=rng.randint(2, 6), shield_group=rng.choice((2, 4))
+)
+assert 1.0 <= design.repeaters.size <= 600.0
+
+study = run_shield_interval_study()
+assert study.by_group(4).repeater_size == paper.repeaters.size
+assert study.by_group(2).repeater_size < study.by_group(8).repeater_size
+
+table = run_table1(n_cycles=20_000)
+assert len(table.corners) == 2
+assert not any(name.split(".")[0] == "scipy" for name in sys.modules if sys.modules[name])
+print("ok")
+"""
+
+
+def test_simulating_stack_runs_with_scipy_blocked():
+    """Repeater sizing, the shield study and Table 1 import nothing from scipy."""
+    completed = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED_PROBE],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "ok"
