@@ -9,7 +9,9 @@ statically, in three steps:
    identity -- a blanket fold of the whole params mapping
    (``dict(self.params)``), a selective subset (``self.params["name"]``),
    and which parameters are individually examined for content-hash folding
-   (``self.params.get("name")`` feeding a fingerprint function).
+   (``self.params.get("name")`` feeding a fingerprint function), and which
+   parameters a filtered fold leaves out (``name not in EXCLUDED`` on a dict
+   comprehension over ``self.params.items()``).
 2. **Find the tasks**: every function decorated ``@task("name")`` anywhere
    in the project.
 3. **Prove each parameter**: a parameter is accounted for when the key
@@ -80,6 +82,8 @@ class KeyModel:
     #: Parameters individually examined (``self.params.get("x")``) -- the
     #: content-fingerprint folding pattern.
     fingerprinted_params: set[str] = field(default_factory=set)
+    #: Parameters a filtered blanket fold leaves out of the identity.
+    excluded_params: set[str] = field(default_factory=set)
     #: The code version joins the identity.
     has_code_version: bool = False
     #: ``self.task`` joins the identity.
@@ -88,7 +92,7 @@ class KeyModel:
     def covers(self, param: str) -> bool:
         """Whether ``param``'s *value* enters the key at all."""
         return (
-            self.hashes_all_params
+            (self.hashes_all_params and param not in self.excluded_params)
             or param in self.selective_params
             or param in self.fingerprinted_params
         )
@@ -132,6 +136,23 @@ def _parse_key_function(source: ModuleSource, function: ast.FunctionDef) -> KeyM
             parents[child] = parent
 
     for node in ast.walk(function):
+        if isinstance(node, ast.DictComp):
+            # ``{k: v for k, v in self.params.items() if k not in EXCLUDED}``
+            for generator in node.generators:
+                iterated = generator.iter
+                if isinstance(iterated, ast.Call) and isinstance(iterated.func, ast.Attribute):
+                    iterated = iterated.func.value
+                if not is_self_params(iterated):
+                    continue
+                for condition in generator.ifs:
+                    if (
+                        isinstance(condition, ast.Compare)
+                        and len(condition.ops) == 1
+                        and isinstance(condition.ops[0], ast.NotIn)
+                    ):
+                        model.excluded_params |= _constant_strings(
+                            condition.comparators[0], source
+                        )
         if isinstance(node, ast.Attribute) and node.attr == "task":
             if isinstance(node.value, ast.Name) and node.value.id == "self":
                 model.has_task = True
@@ -163,6 +184,37 @@ def _parse_key_function(source: ModuleSource, function: ast.FunctionDef) -> KeyM
             # canonical_json(self.params): the whole mapping enters the key.
             model.hashes_all_params = True
     return model
+
+
+def _constant_strings(node: ast.expr, source: ModuleSource) -> set[str]:
+    """The strings a constant collection names.
+
+    A tuple/list/set literal of strings (optionally wrapped in
+    ``frozenset(...)``/``set(...)``/``tuple(...)``), or a module-level name
+    bound to one; anything else names nothing.
+    """
+    if isinstance(node, ast.Name):
+        for statement in source.tree.body:
+            if isinstance(statement, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == node.id
+                for target in statement.targets
+            ):
+                return _constant_strings(statement.value, source)
+        return set()
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("frozenset", "set", "tuple")
+        and len(node.args) == 1
+    ):
+        node = node.args[0]
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return set()
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return {item for item in value if isinstance(item, str)}
+    return set()
 
 
 # --------------------------------------------------------------------------- #

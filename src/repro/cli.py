@@ -10,8 +10,8 @@ the reproduction can be driven without writing a script:
   behaviour over the voltage grid at one corner,
 * ``python -m repro simulate --benchmark crafty --corner typical`` -- one
   closed-loop DVS run with a supply-voltage time series,
-* ``python -m repro compare-schemes --corner typical`` -- fixed VS vs canary
-  vs triple-latch vs the proposed DVS,
+* ``python -m repro run baselines`` -- fixed VS vs canary vs triple-latch vs
+  the proposed DVS at the worst and typical corners,
 * ``python -m repro sweep pvt-mega --jobs 8`` -- a declarative parameter grid
   executed by the runtime engine with caching and a worker pool,
 * ``python -m repro report --experiments table1,fig8`` -- render experiments
@@ -35,11 +35,13 @@ the reproduction can be driven without writing a script:
   for every standard (corner x width x coupling) combination into the
   committed ``chardb/paper.chardb`` artifact (``inspect`` and ``verify``
   examine it; ``build --check`` is the CI drift gate),
-* ``python -m repro kernels`` -- the mini-CPU kernels available as workloads,
 * ``python -m repro trace --workload cpu:memcopy --out m.npz`` -- generate,
   inspect or save any registered workload trace (``trace --list`` shows the
-  spec grammar: synthetic profiles, ``cpu:<kernel>``, ``file:<path>``,
-  ``simpoint:``/``suite:``/``encoded:`` wrappers).
+  spec grammar: synthetic profiles, the mini-CPU kernels as
+  ``cpu:<kernel>``, ``file:<path>``, ``simpoint:``/``suite:``/``encoded:``
+  wrappers),
+* ``python -m repro analyze --strict`` -- the invariant-aware static
+  analyzer (determinism, cache-key soundness, lock discipline).
 
 ``simulate`` and ``run`` (for the experiments that take workloads, i.e.
 ``table1``/``fig8``) accept the same ``--workload`` specs, so any registered
@@ -56,8 +58,12 @@ pass over the workload followed by a replay of its segment summaries, and
 ``--jobs N`` fans that pass out over N workers (``repro simulate --jobs
 4``), again bit-identical to serial.  ``--jobs`` is the only setting of the
 statistics pass: its kernel and chunk length follow from the bus width.
-The other one-off commands (``characterize``, ``compare-schemes``) always
-simulate directly.
+``characterize`` always computes directly.  ``--jobs`` never enters a cache
+key: a serial and a fanned-out run of the same experiment share one record.
+
+``run``, ``profile`` and ``submit`` take the same experiment arguments
+(``experiment``, ``--seed``, ``--workload``, ``--cycles``) and warn on stderr
+about any flag the chosen experiment does not take.
 
 ``--telemetry[=PATH]`` (global, and on ``run``/``sweep``/``simulate``/
 ``report``/``profile``) installs the span tracer for the command and writes
@@ -216,24 +222,34 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_flags(parser, top_level=True)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list the paper's experiments and their ids")
+    def add_command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        command = subparsers.add_parser(name, help=help)
+        command.set_defaults(handler=handler)
+        return command
 
-    run_parser = subparsers.add_parser("run", help="run one experiment by id")
-    run_parser.add_argument("experiment", choices=sorted(EXPERIMENTS), help="experiment id")
-    run_parser.add_argument("--seed", type=int, default=2005, help="workload seed")
-    run_parser.add_argument(
-        "--workload",
-        default=None,
-        metavar="SPEC",
-        help="registry workload spec(s), comma-separated rows ('+' concatenates "
-        "within a row; experiments that take workloads only -- see "
-        "'repro trace --list')",
-    )
+    # ``run``, ``profile`` and ``submit`` share the experiment arguments;
+    # ``_experiment_kwargs`` turns them into the runner's keywords.
+    def add_experiment_arguments(target: argparse.ArgumentParser) -> None:
+        target.add_argument("experiment", choices=sorted(EXPERIMENTS), help="experiment id")
+        target.add_argument("--seed", type=int, default=2005, help="workload seed")
+        target.add_argument(
+            "--workload",
+            default=None,
+            metavar="SPEC",
+            help="registry workload spec(s), comma-separated rows ('+' concatenates "
+            "within a row; experiments that take workloads only -- see "
+            "'repro trace --list')",
+        )
+
+    add_command("list", _command_list, help="list the paper's experiments and their ids")
+
+    run_parser = add_command("run", _command_run, help="run one experiment by id")
+    add_experiment_arguments(run_parser)
     add_workload_flags(run_parser, top_level=False)
     add_runtime_flags(run_parser, top_level=False)
 
-    sweep_parser = subparsers.add_parser(
-        "sweep", help="run a declarative parameter grid through the runtime engine"
+    sweep_parser = add_command(
+        "sweep", _command_sweep, help="run a declarative parameter grid through the runtime engine"
     )
     sweep_parser.add_argument(
         "name",
@@ -260,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_flags(sweep_parser, top_level=False)
     add_runtime_flags(sweep_parser, top_level=False)
 
-    report_parser = subparsers.add_parser(
+    report_parser = add_command(
         "report",
+        _command_report,
         help="render experiments into a Markdown/JSON/SVG artifact directory "
         "with a fidelity summary vs the paper",
     )
@@ -287,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_flags(report_parser, top_level=False)
     add_runtime_flags(report_parser, top_level=False)
 
-    cache_parser = subparsers.add_parser(
-        "cache", help="inspect or clear the content-addressed result cache"
+    cache_parser = add_command(
+        "cache", _command_cache, help="inspect or clear the content-addressed result cache"
     )
     cache_parser.add_argument(
         "action",
@@ -298,23 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_runtime_flags(cache_parser, top_level=False)
 
-    profile_parser = subparsers.add_parser(
+    profile_parser = add_command(
         "profile",
+        _command_profile,
         help="run one bounded experiment under the span tracer and print the "
         "top spans and counter deltas (always writes a Chrome trace file)",
     )
-    profile_parser.add_argument(
-        "experiment", choices=sorted(EXPERIMENTS), help="experiment id to profile"
-    )
+    add_experiment_arguments(profile_parser)
     profile_parser.add_argument(
         "--top", type=int, default=15, metavar="N", help="span paths to print (default 15)"
-    )
-    profile_parser.add_argument("--seed", type=int, default=2005, help="workload seed")
-    profile_parser.add_argument(
-        "--workload",
-        default=None,
-        metavar="SPEC",
-        help="registry workload spec(s) for experiments that take them",
     )
     # Bounded by default: profiling wants a quick, representative run, not
     # the paper's 10M cycles (override with --cycles for a longer look).
@@ -335,17 +344,24 @@ def build_parser() -> argparse.ArgumentParser:
     add_telemetry_flag(profile_parser, top_level=False)
     add_chardb_flag(profile_parser, top_level=False)
 
-    characterize_parser = subparsers.add_parser(
-        "characterize", help="delay and error behaviour of the bus over the voltage grid"
+    characterize_parser = add_command(
+        "characterize",
+        _command_characterize,
+        help="delay and error behaviour of the bus over the voltage grid",
     )
     _add_corner_argument(characterize_parser)
     add_chardb_flag(characterize_parser, top_level=False)
 
-    simulate_parser = subparsers.add_parser(
-        "simulate", help="one closed-loop DVS run on a single workload"
+    simulate_parser = add_command(
+        "simulate", _command_simulate, help="one closed-loop DVS run on a single workload"
     )
     simulate_parser.add_argument(
-        "--benchmark", choices=TABLE1_ORDER, default="crafty", help="benchmark profile"
+        "--benchmark",
+        choices=TABLE1_ORDER,
+        default="crafty",
+        help="benchmark profile, seeded with --seed itself like the dvs_run "
+        "sweep task (--workload NAME derives Table 1's per-benchmark stream "
+        "instead, so the two print slightly different runs)",
     )
     simulate_parser.add_argument(
         "--workload",
@@ -373,8 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_telemetry_flag(simulate_parser, top_level=False)
     add_chardb_flag(simulate_parser, top_level=False)
 
-    serve_parser = subparsers.add_parser(
+    serve_parser = add_command(
         "serve",
+        _command_serve,
         help="run the persistent job server (submit with 'repro submit', "
         "inspect with 'repro jobs')",
     )
@@ -411,49 +428,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_runtime_flags(serve_parser, top_level=False)
 
-    submit_parser = subparsers.add_parser(
+    def add_server_address(target: argparse.ArgumentParser) -> None:
+        target.add_argument(
+            "--host", default=None, metavar="HOST", help="server address (default 127.0.0.1)"
+        )
+        target.add_argument(
+            "--port",
+            type=int,
+            default=None,
+            metavar="PORT",
+            help="server port (default: $REPRO_SERVER_ADDR or 7325)",
+        )
+
+    submit_parser = add_command(
         "submit",
+        _command_submit,
         help="submit one experiment to a running 'repro serve' and stream the result",
     )
-    submit_parser.add_argument(
-        "experiment", choices=sorted(EXPERIMENTS), help="experiment id to submit"
-    )
-    submit_parser.add_argument("--seed", type=int, default=2005, help="workload seed")
-    submit_parser.add_argument(
-        "--workload",
-        default=None,
-        metavar="SPEC",
-        help="registry workload spec(s) for experiments that take them",
-    )
-    submit_parser.add_argument(
-        "--host", default=None, metavar="HOST", help="server address (default 127.0.0.1)"
-    )
-    submit_parser.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="server port (default: $REPRO_SERVER_ADDR or 7325)",
-    )
+    add_experiment_arguments(submit_parser)
+    add_server_address(submit_parser)
     submit_parser.add_argument(
         "--quiet", action="store_true", help="suppress progress lines on stderr"
     )
     add_workload_flags(submit_parser, top_level=False)
     add_chardb_flag(submit_parser, top_level=False)
 
-    jobs_parser = subparsers.add_parser(
-        "jobs", help="inspect or control a running 'repro serve' (list/stats/cancel/shutdown)"
+    jobs_parser = add_command(
+        "jobs",
+        _command_jobs,
+        help="inspect or control a running 'repro serve' (list/stats/cancel/shutdown)",
     )
-    jobs_parser.add_argument(
-        "--host", default=None, metavar="HOST", help="server address (default 127.0.0.1)"
-    )
-    jobs_parser.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="server port (default: $REPRO_SERVER_ADDR or 7325)",
-    )
+    add_server_address(jobs_parser)
     jobs_parser.add_argument(
         "--stats", action="store_true", help="print queue statistics instead of the job list"
     )
@@ -464,21 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shutdown", action="store_true", help="stop the server (drains queued jobs first)"
     )
 
-    compare_parser = subparsers.add_parser(
-        "compare-schemes", help="fixed VS vs canary vs triple-latch vs proposed DVS"
-    )
-    _add_corner_argument(compare_parser)
-    compare_parser.add_argument(
-        "--cycles",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="cycles per benchmark (default 30000)",
-    )
-    compare_parser.add_argument("--seed", type=int, default=2005)
-    add_chardb_flag(compare_parser, top_level=False)
-
-    chardb_parser = subparsers.add_parser(
+    chardb_parser = add_command(
         "chardb",
+        _command_chardb,
         help="build, inspect or verify the characterization database "
         "(docs/chardb_format.md specifies the file format)",
     )
@@ -503,19 +496,18 @@ def build_parser() -> argparse.ArgumentParser:
         "byte-for-byte (the CI drift gate); nothing is written",
     )
 
-    subparsers.add_parser("kernels", help="list the mini-CPU kernels usable as workloads")
+    from repro.analyze import cli as analyze_cli
 
-    analyze_parser = subparsers.add_parser(
+    analyze_parser = add_command(
         "analyze",
+        lambda args, cache: analyze_cli.run(args),
         help="run the invariant-aware static analyzer (determinism, cache-key "
         "soundness, lock discipline)",
     )
-    from repro.analyze import cli as analyze_cli
-
     analyze_cli.add_arguments(analyze_parser)
 
-    trace_parser = subparsers.add_parser(
-        "trace", help="generate, inspect or save any registered workload trace"
+    trace_parser = add_command(
+        "trace", _command_trace, help="generate, inspect or save any registered workload trace"
     )
     trace_parser.add_argument(
         "--workload",
@@ -545,9 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # --------------------------------------------------------------------------- #
-# Commands
+# Commands: each takes the parsed arguments and the result cache (``None``
+# under --no-cache) and returns the exit code.
 # --------------------------------------------------------------------------- #
-def _command_list() -> int:
+def _command_list(args: argparse.Namespace, cache: ResultCache | None) -> int:
     width = max(len(identifier) for identifier in EXPERIMENTS)
     print("Experiments (regenerate with 'python -m repro run <id>'):")
     for identifier in sorted(EXPERIMENTS):
@@ -556,34 +549,42 @@ def _command_list() -> int:
     return 0
 
 
-def _command_run(experiment: str, cycles: int | None, seed: int, cache: ResultCache | None,
-                 workload: str | None = None, jobs: int | None = None,
-                 chardb: str | None = None) -> int:
-    runner = EXPERIMENTS[experiment].runner
+def _experiment_kwargs(
+    args: argparse.Namespace, jobs: int | None = None, default_cycles: int | None = None
+) -> dict:
+    """The runner keywords that ``run``, ``profile`` and ``submit`` pass on.
+
+    ``--seed`` and ``default_cycles`` reach the runner when it takes them.
+    ``--cycles``, ``--workload`` and a ``jobs`` fan-out above 1 (``--jobs``
+    defaults to 1 at the top level) do too, and each one the runner does
+    not take is named on stderr instead.  ``chardb`` is not among them:
+    ``run_experiment`` and the ``experiment`` task handle it for every
+    runner.
+    """
+    runner = EXPERIMENTS[args.experiment].runner
     requested = {
-        "n_cycles": cycles,
-        # --jobs defaults to 1 at the top level; only an explicit fan-out
-        # request is worth forwarding (and warning about when unsupported).
+        "n_cycles": args.cycles,
         "jobs": jobs if jobs is not None and jobs > 1 else None,
-        "workload": workload,
+        "workload": args.workload,
     }
-    kwargs = accepted_kwargs(runner, {"seed": seed, **requested})
-    flags = {
-        "n_cycles": "--cycles",
-        "jobs": "--jobs",
-        "workload": "--workload",
-    }
+    kwargs = accepted_kwargs(runner, {"seed": args.seed, "n_cycles": default_cycles})
+    kwargs.update(accepted_kwargs(runner, requested))
+    flags = {"n_cycles": "--cycles", "jobs": "--jobs", "workload": "--workload"}
     for name, value in requested.items():
         if value is not None and name not in kwargs:
             print(
-                f"[runtime] {experiment} does not take {flags[name]}; ignoring it",
+                f"[runtime] {args.experiment} does not take {flags[name]}; ignoring it",
                 file=sys.stderr,
             )
+    return kwargs
+
+
+def _command_run(args: argparse.Namespace, cache: ResultCache | None) -> int:
+    experiment = args.experiment
+    kwargs = _experiment_kwargs(args, jobs=args.jobs)
     started = time.perf_counter()
     try:
-        # ``chardb`` bypasses accepted_kwargs: run_experiment handles it for
-        # every runner (activation around the run, cache-key folding).
-        record, text = run_experiment(experiment, cache=cache, chardb=chardb, **kwargs)
+        record, text = run_experiment(experiment, cache=cache, chardb=args.chardb, **kwargs)
     except WorkloadError as error:
         # Bad --workload specs only (unknown names, mixed bus widths);
         # anything else propagates as the genuine failure it is.
@@ -597,33 +598,24 @@ def _command_run(experiment: str, cycles: int | None, seed: int, cache: ResultCa
     return 0
 
 
-def _command_sweep(
-    name: str | None,
-    list_sweeps: bool,
-    limit: int | None,
-    out: Path | None,
-    quiet: bool,
-    cache: ResultCache | None,
-    jobs: int,
-    cycles: int | None = None,
-    chardb: str | None = None,
-) -> int:
+def _command_sweep(args: argparse.Namespace, cache: ResultCache | None) -> int:
     from repro.runtime import ProgressPrinter, ResultStore, run_jobs
     from repro.runtime.sweeps import SWEEPS, format_sweep_report, get_sweep
     from repro.runtime.tasks import get_task
 
-    if list_sweeps or name is None:
+    name, cycles, chardb = args.name, args.cycles, args.chardb
+    if args.list_sweeps or name is None:
         width = max(len(sweep_name) for sweep_name in SWEEPS)
         print("Named sweeps (run with 'python -m repro sweep <name>'):")
         for sweep_name in sorted(SWEEPS):
             sweep = SWEEPS[sweep_name]
             print(f"  {sweep_name:<{width}}  [{sweep.n_points:>3} pts]  {sweep.description}")
-        if name is None and not list_sweeps:
+        if name is None and not args.list_sweeps:
             print("\n(no sweep name given; use 'sweep <name>' to execute one)")
         return 0
 
     sweep = get_sweep(name)
-    specs = sweep.expand(limit=limit)
+    specs = sweep.expand(limit=args.limit)
     if cycles is not None:
         # Scale every grid point that understands the workload length; the
         # overridden params flow into the cache key, so scaled runs never
@@ -637,42 +629,34 @@ def _command_sweep(
         # Every registered task accepts a ``chardb`` param; carrying it in
         # the spec folds the file's content hash into each cache key.
         specs = tuple(spec.with_params(chardb=str(chardb)) for spec in specs)
-    progress = ProgressPrinter(quiet=quiet)
-    report = run_jobs(specs, cache=cache, n_workers=jobs, progress=progress)
+    progress = ProgressPrinter(quiet=args.quiet)
+    report = run_jobs(specs, cache=cache, n_workers=args.jobs, progress=progress)
     print(format_sweep_report(sweep, report))
     print(f"[runtime] {report.summary()}", file=sys.stderr)
-    if out is not None:
-        run_dir = ResultStore(out).write_report(sweep.name, report, sweep=sweep)
+    if args.out is not None:
+        run_dir = ResultStore(args.out).write_report(sweep.name, report, sweep=sweep)
         print(f"[runtime] results written to {run_dir}", file=sys.stderr)
     return 0
 
 
-def _command_report(
-    experiments: str,
-    out: Path,
-    cycles: int | None,
-    seed: int,
-    quiet: bool,
-    cache: ResultCache | None,
-    jobs: int,
-) -> int:
+def _command_report(args: argparse.Namespace, cache: ResultCache | None) -> int:
     from repro.report import build_report, resolve_experiments
     from repro.runtime import ProgressPrinter
 
     try:
-        identifiers = resolve_experiments(experiments)
+        identifiers = resolve_experiments(args.experiments)
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    progress = ProgressPrinter(quiet=quiet)
+    progress = ProgressPrinter(quiet=args.quiet)
     started = time.perf_counter()
     build = build_report(
         identifiers,
-        out,
+        args.out,
         cache=cache,
-        jobs=jobs,
-        n_cycles=cycles,
-        seed=seed,
+        jobs=args.jobs,
+        n_cycles=args.cycles,
+        seed=args.seed,
         progress=progress,
     )
     elapsed = time.perf_counter() - started
@@ -686,14 +670,7 @@ def _command_report(
     return 0
 
 
-def _command_profile(
-    experiment: str,
-    cycles: int | None,
-    seed: int,
-    top: int,
-    workload: str | None = None,
-    jobs: int | None = None,
-) -> int:
+def _command_profile(args: argparse.Namespace, cache: ResultCache | None) -> int:
     """Run one bounded experiment under the (already installed) tracer.
 
     ``main`` installs the telemetry collector and writes the JSONL/Chrome
@@ -701,18 +678,10 @@ def _command_profile(
     plus the on-stdout span/counter summary (including the scaling block
     whenever the statistics pass fanned out over worker processes).
     """
-    runner = EXPERIMENTS[experiment].runner
+    experiment = args.experiment
     telemetry = get_telemetry()
     baseline = telemetry.metrics.snapshot()
-    kwargs = accepted_kwargs(
-        runner,
-        {
-            "seed": seed,
-            "n_cycles": cycles if cycles is not None else 50_000,
-            "jobs": jobs if jobs is not None and jobs > 1 else None,
-            "workload": workload,
-        },
-    )
+    kwargs = _experiment_kwargs(args, jobs=args.jobs, default_cycles=50_000)
     started = time.perf_counter()
     try:
         with telemetry.span(f"profile:{experiment}"):
@@ -723,7 +692,7 @@ def _command_profile(
     print(f"profiled {experiment!r} in {elapsed:.2f} s "
           f"({kwargs.get('n_cycles', 'default')} cycles per benchmark)")
     print()
-    print(format_summary(telemetry, top_n=top,
+    print(format_summary(telemetry, top_n=args.top,
                          counter_deltas=telemetry.metrics.delta_since(baseline)))
     parallel_block = format_parallel_summary(telemetry)
     if parallel_block is not None:
@@ -732,17 +701,18 @@ def _command_profile(
     return 0
 
 
-def _command_cache(
-    action: str, cache_dir: Path | None, telemetry_base: str | None = None
-) -> int:
-    cache = ResultCache(cache_dir if cache_dir is not None else default_cache_dir())
+def _command_cache(args: argparse.Namespace, cache: ResultCache | None) -> int:
+    # Honours --cache-dir even under --no-cache: the cache is what this
+    # command inspects, not a store for its results.
+    cache = ResultCache(args.cache_dir if args.cache_dir is not None else default_cache_dir())
+    action = args.action
     if action == "info":
         print(cache.stats().format())
         return 0
     if action == "stats":
         stats = cache.stats()
         print(stats.format())
-        base = telemetry_base if telemetry_base else DEFAULT_TELEMETRY_BASE
+        base = args.telemetry if args.telemetry else DEFAULT_TELEMETRY_BASE
         log_path = telemetry_paths(base).jsonl
         metrics = read_jsonl_metrics(log_path)
         if metrics is None:
@@ -792,7 +762,7 @@ def _print_chardb_summary(summary: dict) -> None:
               f"{corner['ir_drop'] * 100:>4.0f}% IR drop")
 
 
-def _command_chardb(action: str, path: str | None, check: bool) -> int:
+def _command_chardb(args: argparse.Namespace, cache: ResultCache | None) -> int:
     from repro.chardb import (
         DEFAULT_DB_PATH,
         CharacterizationDatabase,
@@ -801,12 +771,13 @@ def _command_chardb(action: str, path: str | None, check: bool) -> int:
         default_build_spec,
     )
 
-    target = Path(path) if path is not None else Path(DEFAULT_DB_PATH)
+    action = args.action
+    target = Path(args.path) if args.path is not None else Path(DEFAULT_DB_PATH)
     if action == "build":
         started = time.perf_counter()
         payload = build_database_bytes(default_build_spec())
         elapsed = time.perf_counter() - started
-        if check:
+        if args.check:
             on_disk = target.read_bytes() if target.exists() else None
             if on_disk != payload:
                 detail = (
@@ -872,11 +843,11 @@ def _chardb_env(path: str | None) -> Iterator[None]:
             os.environ[ENV_VAR] = previous
 
 
-def _command_characterize(corner_name: str) -> int:
+def _command_characterize(args: argparse.Namespace, cache: ResultCache | None) -> int:
     from repro.bus import BusDesign, CharacterizedBus
     from repro.circuit.pvt import PVTCorner
 
-    corner = CORNERS[corner_name]
+    corner = CORNERS[args.corner]
     bus = CharacterizedBus(BusDesign.paper_bus(), corner)
     clocking = bus.design.clocking
     print(f"Paper bus characterised at: {corner.label}")
@@ -903,16 +874,7 @@ def _command_characterize(corner_name: str) -> int:
     return 0
 
 
-def _command_simulate(
-    benchmark: str,
-    corner_name: str,
-    cycles: int,
-    seed: int,
-    window: int,
-    ramp: int,
-    jobs: int | None = None,
-    workload: str | None = None,
-) -> int:
+def _command_simulate(args: argparse.Namespace, cache: ResultCache | None) -> int:
     from repro.bus import BusDesign, CharacterizedBus
     from repro.core.dvs_system import DVSBusSystem
     from repro.encoding.analysis import design_for_width
@@ -920,7 +882,9 @@ def _command_simulate(
     from repro.runtime import auto_chunk_progress
     from repro.trace import benchmark_trace_source, resolve_workload
 
-    corner = CORNERS[corner_name]
+    corner = CORNERS[args.corner]
+    workload, seed = args.workload, args.seed
+    cycles = args.cycles if args.cycles is not None else 200_000
     if workload is not None:
         # Any registry spec; file-backed workloads keep their recorded
         # length, generative ones honour --cycles.
@@ -930,16 +894,14 @@ def _command_simulate(
             return _workload_error(error)
         label = workload
     else:
-        source = benchmark_trace_source(benchmark, n_cycles=cycles, seed=seed)
-        label = benchmark
+        source = benchmark_trace_source(args.benchmark, n_cycles=cycles, seed=seed)
+        label = args.benchmark
     # Encoded workloads drive more wires than the paper bus; redesign for the
     # source's width exactly like the dvs_run sweep task does.
     bus = CharacterizedBus(design_for_width(BusDesign.paper_bus(), source.n_bits), corner)
-    system = DVSBusSystem(bus, window_cycles=window, ramp_delay_cycles=ramp)
+    system = DVSBusSystem(bus, window_cycles=args.window, ramp_delay_cycles=args.ramp)
     progress = auto_chunk_progress(source.n_cycles, label=f"simulate {label}")
-    result = system.run(
-        source, progress=progress, jobs=jobs if jobs is not None and jobs > 1 else None
-    )
+    result = system.run(source, progress=progress, jobs=args.jobs if args.jobs > 1 else None)
 
     print(f"Closed-loop DVS: workload {label!r}, corner {corner.label}")
     print(f"  cycles simulated      : {result.n_cycles}")
@@ -987,28 +949,22 @@ def _server_unreachable(host: str, port: int, error: Exception) -> int:
     return 2
 
 
-def _command_serve(
-    host: str | None,
-    port: int | None,
-    jobs: int,
-    max_pending: int,
-    quota: int,
-    max_batch: int,
-    cache: ResultCache | None,
-) -> int:
+def _command_serve(args: argparse.Namespace, cache: ResultCache | None) -> int:
     from repro.runtime.workqueue import WorkQueue
     from repro.server import DEFAULT_HOST, ReproServer, default_address
 
-    if port is None:
-        port = default_address()[1]
+    port = args.port if args.port is not None else default_address()[1]
+    quota, max_pending = args.quota, args.max_pending
     queue = WorkQueue(
-        n_workers=max(1, jobs),
+        n_workers=max(1, args.jobs),
         cache=cache,
         max_pending=max_pending,
         quota=quota if quota > 0 else None,
-        max_batch=max_batch,
+        max_batch=args.max_batch,
     )
-    server = ReproServer(queue, host=host if host is not None else DEFAULT_HOST, port=port)
+    server = ReproServer(
+        queue, host=args.host if args.host is not None else DEFAULT_HOST, port=port
+    )
     bound_host, bound_port = server.address
     mode = "process" if queue.workers_are_processes else "inline"
     print(
@@ -1027,35 +983,19 @@ def _command_serve(
     return 0
 
 
-def _command_submit(
-    experiment: str,
-    cycles: int | None,
-    seed: int,
-    workload: str | None,
-    host: str | None,
-    port: int | None,
-    quiet: bool,
-    chardb: str | None = None,
-) -> int:
+def _command_submit(args: argparse.Namespace, cache: ResultCache | None) -> int:
     from repro.server import ReproClient, ServerError
 
-    runner = EXPERIMENTS[experiment].runner
-    kwargs = accepted_kwargs(
-        runner,
-        {
-            "seed": seed,
-            "n_cycles": cycles,
-            "workload": workload,
-        },
-    )
+    experiment, quiet = args.experiment, args.quiet
+    kwargs = _experiment_kwargs(args)
     # The exact JobSpec a local cached run would use, so the server dedupes
     # and caches under the same content-addressed key.  The chardb path is
     # resolved to an absolute one because the server process opens it from
     # its own working directory.
-    if chardb is not None:
-        kwargs["chardb"] = os.path.abspath(chardb)
+    if args.chardb is not None:
+        kwargs["chardb"] = os.path.abspath(args.chardb)
     spec = EXPERIMENTS[experiment].job(**kwargs)
-    host, port = _server_address(host, port)
+    host, port = _server_address(args.host, args.port)
     started = time.perf_counter()
     try:
         client = ReproClient(host=host, port=port)
@@ -1115,16 +1055,11 @@ def _command_submit(
     return 0
 
 
-def _command_jobs(
-    host: str | None,
-    port: int | None,
-    stats: bool,
-    cancel: str | None,
-    shutdown: bool,
-) -> int:
+def _command_jobs(args: argparse.Namespace, cache: ResultCache | None) -> int:
     from repro.server import ReproClient, ServerError
 
-    host, port = _server_address(host, port)
+    host, port = _server_address(args.host, args.port)
+    cancel = args.cancel
     try:
         client = ReproClient(host=host, port=port)
     except OSError as error:
@@ -1135,11 +1070,11 @@ def _command_jobs(
                 cancelled = client.cancel(cancel)
                 print(f"{cancel}: {'cancelled' if cancelled else 'already finished'}")
                 return 0
-            if shutdown:
+            if args.shutdown:
                 client.shutdown(drain=True)
                 print("server shutting down (draining queued jobs)")
                 return 0
-            if stats:
+            if args.stats:
                 rows = sorted(client.stats().items())
                 width = max(len(name) for name, _ in rows)
                 print("queue statistics:")
@@ -1164,45 +1099,20 @@ def _command_jobs(
             return _server_unreachable(host, port, error)
 
 
-def _command_compare_schemes(corner_name: str, cycles: int, seed: int) -> int:
-    from repro.baselines import format_scheme_comparison, run_scheme_comparison
-    from repro.bus import BusDesign
-    from repro.trace import generate_suite
-
-    corner = CORNERS[corner_name]
-    design = BusDesign.paper_bus()
-    suite = generate_suite(names=("crafty", "vortex", "mgrid"), n_cycles=cycles, seed=seed)
-    comparison = run_scheme_comparison(
-        design,
-        list(suite.values()),
-        corner,
-        window_cycles=max(1_000, cycles // 20),
-        ramp_delay_cycles=max(300, cycles // 60),
-        workload_name="crafty+vortex+mgrid",
-    )
-    print(format_scheme_comparison(comparison))
-    return 0
-
-
-def _command_trace(
-    workload: str | None,
-    list_workloads: bool,
-    cycles: int | None,
-    seed: int,
-    out: Path | None,
-) -> int:
+def _command_trace(args: argparse.Namespace, cache: ResultCache | None) -> int:
     import numpy as np
 
     from repro.trace import BusTrace, resolve_workload, save_trace_hex, save_trace_npz
     from repro.trace.workloads import WORKLOADS
 
-    if list_workloads or workload is None:
+    workload, out, cycles = args.workload, args.out, args.cycles
+    if args.list_workloads or workload is None:
         rows = WORKLOADS.describe()
         width = max(len(spec) for spec, _ in rows)
         print("Registered workloads (use with --workload on trace/simulate/run):")
         for spec, description in rows:
             print(f"  {spec:<{width}}  {description}")
-        if workload is None and not list_workloads:
+        if workload is None and not args.list_workloads:
             print("\n(no workload given; use 'trace --workload <spec>' to generate one)")
         return 0
 
@@ -1220,7 +1130,7 @@ def _command_trace(
             return _workload_error(ValueError(f"cannot create {out.parent}: {error}"))
     try:
         source = resolve_workload(
-            workload, n_cycles=cycles if cycles is not None else 20_000, seed=seed
+            workload, n_cycles=cycles if cycles is not None else 20_000, seed=args.seed
         )
     except (KeyError, ValueError) as error:
         return _workload_error(error)
@@ -1260,22 +1170,11 @@ def _command_trace(
     return 0
 
 
-def _command_kernels() -> int:
-    from repro.cpu import KERNELS
-
-    width = max(len(name) for name in KERNELS)
-    print("Mini-CPU kernels (see repro.cpu.kernel_bus_trace):")
-    for name in sorted(KERNELS):
-        kernel = KERNELS[name]
-        print(f"  {name:<{width}}  [{kernel.data_flavor:<8}] {kernel.description}")
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
-    chardb = getattr(args, "chardb", None)
+    chardb = args.chardb
     with _chardb_env(chardb):
         if chardb is not None and args.command != "chardb":
             # Fail fast: a requested database that cannot be opened must not
@@ -1291,7 +1190,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run_command(args: argparse.Namespace) -> int:
-    """Set up the cache and telemetry, then dispatch to the command handler."""
+    """Set up the cache and telemetry, then call the command's handler."""
     cache: ResultCache | None = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir if args.cache_dir is not None else default_cache_dir())
@@ -1299,16 +1198,16 @@ def _run_command(args: argparse.Namespace) -> int:
     # ``--telemetry`` (const "") enables the tracer; ``profile`` always runs
     # traced, defaulting its export base to "profile".  ``cache`` never
     # traces itself -- its --telemetry argument names the log to *read*.
-    telemetry_arg = getattr(args, "telemetry", None)
+    telemetry_arg = args.telemetry
     if args.command == "profile" and telemetry_arg is None:
         telemetry_arg = "profile"
     if telemetry_arg is None or args.command == "cache":
-        return _dispatch(args, cache)
+        return args.handler(args, cache)
     base = telemetry_arg if telemetry_arg else DEFAULT_TELEMETRY_BASE
     telemetry = Telemetry(label=args.command)
     with use_telemetry(telemetry):
         with telemetry.span(f"repro.{args.command}"):
-            code = _dispatch(args, cache)
+            code = args.handler(args, cache)
     paths = telemetry_paths(base)
     write_jsonl(telemetry, paths.jsonl)
     write_chrome_trace(telemetry, paths.chrome_trace)
@@ -1320,112 +1219,6 @@ def _run_command(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return code
-
-
-def _dispatch(args: argparse.Namespace, cache: ResultCache | None) -> int:
-    """Route parsed arguments to their command handler."""
-    if args.command == "list":
-        return _command_list()
-    if args.command == "run":
-        return _command_run(
-            args.experiment,
-            args.cycles,
-            args.seed,
-            cache,
-            workload=args.workload,
-            jobs=args.jobs,
-            chardb=args.chardb,
-        )
-    if args.command == "sweep":
-        return _command_sweep(
-            args.name,
-            args.list_sweeps,
-            args.limit,
-            args.out,
-            args.quiet,
-            cache,
-            args.jobs,
-            cycles=args.cycles,
-            chardb=args.chardb,
-        )
-    if args.command == "report":
-        return _command_report(
-            args.experiments,
-            args.out,
-            args.cycles,
-            args.seed,
-            args.quiet,
-            cache,
-            args.jobs,
-        )
-    if args.command == "cache":
-        return _command_cache(args.action, args.cache_dir, telemetry_base=args.telemetry)
-    if args.command == "profile":
-        return _command_profile(
-            args.experiment,
-            args.cycles,
-            args.seed,
-            args.top,
-            workload=args.workload,
-            jobs=args.jobs,
-        )
-    if args.command == "characterize":
-        return _command_characterize(args.corner)
-    if args.command == "simulate":
-        return _command_simulate(
-            args.benchmark,
-            args.corner,
-            args.cycles if args.cycles is not None else 200_000,
-            args.seed,
-            args.window,
-            args.ramp,
-            jobs=args.jobs,
-            workload=args.workload,
-        )
-    if args.command == "serve":
-        return _command_serve(
-            args.host,
-            args.port,
-            args.jobs,
-            args.max_pending,
-            args.quota,
-            args.max_batch,
-            cache,
-        )
-    if args.command == "submit":
-        return _command_submit(
-            args.experiment,
-            args.cycles,
-            args.seed,
-            args.workload,
-            args.host,
-            args.port,
-            args.quiet,
-            chardb=args.chardb,
-        )
-    if args.command == "chardb":
-        return _command_chardb(args.action, args.path, args.check)
-    if args.command == "jobs":
-        return _command_jobs(args.host, args.port, args.stats, args.cancel, args.shutdown)
-    if args.command == "compare-schemes":
-        return _command_compare_schemes(
-            args.corner, args.cycles if args.cycles is not None else 30_000, args.seed
-        )
-    if args.command == "kernels":
-        return _command_kernels()
-    if args.command == "analyze":
-        from repro.analyze import cli as analyze_cli
-
-        return analyze_cli.run(args)
-    if args.command == "trace":
-        return _command_trace(
-            args.workload,
-            args.list_workloads,
-            args.cycles,
-            args.seed,
-            args.out,
-        )
-    raise ValueError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

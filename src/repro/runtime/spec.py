@@ -23,7 +23,14 @@ from collections.abc import Mapping, Sequence
 
 from repro.runtime.hashing import canonical_json, derive_seed, stable_hash
 
-__all__ = ["JobSpec", "SweepSpec"]
+__all__ = ["KEY_IRRELEVANT_PARAMS", "JobSpec", "SweepSpec"]
+
+#: Parameters that choose how a job runs but never what it computes, left
+#: out of :attr:`JobSpec.key`.  ``jobs`` is the worker count of the
+#: statistics pass (a ``dvs_run`` parameter, an ``experiment`` keyword), whose
+#: results are bit-identical for every count, so a serial and a fanned-out
+#: run share one cache record.
+KEY_IRRELEVANT_PARAMS = frozenset({"jobs"})
 
 
 @dataclass(frozen=True)
@@ -71,12 +78,19 @@ class JobSpec:
         database file's content hash (:func:`repro.chardb.chardb_fingerprint`)
         joins the identity, not just its path, so results computed against a
         stale or rebuilt characterization database are never replayed.
+
+        The parameters in :data:`KEY_IRRELEVANT_PARAMS` stay out of the
+        identity; a spec without them keys exactly as before they existed.
         """
         from repro import __version__
 
         identity: dict[str, Any] = {
             "task": self.task,
-            "params": dict(self.params),
+            "params": {
+                name: value
+                for name, value in self.params.items()
+                if name not in KEY_IRRELEVANT_PARAMS
+            },
             "code_version": __version__,
         }
         workload = self.params.get("workload")

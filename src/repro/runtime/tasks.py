@@ -210,7 +210,7 @@ def dvs_run(
     encoder: str | None = None,
     coupling_scale: float | None = None,
     warmup_fraction: float = 0.0,
-    jobs: int | None = None,
+    jobs: int | None = None,  # repro: key-irrelevant worker count; results are bit-identical
     workload: str | None = None,
     chardb: str | None = None,
 ) -> dict[str, Any]:

@@ -66,3 +66,35 @@ def test_key_model_reads_the_fixture_spec():
     assert model.has_code_version
     assert model.has_task
     assert model.fingerprinted_params == {"workload"}
+
+
+def test_filtered_fold_leaves_excluded_parameters_uncovered():
+    from repro.analyze.cachekey import parse_key_model
+    from repro.analyze.engine import AnalysisConfig
+    from repro.analyze.source import Project
+    from tests.analyze.conftest import FIXTURES
+
+    root = FIXTURES / "cks_filtered"
+    model = parse_key_model(Project.load(root), AnalysisConfig(root=root))
+    assert model.hashes_all_params
+    assert model.excluded_params == {"jobs"}
+    assert not model.covers("jobs")
+    assert model.covers("n_cycles")
+
+    findings = _cks(analyze_fixture("cks_filtered"))
+    assert [(finding.rule, finding.message.split("'")[1:4:2]) for finding in findings] == [
+        ("CKS001", ["jobs", "sweep_point"])
+    ]
+
+
+def test_real_key_leaves_out_only_the_worker_count():
+    from pathlib import Path
+
+    from repro.analyze.cachekey import parse_key_model
+    from repro.analyze.engine import AnalysisConfig
+    from repro.analyze.source import Project
+
+    root = Path(__file__).resolve().parents[2] / "src"
+    model = parse_key_model(Project.load(root), AnalysisConfig(root=root))
+    assert model.hashes_all_params
+    assert model.excluded_params == {"jobs"}

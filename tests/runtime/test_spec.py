@@ -18,6 +18,22 @@ class TestJobSpec:
         assert base.key != base.with_params(encoder="gray").key
         assert base.key != JobSpec("characterize", dict(base.params)).key
 
+    def test_key_ignores_the_worker_count(self):
+        """``jobs`` changes how a job runs, never its bit-identical result."""
+        import repro
+        from repro.runtime.hashing import stable_hash
+
+        serial = JobSpec("experiment", {"identifier": "table1", "n_cycles": 20_000})
+        assert serial.with_params(jobs=2).key == serial.key
+        assert serial.with_params(jobs=2, n_cycles=30_000).key != serial.key
+        # A spec without ``jobs`` keys as it did before the exclusion existed.
+        identity = {
+            "task": serial.task,
+            "params": dict(serial.params),
+            "code_version": repro.__version__,
+        }
+        assert serial.key == stable_hash(identity)
+
     def test_unhashable_params_fail_at_construction(self):
         with pytest.raises(TypeError):
             JobSpec("dvs_run", {"bad": object()})

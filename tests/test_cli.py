@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.analysis.experiments import EXPERIMENTS
@@ -40,6 +42,33 @@ class TestParser:
         assert {"worst", "typical", "best"} <= set(CORNERS)
         assert {"corner1", "corner5"} <= set(CORNERS)
 
+    def test_subcommands_are_the_fourteen_survivors(self):
+        (subparsers,) = (
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert sorted(subparsers.choices) == [
+            "analyze", "cache", "characterize", "chardb", "jobs", "list", "profile",
+            "report", "run", "serve", "simulate", "submit", "sweep", "trace",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare-schemes"],
+            ["compare-schemes", "--corner", "typical", "--cycles", "8000"],
+            ["kernels"],
+        ],
+        ids=["compare-schemes", "compare-schemes-flags", "kernels"],
+    )
+    def test_deleted_commands_are_rejected(self, argv, capsys):
+        """``run baselines`` and ``trace --list`` cover what these printed."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestListCommands:
     def test_list_prints_every_experiment_id(self, capsys):
@@ -48,11 +77,11 @@ class TestListCommands:
         for identifier in EXPERIMENTS:
             assert identifier in output
 
-    def test_kernels_prints_every_kernel(self, capsys):
-        assert main(["kernels"]) == 0
+    def test_trace_list_prints_every_kernel(self, capsys):
+        assert main(["trace", "--list"]) == 0
         output = capsys.readouterr().out
         for name in KERNELS:
-            assert name in output
+            assert f"cpu:{name}" in output
 
 
 class TestCharacterize:
@@ -113,8 +142,8 @@ class TestSimulate:
 
     def test_global_workload_flags_survive_the_subcommand(self):
         """--cycles placed before the subcommand must not be clobbered by
-        subparser defaults (simulate and compare-schemes carry their own
-        fallbacks in the handler instead)."""
+        subparser defaults (simulate and trace carry their own fallbacks in
+        the handler instead)."""
         parser = build_parser()
         before = parser.parse_args(["--cycles", "123", "simulate"])
         assert before.cycles == 123
@@ -122,8 +151,8 @@ class TestSimulate:
         assert after.cycles == 456
         default = parser.parse_args(["simulate"])
         assert default.cycles is None  # handler applies the 200k fallback
-        compare = parser.parse_args(["--cycles", "789", "compare-schemes"])
-        assert compare.cycles == 789
+        trace = parser.parse_args(["--cycles", "789", "trace"])
+        assert trace.cycles == 789
 
     @pytest.mark.parametrize(
         "argv",
@@ -232,6 +261,21 @@ class TestRunCaching:
         assert main(argv) == 0
         assert "[runtime]" not in capsys.readouterr().err
 
+    def test_jobs_shares_the_serial_cache_record(self, capsys, tmp_path):
+        """The worker count is not part of the cache key: results are
+        bit-identical for every count, so one record serves them all."""
+        cache_dir = tmp_path / "cache"
+        argv = ["--cache-dir", str(cache_dir), "run", "table1", "--cycles", "20000"]
+        assert main(argv) == 0
+        serial = capsys.readouterr()
+        assert "simulated" in serial.err
+        assert main([*argv, "--jobs", "2"]) == 0
+        fanned_out = capsys.readouterr()
+        assert "table1: cache hit" in fanned_out.err
+        assert fanned_out.out == serial.out
+        assert main(["--cache-dir", str(cache_dir), "cache", "list"]) == 0
+        assert "1 cached record(s)" in capsys.readouterr().out
+
     def test_different_seed_misses_the_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert main(["run", "fig4b", "--cycles", "3000", "--seed", "1"]) == 0
@@ -240,15 +284,16 @@ class TestRunCaching:
         assert "simulated" in capsys.readouterr().err
 
 
-class TestCompareSchemes:
-    def test_compare_schemes_lists_all_four_rows(self, capsys):
-        assert (
-            main(["compare-schemes", "--corner", "typical", "--cycles", "8000", "--seed", "3"])
-            == 0
-        )
-        output = capsys.readouterr().out
-        for scheme in ("fixed VS", "canary delay-line", "triple-latch monitor", "proposed DVS"):
-            assert scheme in output
+class TestBaselines:
+    def test_run_baselines_lists_all_four_rows_at_both_corners(self, capsys):
+        assert main(["--no-cache", "run", "baselines", "--cycles", "8000", "--seed", "3"]) == 0
+        blocks = capsys.readouterr().out.split("\n\n")
+        assert len(blocks) == 2
+        assert "Slow process" in blocks[0] and "Typical process" in blocks[1]
+        for block in blocks:
+            for scheme in ("fixed VS", "canary delay-line", "triple-latch monitor",
+                           "proposed DVS"):
+                assert scheme in block
 
 
 class TestTraceCommand:
@@ -377,6 +422,33 @@ class TestWorkloadSelectors:
     def test_run_warns_when_experiment_ignores_workload(self, capsys):
         assert main(["--no-cache", "run", "scaling", "--workload", "cpu:memcopy"]) == 0
         assert "does not take --workload" in capsys.readouterr().err
+
+    def test_profile_and_submit_warn_like_run(self, capsys, tmp_path, monkeypatch):
+        """All three experiment commands share one argument path and warning."""
+        from repro.runtime.cache import ResultCache
+        from repro.runtime.workqueue import WorkQueue
+        from repro.server.server import ReproServer
+
+        def ignored(err):
+            return [line for line in err.splitlines() if "ignoring it" in line]
+
+        warning = "[runtime] scaling does not take --workload; ignoring it"
+        assert main(["--no-cache", "run", "scaling", "--workload", "crafty"]) == 0
+        assert ignored(capsys.readouterr().err) == [warning]
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["profile", "scaling", "--workload", "crafty"]) == 0
+        assert ignored(capsys.readouterr().err) == [warning]
+
+        queue = WorkQueue(n_workers=1, cache=ResultCache(tmp_path / "cache"))
+        server = ReproServer(queue, port=0).start()
+        try:
+            port = str(server.address[1])
+            assert main(["submit", "scaling", "--workload", "crafty", "--port", port]) == 0
+        finally:
+            server.request_shutdown(drain=False)
+            server.join(timeout=10.0)
+        assert ignored(capsys.readouterr().err) == [warning]
 
     def test_sweep_workload_axis_reports_specs(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

@@ -225,7 +225,7 @@ class TestChoiceLists:
     def test_corners(self):
         from repro.runtime import CORNERS
 
-        for command in ("characterize", "simulate", "compare-schemes"):
+        for command in ("characterize", "simulate"):
             assert _choices(command, "corner") == sorted(CORNERS)
 
     def test_sweeps(self):
