@@ -33,6 +33,7 @@ PUBLIC_MODULES = (
     "repro",
     "repro.bus",
     "repro.core",
+    "repro.circuit.lookup_table",
     "repro.trace",
     "repro.trace.stream",
     "repro.trace.generator",

@@ -587,12 +587,7 @@ class CharacterizedBus:
         if np.isscalar(vdd):
             return self.table.failing_coupling_factor(float(vdd), deadline)
         indices = self.grid.indices_of(np.asarray(vdd, dtype=float))
-        d0 = self.table.base_delay[indices]
-        d1 = self.table.coupling_delay[indices]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            thresholds = np.where(d1 > 0.0, (deadline - d0) / d1, np.inf)
-        thresholds = np.where(np.asarray(d0) > deadline, 0.0, thresholds)
-        return np.clip(thresholds, 0.0, None)
+        return self.table.failing_coupling_factors(deadline)[indices]
 
     def zero_error_voltage(self, deadline: float | None = None) -> float:
         """Lowest grid voltage at which the worst-case pattern meets the deadline.

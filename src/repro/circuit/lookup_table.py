@@ -18,7 +18,7 @@ when the table is built (see :mod:`repro.bus.characterization`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from collections.abc import Iterator
 
 import numpy as np
@@ -50,9 +50,22 @@ class VoltageGrid:
 
     @property
     def voltages(self) -> np.ndarray:
-        """Grid voltages in ascending order (v_min ... v_max)."""
-        n_steps = int(round((self.v_max - self.v_min) / self.step))
-        return self.v_min + self.step * np.arange(n_steps + 1)
+        """Grid voltages in ascending order (v_min ... v_max).
+
+        Computed once per grid and returned as the same read-only array on
+        every access.
+        """
+        cached = self.__dict__.get("_voltages")
+        if cached is None:
+            n_steps = int(round((self.v_max - self.v_min) / self.step))
+            cached = self.v_min + self.step * np.arange(n_steps + 1)
+            cached.flags.writeable = False
+            object.__setattr__(self, "_voltages", cached)
+        return cached
+
+    def __getstate__(self) -> dict[str, float]:
+        """Pickle the fields only; the voltage cache is rebuilt on first use."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __len__(self) -> int:
         return len(self.voltages)
@@ -177,6 +190,19 @@ class DelayEnergyTable:
             return 0.0 if d0 > deadline else float("inf")
         threshold = (deadline - d0) / d1
         return threshold if threshold >= 0.0 else 0.0
+
+    def failing_coupling_factors(self, deadline: float) -> np.ndarray:
+        """:meth:`failing_coupling_factor` at every grid voltage, in one call.
+
+        Element ``i`` equals the scalar method at ``grid.voltages[i]``
+        bit for bit: the same ``d1 <= 0`` branch, the same float64
+        arithmetic and the same clamp of negative thresholds to 0.0.
+        """
+        d0, d1 = self.base_delay, self.coupling_delay
+        with np.errstate(divide="ignore", invalid="ignore"):
+            threshold = (deadline - d0) / d1
+        uncoupled = np.where(d0 > deadline, 0.0, np.inf)
+        return np.where(d1 <= 0.0, uncoupled, np.where(threshold >= 0.0, threshold, 0.0))
 
     def min_voltage_meeting(self, deadline: float, coupling_factor: float = 4.0) -> float:
         """Lowest grid voltage at which the given pattern still meets ``deadline``.

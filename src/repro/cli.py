@@ -988,6 +988,12 @@ def _command_submit(args: argparse.Namespace, cache: ResultCache | None) -> int:
 
     experiment, quiet = args.experiment, args.quiet
     kwargs = _experiment_kwargs(args)
+    if args.jobs > 1:
+        # Server workers are daemon processes, so the flag is not forwarded.
+        print(
+            "[runtime] submit does not forward --jobs; the server's own --jobs sets its workers",
+            file=sys.stderr,
+        )
     # The exact JobSpec a local cached run would use, so the server dedupes
     # and caches under the same content-addressed key.  The chardb path is
     # resolved to an absolute one because the server process opens it from

@@ -163,12 +163,8 @@ class DVSRunState:
         # sees on-grid voltages, so both deadlines tabulate once).
         deadline = bus.design.clocking.main_deadline
         shadow = bus.design.clocking.shadow_deadline
-        self._thr_main = np.array(
-            [bus.table.failing_coupling_factor(v, deadline) for v in bus.grid.voltages]
-        )
-        self._thr_shadow = np.array(
-            [bus.table.failing_coupling_factor(v, shadow) for v in bus.grid.voltages]
-        )
+        self._thr_main = bus.table.failing_coupling_factors(deadline)
+        self._thr_shadow = bus.table.failing_coupling_factors(shadow)
         self._grid_index: dict[float, int] = {}  # voltage -> grid index, filled lazily
 
         # Exact per-grid-voltage accumulators over the measured (post-warm-up)

@@ -88,9 +88,7 @@ def min_error_free_voltage_per_cycle(
     """
     grid = bus.grid
     deadline = bus.design.clocking.main_deadline
-    thresholds = np.array(
-        [bus.table.failing_coupling_factor(v, deadline) for v in grid.voltages]
-    )
+    thresholds = bus.table.failing_coupling_factors(deadline)
     # A cycle with worst coupling factor c is safe at voltage index i iff
     # c <= thresholds[i]; find the first such index for every cycle.
     indices = np.searchsorted(thresholds, stats.worst_coupling, side="left")
@@ -139,9 +137,7 @@ def _segment_oracle_schedule(
     grid = bus.grid
     n_grid = len(grid)
     deadline = bus.design.clocking.main_deadline
-    thresholds = np.array(
-        [bus.table.failing_coupling_factor(v, deadline) for v in grid.voltages]
-    )
+    thresholds = bus.table.failing_coupling_factors(deadline)
     floor_index = grid.index_of(v_floor)
 
     window_voltages: list[float] = []

@@ -107,14 +107,6 @@ class BusEncoder(abc.ABC):
         """
         return False
 
-    # ------------------------------------------------------------------ #
-    # Shared helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _values(trace: BusTrace) -> np.ndarray:
-        """The trace's word array as a writeable signed copy."""
-        return trace.values.astype(np.int8).copy()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
 

@@ -12,8 +12,13 @@ bus-invert splits the word into independently inverted groups (one invert
 line per group), which works better for wide buses whose bytes have unequal
 activity.  Both are supported through the ``group_size`` parameter.
 
-The per-word decision depends on the previously *encoded* word, so encoding is
-inherently sequential; decoding is fully vectorised.
+The decision weighs the toggles of keeping the polarity against those of
+flipping it, invert line included on both sides.  With *h* the data Hamming
+distance between consecutive words within a group of *w* wires, it reduces to
+a rule on the invert line alone: the line toggles when 2h > w + 1, goes low on
+the tie 2h = w + 1 (odd *w* only) and holds otherwise.  Each invert line is
+thus the parity of its group's toggle words since the last tie word, so
+encoding is vectorised like decoding.
 """
 
 from __future__ import annotations
@@ -34,6 +39,20 @@ class BusInvertEncoder(BusEncoder):
         Number of signal wires sharing one invert line.  ``None`` (the
         default) uses a single invert line for the whole word; 8 gives the
         per-byte partitioned variant.
+
+    Examples
+    --------
+    With ``000`` on the wires and the invert line low, ``111`` (h = 3)
+    toggles the line, ``110`` (h = 1) holds it and ``000`` (h = 2, the tie)
+    pulls it low:
+
+    >>> import numpy as np
+    >>> words = np.array([[1, 1, 1], [1, 1, 0], [0, 0, 0]], dtype=np.uint8)
+    >>> on_wires = (np.zeros(3, np.uint8), np.zeros(1, np.uint8))
+    >>> BusInvertEncoder().encode_block(words, on_wires, first_word=False)[0]
+    array([[0, 0, 0, 1],
+           [0, 0, 1, 1],
+           [0, 0, 0, 0]], dtype=uint8)
     """
 
     def __init__(self, group_size: int | None = None) -> None:
@@ -45,14 +64,14 @@ class BusInvertEncoder(BusEncoder):
     # ------------------------------------------------------------------ #
     # Layout helpers
     # ------------------------------------------------------------------ #
-    def _group_slices(self, n_bits: int) -> list[slice]:
-        """Signal-wire slices of each independently inverted group."""
+    def _wire_groups(self, n_bits: int) -> np.ndarray:
+        """Invert-line index of each signal wire; every group is a contiguous run."""
         size = n_bits if self.group_size is None else self.group_size
-        return [slice(start, min(start + size, n_bits)) for start in range(0, n_bits, size)]
+        return np.arange(n_bits) // size
 
     def n_groups(self, n_bits: int) -> int:
         """Number of invert lines needed for an ``n_bits``-wide data word."""
-        return len(self._group_slices(n_bits))
+        return len(np.unique(self._wire_groups(n_bits)))
 
     @property
     def extra_bits(self) -> int:
@@ -69,41 +88,28 @@ class BusInvertEncoder(BusEncoder):
     # Encoding / decoding
     # ------------------------------------------------------------------ #
     def _encode_rows(
-        self,
-        data: np.ndarray,
-        encoded: np.ndarray,
-        start: int,
-        previous: np.ndarray,
-        previous_invert: np.ndarray,
-        groups: list[slice],
-        n_bits: int,
-    ) -> None:
-        """Run the per-word invert decisions over ``data[start:]`` in place.
+        self, data: np.ndarray, previous: np.ndarray, previous_invert: np.ndarray
+    ) -> np.ndarray:
+        """Drive ``data`` after ``previous`` went out with ``previous_invert``.
 
-        ``previous`` / ``previous_invert`` are updated as the loop advances,
-        which is exactly the state the streaming path carries across blocks.
+        Returns the driven words (data wires, then invert lines) with the
+        carried word as row 0, so the last row is the state to carry on.
+        Each invert line is the parity of its group's toggle words since
+        its last tie word, or since the carried line if there was none.
         """
-        for index in range(start, data.shape[0]):
-            word = data[index]
-            for group_index, group in enumerate(groups):
-                group_width = group.stop - group.start
-                toggles_plain = int(np.count_nonzero(word[group] != previous[group]))
-                # The invert line itself toggles too when the decision flips,
-                # so compare "toggles if we keep polarity" against "toggles if
-                # we flip polarity" including the invert line on both sides.
-                keep_cost = toggles_plain + (1 if previous_invert[group_index] != 0 else 0)
-                flip_cost = (group_width - toggles_plain) + (
-                    1 if previous_invert[group_index] == 0 else 0
-                )
-                invert = flip_cost < keep_cost
-                if invert:
-                    encoded_group = 1 - word[group]
-                else:
-                    encoded_group = word[group]
-                encoded[index, group] = encoded_group
-                encoded[index, n_bits + group_index] = 1 if invert else 0
-                previous[group] = encoded_group
-                previous_invert[group_index] = 1 if invert else 0
+        wire_group = self._wire_groups(data.shape[1])
+        widths = np.bincount(wire_group)
+        words = np.concatenate([(previous ^ previous_invert[wire_group])[None], data])
+        distance = np.add.reduceat(
+            words[1:] != words[:-1], np.cumsum(widths) - widths, axis=1, dtype=np.intp
+        )
+        toggle = np.concatenate([previous_invert[None], 2 * distance > widths + 1])
+        tie = np.concatenate([np.zeros((1, len(widths)), bool), 2 * distance == widths + 1])
+        parity = np.bitwise_xor.accumulate(toggle, axis=0)
+        rows = np.arange(len(tie))[:, None]
+        last_tie = np.maximum.accumulate(np.where(tie, rows, 0), axis=0)
+        invert = parity ^ np.take_along_axis(np.where(tie, parity, 0), last_tie, axis=0)
+        return np.concatenate([words ^ invert[:, wire_group], invert], axis=1)
 
     def encode(self, trace: BusTrace) -> BusTrace:
         """Encode a data trace; the invert lines are appended after the data wires.
@@ -111,16 +117,7 @@ class BusInvertEncoder(BusEncoder):
         The first word is transmitted unmodified (all invert lines low), which
         matches the usual convention that the bus powers up in a known state.
         """
-        data = trace.values.astype(np.uint8)
-        n_words, n_bits = data.shape
-        groups = self._group_slices(n_bits)
-        encoded = np.empty((n_words, n_bits + len(groups)), dtype=np.uint8)
-
-        previous = data[0].copy()
-        encoded[0, :n_bits] = previous
-        encoded[0, n_bits:] = 0
-        previous_invert = np.zeros(len(groups), dtype=np.uint8)
-        self._encode_rows(data, encoded, 1, previous, previous_invert, groups, n_bits)
+        encoded, _ = self.encode_block(trace.values, None, first_word=True)
         return BusTrace(values=encoded, name=f"{trace.name}/{self.name}")
 
     def encode_block(
@@ -128,37 +125,23 @@ class BusInvertEncoder(BusEncoder):
     ) -> tuple[np.ndarray, StreamState]:
         """Streamed encode carrying the previously driven word and invert lines.
 
-        The per-word decision only ever looks at what is currently *on the
-        wires*, so that pair is the complete stream state; streamed output is
-        bit-identical to :meth:`encode` over the whole trace.
+        The decisions only ever look at what is currently *on the wires*, so
+        that pair is the complete stream state; streamed output is
+        bit-identical to :meth:`encode` over the whole trace.  Without a
+        state the first word follows itself, so it is driven unmodified.
         """
         data = np.asarray(values, dtype=np.uint8)
-        n_words, n_bits = data.shape
-        groups = self._group_slices(n_bits)
-        encoded = np.empty((n_words, n_bits + len(groups)), dtype=np.uint8)
+        n_bits = data.shape[1]
         if state is None:
-            previous = data[0].copy()
-            encoded[0, :n_bits] = previous
-            encoded[0, n_bits:] = 0
-            previous_invert = np.zeros(len(groups), dtype=np.uint8)
-            start = 1
-        else:
-            previous, previous_invert = state
-            previous = previous.copy()
-            previous_invert = previous_invert.copy()
-            start = 0
-        self._encode_rows(data, encoded, start, previous, previous_invert, groups, n_bits)
-        return encoded, (previous, previous_invert)
+            state = (data[0], np.zeros(self.n_groups(n_bits), dtype=np.uint8))
+        encoded = self._encode_rows(data, *state)
+        return encoded[1:], (encoded[-1, :n_bits].copy(), encoded[-1, n_bits:].copy())
 
     def decode(self, encoded: BusTrace) -> BusTrace:
         """Undo the inversion using the appended invert lines (vectorised)."""
         values = encoded.values.astype(np.uint8)
         n_bits = self._data_bits(encoded.n_bits)
-        groups = self._group_slices(n_bits)
-        data = values[:, :n_bits].copy()
-        for group_index, group in enumerate(groups):
-            invert = values[:, n_bits + group_index].astype(bool)
-            data[invert, group] = 1 - data[invert, group]
+        data = values[:, :n_bits] ^ values[:, n_bits:][:, self._wire_groups(n_bits)]
         name = encoded.name
         suffix = f"/{self.name}"
         if name.endswith(suffix):

@@ -1,12 +1,15 @@
 """Tests for the voltage grid and delay/energy tables."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bus import CharacterizedBus
 from repro.circuit.lookup_table import DelayEnergyTable, VoltageGrid
-from repro.circuit.pvt import TYPICAL_CORNER
+from repro.circuit.pvt import BEST_CASE_CORNER, TYPICAL_CORNER, WORST_CASE_CORNER
 
 
 @pytest.fixture()
@@ -33,6 +36,22 @@ def table(grid: VoltageGrid) -> DelayEnergyTable:
 
 
 class TestVoltageGrid:
+    def test_voltages_computed_once_and_read_only(self, grid):
+        voltages = grid.voltages
+        assert grid.voltages is voltages
+        assert not voltages.flags.writeable
+        with pytest.raises(ValueError):
+            voltages[0] = 0.0
+
+    def test_voltage_cache_stays_out_of_equality_hash_and_pickle(self, grid):
+        fresh = VoltageGrid(v_min=0.9, v_max=1.2, step=0.02)
+        _ = grid.voltages
+        assert grid == fresh and hash(grid) == hash(fresh)
+        assert pickle.dumps(grid) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(grid))
+        assert restored == grid
+        np.testing.assert_array_equal(restored.voltages, grid.voltages)
+
     def test_grid_has_20mv_steps(self, grid):
         assert len(grid) == 16
         assert np.allclose(np.diff(grid.voltages), 0.02)
@@ -98,6 +117,35 @@ class TestDelayEnergyTable:
     def test_failing_coupling_factor_zero_when_base_delay_too_slow(self, table):
         assert table.failing_coupling_factor(0.9, 100e-12) == 0.0
 
+    @pytest.mark.parametrize("deadline", [100e-12, 560e-12, 600e-12, 1e-9])
+    def test_failing_coupling_factors_match_scalar(self, table, deadline):
+        scalars = [table.failing_coupling_factor(v, deadline) for v in table.grid.voltages]
+        vector = table.failing_coupling_factors(deadline)
+        assert vector.dtype == np.float64
+        assert vector.tobytes() == np.array(scalars).tobytes()
+
+    def test_failing_coupling_factors_cover_every_branch(self, grid):
+        # d1 <= 0 with a late and an on-time base delay, a negative
+        # threshold (clamped to 0), an exact hit (0) and a positive one.
+        n = len(grid)
+        base = np.full(n, 100e-12)
+        coupling = np.full(n, 10e-12)
+        base[0], coupling[0] = 300e-12, 0.0
+        base[1], coupling[1] = 100e-12, 0.0
+        base[2], coupling[2] = 100e-12, -5e-12
+        base[3] = 300e-12
+        base[4] = 200e-12
+        table = DelayEnergyTable(grid=grid, corner=TYPICAL_CORNER, base_delay=base,
+                                 coupling_delay=coupling, leakage_power=np.ones(n),
+                                 self_capacitance_per_wire=1e-12,
+                                 coupling_capacitance_per_pair=1e-12)
+        deadline = 200e-12
+        vector = table.failing_coupling_factors(deadline)
+        assert list(vector[:5]) == [0.0, np.inf, np.inf, 0.0, 0.0]
+        assert vector[5] == pytest.approx(10.0)
+        scalars = [table.failing_coupling_factor(v, deadline) for v in grid.voltages]
+        assert vector.tobytes() == np.array(scalars).tobytes()
+
     def test_min_voltage_meeting_deadline(self, table):
         voltage = table.min_voltage_meeting(table.delay(1.1, 4.0) + 1e-15, 4.0)
         assert voltage <= 1.1 + 1e-12
@@ -126,3 +174,22 @@ class TestDelayEnergyTable:
                 self_capacitance_per_wire=1e-12,
                 coupling_capacitance_per_pair=1e-12,
             )
+
+
+@pytest.mark.parametrize(
+    "corner",
+    [WORST_CASE_CORNER, TYPICAL_CORNER, BEST_CASE_CORNER],
+    ids=["worst", "typical", "best"],
+)
+def test_failing_coupling_factors_equal_scalar_on_every_corner(paper_design, corner):
+    bus = CharacterizedBus(paper_design, corner)
+    clocking = paper_design.clocking
+    for deadline in (
+        clocking.main_deadline,
+        clocking.shadow_deadline,
+        0.5 * clocking.main_deadline,
+        clocking.cycle_time,
+    ):
+        scalars = [bus.table.failing_coupling_factor(v, deadline) for v in bus.grid.voltages]
+        vector = bus.table.failing_coupling_factors(deadline)
+        assert vector.tobytes() == np.array(scalars, dtype=np.float64).tobytes()

@@ -14,6 +14,7 @@ from repro.encoding import (
     gray_encode_words,
 )
 from repro.trace.trace import BusTrace
+from tests.encoding.bus_invert_reference import reference_encode_block
 
 
 def _trace_from_words(words, n_bits=8):
@@ -104,6 +105,16 @@ class TestBusInvert:
         encoded_toggles = np.abs(np.diff(encoded.values.astype(np.int8), axis=0)).sum()
         assert encoded_toggles < unencoded_toggles
 
+    def test_tie_word_pulls_invert_line_low(self):
+        # On 3 wires a data Hamming distance of 2 is the tie 2h = w + 1: the
+        # invert line goes low whatever it was (1 -> 0, then 0 -> 0).
+        trace = _trace_from_words([0b000, 0b111, 0b110, 0b000, 0b011], n_bits=3)
+        encoded = BusInvertEncoder().encode(trace)
+        assert encoded.values[:, 3].tolist() == [0, 1, 1, 0, 0]
+        np.testing.assert_array_equal(encoded.values[3:, :3], trace.values[3:])
+        reference, _ = reference_encode_block(trace.values, None, None)
+        np.testing.assert_array_equal(encoded.values, reference)
+
     def test_extra_bits_requires_width(self):
         with pytest.raises(AttributeError):
             _ = BusInvertEncoder().extra_bits
@@ -117,6 +128,43 @@ class TestBusInvert:
         bad = BusTrace(values=np.zeros((3, 10), dtype=np.uint8), name="bad")
         with pytest.raises(ValueError):
             encoder.decode(bad)
+
+
+@st.composite
+def _bus_invert_cases(draw):
+    """A group size, 0/1 words with held runs, and block cut points."""
+    group_size = draw(st.sampled_from([None, 1, 3, 8]))
+    n_bits = draw(st.integers(min_value=1, max_value=39))
+    runs = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2**n_bits - 1), st.integers(1, 4)), min_size=2, max_size=30
+        )
+    )
+    words = np.array([word for word, count in runs for _ in range(count)], dtype=np.uint64)
+    values = ((words[:, None] >> np.arange(n_bits, dtype=np.uint64)) & 1).astype(np.uint8)
+    cuts = sorted(draw(st.lists(st.integers(1, len(words)), max_size=4)))
+    return group_size, values, cuts
+
+
+@given(case=_bus_invert_cases())
+@settings(max_examples=300, deadline=None)
+def test_bus_invert_matches_per_word_reference(case):
+    """The closed-form decisions equal the per-word cost comparison, streamed or not."""
+    group_size, values, cuts = case
+    encoder = BusInvertEncoder(group_size)
+    expected, expected_state = reference_encode_block(values, group_size, None)
+
+    whole = encoder.encode(BusTrace(values=values)).values
+    np.testing.assert_array_equal(whole, expected)
+
+    blocks, state = [], None
+    for start, stop in zip([0, *cuts], [*cuts, len(values)]):
+        encoded, state = encoder.encode_block(values[start:stop], state, first_word=start == 0)
+        blocks.append(encoded)
+    np.testing.assert_array_equal(np.concatenate(blocks), expected)
+    for carried, reference in zip(state, expected_state):
+        np.testing.assert_array_equal(carried, reference)
+        assert carried.dtype == reference.dtype
 
 
 class TestGray:

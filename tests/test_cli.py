@@ -450,6 +450,33 @@ class TestWorkloadSelectors:
             server.join(timeout=10.0)
         assert ignored(capsys.readouterr().err) == [warning]
 
+    def test_submit_says_it_does_not_forward_jobs(self, capsys, tmp_path):
+        """``--jobs`` is named on stderr; stdout and the submitted spec stay the same."""
+        from repro.runtime.cache import ResultCache
+        from repro.runtime.workqueue import WorkQueue
+        from repro.server.server import ReproServer
+
+        notice = (
+            "[runtime] submit does not forward --jobs; the server's own --jobs sets its workers"
+        )
+        queue = WorkQueue(n_workers=1, cache=ResultCache(tmp_path / "cache"))
+        server = ReproServer(queue, port=0).start()
+        try:
+            port = str(server.address[1])
+            assert main(["submit", "fig4b", "--cycles", "3000", "--port", port]) == 0
+            plain = capsys.readouterr()
+            assert main(["--jobs", "2", "submit", "fig4b", "--cycles", "3000",
+                         "--port", port]) == 0
+            forwarded = capsys.readouterr()
+        finally:
+            server.request_shutdown(drain=False)
+            server.join(timeout=10.0)
+        assert notice not in plain.err
+        assert notice in forwarded.err.splitlines()
+        assert forwarded.out == plain.out
+        # the same JobSpec key: the second submission is a cache hit
+        assert "cache hit" in forwarded.err
+
     def test_sweep_workload_axis_reports_specs(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert main(["sweep", "workload-matrix", "--limit", "2", "--quiet"]) == 0
