@@ -39,10 +39,7 @@ def _run_kernels(typical_corner_bus):
     error_rates = {}
     for name in KERNEL_NAMES:
         traced = kernel_bus_trace(name, n_cycles=KERNEL_CYCLES, seed=BENCH_SEED)
-        result = system.run(
-            typical_corner_bus.analyze(traced.trace.values),
-            warmup_cycles=KERNEL_CYCLES // 2,
-        )
+        result = system.run(traced.trace, warmup_cycles=KERNEL_CYCLES // 2)
         gains[name] = result.energy_gain_percent
         error_rates[name] = result.average_error_rate
     return gains, error_rates

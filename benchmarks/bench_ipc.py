@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch import PIPELINE_MODELS, evaluate_ipc_impact
+from repro.bus.bus_model import analyze_trace_statistics
 from repro.core.dvs_system import DVSBusSystem
 from repro.trace import generate_benchmark_trace
 
@@ -23,7 +24,7 @@ from conftest import BENCH_CYCLES, BENCH_RAMP, BENCH_SEED, BENCH_WINDOW
 
 def _error_mask_of_dvs_run(typical_corner_bus):
     trace = generate_benchmark_trace("vortex", n_cycles=BENCH_CYCLES, seed=BENCH_SEED)
-    stats = typical_corner_bus.analyze(trace.values)
+    stats = analyze_trace_statistics(trace, typical_corner_bus.design.topology)
     system = DVSBusSystem(
         typical_corner_bus, window_cycles=BENCH_WINDOW, ramp_delay_cycles=BENCH_RAMP
     )

@@ -48,7 +48,7 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
     """Measure every kernel on the same workload; returns name -> metrics."""
     from repro import __version__
     from repro.bus import BusDesign, CharacterizedBus, bus_model
-    from repro.bus.bus_model import scalar_trace_statistics
+    from repro.bus.bus_model import analyze_trace_statistics, scalar_trace_statistics
     from repro.circuit.pvt import TYPICAL_CORNER
     from repro.core.dvs_system import DVSBusSystem
     from repro.interconnect.block_kernels import (
@@ -82,7 +82,7 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
     trace = source.materialize()
     lanes = lanes_from_packed(trace.packed_values)
     transitions = transitions_from_values(trace.values)
-    stats = bus.analyze_trace(trace)
+    stats = analyze_trace_statistics(trace, topology)
 
     def run_feed() -> None:
         # Reduce the precomputed statistics to control-segment summaries and
@@ -119,7 +119,7 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
             lanes, topology
         ),
         "analyze_chunk_scalar": lambda: scalar_trace_statistics(trace, topology),
-        "analyze_chunk_vectorized": lambda: bus.analyze_trace(trace),
+        "analyze_chunk_vectorized": lambda: analyze_trace_statistics(trace, topology),
         "dvs_feed": run_feed,
         "end_to_end_scalar": run_scalar_end_to_end,
         "end_to_end_vectorized": lambda: DVSBusSystem(bus).run(source),

@@ -24,6 +24,7 @@ from repro.analysis.sensitivity import (
     run_window_length_sensitivity,
 )
 from repro.bus import BusDesign, CharacterizedBus
+from repro.bus.bus_model import analyze_trace_statistics
 from repro.circuit.pvt import TYPICAL_CORNER
 from repro.trace import generate_benchmark_trace
 
@@ -37,7 +38,7 @@ def main() -> None:
     design = BusDesign.paper_bus()
     bus = CharacterizedBus(design, TYPICAL_CORNER)
     trace = generate_benchmark_trace("vortex", n_cycles=N_CYCLES, seed=SEED)
-    stats = bus.analyze(trace.values)
+    stats = analyze_trace_statistics(trace, design.topology)
 
     studies = [
         run_window_length_sensitivity(bus, stats, window_lengths=(500, 1_000, 2_000, 5_000)),

@@ -55,9 +55,7 @@ def main() -> None:
     for name in KERNEL_NAMES:
         kernel = get_kernel(name)
         traced = kernel_bus_trace(name, n_cycles=N_CYCLES, seed=SEED)
-        result = system.run(
-            bus.analyze(traced.trace.values), warmup_cycles=N_CYCLES // 2
-        )
+        result = system.run(traced.trace, warmup_cycles=N_CYCLES // 2)
         gains[name] = result.energy_gain_percent
         print(
             f"{name:<18} {traced.load_fraction:>11.2f} "

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.arch import PIPELINE_MODELS, LoadDataBuffer, evaluate_ipc_impact
 from repro.bus import BusDesign, CharacterizedBus
+from repro.bus.bus_model import analyze_trace_statistics
 from repro.circuit.pvt import TYPICAL_CORNER
 from repro.core.dvs_system import DVSBusSystem
 from repro.plotting import bar_chart
@@ -53,7 +54,7 @@ def main() -> None:
     design = BusDesign.paper_bus()
     bus = CharacterizedBus(design, TYPICAL_CORNER)
     trace = generate_benchmark_trace("vortex", n_cycles=N_CYCLES, seed=SEED)
-    stats = bus.analyze(trace.values)
+    stats = analyze_trace_statistics(trace, design.topology)
 
     system = DVSBusSystem(bus, window_cycles=2_000, ramp_delay_cycles=600)
     result = system.run(stats, keep_cycle_voltage=True)

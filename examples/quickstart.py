@@ -36,16 +36,15 @@ def main() -> None:
     # 3. Generate a synthetic memory-read trace (the crafty profile) and run
     #    both the conventional baseline and the proposed closed-loop DVS.
     trace = generate_benchmark_trace("crafty", n_cycles=300_000, seed=1)
-    stats = bus.analyze(trace.values)
 
-    fixed = evaluate_fixed_scaling(bus, stats)
+    fixed = evaluate_fixed_scaling(bus, trace)
     print(
         f"\nFixed voltage scaling (conventional): {fixed.voltage * 1000:.0f} mV, "
         f"energy gain {fixed.energy_gain_percent:.1f} %"
     )
 
     system = DVSBusSystem(bus)
-    result = system.run(stats, warmup_cycles=150_000)
+    result = system.run(trace, warmup_cycles=150_000)
     print(
         f"Proposed DVS bus: min supply {result.minimum_voltage_reached * 1000:.0f} mV, "
         f"energy gain {result.energy_gain_percent:.1f} %, "
@@ -57,9 +56,8 @@ def main() -> None:
     #    nothing, while the error-tolerant bus still recovers some slack from
     #    the program's benign switching patterns.
     worst_bus = CharacterizedBus(design, WORST_CASE_CORNER)
-    worst_stats = worst_bus.analyze(trace.values)
-    worst_fixed = evaluate_fixed_scaling(worst_bus, worst_stats)
-    worst_result = DVSBusSystem(worst_bus).run(worst_stats, warmup_cycles=150_000)
+    worst_fixed = evaluate_fixed_scaling(worst_bus, trace)
+    worst_result = DVSBusSystem(worst_bus).run(trace, warmup_cycles=150_000)
     print(
         f"\nWorst-case corner ({worst_bus.corner.label}):\n"
         f"  fixed VS gain {worst_fixed.energy_gain_percent:.1f} %  vs  "

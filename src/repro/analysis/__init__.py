@@ -16,7 +16,7 @@ if TYPE_CHECKING:
         CornerGainStudy,
         StaticScalingPoint,
         StaticScalingSweep,
-        combine_statistics,
+        combine_summaries,
         run_corner_gain_study,
         run_static_voltage_sweep,
     )
@@ -62,7 +62,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "CornerGainStudy",
             "StaticScalingPoint",
             "StaticScalingSweep",
-            "combine_statistics",
+            "combine_summaries",
             "run_corner_gain_study",
             "run_static_voltage_sweep",
         ),

@@ -295,12 +295,13 @@ def _run_encoding(n_cycles: int = 20_000, seed: int = 2005) -> tuple[Any, str]:
 def _run_ipc(n_cycles: int = 60_000, seed: int = 2005) -> tuple[Any, str]:
     from repro.arch import PIPELINE_MODELS, evaluate_ipc_impact
     from repro.bus import BusDesign, CharacterizedBus
+    from repro.bus.bus_model import analyze_trace_statistics
     from repro.core.dvs_system import DVSBusSystem
     from repro.trace.generator import generate_benchmark_trace
 
     bus = CharacterizedBus(BusDesign.paper_bus(), TYPICAL_CORNER)
     trace = generate_benchmark_trace("vortex", n_cycles=n_cycles, seed=seed)
-    stats = bus.analyze(trace.values)
+    stats = analyze_trace_statistics(trace, bus.design.topology)
     system = DVSBusSystem(
         bus, window_cycles=max(500, n_cycles // 30), ramp_delay_cycles=max(150, n_cycles // 100)
     )
@@ -343,11 +344,13 @@ def _run_sensitivity(n_cycles: int = 150_000, seed: int = 2005) -> tuple[Any, st
         run_window_length_sensitivity,
     )
     from repro.bus import BusDesign, CharacterizedBus
+    from repro.bus.bus_model import analyze_trace_statistics
     from repro.trace.generator import generate_benchmark_trace
 
     bus = CharacterizedBus(BusDesign.paper_bus(), TYPICAL_CORNER)
     trace = generate_benchmark_trace("vortex", n_cycles=n_cycles, seed=seed)
-    stats = bus.analyze(trace.values)
+    # Thirteen closed loops share one set of per-cycle statistics.
+    stats = analyze_trace_statistics(trace, bus.design.topology)
     studies = [
         run_window_length_sensitivity(bus, stats, window_lengths=(500, 1_000, 2_000, 5_000)),
         run_ramp_delay_sensitivity(bus, stats),

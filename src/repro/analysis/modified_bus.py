@@ -125,9 +125,7 @@ def run_modified_bus_study(
         total_errors = 0
         total_cycles = 0
         for trace in workloads.values():
-            stats = bus.analyze(trace.values)
-            warmup = int(warmup_fraction * stats.n_cycles)
-            run = system.run(stats, warmup_cycles=warmup)
+            run = system.run(trace, warmup_cycles=int(warmup_fraction * trace.n_cycles))
             total_energy += run.energy.total_with_recovery
             total_reference += run.reference_energy.total_with_recovery
             total_errors += run.total_errors

@@ -123,10 +123,9 @@ def run_oracle_residency(
     for name in benchmarks:
         if name not in workloads:
             raise KeyError(f"workloads is missing a trace for benchmark {name!r}")
-        stats = bus.analyze(workloads[name].values)
         for target in targets:
             schedule = oracle_voltage_schedule(
-                bus, stats, target_error_rate=target, window_cycles=window_cycles
+                bus, workloads[name], target_error_rate=target, window_cycles=window_cycles
             )
             entries.append(
                 ResidencyEntry(

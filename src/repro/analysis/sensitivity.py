@@ -100,10 +100,10 @@ def format_sensitivity_study(study: SensitivityStudy) -> str:
 
 
 def _steady_state_metrics(
-    system: DVSBusSystem, stats: TraceStatistics, warmup_fraction: float
+    system: DVSBusSystem, workload: BusTrace | TraceStatistics, warmup_fraction: float
 ) -> tuple[float, float, float]:
-    warmup = int(warmup_fraction * stats.n_cycles)
-    result = system.run(stats, warmup_cycles=warmup)
+    warmup = int(warmup_fraction * workload.n_cycles)
+    result = system.run(workload, warmup_cycles=warmup)
     return (
         result.energy_gain_percent,
         result.average_error_rate,
@@ -114,14 +114,13 @@ def _steady_state_metrics(
 def _sweep(
     parameter: str,
     bus: CharacterizedBus,
-    stats: TraceStatistics,
-    workload_name: str,
+    workload: BusTrace | TraceStatistics,
     entries: Sequence[tuple[str, float, Callable[[], DVSBusSystem]]],
     warmup_fraction: float,
 ) -> SensitivityStudy:
     points = []
     for label, value, factory in entries:
-        gain, error_rate, minimum = _steady_state_metrics(factory(), stats, warmup_fraction)
+        gain, error_rate, minimum = _steady_state_metrics(factory(), workload, warmup_fraction)
         points.append(
             SensitivityPoint(
                 label=label,
@@ -131,17 +130,10 @@ def _sweep(
                 minimum_voltage=minimum,
             )
         )
+    workload_name = workload.name if isinstance(workload, BusTrace) else "workload"
     return SensitivityStudy(
         parameter=parameter, corner=bus.corner, workload_name=workload_name, points=tuple(points)
     )
-
-
-def _prepare(
-    workload: BusTrace | TraceStatistics, bus: CharacterizedBus
-) -> tuple[TraceStatistics, str]:
-    if isinstance(workload, BusTrace):
-        return bus.analyze(workload.values), workload.name
-    return workload, "workload"
 
 
 def run_window_length_sensitivity(
@@ -156,7 +148,6 @@ def run_window_length_sensitivity(
     The regulator ramp is kept at a fixed fraction of the window so the
     controller's relative reaction speed is comparable across points.
     """
-    stats, name = _prepare(workload, bus)
     entries = [
         (
             f"window={window}",
@@ -169,7 +160,7 @@ def run_window_length_sensitivity(
         )
         for window in window_lengths
     ]
-    return _sweep("error window (cycles)", bus, stats, name, entries, warmup_fraction)
+    return _sweep("error window (cycles)", bus, workload, entries, warmup_fraction)
 
 
 def run_ramp_delay_sensitivity(
@@ -180,7 +171,6 @@ def run_ramp_delay_sensitivity(
     warmup_fraction: float = 0.5,
 ) -> SensitivityStudy:
     """Sweep the regulator ramp delay (3 000 cycles for the paper's regulator)."""
-    stats, name = _prepare(workload, bus)
     entries = [
         (
             f"ramp={ramp}",
@@ -192,7 +182,7 @@ def run_ramp_delay_sensitivity(
         for ramp in ramp_delays
         if ramp <= window_cycles
     ]
-    return _sweep("regulator ramp delay (cycles)", bus, stats, name, entries, warmup_fraction)
+    return _sweep("regulator ramp delay (cycles)", bus, workload, entries, warmup_fraction)
 
 
 def run_error_band_sensitivity(
@@ -204,7 +194,6 @@ def run_error_band_sensitivity(
     warmup_fraction: float = 0.5,
 ) -> SensitivityStudy:
     """Sweep the bang-bang policy's error band (the paper steers for 1 %-2 %)."""
-    stats, name = _prepare(workload, bus)
     for low, high in bands:
         check_fraction("band lower edge", low)
         check_fraction("band upper edge", high)
@@ -221,7 +210,7 @@ def run_error_band_sensitivity(
         )
         for low, high in bands
     ]
-    return _sweep("target error band", bus, stats, name, entries, warmup_fraction)
+    return _sweep("target error band", bus, workload, entries, warmup_fraction)
 
 
 def run_shadow_delay_sensitivity(
@@ -246,11 +235,10 @@ def run_shadow_delay_sensitivity(
         check_fraction("shadow delay fraction", fraction)
         clocking = replace(design.clocking, shadow_delay_fraction=fraction)
         bus = CharacterizedBus(design.with_clocking(clocking), corner)
-        stats = bus.analyze(workload.values)
         system = DVSBusSystem(
             bus, window_cycles=window_cycles, ramp_delay_cycles=ramp_delay_cycles
         )
-        gain, error_rate, minimum = _steady_state_metrics(system, stats, warmup_fraction)
+        gain, error_rate, minimum = _steady_state_metrics(system, workload, warmup_fraction)
         points.append(
             SensitivityPoint(
                 label=f"shadow delay={fraction * 100:.0f}%",

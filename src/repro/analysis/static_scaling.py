@@ -92,29 +92,16 @@ class StaticScalingSweep:
         }
 
 
-def combine_statistics(
-    bus: CharacterizedBus, workloads: Mapping[str, BusTrace]
-) -> TraceStatistics:
-    """Concatenate the per-benchmark statistics of a suite (paper Fig. 4 setup)."""
-    combined: TraceStatistics | None = None
-    for trace in workloads.values():
-        stats = bus.analyze(trace.values)
-        combined = stats if combined is None else combined.concatenate(stats)
-    if combined is None:
-        raise ValueError("workloads must contain at least one trace")
-    return combined
-
-
 def combine_summaries(
     bus: CharacterizedBus,
     workloads: Mapping[str, BusTrace | TraceSource],
 ) -> TraceSummary:
-    """Reduce a suite of traces/sources to one :class:`TraceSummary`.
+    """Reduce a suite of traces/sources to one :class:`TraceSummary` (paper Fig. 4 setup).
 
-    The streaming twin of :func:`combine_statistics`: it reduces exactly the
-    same per-cycle populations (concatenating statistics never creates
-    between-benchmark transitions), so every static-scaling quantity -- error
-    rates and energies at constant grid voltages -- matches while paper-scale
+    The per-benchmark summaries are merged exactly, with no transition
+    between one benchmark's last word and the next one's first, so every
+    static-scaling quantity -- error rates and energies at constant grid
+    voltages -- covers exactly the benchmarks' own cycles while paper-scale
     suites sweep in O(chunk) memory.
     """
     if not workloads:
@@ -122,20 +109,17 @@ def combine_summaries(
     return merge_summaries([bus.summarize(workload) for workload in workloads.values()])
 
 
-def resolve_workload_statistics(
-    bus: CharacterizedBus, workloads: WorkloadsLike
-) -> TraceStatistics | TraceSummary:
-    """Normalise a static-study workload argument to evaluable statistics.
+def resolve_workload_statistics(bus: CharacterizedBus, workloads: WorkloadsLike) -> TraceSummary:
+    """Reduce a static-study workload argument to one :class:`TraceSummary`.
 
-    Pre-computed statistics/summaries pass through; mappings of traces keep
-    the classic concatenated per-cycle path, while mappings containing any
-    :class:`~repro.trace.stream.TraceSource` are streamed into a summary.
+    A summary passes through, per-cycle statistics are summarised, and a
+    mapping of traces and sources is merged by :func:`combine_summaries`.
     """
-    if isinstance(workloads, (TraceStatistics, TraceSummary)):
+    if isinstance(workloads, TraceSummary):
         return workloads
-    if any(isinstance(workload, TraceSource) for workload in workloads.values()):
-        return combine_summaries(bus, workloads)
-    return combine_statistics(bus, workloads)
+    if isinstance(workloads, TraceStatistics):
+        return workloads.summarize()
+    return combine_summaries(bus, workloads)
 
 
 def run_static_voltage_sweep(
@@ -152,28 +136,28 @@ def run_static_voltage_sweep(
     workloads:
         Either a mapping of benchmark traces / trace sources (combined, as in
         the paper) or pre-combined :class:`TraceStatistics` /
-        :class:`TraceSummary`.  Sources are reduced in O(chunk) memory, which
+        :class:`TraceSummary`.  Either way the sweep evaluates one
+        :class:`TraceSummary`; sources are reduced in O(chunk) memory, which
         is how the sweep runs at paper-scale trace lengths.
     v_stop:
         Lowest voltage to sweep; defaults to the lowest grid voltage at which
         the worst-case pattern still meets the *shadow-latch* deadline at this
         corner (the paper's sweep stop condition).
     """
-    stats = resolve_workload_statistics(bus, workloads)
+    summary = resolve_workload_statistics(bus, workloads)
     if v_stop is None:
         v_stop = bus.table.min_voltage_meeting(
             bus.design.clocking.shadow_deadline, bus.design.topology.max_coupling_factor
         )
-    reference = bus.nominal_energy(stats)
+    reference = bus.nominal_energy(summary)
 
     points: list[StaticScalingPoint] = []
     for vdd in reversed(bus.grid.voltages.tolist()):
         if vdd < v_stop - 1e-12:
             break
-        error_rate = bus.error_rate(stats, vdd)
-        n_errors = int(round(error_rate * stats.n_cycles))
-        energy = bus.energy_breakdown(stats, vdd, n_errors=n_errors)
-        bus_only = bus.energy_breakdown(stats, vdd, n_errors=0)
+        error_rate = bus.error_rate(summary, vdd)
+        energy = bus.energy_breakdown(summary, vdd)
+        bus_only = bus.energy_breakdown(summary, vdd, n_errors=0)
         points.append(
             StaticScalingPoint(
                 vdd=float(vdd),
@@ -261,7 +245,7 @@ def run_corner_gain_study(
     """Reproduce Fig. 5 (or Fig. 10 when given the modified bus design).
 
     For every corner the bus is characterised, the benchmark suite's combined
-    statistics are evaluated over the voltage grid, and for each target error
+    summary is evaluated over the voltage grid, and for each target error
     rate the lowest admissible static voltage (subject to the shadow-latch
     limit) determines the reported energy gain.  Trace sources are reduced
     per corner in O(chunk) memory.
@@ -275,9 +259,9 @@ def run_corner_gain_study(
     for index in sorted(corners):
         corner = corners[index]
         bus = CharacterizedBus(design, corner)
-        stats = resolve_workload_statistics(bus, workloads)
-        sweep = run_static_voltage_sweep(bus, stats)
-        reference = bus.nominal_energy(stats)
+        summary = resolve_workload_statistics(bus, workloads)
+        sweep = run_static_voltage_sweep(bus, summary)
+        reference = bus.nominal_energy(summary)
         nominal_delay = bus.table.worst_delay(
             design.nominal_vdd, design.topology.max_coupling_factor
         )
@@ -286,9 +270,7 @@ def run_corner_gain_study(
         voltages: dict[float, float] = {}
         for target in targets:
             voltage = sweep.lowest_voltage_for_error_rate(target)
-            error_rate = bus.error_rate(stats, voltage)
-            n_errors = int(round(error_rate * stats.n_cycles))
-            energy = bus.energy_breakdown(stats, voltage, n_errors=n_errors)
+            energy = bus.energy_breakdown(summary, voltage)
             gains[target] = breakdown_gain_percent(reference, energy)
             voltages[target] = voltage
         points.append(

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.scheme import SchemeResult, evaluate_static_scheme
-from repro.bus.bus_model import CharacterizedBus, TraceStatistics
+from repro.bus.bus_model import CharacterizedBus, TraceSummary
 from repro.circuit.pvt import PVTCorner
 from repro.core.fixed_vs import ASSUMED_WORST_IR_DROP
 
@@ -86,7 +86,7 @@ class CanaryVoltageScaling:
         guarded = minimum + self.guard_steps * bus.grid.step
         return bus.grid.clamp(guarded)
 
-    def evaluate(self, bus: CharacterizedBus, stats: TraceStatistics) -> SchemeResult:
+    def evaluate(self, bus: CharacterizedBus, summary: TraceSummary) -> SchemeResult:
         """Run the workload at the replica-selected supply and report the gain.
 
         The replica delay line's own power (a handful of inverters against a
@@ -95,7 +95,7 @@ class CanaryVoltageScaling:
         voltage = self.select_voltage(bus)
         return evaluate_static_scheme(
             bus,
-            stats,
+            summary,
             voltage,
             scheme=self.name,
             notes=(

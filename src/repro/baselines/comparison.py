@@ -26,7 +26,7 @@ from repro.baselines.canary import CanaryVoltageScaling
 from repro.baselines.scheme import SchemeResult
 from repro.baselines.triple_latch import TripleLatchMonitor
 from repro.bus.bus_design import BusDesign
-from repro.bus.bus_model import CharacterizedBus, TraceStatistics
+from repro.bus.bus_model import CharacterizedBus, TraceStatistics, analyze_trace_statistics
 from repro.circuit.pvt import PVTCorner
 from repro.core.dvs_system import DVSBusSystem
 from repro.core.fixed_vs import evaluate_fixed_scaling
@@ -70,9 +70,10 @@ class SchemeComparison:
 
 
 def _combine(bus: CharacterizedBus, traces: Sequence[BusTrace]) -> TraceStatistics:
+    """Per-cycle statistics of the traces run back to back, with no junction cycles."""
     combined: TraceStatistics | None = None
     for trace in traces:
-        stats = bus.analyze(trace.values)
+        stats = analyze_trace_statistics(trace, bus.design.topology)
         combined = stats if combined is None else combined.concatenate(stats)
     if combined is None:
         raise ValueError("need at least one trace to compare schemes on")
@@ -114,8 +115,9 @@ def run_scheme_comparison(
 
     bus = CharacterizedBus(design, corner)
     stats = _combine(bus, traces)
+    summary = stats.summarize()
 
-    fixed = evaluate_fixed_scaling(bus, stats)
+    fixed = evaluate_fixed_scaling(bus, summary)
     results = [
         SchemeResult(
             scheme="fixed VS",
@@ -125,8 +127,8 @@ def run_scheme_comparison(
             error_rate=fixed.error_rate,
             notes="process corner only; worst-case temperature and IR margins",
         ),
-        canary.evaluate(bus, stats),
-        triple_latch.evaluate(bus, stats),
+        canary.evaluate(bus, summary),
+        triple_latch.evaluate(bus, summary),
     ]
 
     system = DVSBusSystem(

@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.bus.bus_model import CharacterizedBus, TraceStatistics
+from repro.bus.bus_model import CharacterizedBus, TraceSummary
 from repro.energy.accounting import EnergyBreakdown
 from repro.energy.gains import breakdown_gain_percent
+from repro.trace.trace import BusTrace
 
 
 @dataclass(frozen=True)
@@ -85,21 +86,21 @@ def worst_case_cycle_energy(bus: CharacterizedBus, vdd: float) -> float:
 
     The worst case has every signal wire toggling with its neighbours moving
     in the opposite direction, which is exactly the pattern a latency test
-    vector must exercise.  The energy is obtained by running a two-word
-    alternating checkerboard trace through the bus's own energy model rather
-    than re-deriving coefficients here.
+    vector must exercise.  The energy is obtained by summarising a two-word
+    alternating checkerboard trace on the bus and pricing it with the bus's
+    own energy table rather than re-deriving coefficients here.
     """
     n_bits = bus.design.n_bits
     checkerboard = np.zeros((2, n_bits), dtype=np.uint8)
     checkerboard[0, 0::2] = 1
     checkerboard[1, 1::2] = 1
-    stats = bus.analyze(checkerboard)
-    return float(bus.dynamic_energy_per_cycle(stats, vdd)[0])
+    summary = bus.summarize(BusTrace(values=checkerboard))
+    return bus.table.dynamic_energy(vdd, summary.toggles_total, summary.coupling_weights_total)
 
 
 def evaluate_static_scheme(
     bus: CharacterizedBus,
-    stats: TraceStatistics,
+    summary: TraceSummary,
     voltage: float,
     scheme: str,
     overhead_energy: float = 0.0,
@@ -113,16 +114,15 @@ def evaluate_static_scheme(
     if overhead_energy < 0.0:
         raise ValueError(f"overhead_energy must be >= 0, got {overhead_energy}")
     voltage = bus.grid.snap(voltage)
-    error_rate = bus.error_rate(stats, voltage)
-    n_errors = int(round(error_rate * stats.n_cycles))
-    energy = bus.energy_breakdown(stats, voltage, n_errors=n_errors)
+    error_rate = bus.error_rate(summary, voltage)
+    energy = bus.energy_breakdown(summary, voltage)
     if overhead_energy:
         energy = replace(energy, bus_dynamic=energy.bus_dynamic + overhead_energy)
     return SchemeResult(
         scheme=scheme,
         voltage=voltage,
         energy=energy,
-        reference_energy=bus.nominal_energy(stats),
+        reference_energy=bus.nominal_energy(summary),
         error_rate=error_rate,
         overhead_energy=overhead_energy,
         notes=notes,

@@ -30,7 +30,7 @@ from repro.baselines.scheme import (
     evaluate_static_scheme,
     worst_case_cycle_energy,
 )
-from repro.bus.bus_model import CharacterizedBus, TraceStatistics
+from repro.bus.bus_model import CharacterizedBus, TraceSummary
 from repro.utils.validation import check_positive
 
 
@@ -81,13 +81,13 @@ class TripleLatchMonitor:
         per_vector = worst_case_cycle_energy(bus, vdd)
         return n_tests * self.vectors_per_test * per_vector
 
-    def evaluate(self, bus: CharacterizedBus, stats: TraceStatistics) -> SchemeResult:
+    def evaluate(self, bus: CharacterizedBus, summary: TraceSummary) -> SchemeResult:
         """Run the workload at the monitor-selected supply, charging test energy."""
         voltage = self.select_voltage(bus)
-        overhead = self.test_overhead_energy(bus, stats.n_cycles, voltage)
+        overhead = self.test_overhead_energy(bus, summary.n_cycles, voltage)
         return evaluate_static_scheme(
             bus,
-            stats,
+            summary,
             voltage,
             scheme=self.name,
             overhead_energy=overhead,

@@ -2,10 +2,10 @@
 
 The expensive per-cycle work -- classifying every wire's switching pattern and
 summing the coupling-energy weights -- depends only on the data trace, not on
-the supply voltage.  :class:`TraceStatistics` captures those per-cycle arrays
-once; :class:`CharacterizedBus` then evaluates timing errors and energy for
-any (possibly per-cycle) supply voltage with a handful of vectorised numpy
-operations.
+the supply voltage.  :class:`TraceStatistics` holds those per-cycle arrays
+where a caller truly needs them (a per-cycle error mask, the reference
+tests); :class:`CharacterizedBus` evaluates timing errors and energy at a
+constant supply from a :class:`TraceSummary` alone.
 
 Simulations never hold a whole run's per-cycle arrays.  The statistics pass
 (:func:`repro.runtime.parallel.statistics_pass`) analyses one chunk at a time
@@ -341,8 +341,6 @@ class CodedStatistics:
 
 #: Anything the bus model can evaluate a workload from.
 WorkloadLike = BusTrace | TraceSource | TraceStatistics
-#: Workload statistics in either per-cycle or reduced form.
-StatisticsLike = TraceStatistics | TraceSummary
 
 
 def _check_width(trace: BusTrace, topology: NeighborTopology) -> None:
@@ -398,9 +396,9 @@ def analyze_trace_codes(trace: BusTrace, topology: NeighborTopology) -> CodedSta
 def analyze_trace_statistics(trace: BusTrace, topology: NeighborTopology) -> TraceStatistics:
     """Per-cycle statistics of a trace over a wiring topology.
 
-    This is the kernel dispatch behind
-    :meth:`CharacterizedBus.analyze_trace`, factored to module level because
-    it depends only on the (tiny, picklable) :class:`NeighborTopology`.
+    For callers that need the per-cycle arrays themselves (a per-cycle
+    error mask, the reference tests); evaluations at a constant supply
+    reduce a workload with :meth:`CharacterizedBus.summarize` instead.
     Where :func:`kernel_plan` picks the lanes, all three per-cycle arrays
     come from the integer-lane block kernels straight off the packed words;
     elsewhere the per-wire reference runs.  Results are **bit-identical**
@@ -509,22 +507,6 @@ class CharacterizedBus:
     # ------------------------------------------------------------------ #
     # Trace analysis
     # ------------------------------------------------------------------ #
-    def analyze(self, values: np.ndarray) -> TraceStatistics:
-        """Compute voltage-independent per-cycle statistics of a data trace.
-
-        ``values`` is an array of shape ``(n_cycles + 1, n_bits)`` of 0/1 bus
-        words (the convention used by :class:`repro.trace.trace.BusTrace`).
-        """
-        return scalar_trace_statistics(BusTrace(values=values), self.design.topology)
-
-    def analyze_trace(self, trace: BusTrace) -> TraceStatistics:
-        """:meth:`analyze` for a :class:`BusTrace`, on the kernel the bus width picks.
-
-        Delegates to the module-level :func:`analyze_trace_statistics`, which
-        carries the full kernel-dispatch contract.
-        """
-        return analyze_trace_statistics(trace, self.design.topology)
-
     def summarize(self, workload: WorkloadLike, jobs: int | None = None) -> TraceSummary:
         """Reduce a workload to one :class:`TraceSummary` in O(chunk) memory.
 
@@ -552,42 +534,23 @@ class CharacterizedBus:
     def error_mask(self, stats: TraceStatistics, vdd: VoltageLike) -> np.ndarray:
         """Boolean mask of cycles whose worst wire misses the main deadline.
 
-        ``vdd`` may be a scalar (static scaling) or a per-cycle array (the
-        closed-loop DVS run).  Voltages must lie on the characterisation grid.
+        ``vdd`` is a per-cycle array (the supply trajectory of a closed-loop
+        run, as in IPC studies) or a scalar.  Voltages must lie on the
+        characterisation grid.
         """
-        thresholds = self._failing_threshold(vdd, self.design.clocking.main_deadline)
-        return stats.worst_coupling > thresholds
+        thresholds = self.table.failing_coupling_factors(self.design.clocking.main_deadline)
+        return stats.worst_coupling > thresholds[self.grid.indices_of(np.asarray(vdd))]
 
-    def failure_mask(self, stats: TraceStatistics, vdd: VoltageLike) -> np.ndarray:
-        """Cycles that would miss even the shadow-latch deadline (must be none)."""
-        thresholds = self._failing_threshold(vdd, self.design.clocking.shadow_deadline)
-        return stats.worst_coupling > thresholds
+    def error_count(self, summary: TraceSummary, vdd: float) -> int:
+        """Cycles of a summarised workload with a corrected timing error at ``vdd``."""
+        thresholds = self.table.failing_coupling_factors(self.design.clocking.main_deadline)
+        return summary.error_count(thresholds[self.grid.index_of(float(vdd))])
 
-    def error_count(self, stats: StatisticsLike, vdd: float) -> int:
-        """Errors at a constant supply, for per-cycle or reduced statistics."""
-        threshold = self.table.failing_coupling_factor(
-            float(vdd), self.design.clocking.main_deadline
-        )
-        if isinstance(stats, TraceSummary):
-            return stats.error_count(threshold)
-        return int(np.count_nonzero(stats.worst_coupling > threshold))
-
-    def error_rate(self, stats: StatisticsLike, vdd: VoltageLike) -> float:
-        """Fraction of cycles with a corrected timing error at the given supply."""
-        if stats.n_cycles == 0:
+    def error_rate(self, summary: TraceSummary, vdd: float) -> float:
+        """Fraction of cycles with a corrected timing error at a constant supply."""
+        if summary.n_cycles == 0:
             return 0.0
-        if isinstance(stats, TraceSummary):
-            if not np.isscalar(vdd):
-                raise TypeError("TraceSummary supports only a constant supply voltage")
-            return self.error_count(stats, float(vdd)) / stats.n_cycles
-        return float(np.count_nonzero(self.error_mask(stats, vdd))) / stats.n_cycles
-
-    def _failing_threshold(self, vdd: VoltageLike, deadline: float) -> VoltageLike:
-        """Smallest coupling factor that misses ``deadline`` at ``vdd`` (vectorised)."""
-        if np.isscalar(vdd):
-            return self.table.failing_coupling_factor(float(vdd), deadline)
-        indices = self.grid.indices_of(np.asarray(vdd, dtype=float))
-        return self.table.failing_coupling_factors(deadline)[indices]
+        return self.error_count(summary, vdd) / summary.n_cycles
 
     def zero_error_voltage(self, deadline: float | None = None) -> float:
         """Lowest grid voltage at which the worst-case pattern meets the deadline.
@@ -622,13 +585,6 @@ class CharacterizedBus:
     # ------------------------------------------------------------------ #
     # Energy queries
     # ------------------------------------------------------------------ #
-    def dynamic_energy_per_cycle(self, stats: TraceStatistics, vdd: VoltageLike) -> np.ndarray:
-        """Per-cycle dynamic switching energy (self + coupling) at ``vdd``."""
-        vdd_array = np.asarray(vdd, dtype=float)
-        self_term = 0.5 * self.table.self_capacitance_per_wire * stats.toggles
-        coupling_term = 0.5 * self.table.coupling_capacitance_per_pair * stats.coupling_weights
-        return (self_term + coupling_term) * vdd_array * vdd_array
-
     def energy_from_voltage_totals(
         self,
         cycle_counts: np.ndarray,
@@ -687,59 +643,23 @@ class CharacterizedBus:
         weights[index] = weights_total
         return self.energy_from_voltage_totals(counts, toggles, weights, n_errors)
 
-    def _summary_energy(
-        self, summary: TraceSummary, vdd: float, n_errors: int
+    def energy_breakdown(
+        self, summary: TraceSummary, vdd: float, n_errors: int | None = None
     ) -> EnergyBreakdown:
-        """Energy of a summarised workload at one constant supply."""
+        """Energy of a summarised workload at the constant supply ``vdd``.
+
+        ``n_errors`` recoveries are charged; when it is not given it is the
+        workload's error count at the same supply.
+        """
+        if n_errors is None:
+            n_errors = self.error_count(summary, vdd)
         return self.energy_at_constant_supply(
             vdd, summary.n_cycles, summary.toggles_total, summary.coupling_weights_total, n_errors
         )
 
-    def energy_breakdown(
-        self,
-        stats: StatisticsLike,
-        vdd: VoltageLike,
-        n_errors: int | None = None,
-    ) -> EnergyBreakdown:
-        """Total energy of the interval at ``vdd`` with ``n_errors`` recoveries.
-
-        If ``n_errors`` is not given it is computed from the error mask at the
-        same supply.  Reduced :class:`TraceSummary` statistics are supported
-        for constant supplies.
-        """
-        if isinstance(stats, TraceSummary):
-            if not np.isscalar(vdd):
-                raise TypeError("TraceSummary supports only a constant supply voltage")
-            if n_errors is None:
-                n_errors = self.error_count(stats, float(vdd))
-            return self._summary_energy(stats, float(vdd), n_errors)
-
-        cycle_time = self.design.clocking.cycle_time
-        dynamic = float(np.sum(self.dynamic_energy_per_cycle(stats, vdd)))
-
-        if np.isscalar(vdd):
-            leak_power = float(self.table.leakage_power[self.grid.index_of(float(vdd))])
-            leakage = leak_power * cycle_time * stats.n_cycles
-        else:
-            indices = self.grid.indices_of(np.asarray(vdd, dtype=float))
-            leakage = float(np.sum(self.table.leakage_power[indices])) * cycle_time
-
-        if n_errors is None:
-            n_errors = int(np.count_nonzero(self.error_mask(stats, vdd)))
-
-        ff_params = self.flipflop_energy
-        clocking = ff_params.bank_clock_energy(self.design.n_bits) * stats.n_cycles
-        recovery = float(ff_params.recovery_energy(self.design.n_bits, n_errors))
-        return EnergyBreakdown(
-            bus_dynamic=dynamic,
-            leakage=leakage,
-            flipflop_clocking=clocking,
-            recovery_overhead=recovery,
-        )
-
-    def nominal_energy(self, stats: StatisticsLike) -> EnergyBreakdown:
-        """Energy of the interval at the nominal supply with no errors.
+    def nominal_energy(self, summary: TraceSummary) -> EnergyBreakdown:
+        """Energy of the workload at the nominal supply with no errors.
 
         This is the reference against which all energy gains are reported.
         """
-        return self.energy_breakdown(stats, self.design.nominal_vdd, n_errors=0)
+        return self.energy_breakdown(summary, self.design.nominal_vdd, n_errors=0)

@@ -98,13 +98,11 @@ def evaluate_fixed_scaling(
     over worker processes -- the exact merge makes the result bit-identical
     either way.
     """
-    if isinstance(stats, (BusTrace, TraceSource)):
-        stats = bus.summarize(stats, jobs=jobs)
+    summary = stats if isinstance(stats, TraceSummary) else bus.summarize(stats, jobs=jobs)
     voltage = fixed_scaling_voltage(bus, process_corner)
-    error_rate = bus.error_rate(stats, voltage)
-    n_errors = int(round(error_rate * stats.n_cycles))
-    energy = bus.energy_breakdown(stats, voltage, n_errors=n_errors)
-    reference = bus.nominal_energy(stats)
+    error_rate = bus.error_rate(summary, voltage)
+    energy = bus.energy_breakdown(summary, voltage)
+    reference = bus.nominal_energy(summary)
     return FixedScalingResult(
         voltage=voltage,
         energy=energy,

@@ -106,39 +106,67 @@ def _resolve_floor(bus: CharacterizedBus, v_floor: float | None) -> float:
     return bus.grid.snap(max(v_floor, bus.grid.v_min))
 
 
-def _segment_oracle_schedule(
+def oracle_voltage_schedule(
     bus: CharacterizedBus,
-    workload: BusTrace | TraceSource,
+    workload: BusTrace | TraceSource | TraceStatistics,
     target_error_rate: float,
-    window_cycles: int,
-    v_floor: float,
-    jobs: int | None,
+    window_cycles: int = DEFAULT_WINDOW_CYCLES,
+    v_floor: float | None = None,
+    jobs: int | None = None,
 ) -> OracleSchedule:
-    """The oracle over a streamed workload, in O(chunk) memory.
+    """Choose the optimal per-window voltages for a target error rate.
 
     The statistics pass reduces each scheduling window to an exact
     :class:`~repro.bus.bus_model.TraceSummary` (the segmenter splits at
-    window starts only -- the oracle has no regulator state).  Per window
-    the oracle only needs *how many* cycles demand each grid voltage, so the
-    replay scatters each summary's worst-coupling histogram onto grid
-    indices; the budgeted choice and the realised error count are exact tail
-    sums of that histogram, and energy accumulates per grid-voltage level --
-    so the schedule matches the monolithic path window for window.
+    window starts only -- the oracle has no regulator state), in O(chunk)
+    memory for a streamed workload.  Per window the oracle only needs *how
+    many* cycles demand each grid voltage, so it scatters each summary's
+    worst-coupling histogram onto grid indices; the budgeted choice and the
+    realised error count are exact tail sums of that histogram, and energy
+    accumulates per grid-voltage level.  The schedule is therefore the same
+    for any chunk length, kernel and worker count.
+
+    Parameters
+    ----------
+    bus:
+        Characterised bus at the corner of interest.
+    workload:
+        A trace, a :class:`~repro.trace.stream.TraceSource` or pre-computed
+        trace statistics.
+    target_error_rate:
+        Maximum tolerated fraction of error cycles per window (0 gives the
+        zero-error schedule).
+    window_cycles:
+        Window granularity of the schedule (the paper uses 10 000 cycles).
+    v_floor:
+        Minimum allowed voltage; defaults to the regulator safety floor for
+        the bus's process corner (shadow-latch setup under assumed worst-case
+        temperature and IR drop).
+    jobs:
+        Worker processes for the statistics pass; results are bit-identical
+        for any value.
     """
+    check_fraction("target_error_rate", target_error_rate)
+    if window_cycles <= 0:
+        raise ValueError(f"window_cycles must be positive, got {window_cycles}")
     from repro.runtime.parallel import ChunkSegmenter, statistics_pass
 
-    summaries = statistics_pass(
-        workload,
-        ChunkSegmenter(n_cycles=workload.n_cycles, window_cycles=window_cycles),
-        bus.design.topology,
-        jobs=jobs,
+    floor_index = bus.grid.index_of(_resolve_floor(bus, v_floor))
+    summaries = (
+        statistics_pass(
+            workload,
+            ChunkSegmenter(n_cycles=workload.n_cycles, window_cycles=window_cycles),
+            bus.design.topology,
+            jobs=jobs,
+        )
+        if workload.n_cycles
+        else []
     )
 
     grid = bus.grid
     n_grid = len(grid)
     deadline = bus.design.clocking.main_deadline
     thresholds = bus.table.failing_coupling_factors(deadline)
-    floor_index = grid.index_of(v_floor)
 
     window_voltages: list[float] = []
     window_error_rates: list[float] = []
@@ -152,9 +180,9 @@ def _segment_oracle_schedule(
         # histogram[i] counts cycles whose minimum safe voltage is grid index
         # i; bin n_grid holds cycles unsafe even at the top grid voltage.  The
         # voltage *selection* treats those as satisfied at v_max -- matching
-        # the clipped per-cycle requirement of the monolithic path -- but the
-        # realised error counts include them, exactly as ``bus.error_mask``
-        # does.
+        # the clipped requirement of :func:`min_error_free_voltage_per_cycle`
+        # -- but the realised error counts include them, exactly as
+        # ``bus.error_mask`` does.
         histogram = np.zeros(n_grid + 1, dtype=np.int64)
         indices = np.searchsorted(thresholds, summary.worst_coupling_values, side="left")
         np.add.at(histogram, indices, summary.worst_coupling_counts)
@@ -185,88 +213,6 @@ def _segment_oracle_schedule(
         window_cycles=window_cycles,
         window_voltages=np.array(window_voltages),
         window_error_rates=np.array(window_error_rates),
-        target_error_rate=target_error_rate,
-        energy=energy,
-        reference_energy=reference,
-    )
-
-
-def oracle_voltage_schedule(
-    bus: CharacterizedBus,
-    stats: TraceStatistics | BusTrace | TraceSource,
-    target_error_rate: float,
-    window_cycles: int = DEFAULT_WINDOW_CYCLES,
-    v_floor: float | None = None,
-    jobs: int | None = None,
-) -> OracleSchedule:
-    """Choose the optimal per-window voltages for a target error rate.
-
-    Parameters
-    ----------
-    bus:
-        Characterised bus at the corner of interest.
-    stats:
-        The workload: pre-computed trace statistics, a trace, or a
-        :class:`~repro.trace.stream.TraceSource` (streamed in O(chunk)
-        memory with a window-for-window identical schedule).
-    target_error_rate:
-        Maximum tolerated fraction of error cycles per window (0 gives the
-        zero-error schedule).
-    window_cycles:
-        Window granularity of the schedule (the paper uses 10 000 cycles).
-    v_floor:
-        Minimum allowed voltage; defaults to the regulator safety floor for
-        the bus's process corner (shadow-latch setup under assumed worst-case
-        temperature and IR drop).
-    jobs:
-        Worker processes for the statistics pass of streamed workloads;
-        results are bit-identical for any value.
-    """
-    check_fraction("target_error_rate", target_error_rate)
-    if window_cycles <= 0:
-        raise ValueError(f"window_cycles must be positive, got {window_cycles}")
-    floor = _resolve_floor(bus, v_floor)
-    if isinstance(stats, (BusTrace, TraceSource)):
-        return _segment_oracle_schedule(
-            bus, stats, target_error_rate, window_cycles, floor, jobs
-        )
-    v_floor = floor
-
-    per_cycle_voltage = min_error_free_voltage_per_cycle(bus, stats)
-    n_cycles = stats.n_cycles
-    n_windows = int(np.ceil(n_cycles / window_cycles))
-
-    window_voltages = np.empty(n_windows)
-    window_error_rates = np.empty(n_windows)
-    voltage_per_cycle = np.empty(n_cycles)
-
-    for window in range(n_windows):
-        start = window * window_cycles
-        stop = min(start + window_cycles, n_cycles)
-        requirement = per_cycle_voltage[start:stop]
-        budget = int(np.floor(target_error_rate * (stop - start)))
-        if budget <= 0:
-            chosen = requirement.max() if len(requirement) else bus.grid.v_max
-        else:
-            # Tolerate the `budget` most demanding cycles: the voltage only has
-            # to satisfy the (n - budget)-th largest requirement.
-            chosen = np.partition(requirement, len(requirement) - budget - 1)[
-                len(requirement) - budget - 1
-            ]
-        chosen = max(float(chosen), v_floor)
-        chosen = bus.grid.snap(chosen)
-        window_voltages[window] = chosen
-        voltage_per_cycle[start:stop] = chosen
-        window_stats = stats.slice(start, stop)
-        window_error_rates[window] = bus.error_rate(window_stats, chosen)
-
-    total_errors = int(np.count_nonzero(bus.error_mask(stats, voltage_per_cycle)))
-    energy = bus.energy_breakdown(stats, voltage_per_cycle, n_errors=total_errors)
-    reference = bus.nominal_energy(stats)
-    return OracleSchedule(
-        window_cycles=window_cycles,
-        window_voltages=window_voltages,
-        window_error_rates=window_error_rates,
         target_error_rate=target_error_rate,
         energy=energy,
         reference_energy=reference,

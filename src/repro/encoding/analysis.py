@@ -205,8 +205,9 @@ def run_encoding_study(
 
     # Reference: the unencoded trace on the reference bus at nominal supply.
     reference_bus = CharacterizedBus(design, corner)
-    reference_stats = reference_bus.analyze(trace.values)
-    reference_energy = reference_bus.nominal_energy(reference_stats).total_with_recovery
+    reference_energy = reference_bus.nominal_energy(
+        reference_bus.summarize(trace)
+    ).total_with_recovery
 
     buses: dict[int, CharacterizedBus] = {design.n_bits: reference_bus}
     evaluations: list[EncoderEvaluation] = []
@@ -214,7 +215,7 @@ def run_encoding_study(
     # DVS gains are reported over the post-warm-up region, so the unencoded
     # nominal reference must cover exactly the same cycles.
     measured_reference = reference_bus.nominal_energy(
-        reference_stats.slice(warmup, reference_stats.n_cycles) if warmup else reference_stats
+        reference_bus.summarize(trace.window(warmup, trace.n_cycles - warmup))
     ).total_with_recovery
 
     for encoder in encoders:
@@ -223,13 +224,12 @@ def run_encoding_study(
         if n_wires not in buses:
             buses[n_wires] = CharacterizedBus(design_for_width(design, n_wires), corner)
         bus = buses[n_wires]
-        stats = bus.analyze(encoded.values)
 
-        nominal = bus.nominal_energy(stats).total_with_recovery
+        nominal = bus.nominal_energy(bus.summarize(encoded)).total_with_recovery
         system = DVSBusSystem(
             bus, window_cycles=window_cycles, ramp_delay_cycles=ramp_delay_cycles
         )
-        result = system.run(stats, warmup_cycles=warmup)
+        result = system.run(encoded, warmup_cycles=warmup)
         # Express the DVS energy against the *unencoded nominal* reference so
         # encoding savings and voltage-scaling savings add up in one number.
         evaluations.append(

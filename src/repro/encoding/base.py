@@ -68,14 +68,14 @@ class BusEncoder(abc.ABC):
     # Streaming
     # ------------------------------------------------------------------ #
     def encode_block(
-        self, values: np.ndarray, state: StreamState | None, first_word: bool
+        self, values: np.ndarray, state: StreamState | None
     ) -> tuple[np.ndarray, StreamState]:
         """Encode a run of data words, carrying stream state between blocks.
 
         ``values`` is a 0/1 ``(n_words, n_bits)`` array of *data* words (no
         boundary row); ``state`` is whatever the previous call returned
-        (``None`` before the first), and ``first_word`` marks the block that
-        starts the trace.  Returns the encoded words and the updated state.
+        (``None`` before the first, which marks the block that starts the
+        trace).  Returns the encoded words and the updated state.
         Concatenating the outputs over all blocks must equal
         ``encode(whole_trace).values`` exactly.
 

@@ -49,7 +49,7 @@ class BusInvertEncoder(BusEncoder):
     >>> import numpy as np
     >>> words = np.array([[1, 1, 1], [1, 1, 0], [0, 0, 0]], dtype=np.uint8)
     >>> on_wires = (np.zeros(3, np.uint8), np.zeros(1, np.uint8))
-    >>> BusInvertEncoder().encode_block(words, on_wires, first_word=False)[0]
+    >>> BusInvertEncoder().encode_block(words, on_wires)[0]
     array([[0, 0, 0, 1],
            [0, 0, 1, 1],
            [0, 0, 0, 0]], dtype=uint8)
@@ -117,11 +117,11 @@ class BusInvertEncoder(BusEncoder):
         The first word is transmitted unmodified (all invert lines low), which
         matches the usual convention that the bus powers up in a known state.
         """
-        encoded, _ = self.encode_block(trace.values, None, first_word=True)
+        encoded, _ = self.encode_block(trace.values, None)
         return BusTrace(values=encoded, name=f"{trace.name}/{self.name}")
 
     def encode_block(
-        self, values: np.ndarray, state: StreamState | None, first_word: bool
+        self, values: np.ndarray, state: StreamState | None
     ) -> tuple[np.ndarray, StreamState]:
         """Streamed encode carrying the previously driven word and invert lines.
 

@@ -39,7 +39,7 @@ class TransitionEncoder(BusEncoder):
         return BusTrace(values=encoded.astype(np.uint8), name=f"{trace.name}/{self.name}")
 
     def encode_block(
-        self, values: np.ndarray, state: StreamState | None, first_word: bool
+        self, values: np.ndarray, state: StreamState | None
     ) -> tuple[np.ndarray, StreamState]:
         """Streamed encode: the carried state is the cumulative data parity.
 

@@ -529,13 +529,9 @@ class EncodedTraceSource(TraceSource):
 
     def _packed_blocks(self) -> Iterator[np.ndarray]:
         state = None
-        first = True
         n_bits = self._source.n_bits
         for block in self._source._packed_blocks():
-            encoded, state = self._encoder.encode_block(
-                unpack_values(block, n_bits), state, first_word=first
-            )
-            first = False
+            encoded, state = self._encoder.encode_block(unpack_values(block, n_bits), state)
             yield pack_values(encoded)
 
 

@@ -15,7 +15,7 @@ from repro.analysis import (
     run_table1,
     run_technology_scaling_study,
 )
-from repro.analysis.static_scaling import combine_statistics
+from repro.analysis.static_scaling import combine_summaries
 from repro.circuit.pvt import TYPICAL_CORNER, WORST_CASE_CORNER
 from repro.trace import generate_suite
 
@@ -59,9 +59,9 @@ class TestStaticScalingSweep:
         loose = sweep.lowest_voltage_for_error_rate(0.05)
         assert loose <= zero
 
-    def test_combined_statistics_length(self, typical_corner_bus, mini_suite):
-        stats = combine_statistics(typical_corner_bus, mini_suite)
-        assert stats.n_cycles == sum(trace.n_cycles for trace in mini_suite.values())
+    def test_combined_summary_length(self, typical_corner_bus, mini_suite):
+        summary = combine_summaries(typical_corner_bus, mini_suite)
+        assert summary.n_cycles == sum(trace.n_cycles for trace in mini_suite.values())
 
 
 class TestCornerGainStudy:

@@ -9,6 +9,7 @@ from repro.analysis.sensitivity import (
     run_shadow_delay_sensitivity,
     run_window_length_sensitivity,
 )
+from repro.bus.bus_model import analyze_trace_statistics
 from repro.circuit.pvt import TYPICAL_CORNER
 from repro.trace import generate_benchmark_trace
 
@@ -23,7 +24,7 @@ def vortex_trace():
 
 @pytest.fixture(scope="module")
 def vortex_stats(typical_corner_bus, vortex_trace):
-    return typical_corner_bus.analyze(vortex_trace.values)
+    return analyze_trace_statistics(vortex_trace, typical_corner_bus.design.topology)
 
 
 class TestWindowLengthSensitivity:

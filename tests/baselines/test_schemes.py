@@ -21,20 +21,22 @@ class TestWorstCaseCycleEnergy:
 
     def test_exceeds_any_real_trace_cycle(self, typical_corner_bus, crafty_stats):
         worst = worst_case_cycle_energy(typical_corner_bus, 1.2)
-        per_cycle = typical_corner_bus.dynamic_energy_per_cycle(crafty_stats, 1.2)
+        per_cycle = typical_corner_bus.table.dynamic_energy(
+            1.2, crafty_stats.toggles, crafty_stats.coupling_weights
+        )
         assert per_cycle.max() <= worst + 1e-18
 
 
 class TestEvaluateStaticScheme:
-    def test_nominal_voltage_gives_zero_gain(self, typical_corner_bus, crafty_stats):
-        result = evaluate_static_scheme(typical_corner_bus, crafty_stats, 1.2, scheme="ref")
+    def test_nominal_voltage_gives_zero_gain(self, typical_corner_bus, crafty_summary):
+        result = evaluate_static_scheme(typical_corner_bus, crafty_summary, 1.2, scheme="ref")
         assert result.energy_gain_percent == pytest.approx(0.0, abs=1e-9)
         assert result.is_error_free
 
-    def test_overhead_is_added_and_reported(self, typical_corner_bus, crafty_stats):
-        plain = evaluate_static_scheme(typical_corner_bus, crafty_stats, 1.1, scheme="plain")
+    def test_overhead_is_added_and_reported(self, typical_corner_bus, crafty_summary):
+        plain = evaluate_static_scheme(typical_corner_bus, crafty_summary, 1.1, scheme="plain")
         loaded = evaluate_static_scheme(
-            typical_corner_bus, crafty_stats, 1.1, scheme="loaded", overhead_energy=1e-9
+            typical_corner_bus, crafty_summary, 1.1, scheme="loaded", overhead_energy=1e-9
         )
         assert loaded.overhead_energy == pytest.approx(1e-9)
         assert loaded.energy.total_with_recovery == pytest.approx(
@@ -42,10 +44,10 @@ class TestEvaluateStaticScheme:
         )
         assert loaded.energy_gain_percent < plain.energy_gain_percent
 
-    def test_negative_overhead_rejected(self, typical_corner_bus, crafty_stats):
+    def test_negative_overhead_rejected(self, typical_corner_bus, crafty_summary):
         with pytest.raises(ValueError):
             evaluate_static_scheme(
-                typical_corner_bus, crafty_stats, 1.1, scheme="bad", overhead_energy=-1.0
+                typical_corner_bus, crafty_summary, 1.1, scheme="bad", overhead_energy=-1.0
             )
 
 
@@ -83,8 +85,7 @@ class TestCanaryVoltageScaling:
         scheme = CanaryVoltageScaling()
         for corner in (WORST_CASE_CORNER, TYPICAL_CORNER, BEST_CASE_CORNER):
             bus = CharacterizedBus(paper_design, corner)
-            stats = bus.analyze(crafty_trace.values)
-            result = scheme.evaluate(bus, stats)
+            result = scheme.evaluate(bus, bus.summarize(crafty_trace))
             assert result.is_error_free, corner.label
 
     def test_gain_grows_at_faster_corners(self, paper_design, crafty_trace):
@@ -94,8 +95,7 @@ class TestCanaryVoltageScaling:
         gains = []
         for corner in (WORST_CASE_CORNER, TYPICAL_CORNER, BEST_CASE_CORNER):
             bus = CharacterizedBus(paper_design, corner)
-            stats = bus.analyze(crafty_trace.values)
-            gains.append(scheme.evaluate(bus, stats).energy_gain_percent)
+            gains.append(scheme.evaluate(bus, bus.summarize(crafty_trace)).energy_gain_percent)
         assert gains[0] <= gains[1] <= gains[2]
 
 
@@ -123,20 +123,20 @@ class TestTripleLatchMonitor:
         assert monitor.test_overhead_energy(typical_corner_bus, 0, 1.0) == 0.0
 
     def test_evaluation_is_error_free_and_charges_overhead(
-        self, typical_corner_bus, crafty_stats
+        self, typical_corner_bus, crafty_summary
     ):
         monitor = TripleLatchMonitor(test_interval_cycles=2_000, vectors_per_test=32)
-        result = monitor.evaluate(typical_corner_bus, crafty_stats)
+        result = monitor.evaluate(typical_corner_bus, crafty_summary)
         assert result.is_error_free
         assert result.overhead_energy > 0.0
         assert result.energy_gain_percent > 0.0
 
-    def test_more_frequent_testing_costs_more_energy(self, typical_corner_bus, crafty_stats):
+    def test_more_frequent_testing_costs_more_energy(self, typical_corner_bus, crafty_summary):
         frequent = TripleLatchMonitor(test_interval_cycles=1_000).evaluate(
-            typical_corner_bus, crafty_stats
+            typical_corner_bus, crafty_summary
         )
         rare = TripleLatchMonitor(test_interval_cycles=10_000).evaluate(
-            typical_corner_bus, crafty_stats
+            typical_corner_bus, crafty_summary
         )
         assert frequent.overhead_energy > rare.overhead_energy
         assert frequent.energy_gain_percent <= rare.energy_gain_percent

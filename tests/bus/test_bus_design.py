@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bus import BusDesign, CharacterizedBus, characterize_bus, default_voltage_grid
+from repro.bus.bus_model import analyze_trace_statistics
 from repro.circuit.pvt import (
     STANDARD_CORNERS,
     WORST_CASE_CORNER,
@@ -116,68 +117,68 @@ class TestZeroErrorVoltages:
 
 class TestCycleLevelModel:
     def test_analyze_shapes(self, typical_corner_bus, crafty_trace):
-        stats = typical_corner_bus.analyze(crafty_trace.values)
+        stats = analyze_trace_statistics(crafty_trace, typical_corner_bus.design.topology)
         assert stats.n_cycles == crafty_trace.n_cycles
         assert stats.worst_coupling.shape == (stats.n_cycles,)
 
-    def test_no_errors_at_nominal_supply(self, typical_corner_bus, crafty_stats):
-        assert typical_corner_bus.error_rate(crafty_stats, 1.2) == 0.0
+    def test_no_errors_at_nominal_supply(self, typical_corner_bus, crafty_summary):
+        assert typical_corner_bus.error_rate(crafty_summary, 1.2) == 0.0
 
-    def test_error_rate_monotone_as_voltage_drops(self, typical_corner_bus, crafty_stats):
+    def test_error_rate_monotone_as_voltage_drops(self, typical_corner_bus, crafty_summary):
         rates = [
-            typical_corner_bus.error_rate(crafty_stats, v)
+            typical_corner_bus.error_rate(crafty_summary, v)
             for v in (1.2, 1.1, 1.0, 0.95, 0.9)
         ]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
     def test_mgrid_sees_more_errors_than_crafty(self, typical_corner_bus, crafty_trace, mgrid_trace):
-        crafty_stats = typical_corner_bus.analyze(crafty_trace.values)
-        mgrid_stats = typical_corner_bus.analyze(mgrid_trace.values)
+        crafty_summary = typical_corner_bus.summarize(crafty_trace)
+        mgrid_summary = typical_corner_bus.summarize(mgrid_trace)
         voltage = 0.90
-        assert typical_corner_bus.error_rate(mgrid_stats, voltage) > (
-            typical_corner_bus.error_rate(crafty_stats, voltage)
+        assert typical_corner_bus.error_rate(mgrid_summary, voltage) > (
+            typical_corner_bus.error_rate(crafty_summary, voltage)
         )
 
-    def test_failure_mask_empty_above_shadow_floor(self, typical_corner_bus, crafty_stats):
+    def test_failure_mask_empty_above_shadow_floor(self, typical_corner_bus, crafty_summary):
         floor = typical_corner_bus.minimum_safe_voltage()
-        assert not typical_corner_bus.failure_mask(crafty_stats, floor).any()
+        thresholds = typical_corner_bus.table.failing_coupling_factors(
+            typical_corner_bus.design.clocking.shadow_deadline
+        )
+        assert crafty_summary.error_count(thresholds[typical_corner_bus.grid.index_of(floor)]) == 0
 
-    def test_per_cycle_voltage_array_accepted(self, typical_corner_bus, crafty_stats):
+    def test_per_cycle_voltage_array_accepted(self, typical_corner_bus, crafty_stats, crafty_summary):
         n = crafty_stats.n_cycles
         voltages = np.full(n, 1.2)
         voltages[n // 2 :] = 0.9
-        mixed = typical_corner_bus.error_rate(crafty_stats, voltages)
-        low = typical_corner_bus.error_rate(crafty_stats, 0.9)
+        mixed = np.count_nonzero(typical_corner_bus.error_mask(crafty_stats, voltages)) / n
+        low = typical_corner_bus.error_rate(crafty_summary, 0.9)
         assert 0.0 <= mixed <= low
 
-    def test_energy_breakdown_components(self, typical_corner_bus, crafty_stats):
-        breakdown = typical_corner_bus.energy_breakdown(crafty_stats, 1.2, n_errors=0)
+    def test_energy_breakdown_components(self, typical_corner_bus, crafty_summary):
+        breakdown = typical_corner_bus.energy_breakdown(crafty_summary, 1.2, n_errors=0)
         assert breakdown.bus_dynamic > 0.0
         assert breakdown.leakage > 0.0
         assert breakdown.flipflop_clocking > 0.0
         assert breakdown.recovery_overhead == 0.0
 
-    def test_energy_drops_quadratically_with_voltage(self, typical_corner_bus, crafty_stats):
-        nominal = typical_corner_bus.energy_breakdown(crafty_stats, 1.2, n_errors=0)
-        scaled = typical_corner_bus.energy_breakdown(crafty_stats, 0.9, n_errors=0)
+    def test_energy_drops_quadratically_with_voltage(self, typical_corner_bus, crafty_summary):
+        nominal = typical_corner_bus.energy_breakdown(crafty_summary, 1.2, n_errors=0)
+        scaled = typical_corner_bus.energy_breakdown(crafty_summary, 0.9, n_errors=0)
         ratio = scaled.bus_dynamic / nominal.bus_dynamic
         assert ratio == pytest.approx((0.9 / 1.2) ** 2, rel=1e-6)
 
-    def test_recovery_overhead_small_compared_to_savings(self, typical_corner_bus, crafty_stats):
+    def test_recovery_overhead_small_compared_to_savings(self, typical_corner_bus, crafty_summary):
         """Paper Fig. 4: the recovery-overhead curve hugs the bus-energy curve."""
-        nominal = typical_corner_bus.nominal_energy(crafty_stats)
+        nominal = typical_corner_bus.nominal_energy(crafty_summary)
         voltage = 0.92
-        errors = int(
-            typical_corner_bus.error_rate(crafty_stats, voltage) * crafty_stats.n_cycles
-        )
-        with_recovery = typical_corner_bus.energy_breakdown(crafty_stats, voltage, errors)
+        errors = typical_corner_bus.error_count(crafty_summary, voltage)
+        with_recovery = typical_corner_bus.energy_breakdown(crafty_summary, voltage, errors)
         savings = nominal.total_with_recovery - with_recovery.bus_energy
         assert with_recovery.recovery_overhead < 0.25 * savings
 
-    def test_statistics_slice_and_concatenate(self, typical_corner_bus, crafty_trace):
-        stats = typical_corner_bus.analyze(crafty_trace.values)
-        first = stats.slice(0, 1000)
-        second = stats.slice(1000, 2000)
+    def test_statistics_slice_and_concatenate(self, crafty_stats):
+        first = crafty_stats.slice(0, 1000)
+        second = crafty_stats.slice(1000, 2000)
         combined = first.concatenate(second)
         assert combined.n_cycles == 2000
-        assert np.allclose(combined.worst_coupling, stats.worst_coupling[:2000])
+        assert np.allclose(combined.worst_coupling, crafty_stats.worst_coupling[:2000])

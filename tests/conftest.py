@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.bus import BusDesign, CharacterizedBus
+from repro.bus.bus_model import analyze_trace_statistics
 from repro.circuit.pvt import TYPICAL_CORNER, WORST_CASE_CORNER
 from repro.trace import generate_benchmark_trace
 
@@ -48,7 +49,13 @@ def mgrid_trace():
 @pytest.fixture(scope="session")
 def crafty_stats(typical_corner_bus: CharacterizedBus, crafty_trace):
     """Pre-computed trace statistics of the crafty trace on the typical-corner bus."""
-    return typical_corner_bus.analyze(crafty_trace.values)
+    return analyze_trace_statistics(crafty_trace, typical_corner_bus.design.topology)
+
+
+@pytest.fixture(scope="session")
+def crafty_summary(crafty_stats):
+    """The crafty statistics reduced to the summary constant-supply queries take."""
+    return crafty_stats.summarize()
 
 
 @pytest.fixture()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.bus import CharacterizedBus
+from repro.bus.bus_model import analyze_trace_statistics
 from repro.circuit.pvt import WORST_CASE_CORNER
 from repro.core import BehavioralDVSSimulator, DVSBusSystem
 from repro.core.policies import ProportionalPolicy
@@ -23,7 +24,7 @@ CYCLES = 6_000
 
 
 def _run_both(bus, trace, policy=None):
-    stats = bus.analyze(trace.values)
+    stats = analyze_trace_statistics(trace, bus.design.topology)
     vectorised = DVSBusSystem(
         bus, policy=policy, window_cycles=WINDOW, ramp_delay_cycles=RAMP
     ).run(stats, keep_cycle_voltage=True)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bus.bus_model import analyze_trace_statistics
 from repro.core.dvs_system import DVSBusSystem
 from repro.core.fixed_vs import evaluate_fixed_scaling, fixed_scaling_voltage
 from repro.core.oracle import min_error_free_voltage_per_cycle, oracle_voltage_schedule
@@ -11,7 +12,7 @@ from repro.core.policies import BangBangPolicy, ProportionalPolicy
 
 class TestFixedScaling:
     def test_worst_corner_gives_no_gain(self, worst_corner_bus, crafty_trace):
-        stats = worst_corner_bus.analyze(crafty_trace.values)
+        stats = analyze_trace_statistics(crafty_trace, worst_corner_bus.design.topology)
         result = evaluate_fixed_scaling(worst_corner_bus, stats)
         assert result.voltage == pytest.approx(1.2)
         assert result.energy_gain_percent == pytest.approx(0.0, abs=0.2)
@@ -58,6 +59,14 @@ class TestOracle:
         schedule = oracle_voltage_schedule(typical_corner_bus, crafty_stats, 0.02, 5000)
         assert sum(schedule.voltage_residency().values()) == pytest.approx(1.0)
 
+    def test_statistics_without_cycles_give_an_empty_schedule(
+        self, typical_corner_bus, crafty_stats
+    ):
+        schedule = oracle_voltage_schedule(typical_corner_bus, crafty_stats.slice(0, 0), 0.02)
+        assert schedule.n_windows == 0
+        assert schedule.energy.total_with_recovery == 0.0
+        assert schedule.reference_energy.total_with_recovery == 0.0
+
     def test_voltages_respect_floor(self, typical_corner_bus, crafty_stats):
         floor = 1.0
         schedule = oracle_voltage_schedule(
@@ -92,7 +101,7 @@ class TestDVSBusSystem:
         assert result.energy_gain_percent > 10.0
 
     def test_dvs_beats_fixed_scaling_at_typical_corner(self, typical_corner_bus, crafty_trace):
-        stats = typical_corner_bus.analyze(crafty_trace.values)
+        stats = analyze_trace_statistics(crafty_trace, typical_corner_bus.design.topology)
         fixed = evaluate_fixed_scaling(typical_corner_bus, stats)
         dvs = _fast_system(typical_corner_bus).run(stats, warmup_cycles=15_000)
         assert dvs.energy_gain_percent > fixed.energy_gain_percent
@@ -100,13 +109,13 @@ class TestDVSBusSystem:
     def test_worst_corner_still_gains_from_program_activity(
         self, worst_corner_bus, crafty_trace
     ):
-        stats = worst_corner_bus.analyze(crafty_trace.values)
+        stats = analyze_trace_statistics(crafty_trace, worst_corner_bus.design.topology)
         result = _fast_system(worst_corner_bus).run(stats, warmup_cycles=10_000)
         assert result.energy_gain_percent > 0.0
         assert result.minimum_voltage_reached < 1.2
 
     def test_error_rate_near_band_in_steady_state(self, typical_corner_bus, crafty_trace):
-        stats = typical_corner_bus.analyze(crafty_trace.values)
+        stats = analyze_trace_statistics(crafty_trace, typical_corner_bus.design.topology)
         result = _fast_system(typical_corner_bus).run(stats, warmup_cycles=15_000)
         # Long-run average stays in the low single digits (the paper's band is 1-2 %).
         assert result.average_error_rate < 0.06
@@ -139,7 +148,7 @@ class TestDVSBusSystem:
         assert result.minimum_voltage_reached >= floor - 1e-12
 
     def test_proportional_policy_also_converges(self, typical_corner_bus, crafty_trace):
-        stats = typical_corner_bus.analyze(crafty_trace.values)
+        stats = analyze_trace_statistics(crafty_trace, typical_corner_bus.design.topology)
         bang = _fast_system(typical_corner_bus, policy=BangBangPolicy()).run(
             stats, warmup_cycles=15_000
         )

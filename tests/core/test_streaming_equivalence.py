@@ -4,9 +4,10 @@ Two contracts are enforced here, end to end (trace statistics, the
 closed-loop DVS run, the fixed-VS baseline, the oracle and the drivers):
 
 * **chunk invariance** -- running any workload chunk by chunk produces
-  results bit-identical to the monolithic path, for any chunk size,
-  including sizes that straddle the controller's 10 000-cycle measurement
-  window, while peak memory stays O(chunk); and
+  results bit-identical to a single pass over the whole trace, for any
+  chunk size, including sizes that straddle the controller's 10 000-cycle
+  measurement window, while peak memory stays O(chunk), and whether the
+  workload arrives as a trace, a source or pre-computed statistics; and
 * **kernel identity** -- the vectorized block kernels produce results
   bit-identical to the scalar reference implementation, which makes the
   scalar path an executable *oracle* for the fast kernels.
@@ -23,7 +24,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.bus.bus_model import scalar_trace_statistics
+from repro.bus.bus_model import analyze_trace_statistics, scalar_trace_statistics
 from repro.core.dvs_system import DVSBusSystem
 from repro.core.fixed_vs import evaluate_fixed_scaling
 from repro.core.oracle import oracle_voltage_schedule
@@ -77,10 +78,11 @@ class TestChunkedStatistics:
     def test_chunked_analysis_concatenates_to_monolithic(
         self, typical_corner_bus, crafty_trace, chunk_cycles, kernel
     ):
-        monolithic = typical_corner_bus.analyze(crafty_trace.values)
+        topology = typical_corner_bus.design.topology
+        monolithic = scalar_trace_statistics(crafty_trace, topology)
         with forced_plan(kernel):
             pieces = [
-                typical_corner_bus.analyze_trace(chunk.trace)
+                analyze_trace_statistics(chunk.trace, topology)
                 for chunk in as_trace_source(crafty_trace).chunks(chunk_cycles)
             ]
         rebuilt = pieces[0]
@@ -92,16 +94,18 @@ class TestChunkedStatistics:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_packed_analysis_matches_unpacked(self, typical_corner_bus, crafty_trace, kernel):
+        topology = typical_corner_bus.design.topology
         with forced_plan(kernel):
-            unpacked = typical_corner_bus.analyze_trace(crafty_trace)
-            packed = typical_corner_bus.analyze_trace(crafty_trace.pack())
+            unpacked = analyze_trace_statistics(crafty_trace, topology)
+            packed = analyze_trace_statistics(crafty_trace.pack(), topology)
         np.testing.assert_array_equal(packed.worst_coupling, unpacked.worst_coupling)
         np.testing.assert_array_equal(packed.toggles, unpacked.toggles)
         np.testing.assert_array_equal(packed.coupling_weights, unpacked.coupling_weights)
 
     def test_engines_produce_identical_statistics(self, typical_corner_bus, crafty_trace):
-        scalar = scalar_trace_statistics(crafty_trace, typical_corner_bus.design.topology)
-        vectorized = typical_corner_bus.analyze_trace(crafty_trace)
+        topology = typical_corner_bus.design.topology
+        scalar = scalar_trace_statistics(crafty_trace, topology)
+        vectorized = analyze_trace_statistics(crafty_trace, topology)
         np.testing.assert_array_equal(vectorized.worst_coupling, scalar.worst_coupling)
         np.testing.assert_array_equal(vectorized.toggles, scalar.toggles)
         np.testing.assert_array_equal(vectorized.coupling_weights, scalar.coupling_weights)
@@ -112,7 +116,7 @@ class TestChunkedStatistics:
 
         narrow = BusTrace(values=np.zeros((10, 16), dtype=np.uint8))
         with forced_plan(kernel), pytest.raises(ValueError, match="does not match topology"):
-            typical_corner_bus.analyze_trace(narrow)
+            analyze_trace_statistics(narrow, typical_corner_bus.design.topology)
 
     @pytest.mark.parametrize("chunk_cycles", CHUNK_SIZES)
     def test_summary_is_chunk_invariant(self, typical_corner_bus, crafty_trace, chunk_cycles):
@@ -134,9 +138,8 @@ class TestChunkedStatistics:
         assert summary.n_cycles == crafty_stats.n_cycles
         assert summary.toggles_total == float(np.sum(crafty_stats.toggles))
         for vdd in (1.2, 1.1, 1.0):
-            assert typical_corner_bus.error_rate(summary, vdd) == typical_corner_bus.error_rate(
-                crafty_stats, vdd
-            )
+            mask = typical_corner_bus.error_mask(crafty_stats, vdd)
+            assert typical_corner_bus.error_count(summary, vdd) == np.count_nonzero(mask)
 
     def test_mean_toggle_rate_matches_summary(self, crafty_stats):
         rate = crafty_stats.mean_toggle_rate
@@ -179,7 +182,7 @@ class TestChunkedDVSRun:
 
     @pytest.mark.parametrize("chunk_cycles", (777, 3_333))
     def test_bit_identical_with_warmup(self, typical_corner_bus, crafty_trace, chunk_cycles):
-        stats = typical_corner_bus.analyze(crafty_trace.values)
+        stats = scalar_trace_statistics(crafty_trace, typical_corner_bus.design.topology)
         monolithic = _fast_system(typical_corner_bus).run(stats, warmup_cycles=15_000)
         with forced_plan(chunk_cycles=chunk_cycles):
             chunked = _fast_system(typical_corner_bus).run(crafty_trace, warmup_cycles=15_000)
@@ -234,24 +237,20 @@ class TestStreamedBaselines:
     def test_fixed_scaling_summary_matches_stats(
         self, typical_corner_bus, crafty_trace, config
     ):
-        stats = typical_corner_bus.analyze(crafty_trace.values)
+        stats = scalar_trace_statistics(crafty_trace, typical_corner_bus.design.topology)
         from_stats = evaluate_fixed_scaling(typical_corner_bus, stats)
         with configured_pass(config, 3_333) as kwargs:
             from_source = evaluate_fixed_scaling(
                 typical_corner_bus, as_trace_source(crafty_trace), **kwargs
             )
-        assert from_source.voltage == from_stats.voltage
-        assert from_source.error_rate == from_stats.error_rate
-        assert from_source.energy_gain_percent == pytest.approx(
-            from_stats.energy_gain_percent, rel=1e-12
-        )
+        assert from_source == from_stats
 
     def test_oracle_counts_errors_at_top_grid_voltage(self, crafty_trace):
         """Cycles unsafe even at v_max must show up in the streamed tallies.
 
         An overclocked bus (repeaters sized for 1.5 GHz, clocked 5 % faster)
-        errors on some cycles at every grid voltage; the streamed histogram
-        must count those exactly like the monolithic ``error_mask`` path.
+        errors on some cycles at every grid voltage; every window's streamed
+        error rate must count those exactly like the per-cycle ``error_mask``.
         """
         from dataclasses import replace
 
@@ -264,42 +263,90 @@ class TestStreamedBaselines:
         bus = CharacterizedBus(
             BusDesign.paper_bus().with_clocking(clocking), WORST_CASE_CORNER
         )
-        stats = bus.analyze(crafty_trace.values)
-        assert bus.error_rate(stats, bus.grid.v_max) > 0  # the premise
-        monolithic = oracle_voltage_schedule(bus, stats, 0.02, window_cycles=5_000)
+        stats = analyze_trace_statistics(crafty_trace, bus.design.topology)
+        assert bus.error_rate(stats.summarize(), bus.grid.v_max) > 0  # the premise
+        window = 5_000
         with forced_plan(chunk_cycles=1_777):
             streamed = oracle_voltage_schedule(
-                bus, as_trace_source(crafty_trace), 0.02, window_cycles=5_000
+                bus, as_trace_source(crafty_trace), 0.02, window_cycles=window
             )
-        np.testing.assert_array_equal(streamed.window_voltages, monolithic.window_voltages)
-        np.testing.assert_array_equal(
-            streamed.window_error_rates, monolithic.window_error_rates
-        )
+        per_cycle_voltage = np.repeat(streamed.window_voltages, window)[: stats.n_cycles]
+        mask = bus.error_mask(stats, per_cycle_voltage)
+        expected = [chunk.mean() for chunk in np.split(mask, range(window, len(mask), window))]
+        np.testing.assert_array_equal(streamed.window_error_rates, expected)
+        assert np.any(streamed.window_voltages == bus.grid.v_max)
+
+
+def _assert_schedules_identical(schedule, reference):
+    """Every field of an OracleSchedule must match exactly (no tolerances)."""
+    np.testing.assert_array_equal(schedule.window_voltages, reference.window_voltages)
+    np.testing.assert_array_equal(schedule.window_error_rates, reference.window_error_rates)
+    assert schedule.energy == reference.energy
+    assert schedule.reference_energy == reference.reference_energy
+
+
+class TestWorkloadForms:
+    """Statistics, a trace and a source are one workload: the results are equal."""
+
+    @staticmethod
+    def _forms(bus, trace):
+        return {
+            "statistics": analyze_trace_statistics(trace, bus.design.topology),
+            "trace": trace,
+            "source": as_trace_source(trace),
+        }
 
     @pytest.mark.parametrize("config", PASSES)
     @pytest.mark.parametrize("target", (0.0, 0.02, 0.05))
-    def test_oracle_streamed_matches_monolithic(
+    def test_oracle_is_identical_across_workload_forms(
         self, typical_corner_bus, crafty_trace, target, config
     ):
-        stats = typical_corner_bus.analyze(crafty_trace.values)
-        monolithic = oracle_voltage_schedule(
-            typical_corner_bus, stats, target, window_cycles=5_000
-        )
-        with configured_pass(config, 1_777) as kwargs:
-            streamed = oracle_voltage_schedule(
-                typical_corner_bus,
-                as_trace_source(crafty_trace),
-                target,
-                window_cycles=5_000,
-                **kwargs,
+        schedules = {}
+        for form, workload in self._forms(typical_corner_bus, crafty_trace).items():
+            with configured_pass(config, 1_777) as kwargs:
+                schedules[form] = oracle_voltage_schedule(
+                    typical_corner_bus, workload, target, window_cycles=5_000, **kwargs
+                )
+        _assert_schedules_identical(schedules["trace"], schedules["statistics"])
+        _assert_schedules_identical(schedules["source"], schedules["statistics"])
+
+    def test_static_sweep_is_identical_across_workload_forms(
+        self, typical_corner_bus, crafty_trace
+    ):
+        from repro.analysis.static_scaling import run_static_voltage_sweep
+
+        forms = self._forms(typical_corner_bus, crafty_trace)
+        sweeps = {
+            "statistics": run_static_voltage_sweep(typical_corner_bus, forms["statistics"]),
+            "summary": run_static_voltage_sweep(
+                typical_corner_bus, forms["statistics"].summarize()
+            ),
+            "trace": run_static_voltage_sweep(typical_corner_bus, {"crafty": forms["trace"]}),
+        }
+        with forced_plan(chunk_cycles=2_500):
+            sweeps["source"] = run_static_voltage_sweep(
+                typical_corner_bus, {"crafty": forms["source"]}
             )
-        np.testing.assert_array_equal(streamed.window_voltages, monolithic.window_voltages)
-        np.testing.assert_array_equal(
-            streamed.window_error_rates, monolithic.window_error_rates
-        )
-        assert streamed.energy_gain_percent == pytest.approx(
-            monolithic.energy_gain_percent, rel=1e-9
-        )
+        for sweep in sweeps.values():
+            assert sweep == sweeps["statistics"]
+
+    def test_constant_supply_energies_are_identical_across_workload_forms(
+        self, typical_corner_bus, crafty_trace
+    ):
+        forms = self._forms(typical_corner_bus, crafty_trace)
+        summaries = [typical_corner_bus.summarize(workload) for workload in forms.values()]
+        for vdd in typical_corner_bus.grid.voltages.tolist():
+            rates = {typical_corner_bus.error_rate(summary, vdd) for summary in summaries}
+            energies = [typical_corner_bus.energy_breakdown(s, vdd) for s in summaries]
+            assert len(rates) == 1
+            for energy in energies[1:]:
+                for component in (
+                    "bus_dynamic",
+                    "leakage",
+                    "flipflop_clocking",
+                    "recovery_overhead",
+                ):
+                    assert getattr(energy, component) == getattr(energies[0], component)
 
 
 class TestStreamedDrivers:
@@ -339,13 +386,7 @@ class TestStreamedDrivers:
         from_traces = run_static_voltage_sweep(typical_corner_bus, traces)
         with forced_plan(chunk_cycles=2_500):
             from_sources = run_static_voltage_sweep(typical_corner_bus, sources)
-        assert len(from_traces.points) == len(from_sources.points)
-        for a, b in zip(from_traces.points, from_sources.points):
-            assert a.vdd == b.vdd
-            assert a.error_rate == b.error_rate
-            assert b.normalized_total_energy == pytest.approx(
-                a.normalized_total_energy, rel=1e-12
-            )
+        assert from_sources == from_traces
 
 
 class TestConstantMemory:

@@ -159,7 +159,7 @@ def test_bus_invert_matches_per_word_reference(case):
 
     blocks, state = [], None
     for start, stop in zip([0, *cuts], [*cuts, len(values)]):
-        encoded, state = encoder.encode_block(values[start:stop], state, first_word=start == 0)
+        encoded, state = encoder.encode_block(values[start:stop], state)
         blocks.append(encoded)
     np.testing.assert_array_equal(np.concatenate(blocks), expected)
     for carried, reference in zip(state, expected_state):

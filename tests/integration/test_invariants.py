@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bus.bus_model import analyze_trace_statistics
 from repro.circuit.lookup_table import VoltageGrid
 from repro.core import DVSBusSystem, VoltageRegulator
 from repro.trace.trace import BusTrace
@@ -35,8 +36,8 @@ class TestTraceStatisticsInvariants:
     @settings(max_examples=15, deadline=None)
     def test_statistics_are_physically_bounded(self, data, typical_corner_bus):
         trace = _random_trace(data, n_cycles=40)
-        stats = typical_corner_bus.analyze(trace.values)
         topology = typical_corner_bus.design.topology
+        stats = analyze_trace_statistics(trace, topology)
         assert np.all(stats.toggles >= 0)
         assert np.all(stats.toggles <= typical_corner_bus.design.n_bits)
         assert np.all(stats.worst_coupling >= 0.0)
@@ -47,9 +48,9 @@ class TestTraceStatisticsInvariants:
     @settings(max_examples=10, deadline=None)
     def test_error_rate_is_monotone_in_the_supply(self, data, typical_corner_bus):
         trace = _random_trace(data, n_cycles=60)
-        stats = typical_corner_bus.analyze(trace.values)
+        summary = typical_corner_bus.summarize(trace)
         voltages = typical_corner_bus.grid.voltages
-        rates = [typical_corner_bus.error_rate(stats, float(v)) for v in voltages]
+        rates = [typical_corner_bus.error_rate(summary, float(v)) for v in voltages]
         # Lower supply -> never fewer errors.
         assert all(low >= high - 1e-12 for low, high in zip(rates, rates[1:]))
 
@@ -57,9 +58,9 @@ class TestTraceStatisticsInvariants:
     @settings(max_examples=10, deadline=None)
     def test_dynamic_energy_scales_quadratically_with_supply(self, data, typical_corner_bus):
         trace = _random_trace(data, n_cycles=30)
-        stats = typical_corner_bus.analyze(trace.values)
-        low = typical_corner_bus.dynamic_energy_per_cycle(stats, 1.0).sum()
-        high = typical_corner_bus.dynamic_energy_per_cycle(stats, 1.2).sum()
+        summary = typical_corner_bus.summarize(trace)
+        low = typical_corner_bus.energy_breakdown(summary, 1.0, n_errors=0).bus_dynamic
+        high = typical_corner_bus.energy_breakdown(summary, 1.2, n_errors=0).bus_dynamic
         if low > 0:
             assert high / low == pytest.approx(1.44, rel=1e-9)
 

@@ -16,6 +16,7 @@ from repro import (
     WORST_CASE_CORNER,
     evaluate_fixed_scaling,
 )
+from repro.bus.bus_model import analyze_trace_statistics
 from repro.core.double_sampling_ff import FlipFlopBank
 from repro.trace import generate_benchmark_trace, generate_suite
 
@@ -45,24 +46,22 @@ class TestTable1Claims:
         bus = CharacterizedBus(paper_design, WORST_CASE_CORNER)
         system = DVSBusSystem(bus, window_cycles=1000, ramp_delay_cycles=300)
         for name in ("crafty", "mgrid"):
-            stats = bus.analyze(suite[name].values)
-            fixed = evaluate_fixed_scaling(bus, stats)
-            dvs = system.run(stats, warmup_cycles=20_000)
+            fixed = evaluate_fixed_scaling(bus, suite[name])
+            dvs = system.run(suite[name], warmup_cycles=20_000)
             assert fixed.energy_gain_percent == pytest.approx(0.0, abs=0.5)
             assert dvs.energy_gain_percent > fixed.energy_gain_percent
 
     def test_typical_corner_dvs_gain_in_paper_band(self, paper_design, suite):
         bus = CharacterizedBus(paper_design, TYPICAL_CORNER)
         system = DVSBusSystem(bus, window_cycles=1000, ramp_delay_cycles=300)
-        stats = bus.analyze(suite["crafty"].values)
-        dvs = system.run(stats, warmup_cycles=20_000)
+        dvs = system.run(suite["crafty"], warmup_cycles=20_000)
         assert 28.0 < dvs.energy_gain_percent < 50.0  # paper: 35-45 %
 
     def test_program_dependence_crafty_vs_mgrid(self, paper_design, suite):
         bus = CharacterizedBus(paper_design, WORST_CASE_CORNER)
         system = DVSBusSystem(bus, window_cycles=1000, ramp_delay_cycles=300)
-        crafty = system.run(bus.analyze(suite["crafty"].values), warmup_cycles=20_000)
-        mgrid = system.run(bus.analyze(suite["mgrid"].values), warmup_cycles=20_000)
+        crafty = system.run(suite["crafty"], warmup_cycles=20_000)
+        mgrid = system.run(suite["mgrid"], warmup_cycles=20_000)
         assert crafty.energy_gain_percent > mgrid.energy_gain_percent
         assert crafty.minimum_voltage_reached <= mgrid.minimum_voltage_reached
 
@@ -73,7 +72,7 @@ class TestErrorRecoveryConsistency:
     def test_bank_and_vectorised_model_agree_on_error_cycles(self, paper_design):
         bus = CharacterizedBus(paper_design, TYPICAL_CORNER)
         trace = generate_benchmark_trace("vortex", n_cycles=300, seed=5)
-        stats = bus.analyze(trace.values)
+        stats = analyze_trace_statistics(trace, paper_design.topology)
         voltage = 0.92
 
         # Vectorised model.
@@ -149,7 +148,7 @@ class TestRegulatorSafety:
         for corner in (WORST_CASE_CORNER, TYPICAL_CORNER):
             bus = CharacterizedBus(paper_design, corner)
             system = DVSBusSystem(bus)
-            result = system.run(bus.analyze(suite["swim"].values))
+            result = system.run(suite["swim"])
             assert result.failures == 0
 
     def test_floor_meets_shadow_deadline_under_assumed_margins(self, paper_design):

@@ -106,8 +106,8 @@ class TestLoadedTracesWorkDownstream:
         path = tmp_path / "crafty.npz"
         save_trace_npz(small_trace, path)
         loaded = load_trace_npz(path)
-        stats = typical_corner_bus.analyze(loaded.values)
-        assert stats.n_cycles == loaded.n_cycles
+        summary = typical_corner_bus.summarize(loaded)
+        assert summary.n_cycles == loaded.n_cycles
 
     def test_narrow_traces_round_trip(self, tmp_path):
         trace = BusTrace.from_words([1, 2, 3, 0], n_bits=8, name="narrow")
