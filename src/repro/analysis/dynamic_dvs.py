@@ -213,7 +213,7 @@ def run_table1(
         Fraction of each run excluded from the energy/error accounting while
         the controller descends from the nominal supply.
     policy:
-        Optional control-policy override (used by the ablation benchmarks).
+        Optional control-policy override.
     window_cycles / ramp_delay_cycles:
         Control-loop timing; the paper's values (10 000 and 3 000 cycles) by
         default.  Short test runs scale both down proportionally so the loop

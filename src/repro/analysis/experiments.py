@@ -3,9 +3,8 @@
 Every figure and table of the paper's evaluation has an entry here mapping an
 experiment id (``fig4a``, ``table1``, ...) to a callable that runs it with
 reasonable defaults and returns ``(result_object, formatted_text)``.  The
-benchmark harness in ``benchmarks/``, the CLI and the examples all go through
-this registry, so the experiment inventory in DESIGN.md has exactly one
-source of truth in code.
+CLI, ``repro report`` and the examples all go through this registry, so the
+experiment inventory in DESIGN.md has exactly one source of truth in code.
 
 Beyond the paper's own artefacts, the registry also exposes the extension
 studies this reproduction adds (the related-work baseline comparison, the bus

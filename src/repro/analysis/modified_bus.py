@@ -44,18 +44,6 @@ class ModifiedBusStudy:
     original_worst_corner_error_rate: float
     modified_worst_corner_error_rate: float
 
-    @property
-    def zero_error_gains_unchanged(self) -> bool:
-        """Whether the 0 % error-rate curve is (approximately) unchanged.
-
-        The modified bus keeps the worst-case load constant, so the zero-error
-        operating points -- which are set by the worst-case pattern -- must not
-        move by more than one 20 mV grid step's worth of energy.
-        """
-        original = self.original_study.gains_for_target(0.0)
-        modified = self.modified_study.gains_for_target(0.0)
-        return all(abs(a - b) < 4.0 for a, b in zip(original, modified))
-
     def gain_improvement_percent(self, target: float) -> dict[int, float]:
         """Per-corner gain improvement (modified minus original) at one target."""
         improvements: dict[int, float] = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 from repro.bus.bus_design import BusDesign
-from repro.bus.bus_model import CharacterizedBus
+from repro.bus.bus_model import CharacterizedBus, analyze_trace_statistics
 from repro.circuit.pvt import TYPICAL_CORNER, PVTCorner
 from repro.core.error_detection import DEFAULT_WINDOW_CYCLES
 from repro.core.oracle import OracleSchedule, oracle_voltage_schedule
@@ -123,9 +123,11 @@ def run_oracle_residency(
     for name in benchmarks:
         if name not in workloads:
             raise KeyError(f"workloads is missing a trace for benchmark {name!r}")
+        # One kernel pass per program; every target reduces the same statistics.
+        stats = analyze_trace_statistics(workloads[name], bus.design.topology)
         for target in targets:
             schedule = oracle_voltage_schedule(
-                bus, workloads[name], target_error_rate=target, window_cycles=window_cycles
+                bus, stats, target_error_rate=target, window_cycles=window_cycles
             )
             entries.append(
                 ResidencyEntry(

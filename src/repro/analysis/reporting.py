@@ -1,8 +1,8 @@
 """Plain-text reporting of the experiment results.
 
-The benchmark harness and the examples print the same rows/series the paper
-reports; these formatters keep that output consistent and readable without
-pulling in any plotting dependency.
+The CLI and the examples print the same rows/series the paper reports; these
+formatters keep that output consistent and readable without pulling in any
+plotting dependency.
 """
 
 from __future__ import annotations

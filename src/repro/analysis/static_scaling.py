@@ -247,8 +247,9 @@ def run_corner_gain_study(
     For every corner the bus is characterised, the benchmark suite's combined
     summary is evaluated over the voltage grid, and for each target error
     rate the lowest admissible static voltage (subject to the shadow-latch
-    limit) determines the reported energy gain.  Trace sources are reduced
-    per corner in O(chunk) memory.
+    limit) determines the reported energy gain.  The suite is reduced once,
+    in O(chunk) memory: every corner shares the design's topology, and with
+    it the summary.
     """
     for target in targets:
         check_fraction("target", target)
@@ -256,10 +257,12 @@ def run_corner_gain_study(
         corners = STANDARD_CORNERS
 
     points: list[CornerGainPoint] = []
+    summary: TraceSummary | None = None
     for index in sorted(corners):
         corner = corners[index]
         bus = CharacterizedBus(design, corner)
-        summary = resolve_workload_statistics(bus, workloads)
+        if summary is None:
+            summary = resolve_workload_statistics(bus, workloads)
         sweep = run_static_voltage_sweep(bus, summary)
         reference = bus.nominal_energy(summary)
         nominal_delay = bus.table.worst_delay(

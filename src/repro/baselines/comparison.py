@@ -106,7 +106,7 @@ def run_scheme_comparison(
         Baseline configurations; defaults use their standard guard bands.
     window_cycles / ramp_delay_cycles / warmup_fraction:
         Control-loop parameters of the proposed DVS run (scaled-down defaults
-        for short traces, as in the benchmark harness).
+        for short traces).
     """
     if canary is None:
         canary = CanaryVoltageScaling()

@@ -720,8 +720,7 @@ def _command_cache(args: argparse.Namespace, cache: ResultCache | None) -> int:
                   "(run a command with --telemetry to record one)")
             return 0
         print(f"counters from the last telemetry log ({log_path}):")
-        names = ("cache.hits", "cache.misses", "cache.puts", "cache.bytes_written",
-                 "cache.artifact_hits", "cache.artifact_builds")
+        names = ("cache.hits", "cache.misses", "cache.puts", "cache.bytes_written")
         counters = metrics["counters"]
         rows = [(name, counters.get(name, 0)) for name in names]
         width = max(len(name) for name, _ in rows)

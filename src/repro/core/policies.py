@@ -5,7 +5,8 @@ the last window is below 1 % the supply is lowered by 20 mV, if it is above
 2 % the supply is raised by 20 mV, otherwise it is left alone.  The paper
 notes that a proportional controller could be used instead but argues the
 simple policy works well without the hardware overhead; both are provided
-here so that claim can be examined (see the ablation benchmarks).
+here so that claim can be examined (see the control-policy ablation in
+``tests/integration/test_paper_figures.py``).
 """
 
 from __future__ import annotations

@@ -190,8 +190,8 @@ def run_encoding_study(
     design:
         Reference (unencoded) bus design; defaults to the paper bus.
     window_cycles / ramp_delay_cycles:
-        Control-loop parameters of the DVS runs, defaulting to the scaled-down
-        values used by the benchmark harness for short traces.
+        Control-loop parameters of the DVS runs, defaulting to scaled-down
+        values for short traces.
     warmup_fraction:
         Fraction of the trace excluded from DVS energy accounting so the
         reported gains reflect steady state (see ``DVSBusSystem.run``).

@@ -8,8 +8,8 @@ dependency, in two backends sharing one coordinate-mapping abstraction
 * :mod:`repro.plotting.canvas` -- a character canvas with data-to-character
   coordinate mapping,
 * :mod:`repro.plotting.charts` -- line / scatter charts, horizontal bar
-  charts and histograms built on the canvas (printed by the CLI, the
-  benchmark harness and the examples),
+  charts and histograms built on the canvas (printed by the CLI and the
+  examples),
 * :mod:`repro.plotting.svg` -- deterministic SVG line / bar charts used by
   ``python -m repro report`` for the figure artifacts.
 """

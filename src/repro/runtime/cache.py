@@ -4,8 +4,6 @@ Layout (all under one root directory, ``.repro-cache/`` by default or
 ``$REPRO_CACHE_DIR`` when set)::
 
     <root>/objects/<k0k1>/<key>.json     one JSON record per completed job
-    <root>/artifacts/<k0k1>/<key>-<name> binary artifacts (pickled fixtures,
-                                         trace bundles, ...)
 
 ``key`` is the hex SHA-256 of the job's canonical content (see
 :mod:`repro.runtime.hashing`), so the cache needs no index: looking up a job
@@ -18,24 +16,22 @@ A corrupt or unreadable record is treated as a miss, never an error: the
 cache is an accelerator, and the simulation is always the source of truth.
 
 Every lookup and store reports to the installed telemetry collector
-(``cache.hits`` / ``cache.misses`` / ``cache.puts`` / ``cache.bytes_written``
-and the artifact equivalents), which is what ``repro cache stats`` reads back
-from the last telemetry log; with telemetry disabled the counters are no-ops.
+(``cache.hits`` / ``cache.misses`` / ``cache.puts`` / ``cache.bytes_written``),
+which is what ``repro cache stats`` reads back from the last telemetry log;
+with telemetry disabled the counters are no-ops.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
-from repro.runtime.hashing import stable_hash
 from repro.telemetry import get_telemetry
 
 __all__ = ["ResultCache", "CacheStats", "default_cache_dir", "shared_cache"]
@@ -60,7 +56,6 @@ class CacheStats:
 
     root: Path
     entries: int
-    artifacts: int
     total_bytes: int
 
     def format(self) -> str:
@@ -69,7 +64,6 @@ class CacheStats:
         return (
             f"cache root : {self.root}\n"
             f"records    : {self.entries}\n"
-            f"artifacts  : {self.artifacts}\n"
             f"disk usage : {mib:.2f} MiB"
         )
 
@@ -146,7 +140,7 @@ def _atomic_write_bytes(path: Path, payload: bytes, attempts: int = 5) -> None:
 
 
 class ResultCache:
-    """Content-addressed store of job records and binary artifacts.
+    """Content-addressed store of JSON job records.
 
     Examples
     --------
@@ -226,47 +220,13 @@ class ResultCache:
                 yield path.stem
 
     # ------------------------------------------------------------------ #
-    # Binary artifacts
-    # ------------------------------------------------------------------ #
-    def artifact_path(self, key: str, name: str = "artifact") -> Path:
-        """Where the named binary artifact for ``key`` lives (may not exist)."""
-        safe = "".join(ch if (ch.isalnum() or ch in "-._") else "-" for ch in name)
-        return self.root / "artifacts" / key[:2] / f"{key}-{safe}"
-
-    def memoize(self, key_obj: Any, builder: Callable[[], Any], name: str = "pickle") -> Any:
-        """Build-once pickle memoisation of an arbitrary Python object.
-
-        ``key_obj`` is any stably-hashable description of what is being
-        built (see :func:`~repro.runtime.hashing.stable_hash`); ``builder``
-        runs only when no artifact for that key exists yet.  Used by the
-        benchmark fixtures to share bus characterisations and trace suites
-        across sessions.  A corrupt artifact falls back to rebuilding.
-        """
-        key = stable_hash(key_obj)
-        path = self.artifact_path(key, name)
-        telemetry = get_telemetry()
-        if path.is_file():
-            try:
-                with open(path, "rb") as handle:
-                    value = pickle.load(handle)
-                telemetry.count("cache.artifact_hits")
-                return value
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
-                pass  # fall through and rebuild
-        telemetry.count("cache.artifact_builds")
-        with telemetry.span("cache.memoize", name=name):
-            value = builder()
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        _atomic_write_bytes(path, payload)
-        telemetry.count("cache.bytes_written", len(payload))
-        return value
-
-    # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #
     def clear(self) -> int:
-        """Delete every record and artifact; returns the number removed.
+        """Delete every record; returns the number of files removed.
 
+        The ``artifacts/`` directory that older versions wrote pickled
+        objects into is swept too, so their caches can still be emptied.
         A concurrent writer's in-flight temp file is left alone, so its
         rename still lands (and its bucket survives the prune); only temp
         files abandoned by a killed writer are swept.
@@ -292,24 +252,17 @@ class ResultCache:
         return removed
 
     def stats(self) -> CacheStats:
-        """Entry/artifact counts and total disk usage of this cache."""
-        entries = artifacts = total = 0
-        for subdir, counter in (("objects", "entries"), ("artifacts", "artifacts")):
-            base = self.root / subdir
-            if not base.is_dir():
+        """Record count and total disk usage of this cache."""
+        entries = total = 0
+        for path in (self.root / "objects").glob("*/*"):
+            if path.name.startswith(".tmp-"):
                 continue
-            for path in base.glob("*/*"):
-                if path.name.startswith(".tmp-"):
-                    continue
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    continue
-                if counter == "entries":
-                    entries += 1
-                else:
-                    artifacts += 1
-        return CacheStats(root=self.root, entries=entries, artifacts=artifacts, total_bytes=total)
+            try:
+                total += path.stat().st_size
+            except OSError:
+                continue
+            entries += 1
+        return CacheStats(root=self.root, entries=entries, total_bytes=total)
 
 
 _SHARED: ResultCache | None = None

@@ -189,11 +189,6 @@ class ChunkProgress:
         self.stream.write("\r" + line + padding + ("\n" if finished else ""))
         self.stream.flush()
 
-    @property
-    def cycles_done(self) -> int:
-        """Cycles reported so far (for tests and wrap-up summaries)."""
-        return self._last_done
-
     def rate(self) -> float:
         """Average throughput so far, in cycles per second."""
         elapsed = max(time.perf_counter() - self._started, 1e-9)

@@ -178,7 +178,7 @@ class Telemetry:
         """A context manager timing one named span, nested under open spans.
 
         The span name is positional-only so ``name=...`` stays usable as a
-        span annotation (``telemetry.span("cache.memoize", name="traces")``).
+        span annotation (``telemetry.span("job", name="fig5")``).
         """
         return _ActiveSpan(self, name, args)
 

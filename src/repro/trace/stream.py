@@ -124,11 +124,6 @@ class TraceChunk:
         """Whether this is the first chunk of the stream."""
         return self.start_cycle == 0
 
-    @property
-    def is_last(self) -> bool:
-        """Whether this is the final chunk of the stream."""
-        return self.end_cycle == self.total_cycles
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TraceChunk(index={self.index}, cycles=[{self.start_cycle}, "

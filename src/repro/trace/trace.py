@@ -146,11 +146,6 @@ class BusTrace:
         words_array = np.asarray(list(words) if not isinstance(words, np.ndarray) else words)
         return cls(values=words_to_bits(words_array, n_bits), name=name)
 
-    @classmethod
-    def from_packed(cls, packed: np.ndarray, n_bits: int, name: str = "trace") -> BusTrace:
-        """Build a packed-backed trace from a :func:`pack_values` array."""
-        return cls(packed=packed, n_bits=n_bits, name=name)
-
     # ------------------------------------------------------------------ #
     # Representation
     # ------------------------------------------------------------------ #

@@ -6,6 +6,8 @@ reduces its workload through the statistics pass or
 kernel (:func:`~repro.bus.bus_model.scalar_trace_statistics`) only runs where
 :func:`~repro.bus.bus_model.kernel_plan` falls back to it.  Each case runs one
 driver under an enabled telemetry collector and checks the kernel counters.
+The same counter shows that the corner study and the oracle reduce each
+workload once, however many corners or error targets they evaluate.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from repro.analysis.oracle_dvs import run_oracle_residency
 from repro.analysis.sensitivity import run_window_length_sensitivity
 from repro.analysis.static_scaling import run_corner_gain_study, run_static_voltage_sweep
 from repro.baselines.comparison import run_scheme_comparison
+from repro.bus.bus_model import kernel_plan
 from repro.circuit.pvt import STANDARD_CORNERS, TYPICAL_CORNER
 from repro.core.oracle import oracle_voltage_schedule
 from repro.encoding import run_encoding_study
@@ -72,3 +75,36 @@ def test_driver_never_runs_the_scalar_kernel(
     counters = telemetry.metrics.counters
     assert counters.get("kernel.invocations.scalar", 0) == 0
     assert counters.get("kernel.invocations.vectorized", 0) > 0
+
+
+def _vectorized_passes(run) -> int:
+    # Every trace fits one kernel chunk, so one invocation is one pass.
+    assert N_CYCLES <= kernel_plan(32)[1]
+    telemetry = Telemetry(label="pass-count")
+    with use_telemetry(telemetry):
+        run()
+    return telemetry.metrics.counters.get("kernel.invocations.vectorized", 0)
+
+
+def test_corner_gain_study_reduces_the_suite_once(paper_design, suite):
+    """The summary depends on the topology only, which every corner shares."""
+    assert len(CORNERS) > 1
+    passes = _vectorized_passes(
+        lambda: run_corner_gain_study(paper_design, suite, corners=CORNERS)
+    )
+    assert passes == len(suite)
+
+
+def test_oracle_residency_reduces_each_benchmark_once(paper_design, typical_corner_bus, suite):
+    """The window statistics do not depend on the error target."""
+    passes = _vectorized_passes(
+        lambda: run_oracle_residency(
+            paper_design,
+            suite,
+            benchmarks=("crafty", "mgrid"),
+            targets=(0.02, 0.05),
+            window_cycles=1_000,
+            bus=typical_corner_bus,
+        )
+    )
+    assert passes == 2

@@ -84,6 +84,17 @@ class TestRecords:
         assert in_flight.exists()
         assert list(cache.keys()) == []
 
+    def test_clear_empties_a_legacy_artifacts_directory(self, tmp_path):
+        """Older versions pickled objects under artifacts/; clear() still sweeps them."""
+        cache = ResultCache(tmp_path)
+        cache.put(stable_hash({"i": 1}), {"result": {}})
+        legacy = tmp_path / "artifacts" / "ab" / ("ab" * 32 + "-characterized-bus.pkl")
+        legacy.parent.mkdir(parents=True)
+        legacy.write_bytes(b"old pickle")
+        assert cache.clear() == 2
+        assert not legacy.exists()
+        assert not legacy.parent.exists()
+
     def test_stats_counts_entries_and_bytes(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(stable_hash({"i": 1}), {"result": {"x": 1}})
@@ -91,35 +102,6 @@ class TestRecords:
         assert stats.entries == 1
         assert stats.total_bytes > 0
         assert "records    : 1" in stats.format()
-
-
-class TestMemoize:
-    def test_builder_runs_once(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        calls = []
-
-        def build():
-            calls.append(1)
-            return {"expensive": list(range(10))}
-
-        first = cache.memoize({"artifact": "demo"}, build)
-        second = cache.memoize({"artifact": "demo"}, build)
-        assert first == second
-        assert len(calls) == 1
-
-    def test_different_key_rebuilds(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        calls = []
-        cache.memoize({"artifact": "a"}, lambda: calls.append(1))
-        cache.memoize({"artifact": "b"}, lambda: calls.append(1))
-        assert len(calls) == 2
-
-    def test_corrupt_artifact_rebuilds(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.memoize({"artifact": "x"}, lambda: 41)
-        path = cache.artifact_path(stable_hash({"artifact": "x"}), "pickle")
-        path.write_bytes(b"definitely not a pickle")
-        assert cache.memoize({"artifact": "x"}, lambda: 42) == 42
 
 
 class TestSharedCache:

@@ -60,12 +60,12 @@ class TestSpans:
 
     def test_name_is_usable_as_a_span_annotation(self):
         # The span's own name is positional-only, so instrumentation can
-        # attach a "name" key (e.g. cache.memoize artifact names).
+        # attach a "name" key (e.g. the experiment a job runs).
         telemetry = Telemetry(clock=make_clock(), pid=1)
-        with telemetry.span("cache.memoize", name="traces"):
+        with telemetry.span("job", name="fig5"):
             pass
-        assert telemetry.events[0].name == "cache.memoize"
-        assert telemetry.events[0].args == {"name": "traces"}
+        assert telemetry.events[0].name == "job"
+        assert telemetry.events[0].args == {"name": "fig5"}
 
     def test_exception_closes_span_restores_stack_and_propagates(self):
         telemetry = Telemetry(clock=make_clock(), pid=1)

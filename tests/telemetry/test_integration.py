@@ -134,14 +134,3 @@ class TestCacheInstrumentation:
         assert counters["cache.hits"] == 2
         assert counters["cache.puts"] == 2
         assert counters["cache.bytes_written"] > 0
-
-    def test_memoize_counts_builds_and_artifact_hits(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        telemetry = Telemetry(label="memo")
-        with use_telemetry(telemetry):
-            assert cache.memoize("key", lambda: [1, 2]) == [1, 2]
-            assert cache.memoize("key", lambda: [3, 4]) == [1, 2]
-        counters = telemetry.metrics.counters
-        assert counters["cache.artifact_builds"] == 1
-        assert counters["cache.artifact_hits"] == 1
-        assert any(event.name == "cache.memoize" for event in telemetry.events)
