@@ -27,7 +27,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.bus.bus_design import BusDesign
-from repro.bus.bus_model import CharacterizedBus, merge_summaries
+from repro.bus.bus_model import CharacterizedBus, TraceSummary, merge_summaries
 from repro.circuit.pvt import TYPICAL_CORNER, WORST_CASE_CORNER, PVTCorner
 from repro.core.dvs_system import DVSBusSystem, DVSRunResult
 from repro.core.fixed_vs import FixedScalingResult, evaluate_fixed_scaling
@@ -144,14 +144,15 @@ def _run_benchmark_streamed(
     warmup_fraction: float,
     progress,
     scheduler: ParallelChunkScheduler,
-) -> list[tuple[FixedScalingResult, DVSRunResult]]:
-    """One statistics pass over a workload feeding both Table 1 columns of every corner.
+) -> tuple[TraceSummary, list[DVSRunResult]]:
+    """One statistics pass over a workload replayed into every system's closed loop.
 
     Segment summaries depend only on the data, the wiring and the control
-    timing the systems share, never on the corner, so each benchmark is
-    analysed once: its summaries replay every system's closed loop and merge
-    into the one summary all fixed-VS baselines are computed from.  Returns
-    one ``(fixed, dvs)`` pair per system.
+    timing the systems share, never on the corner or the parasitics, so each
+    benchmark is analysed once: its summaries replay every system's closed
+    loop and merge into the one summary the static studies evaluate (the
+    Table 1 fixed-VS baselines, the Fig. 10 corner studies).  Returns that
+    summary and one run per system.
     """
     source = as_trace_source(workload)
     total = source.n_cycles
@@ -169,11 +170,7 @@ def _run_benchmark_streamed(
     for summary in summaries:
         for state in states:
             state.feed_summary(summary)
-    summary = merge_summaries(summaries)
-    return [
-        (evaluate_fixed_scaling(system.bus, summary), state.finish())
-        for system, state in zip(systems, states)
-    ]
+    return merge_summaries(summaries), [state.finish() for state in states]
 
 
 def run_table1(
@@ -286,11 +283,11 @@ def _run_table1_corners(
         progress = _auto_progress(
             as_trace_source(workloads[name]).n_cycles, label=f"table1 {name}"
         )
-        outcomes = _run_benchmark_streamed(
+        summary, dvs_runs = _run_benchmark_streamed(
             systems, workloads[name], warmup_fraction, progress, scheduler=scheduler
         )
-        for corner_runs, outcome in zip(runs, outcomes):
-            corner_runs.append(outcome)
+        for system, corner_runs, dvs in zip(systems, runs, dvs_runs):
+            corner_runs.append((evaluate_fixed_scaling(system.bus, summary), dvs))
     corner_results: list[Table1CornerResult] = []
     for corner, corner_runs in zip(corners, runs):
         rows: list[Table1Row] = []

@@ -17,16 +17,16 @@ Two studies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
+from repro.analysis.dynamic_dvs import WorkloadMapping, _run_benchmark_streamed
 from repro.analysis.static_scaling import CornerGainStudy, run_corner_gain_study
 from repro.bus.bus_design import BusDesign
-from repro.bus.bus_model import CharacterizedBus
+from repro.bus.bus_model import CharacterizedBus, merge_summaries
 from repro.circuit.pvt import WORST_CASE_CORNER, PVTCorner
-from repro.core.dvs_system import DVSBusSystem
+from repro.core.dvs_system import DVSBusSystem, DVSRunResult
 from repro.interconnect.scaling import delay_spread_metric, scaled_node_series
 from repro.trace.generator import DEFAULT_CYCLES_PER_BENCHMARK, generate_suite
-from repro.trace.trace import BusTrace
 
 #: The coupling-ratio multiplier of the paper's modified bus.
 PAPER_COUPLING_RATIO_MULTIPLIER = 1.95
@@ -74,7 +74,7 @@ class ModifiedBusStudy:
 
 def run_modified_bus_study(
     design: BusDesign | None = None,
-    workloads: Mapping[str, BusTrace] | None = None,
+    workloads: WorkloadMapping | None = None,
     ratio_multiplier: float = PAPER_COUPLING_RATIO_MULTIPLIER,
     targets: Sequence[float] = (0.0, 0.02, 0.05),
     n_cycles: int = DEFAULT_CYCLES_PER_BENCHMARK,
@@ -88,42 +88,52 @@ def run_modified_bus_study(
 
     The modified design shares the original's repeater sizing (the worst-case
     delay is unchanged by construction), so any gain difference comes purely
-    from the larger delay gap between worst-case and typical patterns.
+    from the larger delay gap between worst-case and typical patterns.  It
+    also shares the wiring topology (only the parasitics change), so one
+    statistics pass per benchmark feeds both closed loops and both corner
+    studies.
     """
+    from repro.runtime.parallel import ParallelChunkScheduler
+
     if design is None:
         design = BusDesign.paper_bus()
     if workloads is None:
         workloads = generate_suite(n_cycles=n_cycles, seed=seed)
     modified_design = design.with_modified_coupling(ratio_multiplier)
+    systems = [
+        DVSBusSystem(
+            CharacterizedBus(bus_design, closed_loop_corner),
+            window_cycles=window_cycles,
+            ramp_delay_cycles=ramp_delay_cycles,
+        )
+        for bus_design in (design, modified_design)
+    ]
+    with ParallelChunkScheduler(n_workers=1) as scheduler:
+        passes = [
+            _run_benchmark_streamed(systems, workload, warmup_fraction, None, scheduler)
+            for workload in workloads.values()
+        ]
+    suite = merge_summaries([summary for summary, _ in passes])
 
     original_study = run_corner_gain_study(
-        design, workloads, targets=targets, design_label="original bus"
+        design, suite, targets=targets, design_label="original bus"
     )
     modified_study = run_corner_gain_study(
-        modified_design, workloads, targets=targets, design_label="modified bus"
+        modified_design, suite, targets=targets, design_label="modified bus"
     )
 
-    def closed_loop_gain(bus_design: BusDesign) -> tuple[float, float]:
-        bus = CharacterizedBus(bus_design, closed_loop_corner)
-        system = DVSBusSystem(
-            bus, window_cycles=window_cycles, ramp_delay_cycles=ramp_delay_cycles
-        )
-        total_energy = 0.0
-        total_reference = 0.0
-        total_errors = 0
-        total_cycles = 0
-        for trace in workloads.values():
-            run = system.run(trace, warmup_cycles=int(warmup_fraction * trace.n_cycles))
-            total_energy += run.energy.total_with_recovery
-            total_reference += run.reference_energy.total_with_recovery
-            total_errors += run.total_errors
-            total_cycles += run.n_cycles
+    def closed_loop_gain(system_runs: Sequence[DVSRunResult]) -> tuple[float, float]:
+        total_energy = sum(run.energy.total_with_recovery for run in system_runs)
+        total_reference = sum(run.reference_energy.total_with_recovery for run in system_runs)
+        total_errors = sum(run.total_errors for run in system_runs)
+        total_cycles = sum(run.n_cycles for run in system_runs)
         gain = 100.0 * (1.0 - total_energy / total_reference)
         error_rate = total_errors / total_cycles if total_cycles else 0.0
         return gain, error_rate
 
-    original_gain, original_error = closed_loop_gain(design)
-    modified_gain, modified_error = closed_loop_gain(modified_design)
+    # One tuple of benchmark runs per system.
+    runs = zip(*(dvs_runs for _, dvs_runs in passes))
+    (original_gain, original_error), (modified_gain, modified_error) = map(closed_loop_gain, runs)
 
     return ModifiedBusStudy(
         ratio_multiplier=ratio_multiplier,

@@ -237,7 +237,7 @@ class CornerGainStudy:
 
 def run_corner_gain_study(
     design: BusDesign,
-    workloads: Mapping[str, BusTrace | TraceSource],
+    workloads: WorkloadsLike,
     targets: Sequence[float] = (0.0, 0.02, 0.05),
     corners: Mapping[int, PVTCorner] | None = None,
     design_label: str = "original bus",

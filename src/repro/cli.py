@@ -25,8 +25,8 @@ the reproduction can be driven without writing a script:
   counter deltas (a Chrome trace-event file is always written),
 * ``python -m repro serve --jobs 4`` -- the persistent job server: accepts
   submissions over a local JSONL socket protocol, dedupes in-flight
-  duplicates by cache key, batches compatible jobs, streams progress, and
-  enforces per-client quotas with backpressure,
+  duplicates by cache key, streams progress, and enforces per-client quotas
+  with backpressure,
 * ``python -m repro submit table1`` -- submit one experiment to a running
   server and stream its result (bit-identical to ``run``, same cache keys),
 * ``python -m repro jobs [--stats|--cancel JOB|--shutdown]`` -- inspect or
@@ -418,13 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         metavar="N",
         help="active jobs per client before submissions are rejected (0 = unlimited; default 8)",
-    )
-    serve_parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        metavar="N",
-        help="largest batch of shape-compatible jobs per worker dispatch (1 disables; default 8)",
     )
     add_runtime_flags(serve_parser, top_level=False)
 
@@ -959,7 +952,6 @@ def _command_serve(args: argparse.Namespace, cache: ResultCache | None) -> int:
         cache=cache,
         max_pending=max_pending,
         quota=quota if quota > 0 else None,
-        max_batch=args.max_batch,
     )
     server = ReproServer(
         queue, host=args.host if args.host is not None else DEFAULT_HOST, port=port

@@ -281,7 +281,7 @@ class DVSRunState:
         )
 
         windows = self._counter.completed_windows
-        return DVSRunResult(
+        result = DVSRunResult(
             n_cycles=self._n_cycles - self._warmup,
             total_errors=self._meas_errors,
             failures=self._failures,
@@ -295,6 +295,20 @@ class DVSRunState:
             final_voltage=self._regulator.current_voltage,
             per_cycle_voltage=self._voltage_per_cycle,
         )
+        from repro.telemetry import get_telemetry
+
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            # Controller-side accounting for the end-of-run summary: how much
+            # was simulated, how hard the closed loop worked, and how often
+            # the regulator actually moved the rail.
+            telemetry.count("dvs.cycles_simulated", result.n_cycles)
+            telemetry.count("dvs.errors_corrected", result.total_errors)
+            telemetry.count("dvs.windows_measured", len(result.window_error_rates))
+            telemetry.count("dvs.voltage_transitions", len(result.voltage_events))
+            telemetry.gauge("dvs.final_voltage_v", result.final_voltage)
+            telemetry.gauge("dvs.min_voltage_v", result.minimum_voltage_reached)
+        return result
 
 
 class DVSBusSystem:
@@ -445,15 +459,4 @@ class DVSBusSystem:
             with telemetry.span("dvs.replay", segments=len(summaries)):
                 for summary in summaries:
                     state.feed_summary(summary)
-            result = state.finish()
-        if telemetry.enabled:
-            # Controller-side accounting for the end-of-run summary: how much
-            # was simulated, how hard the closed loop worked, and how often
-            # the regulator actually moved the rail.
-            telemetry.count("dvs.cycles_simulated", result.n_cycles)
-            telemetry.count("dvs.errors_corrected", result.total_errors)
-            telemetry.count("dvs.windows_measured", len(result.window_error_rates))
-            telemetry.count("dvs.voltage_transitions", len(result.voltage_events))
-            telemetry.gauge("dvs.final_voltage_v", result.final_voltage)
-            telemetry.gauge("dvs.min_voltage_v", result.minimum_voltage_reached)
-        return result
+            return state.finish()

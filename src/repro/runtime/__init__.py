@@ -15,7 +15,7 @@ production-style execution system:
   serial ones.
 * **Work queue** (:mod:`~repro.runtime.workqueue`) -- the persistent
   submit/cancel/status queue behind ``repro serve``: in-flight dedupe by
-  cache key, shape-compatible batching, per-client quotas, backpressure,
+  cache key, one job per worker turn, per-client quotas, backpressure,
   kill-based cancellation and worker-death recovery.
 * **Tasks** (:mod:`~repro.runtime.tasks`) -- the registry of named,
   picklable simulation units (`dvs_run`, `characterize`, `experiment`).

@@ -29,12 +29,15 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 from collections.abc import Iterator
 
 from repro.telemetry import get_telemetry
 
-__all__ = ["ResultCache", "CacheStats", "default_cache_dir", "shared_cache"]
+if TYPE_CHECKING:
+    from repro.runtime.spec import JobSpec
+
+__all__ = ["ResultCache", "CacheStats", "default_cache_dir", "shared_cache", "job_record"]
 
 #: Bump when the record schema changes; stored in every record and checked on
 #: read so old-schema entries simply miss instead of being misinterpreted.
@@ -42,6 +45,20 @@ CACHE_SCHEMA_VERSION = 1
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+
+def job_record(spec: JobSpec, result: dict[str, Any], duration_s: float) -> dict[str, Any]:
+    """The cache record of one executed job.
+
+    The executor's serial path and the work queue both store this record, so
+    their results are interchangeable cache entries.
+    """
+    return {
+        "task": spec.task,
+        "params": dict(spec.params),
+        "result": result,
+        "duration_s": duration_s,
+    }
 
 
 def default_cache_dir() -> Path:

@@ -21,7 +21,7 @@ The batch-shaped entry point is a thin client of the same
 :class:`~repro.runtime.workqueue.WorkQueue` that backs the ``repro serve``
 job server: it opens a queue sized to the misses, submits them all, drains
 the handles in input order, and closes the queue.  Long-running callers (the
-server) hold one queue open instead and get dedupe, batching, quotas and
+server) hold one queue open instead and get dedupe, quotas and
 cancellation on top of the identical execution semantics.
 
 Telemetry
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Any
 from collections.abc import Callable, Sequence
 
-from repro.runtime.cache import ResultCache
+from repro.runtime.cache import ResultCache, job_record
 from repro.runtime.progress import null_progress
 from repro.runtime.spec import JobSpec
 from repro.telemetry import get_telemetry
@@ -121,10 +121,7 @@ def _make_queue(n_workers: int, cache: ResultCache | None, n_misses: int):
     """A process-backed :class:`WorkQueue`, or ``None`` when ``fork`` is unavailable."""
     from repro.runtime.workqueue import WorkQueue
 
-    # max_batch=1: a batch run wants maximal fan-out, not server-style
-    # grouping (queue workers keep their characterisation memos warm across
-    # jobs regardless, which is all the batching buys for a dense sweep).
-    queue = WorkQueue(n_workers=n_workers, cache=cache, max_pending=max(1, n_misses), max_batch=1)
+    queue = WorkQueue(n_workers=n_workers, cache=cache, max_pending=max(1, n_misses))
     if not queue.workers_are_processes:  # pragma: no cover - sandboxed environments
         queue.close()
         return None
@@ -196,15 +193,7 @@ def run_jobs(
             telemetry.count("executor.jobs_executed")
             telemetry.observe("executor.task_seconds", duration)
             if store and cache is not None:
-                cache.put(
-                    keys[index],
-                    {
-                        "task": job.task,
-                        "params": dict(job.params),
-                        "result": result,
-                        "duration_s": duration,
-                    },
-                )
+                cache.put(keys[index], job_record(job, result, duration))
             done += 1
             report(done, total, job, False, duration)
 

@@ -17,12 +17,10 @@ Semantics
   attached client streams the same events and receives the same result
   bytes.  A submission whose key is already in the :class:`ResultCache`
   completes instantly without touching the queue.
-* **Batching** -- queued jobs with a compatible shape (same task, same
-  characterisation axes: ``corner`` and ``coupling_scale``) are dispatched to
-  one worker as a single batch, so the worker's per-process characterisation
-  memo (:func:`repro.runtime.tasks._characterized_bus`) is built once per
-  batch rather than once per job.  Batching never changes results -- jobs
-  are still executed, cached and reported individually.
+* **Dispatch** -- each worker turn pops exactly one job, oldest first, so
+  queued work fans out over every idle worker.  Each worker process keeps
+  its own characterisation memo
+  (:func:`repro.runtime.tasks._characterized_bus`) warm across jobs.
 * **Backpressure and quotas** -- at most ``max_pending`` jobs may wait in the
   queue (further submissions raise :class:`QueueFullError`) and each client
   may hold at most ``quota`` active (queued or running) attachments
@@ -52,7 +50,7 @@ through any number of concurrent, deduplicated submissions is byte-identical
 to a direct :func:`~repro.runtime.tasks.run_job_params` call.
 
 Telemetry: ``server.dedupe`` spans mark key-matched attachments,
-``server.batch`` spans wrap each batch dispatch, the ``server.queue_depth``
+``server.job`` spans wrap each job dispatch, the ``server.queue_depth``
 gauge tracks the pending backlog (returning to zero when the queue is idle),
 and counters (``workqueue.submitted`` / ``workqueue.executed`` /
 ``workqueue.cache_hits`` / ``workqueue.deduped`` / ``workqueue.failed`` /
@@ -71,7 +69,7 @@ from collections import deque
 from typing import Any
 from collections.abc import Callable, Iterator
 
-from repro.runtime.cache import ResultCache
+from repro.runtime.cache import ResultCache, job_record
 from repro.runtime.spec import JobSpec
 from repro.telemetry import get_telemetry
 
@@ -86,7 +84,6 @@ __all__ = [
     "QuotaExceededError",
     "WorkQueue",
     "WorkerDiedError",
-    "default_batch_key",
 ]
 
 # ---------------------------------------------------------------------------
@@ -103,9 +100,6 @@ JOB_STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 
 #: Event kinds that end a client's stream.
 _TERMINAL_EVENTS = ("result", "error", "cancelled")
-
-#: Parameters that define a batch-compatible shape (see :func:`default_batch_key`).
-_BATCH_PARAMS = ("corner", "coupling_scale")
 
 #: Span names a worker process relays to the parent as progress events.
 _PROGRESS_SPANS = ("parallel.chunk",)
@@ -131,19 +125,6 @@ class JobCancelledError(RuntimeError):
     """The job was cancelled (every attached client detached) before finishing."""
 
 
-def default_batch_key(spec: JobSpec) -> tuple[str, str]:
-    """The batching identity of a job: task plus its characterisation axes.
-
-    Jobs sharing this key re-use the same per-process
-    :class:`~repro.bus.CharacterizedBus` memo, which is the expensive part of
-    small sweep points, so they are worth running back-to-back in one worker.
-    """
-    from repro.runtime.hashing import canonical_json
-
-    shared = {name: spec.params.get(name) for name in _BATCH_PARAMS}
-    return (spec.task, canonical_json(shared))
-
-
 class _Job:
     """Internal mutable state of one unit of work (shared by attached handles)."""
 
@@ -151,7 +132,6 @@ class _Job:
         "id",
         "spec",
         "key",
-        "batch_key",
         "state",
         "handles",
         "cancel_requested",
@@ -169,7 +149,6 @@ class _Job:
         self.id = job_id
         self.spec = spec
         self.key = key
-        self.batch_key = default_batch_key(spec)
         self.state = QUEUED
         self.handles: list["JobHandle"] = []
         self.cancel_requested = False
@@ -599,9 +578,10 @@ class WorkQueue:
         Worker slots (scheduler thread + runner each).
     cache:
         :class:`ResultCache` consulted at submission and populated at
-        completion (record format identical to the batch executor's, so the
-        two share results freely).  ``None`` disables caching -- every
-        submission executes (dedupe of *in-flight* duplicates still applies).
+        completion with the batch executor's record
+        (:func:`~repro.runtime.cache.job_record`), so the two share results
+        freely.  ``None`` disables caching -- every submission executes
+        (dedupe of *in-flight* duplicates still applies).
     runner_factory:
         Zero-argument callable producing one runner per slot.  Defaults to
         :class:`ProcessRunner`; the test harness injects
@@ -612,9 +592,6 @@ class WorkQueue:
         Backpressure bound on the queued-but-not-running backlog.
     quota:
         Per-client bound on active attachments; ``None`` means unlimited.
-    max_batch:
-        Largest batch of shape-compatible jobs dispatched to one worker at
-        once (1 disables batching).
     clock:
         Monotonic time source for job timestamps and durations; injectable
         so the server tests are deterministic.
@@ -627,7 +604,6 @@ class WorkQueue:
         runner_factory: Callable[[], Any] | None = None,
         max_pending: int = 256,
         quota: int | None = None,
-        max_batch: int = 8,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if n_workers < 1:
@@ -637,7 +613,6 @@ class WorkQueue:
         self._cache = cache
         self._max_pending = max_pending
         self._quota = quota
-        self._max_batch = max(1, max_batch)
         self._clock = clock
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
@@ -654,7 +629,6 @@ class WorkQueue:
             "task_failures": 0,
             "cancelled": 0,
             "worker_deaths": 0,
-            "batches": 0,
         }
         self._running = 0
         self._seq = 0
@@ -863,53 +837,37 @@ class WorkQueue:
     # ------------------------------------------------------------------ #
     # Scheduling
     # ------------------------------------------------------------------ #
-    def _next_batch(self) -> list[_Job] | None:
-        """Pop the next batch of shape-compatible jobs; ``None`` to exit."""
+    def _next_job(self) -> _Job | None:
+        """Pop the oldest pending job; ``None`` to exit."""
         with self._lock:
             while True:
                 if self._pending:
-                    first = self._pending.popleft()
-                    batch = [first]
-                    if self._max_batch > 1:
-                        mates = [
-                            job for job in self._pending if job.batch_key == first.batch_key
-                        ][: self._max_batch - 1]
-                        for job in mates:
-                            self._pending.remove(job)
-                        batch.extend(mates)
+                    job = self._pending.popleft()
                     get_telemetry().gauge("server.queue_depth", len(self._pending))
-                    self._running += len(batch)
-                    return batch
+                    self._running += 1
+                    return job
                 if self._stopping:
                     return None
                 self._wakeup.wait()
 
     def _worker_loop(self, slot: _WorkerSlot) -> None:
         while True:
-            batch = self._next_batch()
-            if batch is None:
+            job = self._next_job()
+            if job is None:
                 return
             telemetry = get_telemetry()
             started = telemetry.now()
-            for job in batch:
-                self._run_one(slot, job)
+            self._run_one(slot, job)
             telemetry.record_span(
-                "server.batch",
-                started,
-                telemetry.now(),
-                size=len(batch),
-                task=batch[0].spec.task,
-                worker=slot.index,
+                "server.job", started, telemetry.now(), task=job.spec.task, worker=slot.index
             )
-            with self._lock:
-                self._counters["batches"] += 1
 
     def _run_one(self, slot: _WorkerSlot, job: _Job) -> None:
         telemetry = get_telemetry()
         with self._lock:
             if job.cancel_requested and not job.handles:
-                # Popped from the queue as part of a batch, then cancelled
-                # before it started: it was already counted as running.
+                # Cancelled between the pop and the start: it was already
+                # counted as running.
                 self._running -= 1
                 self._finalize_locked(job, CANCELLED)
                 return
@@ -954,17 +912,7 @@ class WorkQueue:
         job.duration_s = self._clock() - started
         job.result = result
         if self._cache is not None:
-            # Same record format as the batch executor, so server results and
-            # local run_experiment results are interchangeable cache entries.
-            self._cache.put(
-                job.key,
-                {
-                    "task": job.spec.task,
-                    "params": dict(job.spec.params),
-                    "result": result,
-                    "duration_s": job.duration_s,
-                },
-            )
+            self._cache.put(job.key, job_record(job.spec, result, job.duration_s))
         with self._lock:
             if snapshot is not None:
                 telemetry.merge_snapshot(snapshot)

@@ -5,8 +5,7 @@ content-addressed :class:`~repro.runtime.cache.ResultCache`,
 :class:`~repro.runtime.workqueue.WorkQueue`) into a local job server:
 clients submit experiment/sweep jobs over a newline-delimited-JSON socket
 protocol, identical in-flight requests are deduplicated by cache key,
-shape-compatible requests share worker batches, chunk progress streams back
-live, and per-client quotas plus queue backpressure keep one greedy client
+chunk progress streams back live, and per-client quotas plus queue backpressure keep one greedy client
 from starving the rest.  Results are bit-identical to local execution --
 the server populates and reads the *same* cache under the *same* keys.
 

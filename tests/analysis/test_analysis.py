@@ -16,7 +16,9 @@ from repro.analysis import (
     run_technology_scaling_study,
 )
 from repro.analysis.static_scaling import combine_summaries
+from repro.bus.bus_model import CharacterizedBus
 from repro.circuit.pvt import TYPICAL_CORNER, WORST_CASE_CORNER
+from repro.core.dvs_system import DVSBusSystem
 from repro.trace import generate_suite
 
 N_CYCLES = 30_000
@@ -188,6 +190,37 @@ class TestModifiedBusAndScaling:
         assert max(improvements.values()) >= -1.0  # never meaningfully worse
         text = reporting.format_modified_bus_study(study)
         assert "modified bus" in text
+
+    def test_shared_pass_matches_separate_studies_and_runs(self, paper_design, mini_suite):
+        """One pass per benchmark gives what per-design studies and runs give."""
+        study = run_modified_bus_study(
+            design=paper_design,
+            workloads=mini_suite,
+            targets=(0.0, 0.02),
+            window_cycles=1000,
+            ramp_delay_cycles=300,
+        )
+        designs = (paper_design, paper_design.with_modified_coupling(study.ratio_multiplier))
+        labels = ("original bus", "modified bus")
+        parts = (study.original_study, study.modified_study)
+        gains = (study.original_worst_corner_dvs_gain, study.modified_worst_corner_dvs_gain)
+        for design, label, part, gain in zip(designs, labels, parts, gains):
+            separate = run_corner_gain_study(
+                design, mini_suite, targets=(0.0, 0.02), design_label=label
+            )
+            assert separate.as_dict() == part.as_dict()
+            system = DVSBusSystem(
+                CharacterizedBus(design, WORST_CASE_CORNER),
+                window_cycles=1000,
+                ramp_delay_cycles=300,
+            )
+            runs = [
+                system.run(trace, warmup_cycles=trace.n_cycles // 2)
+                for trace in mini_suite.values()
+            ]
+            energy = sum(run.energy.total_with_recovery for run in runs)
+            reference = sum(run.reference_energy.total_with_recovery for run in runs)
+            assert gain == 100.0 * (1.0 - energy / reference)
 
     def test_technology_scaling_trend_increases(self):
         study = run_technology_scaling_study()

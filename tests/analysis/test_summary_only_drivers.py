@@ -95,6 +95,16 @@ def test_corner_gain_study_reduces_the_suite_once(paper_design, suite):
     assert passes == len(suite)
 
 
+def test_modified_bus_study_reduces_each_benchmark_once(paper_design, suite):
+    """Both designs share the topology: one pass feeds both corner studies and loops."""
+    passes = _vectorized_passes(
+        lambda: run_modified_bus_study(
+            paper_design, suite, targets=(0.0,), window_cycles=1_000, ramp_delay_cycles=300
+        )
+    )
+    assert passes == len(suite)
+
+
 def test_oracle_residency_reduces_each_benchmark_once(paper_design, typical_corner_bus, suite):
     """The window statistics do not depend on the error target."""
     passes = _vectorized_passes(

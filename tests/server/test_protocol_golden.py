@@ -95,9 +95,8 @@ def basic_transcript() -> bytes:
                 }
                 recorder.exchange({"op": "ping"})
                 recorder.exchange(submit)  # full stream: accepted/started/progress/result
-                # The worker's post-run bookkeeping races the stream's last
-                # event; settle before recording counters.
-                _wait_until(lambda: queue.stats()["batches"] == 1)
+                # Settle the queue before recording counters.
+                assert queue.wait_idle(timeout=5.0)
                 recorder.exchange({"op": "status", "job": "job-1"})
                 recorder.exchange(submit)  # identical submission: cache hit
                 recorder.exchange({"op": "submit", "task": "no_such_task", "params": {}})
@@ -153,7 +152,6 @@ def admission_transcript() -> bytes:
             recorder.exchange({"op": "status", "job": "job-2"})  # bob keeps it alive
             gate.release.set()
             _wait_until(lambda: queue.stats()["executed"] == 3)
-            _wait_until(lambda: queue.stats()["batches"] == 2)
             recorder.exchange({"op": "status", "job": "job-2"})  # done
             recorder.exchange({"op": "stats"})
             recorder.exchange({"op": "shutdown", "drain": True})

@@ -24,7 +24,6 @@ from repro.runtime.workqueue import (
     QuotaExceededError,
     WorkerDiedError,
     WorkQueue,
-    default_batch_key,
 )
 from repro.telemetry import Telemetry, use_telemetry
 
@@ -141,44 +140,33 @@ def test_dedupe_does_not_apply_across_completion(make_queue):
 
 
 # --------------------------------------------------------------------------- #
-# Batching
+# Dispatch
 # --------------------------------------------------------------------------- #
-def test_batch_key_groups_by_task_and_characterisation_axes():
-    a = JobSpec("dvs_run", {"benchmark": "crafty", "corner": "typical", "coupling_scale": 1.0})
-    b = JobSpec("dvs_run", {"benchmark": "mgrid", "corner": "typical", "coupling_scale": 1.0})
-    c = JobSpec("dvs_run", {"benchmark": "crafty", "corner": "worst", "coupling_scale": 1.0})
-    assert default_batch_key(a) == default_batch_key(b)
-    assert default_batch_key(a) != default_batch_key(c)
-    assert default_batch_key(a) != default_batch_key(JobSpec("characterize", dict(a.params)))
+def test_pending_jobs_fan_out_over_idle_workers(make_queue):
+    gates = {x: Gate() for x in range(4)}
+    workers: dict[int, str] = {}
 
+    def fn(task, params, ctx):
+        workers[params["x"]] = threading.current_thread().name
+        return gated_fn(gates[params["x"]])(task, params, ctx)
 
-def test_compatible_pending_jobs_run_as_one_batch(make_queue):
-    gate = Gate()
-    queue = make_queue(gated_fn(gate), n_workers=1, max_batch=8)
-    blocker = queue.submit(spec(x=0, corner="typical"))
-    gate.wait_started()
-    pending = [queue.submit(spec(x=i, corner="typical")) for i in (1, 2, 3)]
-    odd = queue.submit(spec(x=4, corner="worst"))
-    gate.release.set()
-    for handle in [blocker, *pending, odd]:
+    queue = make_queue(fn, n_workers=2)
+    blockers = [queue.submit(spec(x=x)) for x in (0, 1)]
+    for x in (0, 1):
+        gates[x].wait_started()
+    # Two jobs of one shape: nothing tells them apart but their payload.
+    pending = [queue.submit(spec(x=x)) for x in (2, 3)]
+    gates[0].release.set()
+    gates[2].wait_started()
+    # Job 2 holds the first freed worker; job 3 must not wait behind it.
+    gates[1].release.set()
+    gates[3].wait_started()
+    assert workers[2] != workers[3]
+    for x in (2, 3):
+        gates[x].release.set()
+    for handle in [*blockers, *pending]:
         handle.result(timeout=5)
-    stats = queue.stats()
-    # blocker alone, then the three compatible jobs as one batch, then the
-    # incompatible corner on its own.
-    assert stats["executed"] == 5
-    assert stats["batches"] == 3
-
-
-def test_max_batch_one_disables_grouping(make_queue):
-    gate = Gate()
-    queue = make_queue(gated_fn(gate), n_workers=1, max_batch=1)
-    blocker = queue.submit(spec(x=0))
-    gate.wait_started()
-    pending = [queue.submit(spec(x=i)) for i in (1, 2)]
-    gate.release.set()
-    for handle in [blocker, *pending]:
-        handle.result(timeout=5)
-    assert queue.stats()["batches"] == 3
+    assert queue.stats()["executed"] == 4
 
 
 # --------------------------------------------------------------------------- #
@@ -411,7 +399,7 @@ def test_queue_depth_gauge_and_dedupe_span(make_queue, clock):
         assert telemetry.metrics.gauges["server.queue_depth"] == 0
         queue.close(drain=True, timeout=5.0)
     names = {event.name for event in telemetry.events}
-    assert "server.dedupe" in names and "server.batch" in names
+    assert "server.dedupe" in names and "server.job" in names
     assert telemetry.metrics.counters["workqueue.executed"] == 2
     assert telemetry.metrics.counters["workqueue.deduped"] == 1
 

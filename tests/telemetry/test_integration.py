@@ -13,6 +13,7 @@ from repro.circuit.pvt import TYPICAL_CORNER
 from repro.core.dvs_system import DVSBusSystem
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import run_jobs
+from repro.runtime.parallel import statistics_pass
 from repro.runtime.spec import SweepSpec
 from repro.telemetry import Telemetry, use_telemetry
 from repro.trace import benchmark_trace_source
@@ -58,6 +59,25 @@ class TestDVSRunInstrumentation:
         gauges = telemetry.metrics.gauges
         assert gauges["dvs.final_voltage_v"] == pytest.approx(result.final_voltage)
         assert gauges["dvs.min_voltage_v"] <= gauges["dvs.final_voltage_v"] + 1e-9
+
+    def test_replayed_summaries_report_the_run_counters(self):
+        """Table 1 and Fig. 10 replay one pass into several loops via ``stream``."""
+        bus = CharacterizedBus(BusDesign.paper_bus(), TYPICAL_CORNER)
+        source = benchmark_trace_source("crafty", n_cycles=30_000, seed=7)
+        system = DVSBusSystem(bus)
+        telemetry = Telemetry(label="replay")
+        with use_telemetry(telemetry):
+            summaries = statistics_pass(
+                source, system.control_segmenter(30_000), bus.design.topology
+            )
+            state = system.stream(30_000)
+            for summary in summaries:
+                state.feed_summary(summary)
+            result = state.finish()
+        counters = telemetry.metrics.counters
+        assert counters["dvs.cycles_simulated"] == 30_000
+        assert counters["dvs.errors_corrected"] == result.total_errors
+        assert telemetry.metrics.gauges["dvs.final_voltage_v"] == result.final_voltage
 
     def test_disabled_telemetry_collects_nothing(self):
         bus = CharacterizedBus(BusDesign.paper_bus(), TYPICAL_CORNER)

@@ -59,11 +59,14 @@ class TestParser:
             ["compare-schemes"],
             ["compare-schemes", "--corner", "typical", "--cycles", "8000"],
             ["kernels"],
+            ["serve", "--max-batch", "2"],
         ],
-        ids=["compare-schemes", "compare-schemes-flags", "kernels"],
+        ids=["compare-schemes", "compare-schemes-flags", "kernels", "serve-max-batch"],
     )
     def test_deleted_commands_are_rejected(self, argv, capsys):
-        """``run baselines`` and ``trace --list`` cover what these printed."""
+        """``run baselines`` and ``trace --list`` cover what these printed; the
+        work queue dispatches one job per worker turn, so ``serve`` has no
+        ``--max-batch``."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
