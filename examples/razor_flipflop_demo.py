@@ -34,17 +34,18 @@ def main() -> None:
           f"{bus.zero_error_voltage() * 1000:.0f} mV)\n")
 
     trace = generate_benchmark_trace("vortex", n_cycles=2_000, seed=3)
-    transitions = transitions_from_values(trace.values)
+    values = trace.values  # unpacked once; `trace.values` unpacks on every access
+    transitions = transitions_from_values(values)
     factors = effective_coupling_factors(transitions, design.topology)
 
     bank = FlipFlopBank(design.n_bits, clocking)
-    bank.reset(trace.values[0])
+    bank.reset(values[0])
 
     shown = 0
     for cycle in range(trace.n_cycles):
         arrivals = bus.table.delays(supply, factors[cycle])
         arrivals = np.where(transitions[cycle] == 0, 0.0, arrivals)
-        result = bank.capture_word(trace.values[cycle + 1], arrivals)
+        result = bank.capture_word(values[cycle + 1], arrivals)
         if result.error and shown < 5:
             late_bits = np.nonzero(result.bit_errors)[0]
             worst_arrival = arrivals.max() * 1e12

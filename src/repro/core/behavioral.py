@@ -134,9 +134,11 @@ class BehavioralDVSSimulator:
         )
         counter = ErrorCounter(self.window_cycles)
         bank = FlipFlopBank(design.n_bits, design.clocking)
-        bank.reset(trace.values[0])
+        # One unpack for the whole run: `trace.values` unpacks on every access.
+        values = trace.values
+        bank.reset(values[0])
 
-        transitions = transitions_from_values(trace.values)
+        transitions = transitions_from_values(values)
         factors = effective_coupling_factors(transitions, design.topology)
 
         error_mask = np.zeros(n_cycles, dtype=bool)
@@ -148,7 +150,7 @@ class BehavioralDVSSimulator:
             vdd = regulator.current_voltage
             per_cycle_voltage[cycle] = vdd
             arrivals = self.bus.table.delays(vdd, factors[cycle])
-            result = bank.capture_word(trace.values[cycle + 1], arrivals)
+            result = bank.capture_word(values[cycle + 1], arrivals)
             error_mask[cycle] = result.error
             corrected[cycle] = result.corrected_word
             for measurement in counter.record_cycle(result.error):

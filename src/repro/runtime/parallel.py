@@ -36,8 +36,8 @@ Scheduling notes
   -- unlike ``multiprocessing.Pool`` it *raises* (``BrokenProcessPool``)
   instead of hanging when a worker dies, which the scheduler converts into a
   clean :class:`ParallelExecutionError`.
-* In-flight chunks are bounded (``max_inflight``, default twice the worker
-  count) so the master never races ahead of the pool by more than a few
+* In-flight chunks are bounded (:data:`INFLIGHT_CHUNKS_PER_WORKER` per
+  worker) so the master never races ahead of the pool by more than a few
   chunks of memory.
 * Environments that cannot fork (sandboxes, daemonic sweep workers) run the
   pass inline, like ``n_workers=1`` -- same results, one process.
@@ -74,6 +74,9 @@ __all__ = [
     "ParallelExecutionError",
     "statistics_pass",
 ]
+
+#: Backpressure: submitted-but-uncollected chunks allowed per pool worker.
+INFLIGHT_CHUNKS_PER_WORKER = 2
 
 #: A per-chunk progress callback: ``callback(done_cycles, total_cycles)``.
 ProgressCallback = Any
@@ -225,9 +228,6 @@ class ParallelChunkScheduler:
         Worker processes; ``None`` means one per CPU.  ``1`` (or any
         environment where process pools are unavailable -- sandboxes,
         daemonic sweep workers) runs the identical pass inline.
-    max_inflight:
-        Bound on submitted-but-uncollected chunks (backpressure); defaults
-        to twice the worker count.
 
     The pool is created lazily on first use and persists across
     :meth:`segment_summaries` calls (e.g. the Table 1 driver reuses one
@@ -236,17 +236,12 @@ class ParallelChunkScheduler:
     :meth:`close` when done.
     """
 
-    def __init__(self, n_workers: int | None = None, max_inflight: int | None = None) -> None:
+    def __init__(self, n_workers: int | None = None) -> None:
         if n_workers is None:
             n_workers = os.cpu_count() or 1
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = int(n_workers)
-        self.max_inflight = (
-            int(max_inflight) if max_inflight is not None else 2 * self.n_workers
-        )
-        if self.max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
         self._executor: ProcessPoolExecutor | None = None
         self._started = False
 
@@ -372,7 +367,7 @@ class ParallelChunkScheduler:
                     if executor is None:
                         consume(_analyze_chunk_payload(payload))
                         continue
-                    while len(inflight) >= self.max_inflight:
+                    while len(inflight) >= INFLIGHT_CHUNKS_PER_WORKER * self.n_workers:
                         consume(inflight.popleft().result())
                     inflight.append(executor.submit(_analyze_chunk_payload, payload))
                 while inflight:

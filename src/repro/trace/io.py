@@ -8,15 +8,13 @@ interchange formats are supported:
 
 ``.npz``
     A compressed numpy archive; compact and fast, the format to use
-    programmatically.  Two layouts exist:
-
-    * the current *packed* layout: the :func:`numpy.packbits` byte array
-      (``bitorder="little"``) plus ``n_bits`` metadata -- 8x smaller in
-      memory when loaded packed, and what :class:`repro.trace.stream.\
-NpzTraceSource` streams from;
-    * the *legacy* layout: one unsigned integer per bus word.  Legacy
-      archives load transparently (and can still be written with
-      ``packed=False`` for interop with older tooling).
+    programmatically.  :func:`save_trace_npz` writes the trace's packed
+    bytes (:func:`numpy.packbits`, ``bitorder="little"``) plus ``n_bits``
+    metadata, and :func:`load_trace_npz` returns a packed
+    :class:`~repro.trace.trace.BusTrace` -- what
+    :class:`repro.trace.stream.NpzTraceSource` streams from.  Archives in
+    the legacy layout (one unsigned integer per bus word under ``words``)
+    still load; they are packed on load.
 ``.hex`` (text)
     One hexadecimal bus word per line with ``#`` comments; trivially
     produced by any logging testbench and easy to inspect by eye.
@@ -40,36 +38,20 @@ _NPZ_NBITS_KEY = "n_bits"
 _NPZ_NAME_KEY = "name"
 
 
-def save_trace_npz(trace: BusTrace, path: PathLike, *, packed: bool = True) -> None:
-    """Save a trace as a compressed ``.npz`` archive.
-
-    ``packed=True`` (the default) writes the bit-packed layout; pass
-    ``packed=False`` to write the legacy integer-word layout for older
-    tooling.  Both load back through :func:`load_trace_npz`.
-    """
-    if packed:
-        payload = {
+def save_trace_npz(trace: BusTrace, path: PathLike) -> None:
+    """Save a trace's packed bytes as a compressed ``.npz`` archive."""
+    np.savez_compressed(
+        Path(path),
+        **{
             _NPZ_PACKED_KEY: trace.packed_values,
             _NPZ_NBITS_KEY: np.array(trace.n_bits),
             _NPZ_NAME_KEY: np.array(trace.name),
-        }
-    else:
-        payload = {
-            _NPZ_WORDS_KEY: trace.to_words(),
-            _NPZ_NBITS_KEY: np.array(trace.n_bits),
-            _NPZ_NAME_KEY: np.array(trace.name),
-        }
-    np.savez_compressed(Path(path), **payload)
+        },
+    )
 
 
-def load_trace_npz(path: PathLike, *, packed: bool = False) -> BusTrace:
-    """Load a trace saved by :func:`save_trace_npz` (either layout).
-
-    ``packed=True`` returns a packed-backed :class:`BusTrace` (8x smaller
-    resident size; legacy word archives are packed on load), which is what
-    the streaming pipeline wants.  The default returns the classic
-    unpacked-backed trace.
-    """
+def load_trace_npz(path: PathLike) -> BusTrace:
+    """Load a trace saved by :func:`save_trace_npz` or a legacy word archive."""
     path = Path(path)
     with np.load(path, allow_pickle=False) as archive:
         if _NPZ_NBITS_KEY not in archive or (
@@ -82,10 +64,8 @@ def load_trace_npz(path: PathLike, *, packed: bool = False) -> BusTrace:
         n_bits = int(archive[_NPZ_NBITS_KEY])
         name = str(archive[_NPZ_NAME_KEY]) if _NPZ_NAME_KEY in archive else path.stem
         if _NPZ_PACKED_KEY in archive:
-            trace = BusTrace(packed=archive[_NPZ_PACKED_KEY], n_bits=n_bits, name=name)
-        else:
-            trace = BusTrace.from_words(archive[_NPZ_WORDS_KEY], n_bits=n_bits, name=name)
-    return trace.pack() if packed else trace.unpacked()
+            return BusTrace(packed=archive[_NPZ_PACKED_KEY], n_bits=n_bits, name=name)
+        return BusTrace.from_words(archive[_NPZ_WORDS_KEY], n_bits=n_bits, name=name)
 
 
 def save_trace_hex(trace: BusTrace, path: PathLike) -> None:

@@ -208,7 +208,7 @@ class TraceSource(abc.ABC):
     # Materialisation
     # ------------------------------------------------------------------ #
     def materialize(self) -> BusTrace:
-        """The whole trace as one in-memory, packed :class:`BusTrace`.
+        """The whole trace as one in-memory :class:`BusTrace`.
 
         Costs O(n) memory -- use only when a monolithic array is genuinely
         needed (tests, small traces, interop).
@@ -220,8 +220,8 @@ class TraceSource(abc.ABC):
 class InMemoryTraceSource(TraceSource):
     """Stream an already-materialised :class:`BusTrace`.
 
-    Packed traces are sliced packed, so the 8x packed memory saving survives
-    streaming; unpacked ones are packed one block at a time.
+    Blocks are row slices of the trace's packed array, so the 8x packed
+    memory saving survives streaming.
     """
 
     def __init__(self, trace: BusTrace) -> None:
@@ -250,18 +250,13 @@ class InMemoryTraceSource(TraceSource):
         # whole-trace block would make its carry-over reslicing quadratic in
         # the trace length (and transiently double memory).
         step = DEFAULT_CHUNK_CYCLES
-        if self._trace.is_packed:
-            packed = self._trace.packed_values
-            for start in range(0, packed.shape[0], step):
-                yield packed[start : start + step]
-            return
-        values = self._trace.values
-        for start in range(0, values.shape[0], step):
-            yield pack_values(values[start : start + step])
+        packed = self._trace.packed_values
+        for start in range(0, packed.shape[0], step):
+            yield packed[start : start + step]
 
     def materialize(self) -> BusTrace:
-        """The backing trace, packed."""
-        return self._trace.pack()
+        """The backing trace itself."""
+        return self._trace
 
 
 class SyntheticTraceSource(TraceSource):
@@ -272,6 +267,8 @@ class SyntheticTraceSource(TraceSource):
     source -- any number of times, at any chunk size -- produces words
     bit-identical to the monolithic
     :func:`~repro.trace.synthetic.generate_trace` with the same arguments.
+    Both pack the generated integer words straight into bytes
+    (:func:`~repro.trace.trace.words_to_packed`), never building a 0/1 array.
     """
 
     def __init__(
@@ -414,7 +411,7 @@ class CpuKernelTraceSource(TraceSource):
 class NpzTraceSource(TraceSource):
     """Stream a trace saved by :func:`repro.trace.io.save_trace_npz`.
 
-    The archive is loaded once into the bit-packed representation (8x smaller
+    The archive is loaded once into a packed :class:`BusTrace` (8x smaller
     than the 0/1 array; legacy word archives are packed on load) and streamed
     packed.
     """
@@ -422,7 +419,7 @@ class NpzTraceSource(TraceSource):
     def __init__(self, path) -> None:
         from repro.trace.io import load_trace_npz
 
-        self._trace = load_trace_npz(path, packed=True)
+        self._trace = load_trace_npz(path)
 
     @property
     def n_cycles(self) -> int:

@@ -47,7 +47,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.trace.benchmarks import BenchmarkProfile
-from repro.trace.trace import BusTrace, words_to_bits
+from repro.trace.trace import BusTrace, words_to_packed
 from repro.utils.rng import SeedLike, derive_seed_sequence, rng_seed_sequence
 
 #: Canonical kind indices used internally by the generator.
@@ -299,4 +299,4 @@ def generate_trace(
     """
     blocks = [words for _, words in iter_word_blocks(profile, n_cycles, n_bits=n_bits, seed=seed)]
     words = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return BusTrace(values=words_to_bits(words, n_bits), name=profile.name)
+    return BusTrace(packed=words_to_packed(words, n_bits), n_bits=n_bits, name=profile.name)

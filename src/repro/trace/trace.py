@@ -9,18 +9,14 @@ traces can be substituted directly.
 
 Storage
 -------
-A trace can be backed by either of two representations:
-
-* an *unpacked* ``(n_words, n_bits)`` uint8 array of 0/1 values (the classic
-  layout every vectorised computation consumes), or
-* a *packed* ``(n_words, ceil(n_bits / 8))`` uint8 array produced by
-  :func:`numpy.packbits` (``bitorder="little"``: wire ``i`` lives in byte
-  ``i // 8``, bit ``i % 8``), which cuts the resident size 8x.
-
-The 0/1 API is identical either way: :attr:`BusTrace.values` unpacks on
-demand.  Packed traces are what make paper-scale (10 M cycle) workloads fit
-in memory; the streaming pipeline (:mod:`repro.trace.stream`) only ever
-unpacks one chunk at a time.
+A trace stores one representation: a *packed* ``(n_words, ceil(n_bits / 8))``
+uint8 array as produced by :func:`numpy.packbits` (``bitorder="little"``:
+wire ``i`` lives in byte ``i // 8``, bit ``i % 8``), 8x smaller than the
+``(n_words, n_bits)`` array of 0/1 values.  A 0/1 array is still accepted as
+input (it is packed once, at construction), and :attr:`BusTrace.values`
+unpacks it on every access.  The packed layout is what makes paper-scale
+(10 M cycle) workloads fit in memory; the streaming pipeline
+(:mod:`repro.trace.stream`) only ever unpacks one chunk at a time.
 """
 
 from __future__ import annotations
@@ -85,13 +81,19 @@ class BusTrace:
     The number of simulated *cycles* (transitions) is ``n_words - 1``: the
     first word only establishes the initial bus state.
 
-    Exactly one of ``values`` (unpacked 0/1 array) or ``packed`` (a
-    :func:`numpy.packbits` array plus ``n_bits``) must be given.  The public
-    API is representation-agnostic; use :meth:`pack` / :meth:`unpacked` to
-    convert and :attr:`is_packed` / :attr:`nbytes` to inspect.
+    Exactly one of ``values`` (a 0/1 array, packed on construction) or
+    ``packed`` (a :func:`numpy.packbits` array plus ``n_bits``) must be
+    given; the trace stores the packed bytes either way.
+
+    >>> trace = BusTrace.from_words([0x0, 0xF, 0x5, 0xA], n_bits=4)
+    >>> trace.to_words().tolist()
+    [0, 15, 5, 10]
+    >>> window = trace.window(1, 2)
+    >>> window.n_bits, window.to_words().tolist()
+    (4, [15, 5, 10])
     """
 
-    __slots__ = ("_values", "_packed", "_n_bits", "name")
+    __slots__ = ("_packed", "_n_bits", "name")
 
     def __init__(
         self,
@@ -110,32 +112,24 @@ class BusTrace:
                 raise ValueError(
                     f"values must be 2-D (words x bits), got shape {values.shape}"
                 )
-            if values.shape[0] < 2:
-                raise ValueError("a trace needs at least two words (one transition)")
             if not np.all((values == 0) | (values == 1)):
                 raise ValueError("trace values must be 0/1")
-            self._values: np.ndarray | None = values.astype(np.uint8)
-            self._packed: np.ndarray | None = None
-            self._n_bits = int(values.shape[1])
-        else:
-            if n_bits is None or n_bits <= 0:
-                raise ValueError("packed traces require a positive n_bits")
-            packed = np.asarray(packed, dtype=np.uint8)
-            if packed.ndim != 2:
-                raise ValueError(
-                    f"packed must be 2-D (words x bytes), got shape {packed.shape}"
-                )
-            if packed.shape[0] < 2:
-                raise ValueError("a trace needs at least two words (one transition)")
-            expected_bytes = (int(n_bits) + 7) // 8
-            if packed.shape[1] != expected_bytes:
-                raise ValueError(
-                    f"packed width {packed.shape[1]} does not match "
-                    f"{n_bits} bits ({expected_bytes} bytes)"
-                )
-            self._values = None
-            self._packed = packed
-            self._n_bits = int(n_bits)
+            packed, n_bits = pack_values(values), values.shape[1]
+        if n_bits is None or n_bits <= 0:
+            raise ValueError("a trace needs a positive n_bits")
+        packed = np.asarray(packed, dtype=np.uint8)
+        if packed.ndim != 2:
+            raise ValueError(f"packed must be 2-D (words x bytes), got shape {packed.shape}")
+        if packed.shape[0] < 2:
+            raise ValueError("a trace needs at least two words (one transition)")
+        expected_bytes = (int(n_bits) + 7) // 8
+        if packed.shape[1] != expected_bytes:
+            raise ValueError(
+                f"packed width {packed.shape[1]} does not match "
+                f"{n_bits} bits ({expected_bytes} bytes)"
+            )
+        self._packed = packed
+        self._n_bits = int(n_bits)
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -143,53 +137,31 @@ class BusTrace:
     @classmethod
     def from_words(cls, words: Iterable[int], n_bits: int = 32, name: str = "trace") -> BusTrace:
         """Build a trace from integer bus words (LSB = wire 0)."""
-        words_array = np.asarray(list(words) if not isinstance(words, np.ndarray) else words)
-        return cls(values=words_to_bits(words_array, n_bits), name=name)
+        # An explicit dtype: numpy infers float64 for a list mixing small ints
+        # with ones >= 2**63, which would round 64-bit words.
+        words_array = np.asarray(words if isinstance(words, np.ndarray) else list(words), np.uint64)
+        return cls(packed=words_to_packed(words_array, n_bits), n_bits=n_bits, name=name)
 
     # ------------------------------------------------------------------ #
     # Representation
     # ------------------------------------------------------------------ #
     @property
-    def is_packed(self) -> bool:
-        """Whether the trace is stored bit-packed (8x smaller)."""
-        return self._packed is not None
-
-    @property
     def values(self) -> np.ndarray:
-        """The 0/1 ``(n_words, n_bits)`` array.
+        """The 0/1 ``(n_words, n_bits)`` array, unpacked *on every access*.
 
-        Packed-backed traces unpack *on every access* so the packed memory
-        saving is never silently lost; call :meth:`unpacked` once if repeated
-        whole-trace access is needed.
+        Read it once into a local when a loop needs repeated access.
         """
-        if self._values is not None:
-            return self._values
         return unpack_values(self._packed, self._n_bits)
 
     @property
     def packed_values(self) -> np.ndarray:
-        """The packed byte array (packing on the fly for unpacked traces)."""
-        if self._packed is not None:
-            return self._packed
-        return pack_values(self._values)
-
-    def pack(self) -> BusTrace:
-        """This trace backed by the packed representation (no-op if packed)."""
-        if self.is_packed:
-            return self
-        return BusTrace(packed=pack_values(self._values), n_bits=self._n_bits, name=self.name)
-
-    def unpacked(self) -> BusTrace:
-        """This trace backed by the unpacked 0/1 array (no-op if unpacked)."""
-        if not self.is_packed:
-            return self
-        return BusTrace(values=self.values, name=self.name)
+        """The packed byte array."""
+        return self._packed
 
     @property
     def nbytes(self) -> int:
-        """Resident size of the backing array in bytes."""
-        backing = self._packed if self._packed is not None else self._values
-        return int(backing.nbytes)
+        """Resident size of the packed array in bytes."""
+        return int(self._packed.nbytes)
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -202,8 +174,7 @@ class BusTrace:
     @property
     def n_words(self) -> int:
         """Number of stored bus words (cycles + 1)."""
-        backing = self._packed if self._packed is not None else self._values
-        return int(backing.shape[0])
+        return int(self._packed.shape[0])
 
     @property
     def n_cycles(self) -> int:
@@ -214,11 +185,7 @@ class BusTrace:
         return self.n_cycles
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        storage = "packed" if self.is_packed else "unpacked"
-        return (
-            f"BusTrace(name={self.name!r}, n_bits={self.n_bits}, "
-            f"n_cycles={self.n_cycles}, {storage})"
-        )
+        return f"BusTrace(name={self.name!r}, n_bits={self.n_bits}, n_cycles={self.n_cycles})"
 
     def to_words(self) -> np.ndarray:
         """The trace as unsigned integer words (LSB = wire 0)."""
@@ -231,8 +198,8 @@ class BusTrace:
     def window(self, start_cycle: int, n_cycles: int, name: str | None = None) -> BusTrace:
         """A sub-trace covering ``n_cycles`` transitions starting at ``start_cycle``.
 
-        Packed traces stay packed: the window is a row slice of the packed
-        array, so extracting a chunk of a 10 M-cycle trace allocates nothing.
+        The window is a row slice of the packed array, so extracting a chunk
+        of a 10 M-cycle trace allocates nothing.
         """
         if start_cycle < 0 or start_cycle + n_cycles > self.n_cycles:
             raise ValueError(
@@ -241,27 +208,21 @@ class BusTrace:
             )
         rows = slice(start_cycle, start_cycle + n_cycles + 1)
         window_name = name or f"{self.name}[{start_cycle}:+{n_cycles}]"
-        if self.is_packed:
-            return BusTrace(packed=self._packed[rows], n_bits=self._n_bits, name=window_name)
-        return BusTrace(values=self._values[rows], name=window_name)
+        return BusTrace(packed=self._packed[rows], n_bits=self._n_bits, name=window_name)
 
     def concatenate(self, other: BusTrace, name: str | None = None) -> BusTrace:
         """Run another trace back-to-back after this one.
 
         The transition from this trace's last word to the other trace's first
         word is included, exactly as if the programs executed consecutively.
-        A pair of packed traces concatenates packed.
         """
         if other.n_bits != self.n_bits:
             raise ValueError(
                 f"cannot concatenate a {other.n_bits}-bit trace onto a {self.n_bits}-bit trace"
             )
         combined_name = name or f"{self.name}+{other.name}"
-        if self.is_packed and other.is_packed:
-            packed = np.concatenate([self._packed, other._packed], axis=0)
-            return BusTrace(packed=packed, n_bits=self._n_bits, name=combined_name)
-        values = np.concatenate([self.values, other.values], axis=0)
-        return BusTrace(values=values, name=combined_name)
+        packed = np.concatenate([self._packed, other._packed], axis=0)
+        return BusTrace(packed=packed, n_bits=self._n_bits, name=combined_name)
 
     # ------------------------------------------------------------------ #
     # Diagnostics
@@ -285,6 +246,4 @@ def concatenate_traces(traces: Iterable[BusTrace], name: str = "suite") -> BusTr
     result = traces[0]
     for trace in traces[1:]:
         result = result.concatenate(trace)
-    if result.is_packed:
-        return BusTrace(packed=result.packed_values, n_bits=result.n_bits, name=name)
-    return BusTrace(values=result.values, name=name)
+    return BusTrace(packed=result.packed_values, n_bits=result.n_bits, name=name)

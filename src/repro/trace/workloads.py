@@ -129,9 +129,9 @@ class SimPointTraceSource(TraceSource):
             n_clusters=n_clusters,
             seed=seed,
         )
-        # Representative windows stay packed: BusTrace.window on a packed
-        # trace is a row slice, and InMemoryTraceSource streams packed
-        # backings without widening.
+        # Representative windows are row slices of the base trace's packed
+        # bytes (BusTrace.window), and InMemoryTraceSource streams them
+        # without widening.
         self._reduced = ConcatenatedTraceSource(
             [InMemoryTraceSource(window) for window in self._selection.extract(trace)],
             name=f"{trace.name}.simpoint",

@@ -15,7 +15,8 @@ from repro.bus.bus_model import analyze_trace_statistics
 from repro.circuit.pvt import WORST_CASE_CORNER
 from repro.core import BehavioralDVSSimulator, DVSBusSystem
 from repro.core.policies import ProportionalPolicy
-from repro.trace import generate_benchmark_trace
+import repro.trace.trace as trace_module
+from repro.trace import SyntheticTraceSource, generate_benchmark_trace
 
 #: Short control loop so several voltage changes happen within a short trace.
 WINDOW = 500
@@ -107,3 +108,18 @@ class TestGuards:
         simulator = BehavioralDVSSimulator(typical_corner_bus)
         with pytest.raises(ValueError):
             simulator.run(trace)
+
+    def test_trace_is_unpacked_once_per_run(self, typical_corner_bus, monkeypatch):
+        # `BusTrace.values` unpacks the whole trace on every access, so a
+        # per-cycle read would make the run quadratic in its length.
+        trace = SyntheticTraceSource("crafty", 2_000, seed=1).materialize()
+        unpack = trace_module.unpack_values
+        calls = []
+
+        def counting_unpack(*args):
+            calls.append(args)
+            return unpack(*args)
+
+        monkeypatch.setattr(trace_module, "unpack_values", counting_unpack)
+        BehavioralDVSSimulator(typical_corner_bus).run(trace)
+        assert len(calls) <= 2

@@ -93,14 +93,20 @@ class TestChunkedStatistics:
         np.testing.assert_array_equal(rebuilt.coupling_weights, monolithic.coupling_weights)
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_packed_analysis_matches_unpacked(self, typical_corner_bus, crafty_trace, kernel):
+    def test_window_analysis_matches_monolithic_slice(
+        self, typical_corner_bus, crafty_trace, kernel
+    ):
         topology = typical_corner_bus.design.topology
+        monolithic = scalar_trace_statistics(crafty_trace, topology)
+        start, n_cycles = 1_234, 5_001
         with forced_plan(kernel):
-            unpacked = analyze_trace_statistics(crafty_trace, topology)
-            packed = analyze_trace_statistics(crafty_trace.pack(), topology)
-        np.testing.assert_array_equal(packed.worst_coupling, unpacked.worst_coupling)
-        np.testing.assert_array_equal(packed.toggles, unpacked.toggles)
-        np.testing.assert_array_equal(packed.coupling_weights, unpacked.coupling_weights)
+            window = analyze_trace_statistics(crafty_trace.window(start, n_cycles), topology)
+        cycles = slice(start, start + n_cycles)
+        np.testing.assert_array_equal(window.worst_coupling, monolithic.worst_coupling[cycles])
+        np.testing.assert_array_equal(window.toggles, monolithic.toggles[cycles])
+        np.testing.assert_array_equal(
+            window.coupling_weights, monolithic.coupling_weights[cycles]
+        )
 
     def test_engines_produce_identical_statistics(self, typical_corner_bus, crafty_trace):
         topology = typical_corner_bus.design.topology

@@ -85,16 +85,17 @@ class TestErrorRecoveryConsistency:
             transitions_from_values,
         )
 
-        transitions = transitions_from_values(trace.values)
+        values = trace.values
+        transitions = transitions_from_values(values)
         factors = effective_coupling_factors(transitions, paper_design.topology)
         bank = FlipFlopBank(paper_design.n_bits, paper_design.clocking)
-        bank.reset(trace.values[0])
+        bank.reset(values[0])
         bank_errors = []
         for cycle in range(trace.n_cycles):
             arrivals = bus.table.delays(voltage, factors[cycle])
             # Quiet wires hold their value; model them as arriving instantly.
             arrivals = np.where(transitions[cycle] == 0, 0.0, arrivals)
-            result = bank.capture_word(trace.values[cycle + 1], arrivals)
+            result = bank.capture_word(values[cycle + 1], arrivals)
             bank_errors.append(result.error)
         assert list(vector_errors) == bank_errors
 
@@ -106,16 +107,17 @@ class TestErrorRecoveryConsistency:
             transitions_from_values,
         )
 
-        transitions = transitions_from_values(trace.values)
+        values = trace.values
+        transitions = transitions_from_values(values)
         factors = effective_coupling_factors(transitions, paper_design.topology)
         bank = FlipFlopBank(paper_design.n_bits, paper_design.clocking)
-        bank.reset(trace.values[0])
+        bank.reset(values[0])
         voltage = bus.minimum_safe_voltage()
         for cycle in range(trace.n_cycles):
             arrivals = bus.table.delays(voltage, factors[cycle])
             arrivals = np.where(transitions[cycle] == 0, 0.0, arrivals)
-            result = bank.capture_word(trace.values[cycle + 1], arrivals)
-            assert np.array_equal(result.corrected_word, trace.values[cycle + 1])
+            result = bank.capture_word(values[cycle + 1], arrivals)
+            assert np.array_equal(result.corrected_word, values[cycle + 1])
 
 
 class TestModifiedBusClaim:

@@ -176,11 +176,12 @@ class TestSchedulerLifecycle:
             assert scheduler.effective_workers == 1
         assert summaries[0].n_cycles == N_CYCLES
 
-    def test_tight_backpressure_still_exact(self, source, topology):
+    def test_tight_backpressure_still_exact(self, source, topology, monkeypatch):
+        monkeypatch.setattr(parallel_mod, "INFLIGHT_CHUNKS_PER_WORKER", 1)
         segmenter = ChunkSegmenter(n_cycles=N_CYCLES, window_cycles=1_000)
         with (
             forced_plan(chunk_cycles=499),
-            ParallelChunkScheduler(n_workers=2, max_inflight=1) as scheduler,
+            ParallelChunkScheduler(n_workers=2) as scheduler,
         ):
             summaries = scheduler.segment_summaries(source, segmenter, topology)
         assert [summary.n_cycles for summary in summaries] == [1_000] * 6
@@ -188,8 +189,6 @@ class TestSchedulerLifecycle:
     def test_validation(self):
         with pytest.raises(ValueError):
             ParallelChunkScheduler(n_workers=0)
-        with pytest.raises(ValueError):
-            ParallelChunkScheduler(n_workers=2, max_inflight=0)
 
     def test_mismatched_segmenter_raises(self, source, topology):
         with ParallelChunkScheduler(n_workers=1) as scheduler:

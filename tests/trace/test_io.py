@@ -8,6 +8,13 @@ from repro.trace.io import load_trace_hex, load_trace_npz, save_trace_hex, save_
 from repro.trace.trace import BusTrace
 
 
+def _save_legacy_npz(trace, path):
+    """Write the legacy word layout: one unsigned integer per bus word."""
+    np.savez_compressed(
+        path, words=trace.to_words(), n_bits=np.array(trace.n_bits), name=np.array(trace.name)
+    )
+
+
 @pytest.fixture()
 def small_trace():
     return generate_benchmark_trace("crafty", n_cycles=500, seed=5)
@@ -37,21 +44,19 @@ class TestNpzRoundTrip:
 
     def test_legacy_word_archive_loads_transparently(self, small_trace, tmp_path):
         path = tmp_path / "legacy.npz"
-        save_trace_npz(small_trace, path, packed=False)
-        with np.load(path) as archive:
-            assert "words" in archive and "packed" not in archive
+        _save_legacy_npz(small_trace, path)
         loaded = load_trace_npz(path)
         np.testing.assert_array_equal(loaded.values, small_trace.values)
         assert loaded.name == small_trace.name
 
-    def test_load_packed_returns_packed_backing(self, small_trace, tmp_path):
-        for legacy in (False, True):
-            path = tmp_path / f"trace-{legacy}.npz"
-            save_trace_npz(small_trace, path, packed=not legacy)
-            loaded = load_trace_npz(path, packed=True)
-            assert loaded.is_packed
-            assert loaded.nbytes * 8 == small_trace.nbytes
-            np.testing.assert_array_equal(loaded.values, small_trace.values)
+    def test_legacy_and_packed_archives_load_equal(self, small_trace, tmp_path):
+        _save_legacy_npz(small_trace, tmp_path / "legacy.npz")
+        save_trace_npz(small_trace, tmp_path / "packed.npz")
+        legacy = load_trace_npz(tmp_path / "legacy.npz")
+        packed = load_trace_npz(tmp_path / "packed.npz")
+        assert legacy.n_bits == packed.n_bits == small_trace.n_bits
+        np.testing.assert_array_equal(legacy.packed_values, packed.packed_values)
+        assert legacy.nbytes == small_trace.nbytes
 
     def test_packed_round_trip_preserves_odd_widths(self, tmp_path):
         trace = BusTrace.from_words([5, 2, 7, 1], n_bits=13, name="odd")

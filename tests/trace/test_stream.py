@@ -96,10 +96,10 @@ def _encoded(encoder):
     return build
 
 
-def _in_memory(pack):
+def _in_memory(n_bits):
     def build(n_cycles, tmp_path):
-        trace = generate_benchmark_trace("swim", n_cycles=n_cycles, seed=4)
-        return InMemoryTraceSource(trace.pack() if pack else trace), trace.values
+        trace = generate_trace(get_profile("swim"), n_cycles, n_bits=n_bits, seed=4)
+        return InMemoryTraceSource(trace), trace.values
 
     return build
 
@@ -143,8 +143,8 @@ def _simpoint(n_cycles, tmp_path):
 #: Every kind of source, each with a builder returning ``(source, reference
 #: 0/1 words)`` for a trace of ``n_cycles`` transitions.
 SOURCE_KINDS = {
-    "in-memory-unpacked": _in_memory(pack=False),
-    "in-memory-packed": _in_memory(pack=True),
+    "in-memory": _in_memory(n_bits=32),
+    "in-memory-13-bit": _in_memory(n_bits=13),
     "synthetic": _synthetic(n_bits=32),
     "synthetic-13-bit": _synthetic(n_bits=13),
     "cpu-kernel": _cpu_kernel,
@@ -163,7 +163,6 @@ def test_packed_chunks_tile_materialize_and_match_reference(kind, chunk_cycles, 
     n_cycles = max(2_500, chunk_cycles + 1_500)
     source, reference = SOURCE_KINDS[kind](n_cycles, tmp_path)
     chunks = list(source.chunks(chunk_cycles))
-    assert all(chunk.trace.is_packed for chunk in chunks)
     assert [c.start_cycle for c in chunks] == list(range(0, source.n_cycles, chunk_cycles))
     for previous, chunk in zip(chunks, chunks[1:]):
         np.testing.assert_array_equal(
@@ -173,7 +172,7 @@ def test_packed_chunks_tile_materialize_and_match_reference(kind, chunk_cycles, 
         [chunks[0].trace.packed_values] + [c.trace.packed_values[1:] for c in chunks[1:]]
     )
     whole = source.materialize()
-    assert whole.is_packed and whole.n_bits == source.n_bits
+    assert whole.n_bits == source.n_bits
     np.testing.assert_array_equal(packed, whole.packed_values)
     np.testing.assert_array_equal(whole.values, reference)
     # Bits above the bus width stay zero, so the kernels never see them toggle.
@@ -191,10 +190,9 @@ class TestInMemoryTraceSource:
         assert isinstance(source, InMemoryTraceSource)
         np.testing.assert_array_equal(_reassemble(source, 700), trace.values)
 
-    def test_packed_trace_streams_packed(self):
-        trace = generate_benchmark_trace("swim", n_cycles=3_000, seed=4).pack()
-        source = InMemoryTraceSource(trace)
-        np.testing.assert_array_equal(_reassemble(source, 700), trace.values)
+    def test_materialize_returns_the_trace(self):
+        trace = generate_benchmark_trace("swim", n_cycles=3_000, seed=4)
+        assert InMemoryTraceSource(trace).materialize() is trace
 
     def test_source_passthrough(self):
         source = SyntheticTraceSource("crafty", 1_000, seed=1)
@@ -254,10 +252,13 @@ class TestNpzTraceSource:
     def test_streams_legacy_archive(self, tmp_path):
         trace = generate_benchmark_trace("applu", n_cycles=1_500, seed=8)
         path = tmp_path / "legacy.npz"
-        save_trace_npz(trace, path, packed=False)
-        np.testing.assert_array_equal(
-            NpzTraceSource(path).materialize().values, trace.values
+        np.savez_compressed(
+            path, words=trace.to_words(), n_bits=np.array(trace.n_bits), name=np.array(trace.name)
         )
+        legacy = NpzTraceSource(path)
+        assert legacy.name == trace.name
+        np.testing.assert_array_equal(legacy.materialize().packed_values, trace.packed_values)
+        np.testing.assert_array_equal(_reassemble(legacy, 999), trace.values)
 
 
 class TestEncodedTraceSource:
@@ -289,40 +290,38 @@ class TestEncodedTraceSource:
 
 
 class TestPackedBusTrace:
-    def test_pack_round_trip(self):
-        trace = generate_benchmark_trace("mesa", n_cycles=1_000, seed=3)
-        packed = trace.pack()
-        assert packed.is_packed and not trace.is_packed
-        assert packed.n_bits == trace.n_bits
-        assert packed.n_cycles == trace.n_cycles
-        np.testing.assert_array_equal(packed.values, trace.values)
-        np.testing.assert_array_equal(packed.unpacked().values, trace.values)
-
     def test_packed_memory_is_eight_times_smaller(self):
         trace = generate_benchmark_trace("mesa", n_cycles=1_000, seed=3)
-        assert trace.pack().nbytes * 8 == trace.nbytes
+        assert trace.nbytes * 8 == trace.values.nbytes
 
-    def test_packed_window_stays_packed(self):
-        trace = generate_benchmark_trace("mesa", n_cycles=1_000, seed=3).pack()
+    def test_values_and_packed_constructors_agree(self):
+        trace = generate_benchmark_trace("mesa", n_cycles=1_000, seed=3)
+        from_values = BusTrace(values=trace.values, name=trace.name)
+        assert from_values.n_bits == trace.n_bits
+        assert from_values.n_cycles == trace.n_cycles
+        np.testing.assert_array_equal(from_values.packed_values, trace.packed_values)
+        from_packed = BusTrace(packed=trace.packed_values, n_bits=trace.n_bits)
+        np.testing.assert_array_equal(from_packed.values, trace.values)
+
+    def test_window_is_a_row_slice_of_the_packed_array(self):
+        trace = generate_benchmark_trace("mesa", n_cycles=1_000, seed=3)
         window = trace.window(100, 50)
-        assert window.is_packed
-        np.testing.assert_array_equal(
-            window.values, trace.unpacked().window(100, 50).values
-        )
+        assert np.shares_memory(window.packed_values, trace.packed_values)
+        np.testing.assert_array_equal(window.values, trace.values[100:151])
 
-    def test_packed_concatenate_stays_packed(self):
-        a = generate_benchmark_trace("mesa", n_cycles=500, seed=3).pack()
-        b = generate_benchmark_trace("gap", n_cycles=500, seed=4).pack()
+    def test_concatenate_joins_the_words(self):
+        a = generate_benchmark_trace("mesa", n_cycles=500, seed=3)
+        b = generate_benchmark_trace("gap", n_cycles=500, seed=4)
         combined = a.concatenate(b)
-        assert combined.is_packed
         assert combined.n_cycles == a.n_cycles + b.n_cycles + 1
+        np.testing.assert_array_equal(combined.values, np.concatenate([a.values, b.values]))
 
-    def test_packed_diagnostics_match(self):
-        trace = generate_benchmark_trace("swim", n_cycles=2_000, seed=5)
-        assert trace.pack().toggle_activity() == pytest.approx(trace.toggle_activity())
-        np.testing.assert_array_equal(
-            trace.pack().per_bit_activity(), trace.per_bit_activity()
-        )
+    def test_diagnostics_match_a_values_reference(self):
+        # An odd width, so the unused bits of the top byte are in play.
+        trace = generate_trace(get_profile("swim"), 2_000, n_bits=13, seed=5)
+        changes = np.abs(np.diff(trace.values.astype(int), axis=0))
+        assert trace.toggle_activity() == pytest.approx(changes.mean())
+        np.testing.assert_allclose(trace.per_bit_activity(), changes.mean(axis=0))
 
     def test_constructor_requires_exactly_one_representation(self):
         values = np.zeros((2, 8), dtype=np.uint8)

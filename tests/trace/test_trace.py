@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.trace import (
@@ -19,6 +19,15 @@ from repro.trace import (
     window_signatures,
 )
 from repro.trace.benchmarks import BenchmarkProfile, ProgramPhase, WordMix
+
+
+@st.composite
+def _width_and_words(draw):
+    """A bus width in 1..64 and at least two words that fit in it."""
+    width = draw(st.integers(min_value=1, max_value=64))
+    word = st.integers(min_value=0, max_value=2**width - 1)
+    words = draw(st.lists(word, min_size=2, max_size=40))
+    return width, words
 
 
 class TestBusTrace:
@@ -76,11 +85,30 @@ class TestBusTrace:
         with pytest.raises(ValueError):
             BusTrace.from_words([1])
 
-    @given(words=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=2, max_size=40))
-    @settings(max_examples=30, deadline=None)
-    def test_round_trip_property(self, words):
-        trace = BusTrace.from_words(words)
-        assert list(trace.to_words()) == words
+    @given(case=_width_and_words())
+    @example(case=(1, [0, 1, 1, 0]))
+    @example(case=(8, [0xFF, 0x00, 0x80]))
+    @example(case=(9, [0x1FF, 0x100, 0x0FF]))
+    @example(case=(64, [2**64 - 1, 0, 2**63, 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_property(self, case):
+        width, words = case
+        # Reference 0/1 array from Python integers, independent of the packer.
+        bits = np.array([[(word >> bit) & 1 for bit in range(width)] for word in words], np.uint8)
+        np.testing.assert_array_equal(BusTrace(values=bits).values, bits)
+        trace = BusTrace.from_words(words, n_bits=width)
+        assert trace.n_bits == width
+        assert [int(word) for word in trace.to_words()] == words
+        np.testing.assert_array_equal(trace.values, bits)
+        start = len(words) // 3
+        n_cycles = len(words) - 1 - start
+        window = trace.window(start, n_cycles)
+        assert window.n_bits == width
+        np.testing.assert_array_equal(window.values, bits[start : start + n_cycles + 1])
+        reversed_trace = BusTrace(values=bits[::-1])
+        np.testing.assert_array_equal(
+            trace.concatenate(reversed_trace).values, np.concatenate([bits, bits[::-1]])
+        )
 
 
 class TestProfiles:

@@ -194,7 +194,7 @@ class TestRegistryResolution:
         from repro.trace.simpoint import window_signatures
 
         trace = resolve_workload("crafty", n_cycles=4_000, seed=9).materialize()
-        per_window = SimPointTraceSource._windowed_signatures(trace.pack(), 500)
+        per_window = SimPointTraceSource._windowed_signatures(trace, 500)
         np.testing.assert_array_equal(per_window, window_signatures(trace, 500))
 
     def test_simpoint_selection_matches_select_simpoints(self):
@@ -208,12 +208,13 @@ class TestRegistryResolution:
         assert reduced.selection.representative_windows == reference.representative_windows
         assert reduced.selection.weights == reference.weights
 
-    def test_simpoint_reduction_stays_packed(self):
-        # The O(chunk)-memory contract: the reduced windows are held packed
-        # (8x smaller), never as a whole unpacked 0/1 array.
-        reduced = resolve_workload("simpoint:crafty", n_cycles=8_000, seed=2)
+    def test_simpoint_windows_are_views_of_the_base_trace(self):
+        # The O(chunk)-memory contract: the reduced windows are row slices of
+        # the base trace's packed bytes, never copies.
+        trace = resolve_workload("crafty", n_cycles=8_000, seed=2).materialize()
+        reduced = SimPointTraceSource(trace, n_clusters=3, seed=2)
         for inner in reduced._reduced.sources:
-            assert inner.trace.is_packed
+            assert np.shares_memory(inner.trace.packed_values, trace.packed_values)
 
     def test_trace_objects_pass_through(self):
         trace = resolve_workload("cpu:fibonacci", n_cycles=300, seed=1).materialize()
