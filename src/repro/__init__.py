@@ -92,7 +92,6 @@ if TYPE_CHECKING:
         TABLE1_ORDER,
         BusTrace,
         generate_benchmark_trace,
-        generate_concatenated_suite,
         generate_suite,
     )
 
@@ -138,7 +137,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "TABLE1_ORDER",
             "BusTrace",
             "generate_benchmark_trace",
-            "generate_concatenated_suite",
             "generate_suite",
         ),
     },

@@ -2,19 +2,19 @@
 
 The expensive per-cycle work -- classifying every wire's switching pattern and
 summing the coupling-energy weights -- depends only on the data trace, not on
-the supply voltage.  :class:`TraceStatistics` holds those per-cycle arrays
-where a caller truly needs them (a per-cycle error mask, the reference
-tests); :class:`CharacterizedBus` evaluates timing errors and energy at a
-constant supply from a :class:`TraceSummary` alone.
+the supply voltage.  :class:`TraceStatistics` holds those per-cycle arrays in
+the form the lane kernels emit them: each cycle's worst coupling factor as a
+small integer code into a value table, plus the toggle counts and
+coupling-energy weights.  :class:`CharacterizedBus` evaluates timing errors
+and energy at a constant supply from a :class:`TraceSummary` alone.
 
 Simulations never hold a whole run's per-cycle arrays.  The statistics pass
 (:func:`repro.runtime.parallel.statistics_pass`) analyses one chunk at a time
-into :class:`CodedStatistics` -- the worst coupling factor as small integer
-codes into a value table -- and :meth:`CodedStatistics.summaries` reduces
-each chunk to one :class:`TraceSummary` per control segment it touches:
-exact totals plus the (tiny, discrete) distribution of worst coupling
-factors, from which error rates and energies at any *constant* supply follow
-exactly, independent of how the trace was chunked.
+with :func:`analyze_trace_statistics`, and :meth:`TraceStatistics.summaries`
+reduces each chunk to one :class:`TraceSummary` per control segment it
+touches: exact totals plus the (tiny, discrete) distribution of worst
+coupling factors, from which error rates and energies at any *constant*
+supply follow exactly, independent of how the trace was chunked.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ from repro.circuit.energy_model import FlipFlopEnergyParams
 from repro.circuit.lookup_table import DelayEnergyTable, VoltageGrid
 from repro.circuit.pvt import PVTCorner
 from repro.energy.accounting import EnergyBreakdown
-from repro.interconnect.block_kernels import (
-    block_statistics_arrays,
-    block_statistics_codes,
-    lanes_supported,
-)
+from repro.interconnect.block_kernels import block_statistics_codes, lanes_supported
 from repro.interconnect.crosstalk import (
     NeighborTopology,
     coupling_energy_weights,
@@ -52,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 VoltageLike = float | np.ndarray
 
-#: Most distinct worst-coupling values :meth:`CodedStatistics.from_statistics`
+#: Most distinct worst-coupling values :meth:`TraceStatistics.from_arrays`
 #: codes with one compare pass per value (uint8 codes, and past this the
 #: per-cycle binary search is cheaper).
 _COMPARE_CODING_MAX_VALUES = 48
@@ -63,52 +59,112 @@ class TraceStatistics:
     """Voltage-independent per-cycle statistics of a data trace on a bus.
 
     All arrays have one entry per *transition* (i.e. ``n_values - 1``): the
-    first bus word only establishes the initial state.
+    first bus word only establishes the initial state.  The worst coupling
+    factor is stored as the lane kernels emit it: cycle ``i``'s factor is
+    ``values[codes[i]]`` (see
+    :func:`repro.interconnect.block_kernels.block_statistics_codes`), so the
+    statistics pass histograms small integers and never builds a float
+    worst-coupling array.  :meth:`from_arrays` codes float factors.
 
     Attributes
     ----------
-    worst_coupling:
-        Largest effective Miller coupling factor among switching wires in
-        each cycle (0 when no wire switches).
+    codes:
+        Per-cycle index into ``values``.
+    values:
+        Non-decreasing table of worst coupling factors; several codes may
+        share one value.
     toggles:
         Number of switching wires per cycle.
     coupling_weights:
         Sum over adjacent pairs of the squared relative swing (in Vdd units)
         per cycle, for coupling-energy accounting.
+
+    >>> stats = TraceStatistics.from_arrays([2.15, 0.0, 2.15], [3.0, 0.0, 2.0], [4.0, 0.0, 2.0])
+    >>> stats.worst_coupling.tolist()
+    [2.15, 0.0, 2.15]
+    >>> stats.summarize().worst_coupling_counts.tolist()
+    [1, 2]
     """
 
-    worst_coupling: np.ndarray
+    codes: np.ndarray
+    values: np.ndarray
     toggles: np.ndarray
     coupling_weights: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.worst_coupling)
-        for name in ("worst_coupling", "toggles", "coupling_weights"):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if value.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},), got {value.shape}")
-            object.__setattr__(self, name, value)
+        n = len(self.codes)
+        for name in ("codes", "toggles", "coupling_weights"):
+            shape = np.shape(getattr(self, name))
+            if shape != (n,):
+                raise ValueError(f"{name} must have shape ({n},), got {shape}")
+        if np.ndim(self.values) != 1:
+            raise ValueError(f"values must be 1-D, got shape {np.shape(self.values)}")
+
+    @classmethod
+    def from_arrays(
+        cls, worst_coupling: np.ndarray, toggles: np.ndarray, coupling_weights: np.ndarray
+    ) -> TraceStatistics:
+        """Statistics of float per-cycle arrays, coded by their distinct factors.
+
+        The codes are what ``np.unique(..., return_inverse=True)`` returns.
+        Kernel output only holds a handful of distinct factors, so a cycle's
+        code is counted as the number of distinct values above the smallest
+        that it reaches: one vectorised compare per value, several times
+        faster than a binary search per cycle (``searchsorted``, kept for
+        statistics with many distinct values).
+        """
+        worst = np.asarray(worst_coupling, dtype=float)
+        values = np.unique(worst)
+        if len(values) > _COMPARE_CODING_MAX_VALUES:
+            codes = np.searchsorted(values, worst)
+        else:
+            codes = np.zeros(len(worst), dtype=np.uint8)
+            for value in values[1:]:
+                np.add(codes, worst >= value, out=codes, casting="unsafe")
+        return cls(
+            codes,
+            values,
+            np.asarray(toggles, dtype=float),
+            np.asarray(coupling_weights, dtype=float),
+        )
+
+    @property
+    def worst_coupling(self) -> np.ndarray:
+        """Per-cycle worst effective Miller coupling factor, ``values[codes]``.
+
+        The largest factor among the cycle's switching wires (0 when no wire
+        switches), decoded into a new float64 array on every access.
+        """
+        return self.values[self.codes]
 
     @property
     def n_cycles(self) -> int:
         """Number of simulated cycles (transitions)."""
-        return len(self.worst_coupling)
+        return len(self.codes)
 
     def slice(self, start: int, stop: int) -> TraceStatistics:
-        """Statistics of a contiguous sub-interval of cycles."""
+        """Statistics of a contiguous sub-interval of cycles (same value table)."""
         return TraceStatistics(
-            worst_coupling=self.worst_coupling[start:stop],
+            codes=self.codes[start:stop],
+            values=self.values,
             toggles=self.toggles[start:stop],
             coupling_weights=self.coupling_weights[start:stop],
         )
 
     def concatenate(self, other: TraceStatistics) -> TraceStatistics:
-        """Concatenate two runs of statistics (back-to-back program execution)."""
-        return TraceStatistics(
-            worst_coupling=np.concatenate([self.worst_coupling, other.worst_coupling]),
-            toggles=np.concatenate([self.toggles, other.toggles]),
-            coupling_weights=np.concatenate([self.coupling_weights, other.coupling_weights]),
-        )
+        """Concatenate two runs of statistics (back-to-back program execution).
+
+        Statistics sharing a value table (every lane analysis of one
+        topology) join their codes; otherwise the decoded factors are coded
+        again.
+        """
+        toggles = np.concatenate([self.toggles, other.toggles])
+        weights = np.concatenate([self.coupling_weights, other.coupling_weights])
+        if np.array_equal(self.values, other.values):
+            codes = np.concatenate([self.codes, other.codes])
+            return TraceStatistics(codes, self.values, toggles, weights)
+        worst = np.concatenate([self.worst_coupling, other.worst_coupling])
+        return TraceStatistics.from_arrays(worst, toggles, weights)
 
     @property
     def mean_toggle_rate(self) -> float:
@@ -121,7 +177,65 @@ class TraceStatistics:
         """Reduce these per-cycle arrays to a :class:`TraceSummary`."""
         if self.n_cycles == 0:
             return TraceSummary.empty()
-        return CodedStatistics.from_statistics(self).summaries([0])[0]
+        return self.summaries([0])[0]
+
+    def summaries(self, offsets: Sequence[int] | np.ndarray) -> list[TraceSummary]:
+        """One exact :class:`TraceSummary` per piece of these cycles.
+
+        Piece ``k`` covers ``[offsets[k], offsets[k + 1])`` and the last piece
+        ends at :attr:`n_cycles`; ``offsets`` must start at 0 and increase
+        strictly.  Each piece's histogram is one row of a single bincount
+        over ``piece * n_codes + code``, and its toggle and weight totals
+        come from one ``np.add.reduceat`` each.  All of them are exact
+        integer totals, so the summaries do not depend on how cycles were
+        grouped into chunks or pieces.  Codes that share a value are folded
+        into one bin, since summary values must be distinct.
+        """
+        offsets = np.asarray(offsets, dtype=np.intp)
+        lengths = np.diff(offsets, append=self.n_cycles)
+        if len(offsets) == 0 or offsets[0] != 0 or np.any(lengths <= 0):
+            raise ValueError(
+                f"piece offsets must start at 0 and increase strictly below "
+                f"{self.n_cycles}, got {offsets.tolist()}"
+            )
+        n_pieces, n_codes = len(offsets), len(self.values)
+        if n_pieces == 1:
+            histograms = np.bincount(self.codes, minlength=n_codes)[None, :]
+        else:
+            binned = np.repeat(np.arange(0, n_pieces * n_codes, n_codes), lengths)
+            binned += self.codes
+            histograms = np.bincount(binned, minlength=n_pieces * n_codes).reshape(
+                n_pieces, n_codes
+            )
+        values = self.values
+        distinct = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+        if len(distinct) < n_codes:
+            histograms = np.add.reduceat(histograms, distinct, axis=1)
+            values = values[distinct]
+        # The occupied bins of every piece, row after row, so each summary
+        # takes a slice instead of masking its own row.
+        seen = histograms > 0
+        counts = histograms[seen]
+        seen_values = np.broadcast_to(values, histograms.shape)[seen]
+        ends = np.cumsum(np.count_nonzero(seen, axis=1)).tolist()
+        toggles = np.add.reduceat(self.toggles, offsets).tolist()
+        weights = np.add.reduceat(self.coupling_weights, offsets).tolist()
+        summaries = []
+        start = 0
+        for length, end, toggle_total, weight_total in zip(
+            lengths.tolist(), ends, toggles, weights
+        ):
+            summaries.append(
+                TraceSummary(
+                    n_cycles=length,
+                    toggles_total=toggle_total,
+                    coupling_weights_total=weight_total,
+                    worst_coupling_values=seen_values[start:end],
+                    worst_coupling_counts=counts[start:end],
+                )
+            )
+            start = end
+        return summaries
 
 
 @dataclass(frozen=True)
@@ -237,108 +351,6 @@ def merge_summaries(summaries: Sequence[TraceSummary]) -> TraceSummary:
     return accumulator.summary()
 
 
-@dataclass(frozen=True)
-class CodedStatistics:
-    """Per-cycle statistics with the worst coupling factor as integer codes.
-
-    Cycle ``i``'s worst coupling factor is ``values[codes[i]]``; ``values``
-    is non-decreasing, and several codes may share one value.  The vectorized
-    kernels emit this form directly (their uint8 score or rank, see
-    :func:`repro.interconnect.block_kernels.block_statistics_codes`), so the
-    statistics pass histograms small integers and never builds a float
-    worst-coupling array.
-    """
-
-    codes: np.ndarray
-    values: np.ndarray
-    toggles: np.ndarray
-    coupling_weights: np.ndarray
-
-    @classmethod
-    def from_statistics(cls, stats: TraceStatistics) -> CodedStatistics:
-        """Code float statistics by their distinct worst-coupling values.
-
-        The codes are what ``np.unique(..., return_inverse=True)`` returns.
-        Kernel output only holds a handful of distinct factors, so a cycle's
-        code is counted as the number of distinct values above the smallest
-        that it reaches: one vectorised compare per value, several times
-        faster than a binary search per cycle (``searchsorted``, kept for
-        statistics with many distinct values).
-        """
-        worst = stats.worst_coupling
-        values = np.unique(worst)
-        if len(values) > _COMPARE_CODING_MAX_VALUES:
-            codes = np.searchsorted(values, worst)
-        else:
-            codes = np.zeros(len(worst), dtype=np.uint8)
-            for value in values[1:]:
-                np.add(codes, worst >= value, out=codes, casting="unsafe")
-        return cls(codes, values, stats.toggles, stats.coupling_weights)
-
-    @property
-    def n_cycles(self) -> int:
-        """Number of cycles (transitions)."""
-        return len(self.codes)
-
-    def summaries(self, offsets: Sequence[int] | np.ndarray) -> list[TraceSummary]:
-        """One exact :class:`TraceSummary` per piece of these cycles.
-
-        Piece ``k`` covers ``[offsets[k], offsets[k + 1])`` and the last piece
-        ends at :attr:`n_cycles`; ``offsets`` must start at 0 and increase
-        strictly.  Each piece's histogram is one row of a single bincount
-        over ``piece * n_codes + code``, and its toggle and weight totals
-        come from one ``np.add.reduceat`` each.  All of them are exact
-        integer totals, so the summaries do not depend on how cycles were
-        grouped into chunks or pieces.  Codes that share a value are folded
-        into one bin, since summary values must be distinct.
-        """
-        offsets = np.asarray(offsets, dtype=np.intp)
-        lengths = np.diff(offsets, append=self.n_cycles)
-        if len(offsets) == 0 or offsets[0] != 0 or np.any(lengths <= 0):
-            raise ValueError(
-                f"piece offsets must start at 0 and increase strictly below "
-                f"{self.n_cycles}, got {offsets.tolist()}"
-            )
-        n_pieces, n_codes = len(offsets), len(self.values)
-        if n_pieces == 1:
-            histograms = np.bincount(self.codes, minlength=n_codes)[None, :]
-        else:
-            binned = np.repeat(np.arange(0, n_pieces * n_codes, n_codes), lengths)
-            binned += self.codes
-            histograms = np.bincount(binned, minlength=n_pieces * n_codes).reshape(
-                n_pieces, n_codes
-            )
-        values = self.values
-        distinct = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-        if len(distinct) < n_codes:
-            histograms = np.add.reduceat(histograms, distinct, axis=1)
-            values = values[distinct]
-        # The occupied bins of every piece, row after row, so each summary
-        # takes a slice instead of masking its own row.
-        seen = histograms > 0
-        counts = histograms[seen]
-        seen_values = np.broadcast_to(values, histograms.shape)[seen]
-        ends = np.cumsum(np.count_nonzero(seen, axis=1)).tolist()
-        toggles = np.add.reduceat(self.toggles, offsets).tolist()
-        weights = np.add.reduceat(self.coupling_weights, offsets).tolist()
-        summaries = []
-        start = 0
-        for length, end, toggle_total, weight_total in zip(
-            lengths.tolist(), ends, toggles, weights
-        ):
-            summaries.append(
-                TraceSummary(
-                    n_cycles=length,
-                    toggles_total=toggle_total,
-                    coupling_weights_total=weight_total,
-                    worst_coupling_values=seen_values[start:end],
-                    worst_coupling_counts=counts[start:end],
-                )
-            )
-            start = end
-        return summaries
-
-
 #: Anything the bus model can evaluate a workload from.
 WorkloadLike = BusTrace | TraceSource | TraceStatistics
 
@@ -374,34 +386,17 @@ def kernel_plan(n_bits: int) -> tuple[bool, int]:
     return False, DEFAULT_CHUNK_CYCLES
 
 
-def analyze_trace_codes(trace: BusTrace, topology: NeighborTopology) -> CodedStatistics:
-    """Per-cycle statistics of a trace in the coded form the statistics pass reduces.
-
-    The lane kernels hand over their uint8 worst-coupling codes with the
-    matching value table; the scalar reference is coded by its distinct
-    float values.  Either way the decoded statistics are bit-identical to
-    :func:`analyze_trace_statistics`.
-    """
-    _check_width(trace, topology)
-    lanes, _ = kernel_plan(trace.n_bits)
-    if not lanes:
-        return CodedStatistics.from_statistics(scalar_trace_statistics(trace, topology))
-    telemetry = get_telemetry()
-    with telemetry.span("kernel.block_statistics", cycles=trace.n_cycles):
-        codes, values, toggles, weights = block_statistics_codes(trace.packed_values, topology)
-    telemetry.count("kernel.invocations.vectorized")
-    return CodedStatistics(codes, values, toggles, weights)
-
-
 def analyze_trace_statistics(trace: BusTrace, topology: NeighborTopology) -> TraceStatistics:
     """Per-cycle statistics of a trace over a wiring topology.
 
-    For callers that need the per-cycle arrays themselves (a per-cycle
-    error mask, the reference tests); evaluations at a constant supply
-    reduce a workload with :meth:`CharacterizedBus.summarize` instead.
-    Where :func:`kernel_plan` picks the lanes, all three per-cycle arrays
-    come from the integer-lane block kernels straight off the packed words;
-    elsewhere the per-wire reference runs.  Results are **bit-identical**
+    The one analysis entry point: the statistics pass runs it on every chunk
+    and reduces the result with :meth:`TraceStatistics.summaries`, and
+    callers that need per-cycle arrays (an IPC error mask, the reference
+    tests) read them from it.  Where :func:`kernel_plan` picks the lanes,
+    the integer-lane block kernels run straight off the packed words and
+    hand over their uint8 worst-coupling codes with the matching value
+    table; elsewhere the per-wire reference runs and its factors are coded
+    by their distinct values.  The decoded statistics are **bit-identical**
     either way.
     """
     _check_width(trace, topology)
@@ -410,9 +405,9 @@ def analyze_trace_statistics(trace: BusTrace, topology: NeighborTopology) -> Tra
         return scalar_trace_statistics(trace, topology)
     telemetry = get_telemetry()
     with telemetry.span("kernel.block_statistics", cycles=trace.n_cycles):
-        worst, toggles, weights = block_statistics_arrays(trace.packed_values, topology)
+        stats = TraceStatistics(*block_statistics_codes(trace.packed_values, topology))
     telemetry.count("kernel.invocations.vectorized")
-    return TraceStatistics(worst_coupling=worst, toggles=toggles, coupling_weights=weights)
+    return stats
 
 
 def scalar_trace_statistics(trace: BusTrace, topology: NeighborTopology) -> TraceStatistics:
@@ -426,10 +421,10 @@ def scalar_trace_statistics(trace: BusTrace, topology: NeighborTopology) -> Trac
     telemetry.count("kernel.invocations.scalar")
     with telemetry.span("kernel.scalar_statistics", cycles=trace.n_cycles):
         transitions = transitions_from_values(trace.values)
-        return TraceStatistics(
-            worst_coupling=worst_coupling_factor_per_cycle(transitions, topology),
-            toggles=toggle_counts(transitions),
-            coupling_weights=coupling_energy_weights(transitions, topology),
+        return TraceStatistics.from_arrays(
+            worst_coupling_factor_per_cycle(transitions, topology),
+            toggle_counts(transitions),
+            coupling_energy_weights(transitions, topology),
         )
 
 

@@ -62,7 +62,6 @@ from repro.interconnect.crosstalk import NeighborTopology
 __all__ = [
     "lanes_supported",
     "lanes_from_packed",
-    "block_statistics_arrays",
     "block_statistics_codes",
     "block_worst_coupling",
     "block_toggle_counts",
@@ -461,15 +460,3 @@ def block_statistics_codes(
     )
     return codes, coupling_score_tables(topology).value_by_code, toggles, weights
 
-
-def block_statistics_arrays(
-    packed: np.ndarray, topology: NeighborTopology
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(worst_coupling, toggles, coupling_weights) of one packed word block.
-
-    :func:`block_statistics_codes` with the codes looked up as float64
-    factors.  Each array is bit-identical to its scalar counterpart in
-    :class:`repro.bus.bus_model.TraceStatistics`.
-    """
-    codes, value_by_code, toggles, weights = block_statistics_codes(packed, topology)
-    return value_by_code[codes], toggles, weights

@@ -10,8 +10,9 @@ scaling, the Table 1 and Fig. 8 runners -- reduces its workload through
    splits each chunk at the *segment boundaries* of a :class:`ChunkSegmenter`
    and hands the chunk's words plus its piece offsets to a worker.  The
    worker runs the kernels
-   (:func:`repro.bus.bus_model.analyze_trace_codes`) and reduces them with
-   :meth:`repro.bus.bus_model.CodedStatistics.summaries` to one exact
+   (:func:`repro.bus.bus_model.analyze_trace_statistics`) and reduces their
+   coded per-cycle statistics with
+   :meth:`repro.bus.bus_model.TraceStatistics.summaries` to one exact
    :class:`~repro.bus.bus_model.TraceSummary` per (chunk x segment) piece.
 
 2. **Reduction (deterministic).**  The master collects results in
@@ -194,12 +195,12 @@ def _chunk_pieces(
     offsets: np.ndarray,
 ) -> list[TraceSummary]:
     """Analyze one chunk and reduce it to one summary per piece."""
-    from repro.bus.bus_model import analyze_trace_codes
+    from repro.bus.bus_model import analyze_trace_statistics
 
     trace = BusTrace(packed=words, n_bits=n_bits)
     telemetry = get_telemetry()
     with telemetry.span("parallel.chunk", start_cycle=start_cycle, cycles=trace.n_cycles):
-        return analyze_trace_codes(trace, topology).summaries(offsets)
+        return analyze_trace_statistics(trace, topology).summaries(offsets)
 
 
 def _analyze_chunk_payload(payload: _ChunkPayload) -> _ChunkResult:
@@ -416,7 +417,7 @@ def statistics_pass(
     and reduce in one call of the same reducer.  Results are bit-identical
     for every kernel, chunk size and worker count.
     """
-    from repro.bus.bus_model import CodedStatistics, TraceStatistics
+    from repro.bus.bus_model import TraceStatistics
 
     if isinstance(workload, TraceStatistics):
         if workload.n_cycles != segmenter.n_cycles:
@@ -424,7 +425,7 @@ def statistics_pass(
                 f"statistics cover {workload.n_cycles} cycles but the segmenter "
                 f"was built for {segmenter.n_cycles}"
             )
-        return CodedStatistics.from_statistics(workload).summaries(segmenter.boundaries()[:-1])
+        return workload.summaries(segmenter.boundaries()[:-1])
     n_workers = jobs if jobs is not None and jobs > 1 else 1
     with ParallelChunkScheduler(n_workers=n_workers) as scheduler:
         return scheduler.segment_summaries(

@@ -36,9 +36,7 @@ if TYPE_CHECKING:
         DEFAULT_CYCLES_PER_BENCHMARK,
         PAPER_CYCLES_PER_BENCHMARK,
         benchmark_trace_source,
-        concatenated_suite_source,
         generate_benchmark_trace,
-        generate_concatenated_suite,
         generate_suite,
         suite_sources,
     )
@@ -83,9 +81,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "DEFAULT_CYCLES_PER_BENCHMARK",
             "PAPER_CYCLES_PER_BENCHMARK",
             "benchmark_trace_source",
-            "concatenated_suite_source",
             "generate_benchmark_trace",
-            "generate_concatenated_suite",
             "generate_suite",
             "suite_sources",
         ),

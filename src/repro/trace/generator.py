@@ -2,9 +2,11 @@
 
 These helpers tie the profile registry and the synthetic generator together
 and are what the experiment drivers and examples call.  Each materialising
-helper (``generate_*``) has a streaming twin (``*_source``) that describes
-the same workload as a :class:`~repro.trace.stream.TraceSource` without
-holding it in memory -- the two are bit-identical for the same parameters.
+helper has a streaming twin (:func:`generate_benchmark_trace` /
+:func:`benchmark_trace_source`, :func:`generate_suite` / :func:`suite_sources`)
+that describes the same workload as a :class:`~repro.trace.stream.TraceSource`
+without holding it in memory -- the two are bit-identical for the same
+parameters.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.trace.benchmarks import TABLE1_ORDER, get_profile
-from repro.trace.stream import ConcatenatedTraceSource, SyntheticTraceSource
+from repro.trace.stream import SyntheticTraceSource
 from repro.trace.synthetic import generate_trace
-from repro.trace.trace import BusTrace, concatenate_traces
+from repro.trace.trace import BusTrace
 from repro.utils.rng import SeedLike, spawn_rngs
 
 #: The paper's per-benchmark trace length (10 M cycles).  The streaming
@@ -95,27 +97,3 @@ def suite_sources(
         name: SyntheticTraceSource(get_profile(name), n_cycles, n_bits=n_bits, seed=rng)
         for name, rng in zip(names, rngs)
     }
-
-
-def generate_concatenated_suite(
-    names: Sequence[str] | None = None,
-    n_cycles: int = DEFAULT_CYCLES_PER_BENCHMARK,
-    *,
-    n_bits: int = 32,
-    seed: int = 2005,
-) -> BusTrace:
-    """The Fig. 8 workload: all benchmarks run back-to-back as one long trace."""
-    suite = generate_suite(names, n_cycles, n_bits=n_bits, seed=seed)
-    return concatenate_traces(suite.values(), name="spec2000-suite")
-
-
-def concatenated_suite_source(
-    names: Sequence[str] | None = None,
-    n_cycles: int = PAPER_CYCLES_PER_BENCHMARK,
-    *,
-    n_bits: int = 32,
-    seed: int = 2005,
-) -> ConcatenatedTraceSource:
-    """Streaming twin of :func:`generate_concatenated_suite` (bit-identical)."""
-    sources = suite_sources(names, n_cycles, n_bits=n_bits, seed=seed)
-    return ConcatenatedTraceSource(list(sources.values()), name="spec2000-suite")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.trace.trace import BusTrace
+from repro.trace.trace import BusTrace, unpack_values
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -77,9 +77,7 @@ def transition_signatures(per_window: np.ndarray) -> np.ndarray:
     The signature of a window is the per-bit toggle rate (``n_bits`` features)
     concatenated with the rate of adjacent bit pairs toggling in opposite
     directions (one feature), which correlates with worst-case coupling
-    events.  This is the single signature definition; callers that stream a
-    long trace window by window (:class:`repro.trace.workloads.
-    SimPointTraceSource`) feed it one window at a time.
+    events.  This is the single signature definition.
     """
     toggle_rates = np.mean(per_window != 0, axis=1)
     opposite = per_window[:, :, :-1] * per_window[:, :, 1:] < 0
@@ -90,7 +88,10 @@ def transition_signatures(per_window: np.ndarray) -> np.ndarray:
 def window_signatures(trace: BusTrace, window_length: int) -> np.ndarray:
     """Activity signature of every complete window of the trace.
 
-    See :func:`transition_signatures` for the signature definition.
+    See :func:`transition_signatures` for the signature definition.  The
+    packed trace is unpacked one window (``window_length + 1`` words) at a
+    time, so the unpacked working set stays O(window) however long the
+    trace is.
     """
     if window_length <= 0:
         raise ValueError(f"window_length must be positive, got {window_length}")
@@ -99,10 +100,14 @@ def window_signatures(trace: BusTrace, window_length: int) -> np.ndarray:
         raise ValueError(
             f"trace has {trace.n_cycles} cycles, shorter than one window ({window_length})"
         )
-    transitions = np.diff(trace.values.astype(np.int8), axis=0)
-    usable = transitions[: n_windows * window_length]
-    per_window = usable.reshape(n_windows, window_length, trace.n_bits)
-    return transition_signatures(per_window)
+    packed = trace.packed_values
+    signatures = np.empty((n_windows, trace.n_bits + 1))
+    for index in range(n_windows):
+        start = index * window_length
+        words = unpack_values(packed[start : start + window_length + 1], trace.n_bits)
+        transitions = np.diff(words.astype(np.int8), axis=0)
+        signatures[index] = transition_signatures(transitions[None, :, :])[0]
+    return signatures
 
 
 def _kmeans(
@@ -170,23 +175,7 @@ def select_simpoints(
     seed:
         Seed for the k-means initialisation.
     """
-    return select_from_signatures(
-        window_signatures(trace, window_length), window_length, n_clusters=n_clusters, seed=seed
-    )
-
-
-def select_from_signatures(
-    signatures: np.ndarray,
-    window_length: int,
-    n_clusters: int = 4,
-    seed: SeedLike = None,
-) -> SimPointSelection:
-    """Cluster pre-computed window signatures into a :class:`SimPointSelection`.
-
-    The signature-computation and clustering halves of
-    :func:`select_simpoints`, split so streaming consumers can compute
-    signatures window by window (in O(window) memory) and cluster here.
-    """
+    signatures = window_signatures(trace, window_length)
     rng = make_rng(seed)
     n_windows = signatures.shape[0]
     n_clusters = min(n_clusters, n_windows)

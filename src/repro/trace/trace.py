@@ -188,9 +188,16 @@ class BusTrace:
         return f"BusTrace(name={self.name!r}, n_bits={self.n_bits}, n_cycles={self.n_cycles})"
 
     def to_words(self) -> np.ndarray:
-        """The trace as unsigned integer words (LSB = wire 0)."""
-        weights = (1 << np.arange(self.n_bits, dtype=np.uint64))
-        return (self.values.astype(np.uint64) * weights).sum(axis=1)
+        """The trace as ``uint64`` words (LSB = wire 0), for buses up to 64 wires.
+
+        The inverse of :func:`words_to_packed`: each packed row, zero-padded
+        to 8 bytes, is the little-endian word itself.
+        """
+        if self._n_bits > 64:
+            raise ValueError(f"a {self._n_bits}-bit trace does not fit 64-bit words")
+        padded = np.zeros((self.n_words, 8), dtype=np.uint8)
+        padded[:, : self._packed.shape[1]] = self._packed
+        return padded.view("<u8").reshape(self.n_words).astype(np.uint64, copy=False)
 
     # ------------------------------------------------------------------ #
     # Manipulation

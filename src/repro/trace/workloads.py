@@ -60,11 +60,7 @@ import numpy as np
 from repro.trace import WorkloadError
 from repro.trace.benchmarks import SPEC2000_PROFILES, TABLE1_ORDER, get_profile
 from repro.trace.generator import DEFAULT_CYCLES_PER_BENCHMARK
-from repro.trace.simpoint import (
-    SimPointSelection,
-    select_from_signatures,
-    transition_signatures,
-)
+from repro.trace.simpoint import SimPointSelection, select_simpoints
 from repro.trace.stream import (
     ConcatenatedTraceSource,
     CpuKernelTraceSource,
@@ -123,12 +119,7 @@ class SimPointTraceSource(TraceSource):
         trace = as_trace_source(base).materialize()
         if window_length is None:
             window_length = max(1, trace.n_cycles // DEFAULT_SIMPOINT_WINDOWS)
-        self._selection = select_from_signatures(
-            self._windowed_signatures(trace, window_length),
-            window_length,
-            n_clusters=n_clusters,
-            seed=seed,
-        )
+        self._selection = select_simpoints(trace, window_length, n_clusters=n_clusters, seed=seed)
         # Representative windows are row slices of the base trace's packed
         # bytes (BusTrace.window), and InMemoryTraceSource streams them
         # without widening.
@@ -136,32 +127,6 @@ class SimPointTraceSource(TraceSource):
             [InMemoryTraceSource(window) for window in self._selection.extract(trace)],
             name=f"{trace.name}.simpoint",
         )
-
-    @staticmethod
-    def _windowed_signatures(trace: BusTrace, window_length: int) -> np.ndarray:
-        """Window signatures from a packed trace, one window at a time.
-
-        Matches :func:`repro.trace.simpoint.window_signatures` exactly (same
-        :func:`~repro.trace.simpoint.transition_signatures` feature
-        definition) while only ever unpacking ``window_length + 1`` words.
-        """
-        from repro.trace.trace import unpack_values
-
-        if window_length <= 0:
-            raise ValueError(f"window_length must be positive, got {window_length}")
-        n_windows = trace.n_cycles // window_length
-        if n_windows == 0:
-            raise ValueError(
-                f"trace has {trace.n_cycles} cycles, shorter than one window ({window_length})"
-            )
-        packed = trace.packed_values
-        signatures = np.empty((n_windows, trace.n_bits + 1))
-        for index in range(n_windows):
-            start = index * window_length
-            words = unpack_values(packed[start : start + window_length + 1], trace.n_bits)
-            transitions = np.diff(words.astype(np.int8), axis=0)
-            signatures[index] = transition_signatures(transitions[None, :, :])[0]
-        return signatures
 
     @property
     def selection(self) -> SimPointSelection:

@@ -91,13 +91,13 @@ class TestPassCount:
     @pytest.fixture
     def analysed_cycles(self, monkeypatch):
         counted = []
-        original = bus_model.analyze_trace_codes
+        original = bus_model.analyze_trace_statistics
 
         def counting(trace, topology):
             counted.append(trace.n_cycles)
             return original(trace, topology)
 
-        monkeypatch.setattr(bus_model, "analyze_trace_codes", counting)
+        monkeypatch.setattr(bus_model, "analyze_trace_statistics", counting)
         return counted
 
     @pytest.mark.parametrize("kernel", KERNELS)

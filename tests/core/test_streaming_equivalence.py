@@ -24,7 +24,11 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.bus.bus_model import analyze_trace_statistics, scalar_trace_statistics
+from repro.bus.bus_model import (
+    TraceStatistics,
+    analyze_trace_statistics,
+    scalar_trace_statistics,
+)
 from repro.core.dvs_system import DVSBusSystem
 from repro.core.fixed_vs import evaluate_fixed_scaling
 from repro.core.oracle import oracle_voltage_schedule
@@ -315,6 +319,35 @@ class TestWorkloadForms:
                 )
         _assert_schedules_identical(schedules["trace"], schedules["statistics"])
         _assert_schedules_identical(schedules["source"], schedules["statistics"])
+
+    def test_lane_statistics_reduce_without_recoding(
+        self, typical_corner_bus, crafty_trace, monkeypatch
+    ):
+        # Lane statistics already hold the kernels' codes: the closed loop,
+        # the oracle and the summary reduce them as they are.
+        def refuse(*args, **kwargs):
+            raise AssertionError("precomputed statistics were coded again")
+
+        monkeypatch.setattr(TraceStatistics, "from_arrays", refuse)
+        bus = typical_corner_bus
+        stats = analyze_trace_statistics(crafty_trace, bus.design.topology)
+        assert stats.codes.dtype == np.uint8
+        system = _fast_system(bus)
+        _assert_runs_identical(system.run(stats), system.run(crafty_trace))
+        _assert_schedules_identical(
+            oracle_voltage_schedule(bus, stats, 0.02),
+            oracle_voltage_schedule(bus, crafty_trace, 0.02),
+        )
+        summary, streamed = bus.summarize(stats), bus.summarize(crafty_trace)
+        assert summary.n_cycles == streamed.n_cycles
+        assert summary.toggles_total == streamed.toggles_total
+        assert summary.coupling_weights_total == streamed.coupling_weights_total
+        np.testing.assert_array_equal(
+            summary.worst_coupling_values, streamed.worst_coupling_values
+        )
+        np.testing.assert_array_equal(
+            summary.worst_coupling_counts, streamed.worst_coupling_counts
+        )
 
     def test_static_sweep_is_identical_across_workload_forms(
         self, typical_corner_bus, crafty_trace

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.interconnect import block_kernels
 from repro.interconnect.block_kernels import (
     block_coupling_energy_weights,
-    block_statistics_arrays,
+    block_statistics_codes,
     block_toggle_counts,
     block_worst_coupling,
     coupling_score_tables,
@@ -53,9 +53,16 @@ def _scalar_reference(values: np.ndarray, topology: NeighborTopology):
     )
 
 
+def _decoded_statistics(packed: np.ndarray, topology: NeighborTopology):
+    """``(worst_coupling, toggles, weights)`` of a block, the codes looked up as factors."""
+    codes, value_by_code, toggles, weights = block_statistics_codes(packed, topology)
+    assert codes.dtype == np.uint8
+    return value_by_code[codes], toggles, weights
+
+
 def _assert_matches_scalar(values: np.ndarray, topology: NeighborTopology) -> None:
     expected = _scalar_reference(values, topology)
-    got = block_statistics_arrays(pack_values(values), topology)
+    got = _decoded_statistics(pack_values(values), topology)
     for reference, measured in zip(expected, got):
         assert measured.dtype == np.float64
         np.testing.assert_array_equal(measured, reference)
@@ -138,7 +145,7 @@ class TestKernelBitIdentity:
         packed = pack_values(values)
         packed[:, -1] |= (0xFF << (n_bits % 8)) & 0xFF
         for reference, measured in zip(
-            _scalar_reference(values, topology), block_statistics_arrays(packed, topology)
+            _scalar_reference(values, topology), _decoded_statistics(packed, topology)
         ):
             np.testing.assert_array_equal(measured, reference)
 
@@ -186,7 +193,7 @@ class TestKernelBitIdentity:
         topology = grouped_shield_topology(32, 4)
         values = words_to_bits(patterns, 32)
         expected = _scalar_reference(values, topology)
-        got = block_statistics_arrays(words_to_packed(patterns, 32), topology)
+        got = _decoded_statistics(words_to_packed(patterns, 32), topology)
         for reference, measured in zip(expected, got):
             np.testing.assert_array_equal(measured, reference)
 
@@ -215,7 +222,7 @@ class TestSubBlocks:
     def test_single_statistic_entry_points_agree(self, rng):
         topology = grouped_shield_topology(48, 4)
         values = _random_values(rng, 2 * SUB_BLOCK + 1, 48)
-        worst, toggles, weights = block_statistics_arrays(pack_values(values), topology)
+        worst, toggles, weights = _decoded_statistics(pack_values(values), topology)
         lanes = lanes_from_packed(pack_values(values))
         np.testing.assert_array_equal(block_worst_coupling(lanes, topology), worst)
         np.testing.assert_array_equal(block_toggle_counts(lanes), toggles)
@@ -226,7 +233,7 @@ class TestSubBlocks:
     def test_empty_and_single_word_blocks(self):
         topology = grouped_shield_topology(32, 4)
         for n_words in (0, 1):
-            got = block_statistics_arrays(np.zeros((n_words, 4), dtype=np.uint8), topology)
+            got = _decoded_statistics(np.zeros((n_words, 4), dtype=np.uint8), topology)
             for measured in got:
                 assert measured.shape == (0,) and measured.dtype == np.float64
 

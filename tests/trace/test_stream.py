@@ -15,7 +15,6 @@ from repro.trace import (
     as_trace_source,
     concatenate_traces,
     generate_benchmark_trace,
-    generate_concatenated_suite,
     generate_suite,
     get_profile,
     save_trace_npz,
@@ -218,9 +217,10 @@ class TestConcatenatedTraceSource:
         assert source.n_cycles == monolithic.n_cycles
         np.testing.assert_array_equal(_reassemble(source, 1_111), monolithic.values)
 
-    def test_streamed_suite_matches_generate_concatenated_suite(self):
+    def test_streamed_suite_matches_concatenated_generate_suite(self):
         names = ("crafty", "vortex")
-        monolithic = generate_concatenated_suite(names=names, n_cycles=4_000, seed=6)
+        suite = generate_suite(names=names, n_cycles=4_000, seed=6)
+        monolithic = concatenate_traces(suite.values(), name="spec2000-suite")
         sources = suite_sources(names=names, n_cycles=4_000, seed=6)
         source = ConcatenatedTraceSource(list(sources.values()), name="spec2000-suite")
         np.testing.assert_array_equal(source.materialize().values, monolithic.values)

@@ -11,7 +11,6 @@ from repro.trace import (
     BusTrace,
     concatenate_traces,
     generate_benchmark_trace,
-    generate_concatenated_suite,
     generate_suite,
     generate_trace,
     get_profile,
@@ -84,6 +83,31 @@ class TestBusTrace:
     def test_single_word_rejected(self):
         with pytest.raises(ValueError):
             BusTrace.from_words([1])
+
+    def test_to_words_never_unpacks(self, monkeypatch):
+        # The packed rows already are the little-endian words.
+        from repro.trace import trace as trace_module
+
+        unpack = trace_module.unpack_values
+        calls = []
+
+        def counting_unpack(*args):
+            calls.append(args)
+            return unpack(*args)
+
+        monkeypatch.setattr(trace_module, "unpack_values", counting_unpack)
+        words = [0x0, 0x1234_5678, 0xFFFF_FFFF, 0x8000_0001]
+        converted = BusTrace.from_words(words, n_bits=32).to_words()
+        assert converted.dtype == np.uint64
+        assert converted.tolist() == words
+        assert calls == []
+
+    def test_wider_than_64_bits_has_no_words(self):
+        # Wire 65 does not fit a 64-bit word; dropping it would write wrong hex.
+        bits = np.zeros((2, 70), dtype=np.uint8)
+        bits[1, 65] = 1
+        with pytest.raises(ValueError, match="64-bit words"):
+            BusTrace(values=bits).to_words()
 
     @given(case=_width_and_words())
     @example(case=(1, [0, 1, 1, 0]))
@@ -195,7 +219,9 @@ class TestSyntheticGenerator:
         assert np.array_equal(first["gap"].values, second["gap"].values)
 
     def test_concatenated_suite_length(self):
-        suite = generate_concatenated_suite(names=("crafty", "mcf"), n_cycles=1000, seed=1)
+        suite = concatenate_traces(
+            generate_suite(names=("crafty", "mcf"), n_cycles=1000, seed=1).values()
+        )
         assert suite.n_cycles == 2 * 1000 + 1  # plus the boundary transition
 
 

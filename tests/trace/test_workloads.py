@@ -188,14 +188,31 @@ class TestRegistryResolution:
             _streamed_values(reduced, 333), reduced.materialize().values
         )
 
-    def test_simpoint_windowed_signatures_match_monolithic(self):
-        # The packed, window-at-a-time signature path must equal the
-        # monolithic window_signatures definition exactly.
-        from repro.trace.simpoint import window_signatures
+    def test_simpoint_window_signatures_match_whole_trace_reference(self, monkeypatch):
+        # window_signatures unpacks one window at a time; it must equal the
+        # whole-trace computation below, kept here as the reference.
+        from repro.trace import simpoint, trace as trace_module
+        from repro.trace.generator import generate_benchmark_trace
+        from repro.trace.simpoint import transition_signatures, window_signatures
 
-        trace = resolve_workload("crafty", n_cycles=4_000, seed=9).materialize()
-        per_window = SimPointTraceSource._windowed_signatures(trace, 500)
-        np.testing.assert_array_equal(per_window, window_signatures(trace, 500))
+        window_length = 500
+        trace = generate_benchmark_trace("crafty", n_cycles=4_003, n_bits=13, seed=9)
+        transitions = np.diff(trace.values.astype(np.int8), axis=0)
+        n_windows = trace.n_cycles // window_length
+        usable = transitions[: n_windows * window_length]
+        reference = transition_signatures(usable.reshape(n_windows, window_length, trace.n_bits))
+
+        unpack = trace_module.unpack_values
+        rows = []
+
+        def counting_unpack(packed, n_bits):
+            rows.append(len(packed))
+            return unpack(packed, n_bits)
+
+        monkeypatch.setattr(trace_module, "unpack_values", counting_unpack)
+        monkeypatch.setattr(simpoint, "unpack_values", counting_unpack)
+        np.testing.assert_array_equal(window_signatures(trace, window_length), reference)
+        assert rows and max(rows) <= window_length + 1
 
     def test_simpoint_selection_matches_select_simpoints(self):
         # Same signatures + same seed => the packed streaming path selects
