@@ -166,11 +166,8 @@ def _run_benchmark_streamed(
         systems[0].bus.design.topology,
         progress=progress,
     )
-    states = [system.stream(total, warmup_cycles=warmup) for system in systems]
-    for summary in summaries:
-        for state in states:
-            state.feed_summary(summary)
-    return merge_summaries(summaries), [state.finish() for state in states]
+    runs = [system.replay(summaries, warmup_cycles=warmup) for system in systems]
+    return merge_summaries(summaries), runs
 
 
 def run_table1(

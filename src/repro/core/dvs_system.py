@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -118,11 +118,9 @@ class DVSRunResult:
 class DVSRunState:
     """The closed loop mid-run: feed segment summaries, then finish.
 
-    Created by :meth:`DVSBusSystem.stream`; callers that share one
-    statistics pass between several consumers (e.g. the Table 1 driver,
-    which replays every corner and the fixed-VS baseline from the same
-    summaries) feed each segment's :class:`TraceSummary` in order with
-    :meth:`feed_summary` and collect the :class:`DVSRunResult` from
+    Created by :meth:`DVSBusSystem.stream`; :meth:`DVSBusSystem.replay`
+    feeds each segment's :class:`TraceSummary` in order with
+    :meth:`feed_summary` and collects the :class:`DVSRunResult` from
     :meth:`finish`.
     """
 
@@ -371,9 +369,8 @@ class DVSBusSystem:
     ) -> DVSRunState:
         """Open a segment-by-segment run of ``n_cycles`` cycles.
 
-        Use this when the caller replays summaries itself (e.g. to share one
-        statistics pass between several closed loops); otherwise :meth:`run`
-        does the pass and the replay.
+        Use this to feed summaries one at a time; :meth:`replay` feeds a
+        whole pass's summaries, and :meth:`run` makes the pass and replays it.
         """
         return DVSRunState(self, n_cycles, initial_voltage, keep_cycle_voltage, warmup_cycles)
 
@@ -439,14 +436,7 @@ class DVSBusSystem:
         from repro.telemetry import get_telemetry
 
         total = workload.n_cycles
-        telemetry = get_telemetry()
-        state = self.stream(
-            total,
-            initial_voltage=initial_voltage,
-            keep_cycle_voltage=keep_cycle_voltage,
-            warmup_cycles=warmup_cycles,
-        )
-        with telemetry.span(
+        with get_telemetry().span(
             "dvs.run", workload=getattr(workload, "name", ""), cycles=total
         ):
             summaries = statistics_pass(
@@ -456,7 +446,37 @@ class DVSBusSystem:
                 jobs=jobs,
                 progress=progress,
             )
-            with telemetry.span("dvs.replay", segments=len(summaries)):
-                for summary in summaries:
-                    state.feed_summary(summary)
-            return state.finish()
+            return self.replay(
+                summaries,
+                initial_voltage=initial_voltage,
+                keep_cycle_voltage=keep_cycle_voltage,
+                warmup_cycles=warmup_cycles,
+            )
+
+    def replay(
+        self,
+        summaries: Sequence[TraceSummary],
+        initial_voltage: float | None = None,
+        keep_cycle_voltage: bool = False,
+        warmup_cycles: int = 0,
+    ) -> DVSRunResult:
+        """Run the closed loop over the segment summaries of a statistics pass.
+
+        ``summaries`` must tile the run along :meth:`control_segmenter`'s
+        boundaries for the same ``warmup_cycles`` (:meth:`run` makes that
+        pass).  Summaries depend only on the workload, the wiring and that
+        segmentation, never on the corner, so one pass can replay into any
+        number of systems; the other parameters are those of :meth:`run`.
+        """
+        from repro.telemetry import get_telemetry
+
+        state = self.stream(
+            sum(summary.n_cycles for summary in summaries),
+            initial_voltage=initial_voltage,
+            keep_cycle_voltage=keep_cycle_voltage,
+            warmup_cycles=warmup_cycles,
+        )
+        with get_telemetry().span("dvs.replay", segments=len(summaries)):
+            for summary in summaries:
+                state.feed_summary(summary)
+        return state.finish()

@@ -18,9 +18,12 @@ that, which is why parallel sweeps are bit-identical to serial ones.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import OrderedDict
+from collections.abc import Callable, Hashable, Mapping
 from functools import lru_cache
-from typing import Any
-from collections.abc import Callable, Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro.circuit.pvt import (
     BEST_CASE_CORNER,
@@ -30,6 +33,12 @@ from repro.circuit.pvt import (
     ProcessCorner,
     PVTCorner,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; tasks import lazily
+    from repro.bus.bus_model import TraceSummary
+    from repro.interconnect.crosstalk import NeighborTopology
+    from repro.runtime.parallel import ChunkSegmenter
+    from repro.trace.stream import TraceSource
 
 __all__ = [
     "task",
@@ -169,6 +178,80 @@ def _characterized_bus(
     return CharacterizedBus(design, corner)
 
 
+#: Most segment summaries :func:`_segment_summaries` keeps per process.  A
+#: summary takes ~0.5 kB, so this is ~25 MB: every workload of a sweep of
+#: short runs, or a few dozen paper-scale runs at the paper's window.
+_SUMMARY_MEMO_SEGMENTS = 50_000
+_summary_memo: OrderedDict[Hashable, tuple[TraceSummary, ...]] = OrderedDict()
+# Inline work-queue runners execute jobs on several scheduler threads.
+_summary_memo_lock = threading.Lock()
+
+
+def _forget_summaries() -> None:
+    """Start a forked child with an empty memo and a fresh lock.
+
+    The passes a worker makes (and counts) then depend only on the jobs it
+    runs, and a parent thread holding the lock at fork time cannot leave
+    the child's copy locked.
+    """
+    global _summary_memo_lock
+    _summary_memo_lock = threading.Lock()
+    _summary_memo.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_summaries)
+
+
+def _topology_key(topology: NeighborTopology) -> tuple[int, bytes, bytes, float]:
+    """The hashable identity of a (dataclass-of-arrays) wire topology."""
+    return (
+        topology.n_wires,
+        topology.left_is_shield.tobytes(),
+        topology.right_is_shield.tobytes(),
+        topology.secondary_weight,
+    )
+
+
+def _segment_summaries(
+    key: Hashable,
+    source: TraceSource,
+    segmenter: ChunkSegmenter,
+    topology: NeighborTopology,
+    jobs: int | None,
+) -> tuple[TraceSummary, ...]:
+    """The statistics pass of ``source``, memoized per process under ``key``.
+
+    An LRU bounded in summaries held; ``key`` must cover every input of the
+    summaries (see :func:`dvs_run`).  Work-queue workers are persistent
+    processes, so a worker's memo stays warm across the jobs it runs.
+    Stored summaries are read-only.
+    """
+    from repro.runtime.parallel import statistics_pass
+    from repro.telemetry import get_telemetry
+
+    telemetry = get_telemetry()
+    with _summary_memo_lock:
+        summaries = _summary_memo.get(key)
+        if summaries is not None:
+            _summary_memo.move_to_end(key)
+    if summaries is not None:
+        telemetry.count("tasks.summaries.hits")
+        return summaries
+    telemetry.count("tasks.summaries.misses")
+    # The pass runs unlocked: two threads missing one key both compute it.
+    summaries = tuple(statistics_pass(source, segmenter, topology, jobs=jobs))
+    for summary in summaries:
+        summary.worst_coupling_values.flags.writeable = False
+        summary.worst_coupling_counts.flags.writeable = False
+    with _summary_memo_lock:
+        _summary_memo[key] = summaries
+        held = sum(map(len, _summary_memo.values()))
+        while held > _SUMMARY_MEMO_SEGMENTS:
+            held -= len(_summary_memo.popitem(last=False)[1])
+    return summaries
+
+
 def _control_defaults(n_cycles: int, window: int | None, ramp: int | None):
     """The experiment registry's scaled-down control-loop defaults."""
     if window is None:
@@ -224,6 +307,15 @@ def dvs_run(
     ``jobs > 1`` fans the statistics pass of this single run out over worker
     processes, bit-identical thanks to the deterministic reduction.
 
+    The statistics pass is memoized per process (:func:`_segment_summaries`):
+    its segment summaries depend on the workload (``workload`` or
+    ``benchmark``, ``n_cycles``, ``seed``, ``encoder`` and, for ``file:``
+    specs, the files' content), the wire topology and the control
+    segmentation, but not on ``corner``, ``chardb`` or ``coupling_scale``
+    (which changes the parasitics, not the wiring).  The grid points of a
+    corner sweep therefore analyse each workload once per worker process and
+    only replay the closed loop; results are bit-identical either way.
+
     The workload is named either by ``benchmark`` (a synthetic Table 1
     profile, the historical axis) or by ``workload`` -- any spec the
     registry (:mod:`repro.trace.workloads`) resolves, e.g. ``cpu:memcopy``
@@ -234,20 +326,23 @@ def dvs_run(
     file never replays a stale cached result.
     """
     from repro.core.dvs_system import DVSBusSystem
+    from repro.telemetry import get_telemetry
     from repro.trace.generator import benchmark_trace_source
     from repro.trace.stream import EncodedTraceSource
 
+    if encoder == "unencoded":
+        encoder = None
     if workload is not None:
-        from repro.trace.workloads import resolve_workload
+        from repro.trace.workloads import resolve_workload, workload_fingerprint
 
+        identity: tuple = ("workload", workload, workload_fingerprint(workload))
         source = resolve_workload(workload, n_cycles=n_cycles, seed=seed)
     else:
+        identity = ("benchmark", benchmark)
         source = benchmark_trace_source(benchmark, n_cycles=n_cycles, seed=seed)
+    if encoder is not None:
+        source = EncodedTraceSource(source, _make_encoder(encoder))
     n_wires = source.n_bits
-    if encoder is not None and encoder != "unencoded":
-        encoder_obj = _make_encoder(encoder)
-        source = EncodedTraceSource(source, encoder_obj)
-        n_wires = source.n_bits
 
     with _chardb_context(chardb):
         bus = _characterized_bus(_corner_key(corner), n_wires, coupling_scale)
@@ -257,7 +352,12 @@ def dvs_run(
         window, ramp = _control_defaults(source.n_cycles, window_cycles, ramp_delay_cycles)
         system = DVSBusSystem(bus, window_cycles=window, ramp_delay_cycles=ramp)
         warmup = int(warmup_fraction * source.n_cycles)
-        result = system.run(source, warmup_cycles=warmup, jobs=jobs)
+        segmenter = system.control_segmenter(source.n_cycles, warmup_cycles=warmup)
+        topology = bus.design.topology
+        key = (identity, n_cycles, seed, encoder, _topology_key(topology), segmenter)
+        with get_telemetry().span("dvs.run", workload=source.name, cycles=source.n_cycles):
+            summaries = _segment_summaries(key, source, segmenter, topology, jobs)
+            result = system.replay(summaries, warmup_cycles=warmup)
 
     return {
         "benchmark": workload if workload is not None else benchmark,

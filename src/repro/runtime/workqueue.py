@@ -19,8 +19,9 @@ Semantics
   completes instantly without touching the queue.
 * **Dispatch** -- each worker turn pops exactly one job, oldest first, so
   queued work fans out over every idle worker.  Each worker process keeps
-  its own characterisation memo
-  (:func:`repro.runtime.tasks._characterized_bus`) warm across jobs.
+  its own characterisation and segment-summary memos
+  (:func:`repro.runtime.tasks._characterized_bus`,
+  :func:`repro.runtime.tasks._segment_summaries`) warm across jobs.
 * **Backpressure and quotas** -- at most ``max_pending`` jobs may wait in the
   queue (further submissions raise :class:`QueueFullError`) and each client
   may hold at most ``quota`` active (queued or running) attachments

@@ -58,6 +58,21 @@ def crafty_summary(crafty_stats):
     return crafty_stats.summarize()
 
 
+@pytest.fixture(autouse=True)
+def _empty_summary_memo():
+    """Start and end every test with an empty ``dvs_run`` summary memo.
+
+    A memo warmed by an earlier test would let ``dvs_run`` skip its
+    statistics pass, so tests that patch or count the kernels would not
+    reach them.
+    """
+    from repro.runtime import tasks
+
+    tasks._summary_memo.clear()
+    yield
+    tasks._summary_memo.clear()
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     """A fresh deterministic RNG for tests that need randomness."""
