@@ -6,8 +6,9 @@ statistics pass on 1, 2 and 4 worker processes, checks every result
 bit-identical to the serial ``run``, and writes throughput, speedup and
 scaling efficiency to a JSON report (``BENCH_parallel.json``).  Each worker
 config reuses one persistent :class:`ParallelChunkScheduler` for the pass
-and replays its segment summaries through ``stream()``/``feed_summary``, so
-the numbers measure steady-state scaling, not pool spin-up.
+(each worker generates and analyses its own range of the trace) and replays
+its segment summaries through ``DVSBusSystem.replay``, so the numbers
+measure steady-state scaling, not pool spin-up.
 
 With ``--baseline`` the run **fails on a >2x throughput regression in any
 config**, exactly like the per-kernel gates; on hosts with at least two CPUs
@@ -22,7 +23,7 @@ regressions, not runner jitter.
 
 Usage::
 
-    python benchmarks/bench_parallel.py --out BENCH_parallel.json \\
+    python benchmarks/bench_parallel.py --cycles 10000000 --out BENCH_parallel.json \\
         --baseline benchmarks/BENCH_parallel_baseline.json
 """
 
@@ -98,12 +99,10 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
 
     def run_on(scheduler):
         # What system.run(source, jobs=N) does, on a pool that outlives the run.
-        state = system.stream(cycles)
-        for summary in scheduler.segment_summaries(
+        summaries = scheduler.segment_summaries(
             source, system.control_segmenter(cycles), bus.design.topology
-        ):
-            state.feed_summary(summary)
-        return state.finish()
+        )
+        return system.replay(summaries)
 
     for n_workers in WORKER_COUNTS:
         name = f"parallel_{n_workers}"

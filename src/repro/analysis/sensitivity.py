@@ -180,7 +180,7 @@ def run_ramp_delay_sensitivity(
             ),
         )
         for ramp in ramp_delays
-        if ramp <= window_cycles
+        if ramp < window_cycles
     ]
     return _sweep("regulator ramp delay (cycles)", bus, workload, entries, warmup_fraction)
 

@@ -471,12 +471,30 @@ class CharacterizedBus:
         self.flipflop_energy = (
             flipflop_energy if flipflop_energy is not None else FlipFlopEnergyParams()
         )
+        #: Tables at other corners: corner -> (the chardb active when it
+        #: was resolved, table).
+        self._other_tables: dict[PVTCorner, tuple[object, DelayEnergyTable]] = {}
 
     def _resolve_table(self, corner: PVTCorner) -> DelayEnergyTable:
         """Surfaces for this design at ``corner``: active chardb first, else live."""
         from repro.chardb.active import resolve_table
 
         return resolve_table(self.design, corner, self.grid)
+
+    def _other_table(self, corner: PVTCorner) -> DelayEnergyTable:
+        """:meth:`_resolve_table`, resolved once per corner and active chardb.
+
+        Every closed-loop system built on this bus asks for the same floor
+        corner; the table only changes when another database is activated.
+        """
+        from repro.chardb.active import get_active_chardb
+
+        database = get_active_chardb()
+        cached = self._other_tables.get(corner)
+        if cached is None or cached[0] is not database:
+            cached = (database, self._resolve_table(corner))
+            self._other_tables[corner] = cached
+        return cached[1]
 
     @classmethod
     def from_database(
@@ -572,7 +590,7 @@ class CharacterizedBus:
         if assumed_corner is None or assumed_corner == self.corner:
             table = self.table
         else:
-            table = self._resolve_table(assumed_corner)
+            table = self._other_table(assumed_corner)
         return table.min_voltage_meeting(
             self.design.clocking.shadow_deadline, self.design.topology.max_coupling_factor
         )

@@ -48,11 +48,12 @@ class WindowedVoltageController:
     def __post_init__(self) -> None:
         if self.window_cycles <= 0:
             raise ValueError(f"window_cycles must be positive, got {self.window_cycles}")
-        if self.window_cycles < self.regulator.ramp_delay_cycles:
+        if self.window_cycles <= self.regulator.ramp_delay_cycles:
             raise ValueError(
-                "the decision window must be at least as long as the regulator ramp "
-                f"delay ({self.window_cycles} < {self.regulator.ramp_delay_cycles}); "
-                "otherwise decisions would pile up while a change is still pending"
+                "the decision window must be longer than the regulator ramp delay "
+                f"({self.window_cycles} <= {self.regulator.ramp_delay_cycles}); "
+                "otherwise a decision would come due while the previous change is "
+                "still pending (a change lands after the window boundary it ends on)"
             )
 
     def on_window(self, measurement: WindowMeasurement) -> ControlDecision:

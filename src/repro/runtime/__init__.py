@@ -21,10 +21,10 @@ production-style execution system:
   picklable simulation units (`dvs_run`, `characterize`, `experiment`).
 * **Statistics pass** (:mod:`~repro.runtime.parallel`) -- the one pass
   every simulation makes (:func:`statistics_pass`): a
-  :class:`ParallelChunkScheduler` that analyses a *single* run's chunks --
-  inline, or fanned out over ``jobs`` worker processes -- and reduces them
-  deterministically to per-segment summaries (bit-identical for any worker
-  count).
+  :class:`ParallelChunkScheduler` that analyses a *single* run -- inline,
+  or as parts that ``jobs`` worker processes generate and analyse
+  themselves -- and reduces it deterministically to per-segment summaries
+  (bit-identical for any worker count).
 * **Store** (:mod:`~repro.runtime.store`) -- JSONL result records plus a
   run manifest and artifact registry for downstream reporting.
 * **Sweeps** (:mod:`~repro.runtime.sweeps`) -- named, ready-to-run grids

@@ -1,25 +1,41 @@
-"""The statistics pass: every simulation's chunk fan-out and ordered reduction.
+"""The statistics pass: every simulation's fan-out and ordered reduction.
 
 Every driver -- the closed-loop DVS run, the oracle, fixed-VS and static
 scaling, the Table 1 and Fig. 8 runners -- reduces its workload through
 :func:`statistics_pass` and then replays the resulting segment summaries:
 
-1. **Statistics pass.**  The master walks a
-   :class:`~repro.trace.stream.TraceSource` chunk by chunk (boundary-carrying
-   chunks, so per-chunk transition computations are chunk-local and exact),
-   splits each chunk at the *segment boundaries* of a :class:`ChunkSegmenter`
-   and hands the chunk's words plus its piece offsets to a worker.  The
-   worker runs the kernels
-   (:func:`repro.bus.bus_model.analyze_trace_statistics`) and reduces their
-   coded per-cycle statistics with
+1. **Statistics pass.**  The workload is cut into *parts*
+   (:meth:`~repro.trace.stream.TraceSource.parts`): one per program of a
+   concatenated suite, one contiguous word range per worker of a synthetic
+   benchmark, bounded word ranges of an in-memory trace or an ``.npz``
+   archive, and the whole trace for every other source (CPU kernels,
+   SimPoint and encoded streams carry state from their first word on).
+   One task per part (:func:`_part_summaries`) streams the part itself
+   (boundary-carrying chunks, so per-chunk transition computations are
+   chunk-local and exact), runs the kernels
+   (:func:`repro.bus.bus_model.analyze_trace_statistics`) on each chunk and
+   reduces their coded per-cycle statistics with
    :meth:`repro.bus.bus_model.TraceStatistics.summaries` to one exact
-   :class:`~repro.bus.bus_model.TraceSummary` per (chunk x segment) piece.
+   :class:`~repro.bus.bus_model.TraceSummary` per (chunk x segment) piece,
+   split at the *segment boundaries* of a :class:`ChunkSegmenter`.  It
+   returns those pieces and the packed first and last word of its part.
 
-2. **Reduction (deterministic).**  The master collects results in
-   *submission order* and folds each segment's pieces in order
-   (:func:`~repro.bus.bus_model.merge_summaries`).  Every merged quantity is
-   an exact integer (or small dyadic) total, so neither the merge grouping
-   nor the chunk size nor the worker count can change a single bit.
+2. **Seams.**  A synthetic word range generates from the start of the
+   65 536-word generation block it starts in, which resumes from the last
+   word of the block before it.  The task finds that word without
+   generating the blocks before it
+   (:func:`~repro.trace.synthetic.block_carry_word`): it regenerates that
+   one block with a placeholder carry, which feeds no RNG draw, and walks
+   back a block only when the whole block was a leading ``hold`` run.
+
+3. **Reduction (deterministic).**  The master collects results in part
+   order.  Between two parts lies one *junction* cycle (the last word of one
+   part to the first word of the next), which the master analyses as a
+   2-word trace and merges into its segment.  Each segment's pieces are
+   folded in cycle order (:func:`~repro.bus.bus_model.merge_summaries`).
+   Every merged quantity is an exact integer (or small dyadic) total, so
+   neither the parts, the chunk size nor the worker count can change a
+   single bit.
 
 The consumer (e.g. :meth:`repro.core.dvs_system.DVSBusSystem.run`) then
 replays its sequential state machine over the per-segment summaries.  For
@@ -29,7 +45,8 @@ applications, the warm-up edge), over which the supply is constant, so the
 replay is exact.
 
 ``jobs`` is the one parallelism knob: with one worker (the default) the same
-pass runs inline in the calling process, with more it fans out to a pool.
+task runs inline on the whole workload, with more each part goes to a pool
+worker.
 
 Scheduling notes
 ----------------
@@ -37,11 +54,12 @@ Scheduling notes
   -- unlike ``multiprocessing.Pool`` it *raises* (``BrokenProcessPool``)
   instead of hanging when a worker dies, which the scheduler converts into a
   clean :class:`ParallelExecutionError`.
-* In-flight chunks are bounded (:data:`INFLIGHT_CHUNKS_PER_WORKER` per
-  worker) so the master never races ahead of the pool by more than a few
-  chunks of memory.
-* Environments that cannot fork (sandboxes, daemonic sweep workers) run the
-  pass inline, like ``n_workers=1`` -- same results, one process.
+* The master sends each worker a description of a generated part, not its
+  words, and gets back summaries, so it holds no generation buffers (an
+  in-memory or ``.npz`` part carries its slice of the packed rows).
+* A workload of one part, and environments that cannot fork (sandboxes,
+  daemonic sweep workers), run the pass inline, like ``n_workers=1`` --
+  same results, one process.
 * With telemetry enabled, each chunk records a ``parallel.chunk`` span
   (pool workers into a fresh collector whose snapshot the master merges onto
   its own timeline -- ``fork`` children share the monotonic clock) under a
@@ -52,12 +70,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -76,10 +93,7 @@ __all__ = [
     "statistics_pass",
 ]
 
-#: Backpressure: submitted-but-uncollected chunks allowed per pool worker.
-INFLIGHT_CHUNKS_PER_WORKER = 2
-
-#: A per-chunk progress callback: ``callback(done_cycles, total_cycles)``.
+#: A progress callback: ``callback(done_cycles, total_cycles)``.
 ProgressCallback = Any
 
 
@@ -172,14 +186,11 @@ class ChunkSegmenter:
             yield first + offset, piece_start, piece_end
 
 
-#: One chunk of work shipped to a worker: the segment index of its first
-#: piece, the (tiny) wiring topology, the chunk's global start cycle, its
-#: packed words, the bus width, the chunk-relative start of each (chunk x
-#: segment) piece, and whether to capture telemetry into a snapshot.
-_ChunkPayload = tuple[int, NeighborTopology, int, np.ndarray, int, np.ndarray, bool]
-#: A worker's result: the first piece's segment index, one summary per piece,
-#: and optional telemetry.
-_ChunkResult = tuple[int, list["TraceSummary"], dict[str, Any] | None]
+#: A part's result: its ``(segment, start_cycle, summary)`` pieces in cycle
+#: order, the packed first and last word of the part, and optional telemetry.
+_PartResult = tuple[
+    list[tuple[int, int, "TraceSummary"]], np.ndarray, np.ndarray, dict[str, Any] | None
+]
 
 
 def _probe_worker() -> int:
@@ -187,37 +198,72 @@ def _probe_worker() -> int:
     return os.getpid()
 
 
-def _chunk_pieces(
+def _stream_part(
+    part: TraceSource,
+    offset: int,
+    segmenter: ChunkSegmenter,
     topology: NeighborTopology,
-    start_cycle: int,
-    words: np.ndarray,
-    n_bits: int,
-    offsets: np.ndarray,
-) -> list[TraceSummary]:
-    """Analyze one chunk and reduce it to one summary per piece."""
-    from repro.bus.bus_model import analyze_trace_statistics
+    progress: Callable[[int], None] | None = None,
+) -> tuple[list[tuple[int, int, TraceSummary]], np.ndarray, np.ndarray]:
+    """Stream a part starting at global cycle ``offset`` and summarize its pieces.
 
-    trace = BusTrace(packed=words, n_bits=n_bits)
-    telemetry = get_telemetry()
-    with telemetry.span("parallel.chunk", start_cycle=start_cycle, cycles=trace.n_cycles):
-        return analyze_trace_statistics(trace, topology).summaries(offsets)
-
-
-def _analyze_chunk_payload(payload: _ChunkPayload) -> _ChunkResult:
-    """Worker entry point: module-level (picklable by reference).
-
-    With ``capture`` set (pool mode under an active collector) the analysis
-    runs under a fresh telemetry collector whose snapshot is returned for
-    the master to merge; without it (inline mode) spans record straight into
-    the active collector.
+    ``progress``, if given, is called with the global end cycle of each chunk.
     """
-    first, *arguments, capture = payload
+    from repro.bus.bus_model import analyze_trace_statistics, kernel_plan
+
+    _, chunk_cycles = kernel_plan(part.n_bits)
+    telemetry = get_telemetry()
+    pieces: list[tuple[int, int, TraceSummary]] = []
+    first = last = None
+    for chunk in part.chunks(chunk_cycles):
+        trace = chunk.trace
+        start = offset + chunk.start_cycle
+        cuts = list(segmenter.pieces(start, start + trace.n_cycles))
+        with telemetry.span("parallel.chunk", start_cycle=start, cycles=trace.n_cycles):
+            summaries = analyze_trace_statistics(trace, topology).summaries(
+                [piece_start - start for _, piece_start, _ in cuts]
+            )
+        pieces.extend(
+            (index, piece_start, summary)
+            for (index, piece_start, _), summary in zip(cuts, summaries)
+        )
+        telemetry.count("parallel.chunks")
+        if progress is not None:
+            progress(start + trace.n_cycles)
+        if first is None:
+            first = trace.packed_values[0].copy()
+        last = trace.packed_values[-1].copy()
+    if first is None or last is None:
+        raise ValueError(f"part {part.name!r} streamed no cycles")
+    return pieces, first, last
+
+
+def _part_summaries(
+    part: TraceSource,
+    offset: int,
+    segmenter: ChunkSegmenter,
+    topology: NeighborTopology,
+    capture: bool,
+    progress: Callable[[int], None] | None = None,
+) -> _PartResult:
+    """The statistics-pass task: one part of a workload to piece summaries.
+
+    Module-level, so pool workers get it by reference.  With ``capture``
+    set (pool mode under an active collector) the part streams under a
+    fresh telemetry collector, inside a ``parallel.part`` span that also
+    covers its generation, and the collector's snapshot is returned for the
+    master to merge; without it (inline mode) spans record straight into
+    the active collector, under the master's ``parallel.pass1`` span, and
+    ``progress`` (inline mode only) hears of every chunk.
+    """
     if capture:
         telemetry = Telemetry(label="parallel-worker")
-        with use_telemetry(telemetry):
-            result = _chunk_pieces(*arguments)
-        return first, result, telemetry.snapshot()
-    return first, _chunk_pieces(*arguments), None
+        with use_telemetry(telemetry), telemetry.span(
+            "parallel.part", part=part.name, start_cycle=offset, cycles=part.n_cycles
+        ):
+            result = _stream_part(part, offset, segmenter, topology)
+        return (*result, telemetry.snapshot())
+    return (*_stream_part(part, offset, segmenter, topology, progress), None)
 
 
 class ParallelChunkScheduler:
@@ -230,10 +276,10 @@ class ParallelChunkScheduler:
         environment where process pools are unavailable -- sandboxes,
         daemonic sweep workers) runs the identical pass inline.
 
-    The pool is created lazily on first use and persists across
-    :meth:`segment_summaries` calls (e.g. the Table 1 driver reuses one
-    scheduler for every benchmark's pass, shared by all corners), so
-    fork/start-up costs are paid once.  Use as a context manager or call
+    The pool is created lazily by the first pass over a workload of more
+    than one part and persists across :meth:`segment_summaries` calls (e.g.
+    the Table 1 driver reuses one scheduler for every benchmark's pass,
+    shared by all corners), so fork/start-up costs are paid once.  Use as a context manager or call
     :meth:`close` when done.
     """
 
@@ -312,93 +358,82 @@ class ParallelChunkScheduler:
         segment of ``segmenter``, in segment order -- bit-identical for any
         kernel, worker count, chunk size or merge grouping.  The kernel and
         the chunk size come from the bus width
-        (:func:`~repro.bus.bus_model.kernel_plan`).
+        (:func:`~repro.bus.bus_model.kernel_plan`).  ``progress`` is called
+        as each part finishes on the pool, and after every chunk inline.
         """
-        from repro.bus.bus_model import kernel_plan, merge_summaries
+        from repro.bus.bus_model import analyze_trace_statistics, merge_summaries
 
         if source.n_cycles != segmenter.n_cycles:
             raise ValueError(
                 f"source covers {source.n_cycles} cycles but the segmenter "
                 f"was built for {segmenter.n_cycles}"
             )
-        _, chunk_cycles = kernel_plan(source.n_bits)
         telemetry = get_telemetry()
-        executor = self._ensure_executor()
+        parts = source.parts(self.n_workers) if self.n_workers > 1 else [source]
+        executor = self._ensure_executor() if len(parts) > 1 else None
+        if executor is None:
+            parts = [source]
+        workers = self.n_workers if executor is not None else 1
         capture = executor is not None and telemetry.enabled
+        offsets = np.cumsum([0] + [part.n_cycles + 1 for part in parts[:-1]]).tolist()
 
         pieces: list[list[TraceSummary]] = [[] for _ in range(segmenter.n_segments)]
         total = source.n_cycles
         done = 0
-        n_chunks = 0
+        previous_last: np.ndarray | None = None
 
-        def consume(result: _ChunkResult) -> None:
-            """Fold one chunk's worker result in (always in submission order)."""
-            nonlocal done
-            first, chunk_pieces, snapshot = result
+        def consume(offset: int, result: _PartResult) -> None:
+            """Fold one part in, after its junction with the part before it."""
+            nonlocal done, previous_last
+            part_pieces, first, last, snapshot = result
             if snapshot is not None:
                 telemetry.merge_snapshot(snapshot)
-            for index, summary in enumerate(chunk_pieces, start=first):
+            if previous_last is not None:
+                junction = BusTrace(packed=np.stack([previous_last, first]), n_bits=source.n_bits)
+                (summary,) = analyze_trace_statistics(junction, topology).summaries([0])
+                pieces[segmenter.segment_index(offset - 1)].append(summary)
+                done += 1
+            for index, start, summary in part_pieces:
+                if start != done:
+                    raise ParallelExecutionError(
+                        f"a piece starts at cycle {start}, but the parts before "
+                        f"it end at {done}"
+                    )
                 pieces[index].append(summary)
                 done += summary.n_cycles
-            telemetry.count("parallel.chunks")
-            if progress is not None:
+            previous_last = last
+            if progress is not None and executor is not None:
                 progress(done, total)
 
-        with telemetry.span(
-            "parallel.pass1",
-            workers=self.effective_workers if executor is not None else 1,
-            cycles=total,
-        ):
-            inflight: deque[Future[_ChunkResult]] = deque()
-            try:
-                for chunk in source.chunks(chunk_cycles):
-                    trace = chunk.trace
-                    start = chunk.start_cycle
-                    pieces_here = list(segmenter.pieces(start, start + trace.n_cycles))
-                    payload: _ChunkPayload = (
-                        pieces_here[0][0],
-                        topology,
-                        start,
-                        trace.packed_values,
-                        trace.n_bits,
-                        np.array([piece[1] - start for piece in pieces_here]),
-                        capture,
-                    )
-                    n_chunks += 1
-                    if executor is None:
-                        consume(_analyze_chunk_payload(payload))
-                        continue
-                    while len(inflight) >= INFLIGHT_CHUNKS_PER_WORKER * self.n_workers:
-                        consume(inflight.popleft().result())
-                    inflight.append(executor.submit(_analyze_chunk_payload, payload))
-                while inflight:
-                    consume(inflight.popleft().result())
-            except BrokenProcessPool as exc:
-                self.close()
-                raise ParallelExecutionError(
-                    "a parallel statistics worker died unexpectedly (the pool "
-                    "is broken); re-run serially or with fewer workers"
-                ) from exc
-            telemetry.gauge("parallel.workers", self.effective_workers)
+        with telemetry.span("parallel.pass1", workers=workers, cycles=total):
+            if executor is None:
+                report = None if progress is None else lambda end: progress(end, total)
+                consume(0, _part_summaries(source, 0, segmenter, topology, False, report))
+            else:
+                futures = [
+                    executor.submit(_part_summaries, part, offset, segmenter, topology, capture)
+                    for part, offset in zip(parts, offsets)
+                ]
+                try:
+                    for offset, future in zip(offsets, futures):
+                        consume(offset, future.result())
+                except BrokenProcessPool as exc:
+                    self.close()
+                    raise ParallelExecutionError(
+                        "a parallel statistics worker died unexpectedly (the pool "
+                        "is broken); re-run serially or with fewer workers"
+                    ) from exc
+                finally:
+                    for future in futures:
+                        future.cancel()
+            telemetry.gauge("parallel.workers", workers)
 
-        with telemetry.span("parallel.merge", segments=segmenter.n_segments, chunks=n_chunks):
-            bounds = segmenter.boundaries()
-            merged: list[TraceSummary] = []
-            for index, parts in enumerate(pieces):
-                if not parts:
-                    raise ParallelExecutionError(
-                        f"segment {index} received no statistics; the chunk "
-                        "stream did not cover the declared run"
-                    )
-                summary = merge_summaries(parts)
-                expected = int(bounds[index + 1] - bounds[index])
-                if summary.n_cycles != expected:
-                    raise ParallelExecutionError(
-                        f"segment {index} accumulated {summary.n_cycles} cycles, "
-                        f"expected {expected}"
-                    )
-                merged.append(summary)
-        return merged
+        if done != total:
+            raise ParallelExecutionError(
+                f"the parts covered {done} of the run's {total} cycles"
+            )
+        with telemetry.span("parallel.merge", segments=segmenter.n_segments, parts=len(parts)):
+            return [merge_summaries(segment_pieces) for segment_pieces in pieces]
 
 
 def statistics_pass(

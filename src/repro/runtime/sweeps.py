@@ -77,7 +77,7 @@ SWEEPS: dict[str, SweepSpec] = {
             task="dvs_run",
             base={"n_cycles": 24_000, "corner": "typical"},
             axes={
-                "window_cycles": (500, 1_000, 2_000, 4_000),
+                "window_cycles": (800, 1_000, 2_000, 4_000),
                 "ramp_delay_cycles": (150, 300, 600),
                 "benchmark": ("crafty", "mgrid"),
             },

@@ -36,6 +36,7 @@ from repro.circuit.pvt import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; tasks import lazily
     from repro.bus.bus_model import TraceSummary
+    from repro.core.dvs_system import DVSBusSystem
     from repro.interconnect.crosstalk import NeighborTopology
     from repro.runtime.parallel import ChunkSegmenter
     from repro.trace.stream import TraceSource
@@ -279,6 +280,51 @@ def _chardb_context(chardb: str | None):
     return use_chardb(chardb)
 
 
+def _dvs_job(
+    benchmark: str,
+    corner: CornerLike,
+    n_cycles: int,
+    seed: int,
+    window_cycles: int | None,
+    ramp_delay_cycles: int | None,
+    encoder: str | None,
+    coupling_scale: float | None,
+    warmup_fraction: float,
+    workload: str | None,
+) -> tuple[tuple, TraceSource, DVSBusSystem, ChunkSegmenter, int]:
+    """Everything a :func:`dvs_run` job simulates, built without simulating.
+
+    Returns the summary memo key, the workload source, the closed-loop
+    system, its control segmenter and the warm-up cycles.
+    """
+    from repro.core.dvs_system import DVSBusSystem
+    from repro.trace.generator import benchmark_trace_source
+    from repro.trace.stream import EncodedTraceSource
+
+    if encoder == "unencoded":
+        encoder = None
+    if workload is not None:
+        from repro.trace.workloads import resolve_workload, workload_fingerprint
+
+        identity: tuple = ("workload", workload, workload_fingerprint(workload))
+        source = resolve_workload(workload, n_cycles=n_cycles, seed=seed)
+    else:
+        identity = ("benchmark", benchmark)
+        source = benchmark_trace_source(benchmark, n_cycles=n_cycles, seed=seed)
+    if encoder is not None:
+        source = EncodedTraceSource(source, _make_encoder(encoder))
+    bus = _characterized_bus(_corner_key(corner), source.n_bits, coupling_scale)
+    # Size the control-loop heuristics from the trace actually streamed:
+    # file-backed workload specs keep their recorded length, which can differ
+    # from the n_cycles parameter (generative sources make the two equal).
+    window, ramp = _control_defaults(source.n_cycles, window_cycles, ramp_delay_cycles)
+    system = DVSBusSystem(bus, window_cycles=window, ramp_delay_cycles=ramp)
+    warmup = int(warmup_fraction * source.n_cycles)
+    segmenter = system.control_segmenter(source.n_cycles, warmup_cycles=warmup)
+    key = (identity, n_cycles, seed, encoder, _topology_key(bus.design.topology), segmenter)
+    return key, source, system, segmenter, warmup
+
+
 # --------------------------------------------------------------------------- #
 # Built-in tasks
 # --------------------------------------------------------------------------- #
@@ -325,49 +371,28 @@ def dvs_run(
     referenced files' digest into the cache key, so a regenerated trace
     file never replays a stale cached result.
     """
-    from repro.core.dvs_system import DVSBusSystem
     from repro.telemetry import get_telemetry
-    from repro.trace.generator import benchmark_trace_source
-    from repro.trace.stream import EncodedTraceSource
-
-    if encoder == "unencoded":
-        encoder = None
-    if workload is not None:
-        from repro.trace.workloads import resolve_workload, workload_fingerprint
-
-        identity: tuple = ("workload", workload, workload_fingerprint(workload))
-        source = resolve_workload(workload, n_cycles=n_cycles, seed=seed)
-    else:
-        identity = ("benchmark", benchmark)
-        source = benchmark_trace_source(benchmark, n_cycles=n_cycles, seed=seed)
-    if encoder is not None:
-        source = EncodedTraceSource(source, _make_encoder(encoder))
-    n_wires = source.n_bits
 
     with _chardb_context(chardb):
-        bus = _characterized_bus(_corner_key(corner), n_wires, coupling_scale)
-        # Size the control-loop heuristics from the trace actually streamed:
-        # file-backed workload specs keep their recorded length, which can differ
-        # from the n_cycles parameter (generative sources make the two equal).
-        window, ramp = _control_defaults(source.n_cycles, window_cycles, ramp_delay_cycles)
-        system = DVSBusSystem(bus, window_cycles=window, ramp_delay_cycles=ramp)
-        warmup = int(warmup_fraction * source.n_cycles)
-        segmenter = system.control_segmenter(source.n_cycles, warmup_cycles=warmup)
-        topology = bus.design.topology
-        key = (identity, n_cycles, seed, encoder, _topology_key(topology), segmenter)
+        key, source, system, segmenter, warmup = _dvs_job(
+            benchmark, corner, n_cycles, seed, window_cycles, ramp_delay_cycles,
+            encoder, coupling_scale, warmup_fraction, workload,
+        )
         with get_telemetry().span("dvs.run", workload=source.name, cycles=source.n_cycles):
-            summaries = _segment_summaries(key, source, segmenter, topology, jobs)
+            summaries = _segment_summaries(
+                key, source, segmenter, system.bus.design.topology, jobs
+            )
             result = system.replay(summaries, warmup_cycles=warmup)
 
     return {
         "benchmark": workload if workload is not None else benchmark,
         "corner": resolve_corner(corner).label,
         "n_cycles": result.n_cycles,
-        "n_wires": n_wires,
+        "n_wires": source.n_bits,
         "encoder": encoder or "unencoded",
         "coupling_scale": coupling_scale if coupling_scale is not None else 1.0,
-        "window_cycles": window,
-        "ramp_delay_cycles": ramp,
+        "window_cycles": system.window_cycles,
+        "ramp_delay_cycles": system.ramp_delay_cycles,
         "energy_gain_percent": result.energy_gain_percent,
         "error_rate_percent": result.average_error_rate * 100.0,
         "total_errors": result.total_errors,

@@ -252,10 +252,11 @@ def format_parallel_summary(telemetry: Telemetry) -> str | None:
 
     Returns ``None`` when the collector recorded no ``parallel.pass1`` span
     or the pass ran inline (one worker: nothing to scale).  *Busy* time is
-    the sum of the ``parallel.chunk`` spans -- merged worker snapshots land
-    in the same collector -- so ``busy / wall`` is the achieved speedup of
-    the statistics pass and dividing by the worker count gives the scaling
-    efficiency (1.0 = every worker crunched chunks for the whole pass).
+    the sum of the ``parallel.part`` spans, each a worker generating and
+    analysing one part of the workload -- merged worker snapshots land in
+    the same collector -- so ``busy / wall`` is the achieved speedup of the
+    statistics pass and dividing by the worker count gives the scaling
+    efficiency (1.0 = every worker was busy for the whole pass).
     """
     pass1_wall = sum(
         event.duration_s for event in telemetry.events if event.name == "parallel.pass1"
@@ -263,7 +264,7 @@ def format_parallel_summary(telemetry: Telemetry) -> str | None:
     workers = max(1, int(telemetry.metrics.gauges.get("parallel.workers", 1)))
     if pass1_wall <= 0.0 or workers == 1:
         return None
-    busy = sum(event.duration_s for event in telemetry.events if event.name == "parallel.chunk")
+    busy = sum(event.duration_s for event in telemetry.events if event.name == "parallel.part")
     merge = sum(event.duration_s for event in telemetry.events if event.name == "parallel.merge")
     replay = sum(event.duration_s for event in telemetry.events if event.name == "dvs.replay")
     chunks = int(telemetry.metrics.counters.get("parallel.chunks", 0))

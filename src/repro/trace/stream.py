@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.telemetry import get_telemetry
 from repro.trace.benchmarks import BenchmarkProfile, get_profile
-from repro.trace.synthetic import iter_word_blocks
+from repro.trace.synthetic import GENERATION_BLOCK_WORDS, block_carry_word, iter_word_blocks
 from repro.trace.trace import BusTrace, pack_values, unpack_values, words_to_packed
 from repro.utils.rng import SeedLike
 
@@ -129,6 +129,18 @@ class TraceChunk:
             f"TraceChunk(index={self.index}, cycles=[{self.start_cycle}, "
             f"{self.end_cycle}) of {self.total_cycles})"
         )
+
+
+#: Longest part of an in-memory trace (words): about one lane-kernel chunk.
+HELD_PART_WORDS = 1 << 18
+
+
+def _word_ranges(n_words: int, count: int) -> list[tuple[int, int]]:
+    """At most ``count`` ``[first, end)`` ranges tiling ``n_words`` words,
+    about equal in length and each at least two words (one cycle) long."""
+    count = max(1, min(count, n_words // 2))
+    edges = [index * n_words // count for index in range(count + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 class TraceSource(abc.ABC):
@@ -204,6 +216,18 @@ class TraceSource(abc.ABC):
             telemetry.count("trace.bytes_streamed", int(rows.nbytes))
         return chunk
 
+    def parts(self, count: int) -> list[TraceSource]:
+        """Sources whose words, back to back, are this trace's, for ``count`` workers.
+
+        Each part covers at least one cycle and can be streamed in another
+        process; the cycle between two parts (one part's last word to the
+        next part's first) belongs to neither.  The statistics pass hands
+        the parts to its workers in order and analyses those junction cycles
+        itself.  Most sources give ``count`` parts; a source that cannot be
+        split is its own one part, and a suite or a held trace may give more.
+        """
+        return [self]
+
     # ------------------------------------------------------------------ #
     # Materialisation
     # ------------------------------------------------------------------ #
@@ -258,6 +282,21 @@ class InMemoryTraceSource(TraceSource):
         """The backing trace itself."""
         return self._trace
 
+    def parts(self, count: int) -> list[TraceSource]:
+        """Row ranges of the packed trace, of about equal length.
+
+        Slicing costs nothing, so there are ``count`` ranges or more, none
+        longer than :data:`HELD_PART_WORDS`: a worker that finishes early
+        takes the next range.
+        """
+        rows = self._trace.packed_values
+        count = max(count, -(-rows.shape[0] // HELD_PART_WORDS))
+        n_bits, name = self.n_bits, self.name
+        return [
+            InMemoryTraceSource(BusTrace(packed=rows[first:end], n_bits=n_bits, name=name))
+            for first, end in _word_ranges(rows.shape[0], count)
+        ]
+
 
 class SyntheticTraceSource(TraceSource):
     """Stream a synthetic benchmark trace, generated block by block.
@@ -307,13 +346,71 @@ class SyntheticTraceSource(TraceSource):
         return self.profile.name
 
     def _packed_blocks(self) -> Iterator[np.ndarray]:
+        yield from _SyntheticRange(self, 0, self._n_cycles)._packed_blocks()
+
+    def parts(self, count: int) -> list[TraceSource]:
+        """Contiguous word ranges of about equal length.
+
+        Each range generates only from the generation block it starts in,
+        so the ranges can be generated by different processes.
+        """
+        return [
+            _SyntheticRange(self, first, end - first - 1)
+            for first, end in _word_ranges(self._n_cycles + 1, count)
+        ]
+
+
+class _SyntheticRange(TraceSource):
+    """The words of a synthetic source from ``first_word`` on, ``n_cycles``
+    transitions long (one part of :meth:`SyntheticTraceSource.parts`).
+
+    It generates from the start of the generation block holding
+    ``first_word`` and drops the words before it; that block's carried word
+    comes from :func:`~repro.trace.synthetic.block_carry_word`, so the
+    blocks before it are never generated.
+    """
+
+    def __init__(self, source: SyntheticTraceSource, first_word: int, n_cycles: int) -> None:
+        self._source = source
+        self._first_word = first_word
+        self._n_cycles = n_cycles
+
+    @property
+    def n_cycles(self) -> int:
+        return self._n_cycles
+
+    @property
+    def n_bits(self) -> int:
+        return self._source.n_bits
+
+    @property
+    def name(self) -> str:
+        return self._source.name
+
+    def _packed_blocks(self) -> Iterator[np.ndarray]:
         # Integer words pack by reinterpretation (no 0/1 detour), so
         # paper-scale synthetic traces stream with no per-bit work outside
         # the kernels themselves.
-        for _, words in iter_word_blocks(
-            self.profile, self._n_cycles, n_bits=self._n_bits, seed=self._root
-        ):
-            yield words_to_packed(words, self._n_bits)
+        source = self._source
+        n_bits = source.n_bits
+        block, skip = divmod(self._first_word, GENERATION_BLOCK_WORDS)
+        carry = block_carry_word(source.profile, block, n_bits=n_bits, seed=source._root)
+        blocks = iter_word_blocks(
+            source.profile,
+            source.n_cycles,
+            n_bits=n_bits,
+            seed=source._root,
+            first_block=block,
+            carry_word=carry,
+        )
+        remaining = self._n_cycles + 1
+        for _, words in blocks:
+            words = words[skip : skip + remaining]
+            skip = 0
+            remaining -= words.shape[0]
+            yield words_to_packed(words, n_bits)
+            if not remaining:
+                return
 
 
 class CpuKernelTraceSource(TraceSource):
@@ -436,6 +533,9 @@ class NpzTraceSource(TraceSource):
     def _packed_blocks(self) -> Iterator[np.ndarray]:
         yield from InMemoryTraceSource(self._trace)._packed_blocks()
 
+    def parts(self, count: int) -> list[TraceSource]:
+        return InMemoryTraceSource(self._trace).parts(count)
+
 
 class ConcatenatedTraceSource(TraceSource):
     """Several sources run back to back as one long trace (the Fig. 8 suite).
@@ -491,6 +591,13 @@ class ConcatenatedTraceSource(TraceSource):
     def _packed_blocks(self) -> Iterator[np.ndarray]:
         for source in self._sources:
             yield from source._packed_blocks()
+
+    def parts(self, count: int) -> list[TraceSource]:
+        """One part per program, whatever ``count``: the junctions between
+        programs are exactly the cycles between parts."""
+        if any(source.n_cycles < 1 for source in self._sources):
+            return [self]
+        return list(self._sources)
 
 
 class EncodedTraceSource(TraceSource):

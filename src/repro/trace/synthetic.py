@@ -35,6 +35,9 @@ runs have something to repeat).  Two properties follow:
   blocks into whatever chunk size the consumer requests, so streamed output
   is bit-identical to the monolithic :func:`generate_trace` for *any* chunk
   size.
+* **Resumable ranges** -- :func:`block_carry_word` finds the word any block
+  resumes from without generating the blocks before it, so disjoint block
+  ranges can be generated by different processes.
 
 Everything inside a block is vectorised, so multi-million-cycle traces still
 generate in well under a second.
@@ -199,11 +202,13 @@ def generate_word_block(
     n_words: int,
     rng: np.random.Generator,
     carry_word: int | None,
-) -> np.ndarray:
-    """Generate one block of bus words.
+) -> tuple[np.ndarray, bool]:
+    """One block of bus words, and whether the whole block holds ``carry_word``.
 
     ``carry_word`` is the last word of the previous block (``None`` for the
-    first block of a trace); a leading run of ``hold`` words repeats it.
+    first block of a trace); a leading run of ``hold`` words repeats it.  It
+    feeds no RNG draw, except that ``None`` rewrites a leading ``hold`` kind,
+    which shifts every later draw.
     """
     phase_indices = _phase_indices(profile, n_words, rng)
     kinds = _kind_labels(profile, phase_indices, rng)
@@ -229,14 +234,49 @@ def generate_word_block(
     # hold run (only possible mid-trace) repeats the carried boundary word.
     source_index = np.where(kinds != KIND_HOLD, np.arange(n_words), -1)
     source_index = np.maximum.accumulate(source_index)
-    if carry_word is not None:
-        leading = source_index < 0
-        source_index = np.where(leading, 0, source_index)
-        words = candidates[source_index]
-        words[leading] = np.uint64(carry_word)
-    else:
-        words = candidates[np.maximum(source_index, 0)]
-    return words
+    if carry_word is None:
+        return candidates[np.maximum(source_index, 0)], False
+    leading = source_index < 0
+    source_index = np.where(leading, 0, source_index)
+    words = candidates[source_index]
+    words[leading] = np.uint64(carry_word)
+    return words, bool(leading[-1])
+
+
+def _word_mask(n_bits: int) -> np.uint64:
+    """The low ``n_bits`` bits of a ``uint64`` word."""
+    return (np.uint64(1) << np.uint64(n_bits)) - np.uint64(1) if n_bits < 64 else ~np.uint64(0)
+
+
+def block_carry_word(
+    profile: BenchmarkProfile,
+    block: int,
+    *,
+    n_bits: int = 32,
+    seed: SeedLike = None,
+) -> int | None:
+    """The word generation block ``block`` resumes from (``None`` for block 0).
+
+    That is the last word of block ``block - 1``, found without generating
+    the blocks before it: block ``block - 1`` is regenerated with a
+    placeholder carry.  The carry reaches only the block's leading ``hold``
+    run, so the regenerated last word is exact unless the whole block is
+    that run; then the block's own carry is the answer, and the search walks
+    back one more block.  Block 0 always ends on a generated word.  Every
+    block before the last is full, so the regenerated blocks are too.
+    """
+    if block <= 0:
+        return None
+    root = trace_seed_sequence(seed)
+    mask = _word_mask(n_bits)
+    for index in range(block - 1, -1, -1):
+        carry = None if index == 0 else 0
+        words, held = generate_word_block(
+            profile, GENERATION_BLOCK_WORDS, block_rng(root, index), carry
+        )
+        if not held:
+            return int(words[-1] & mask)
+    raise AssertionError("block 0 cannot hold a carried word")  # pragma: no cover
 
 
 def iter_word_blocks(
@@ -261,12 +301,12 @@ def iter_word_blocks(
         raise ValueError(f"n_bits must be in 1..64, got {n_bits}")
     root = trace_seed_sequence(seed)
     n_words = n_cycles + 1
-    mask = (np.uint64(1) << np.uint64(n_bits)) - np.uint64(1) if n_bits < 64 else ~np.uint64(0)
+    mask = _word_mask(n_bits)
     n_blocks = (n_words + GENERATION_BLOCK_WORDS - 1) // GENERATION_BLOCK_WORDS
     for index in range(first_block, n_blocks):
         start = index * GENERATION_BLOCK_WORDS
         count = min(GENERATION_BLOCK_WORDS, n_words - start)
-        words = generate_word_block(profile, count, block_rng(root, index), carry_word)
+        words, _ = generate_word_block(profile, count, block_rng(root, index), carry_word)
         words &= mask
         carry_word = int(words[-1])
         yield index, words

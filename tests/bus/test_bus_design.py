@@ -6,7 +6,9 @@ import pytest
 from repro.bus import BusDesign, CharacterizedBus, characterize_bus, default_voltage_grid
 from repro.bus.bus_model import analyze_trace_statistics
 from repro.circuit.pvt import (
+    BEST_CASE_CORNER,
     STANDARD_CORNERS,
+    TYPICAL_CORNER,
     WORST_CASE_CORNER,
     ProcessCorner,
     PVTCorner,
@@ -113,6 +115,41 @@ class TestZeroErrorVoltages:
         conservative = typical_corner_bus.minimum_safe_voltage(assumed)
         optimistic = typical_corner_bus.minimum_safe_voltage()
         assert conservative >= optimistic
+
+    def test_floor_table_follows_the_active_chardb(self, paper_design):
+        # Two stand-in databases that serve different surfaces for every
+        # lookup: the floor must come from whichever one is active, and each
+        # database is asked once per corner, however often the bus is used.
+        from repro.chardb import use_chardb
+
+        bus = CharacterizedBus(paper_design, TYPICAL_CORNER)
+        assumed = PVTCorner(ProcessCorner.TYPICAL, 100.0, 0.10)
+        shadow = paper_design.clocking.shadow_deadline
+        worst_class = paper_design.topology.max_coupling_factor
+
+        class StandIn:
+            def __init__(self, corner):
+                self.table = characterize_bus(paper_design, corner, bus.grid)
+                self.lookups = 0
+
+            def find_table(self, design, corner, grid):
+                self.lookups += 1
+                return self.table
+
+            def floor(self):
+                return self.table.min_voltage_meeting(shadow, worst_class)
+
+        slow, fast = StandIn(WORST_CASE_CORNER), StandIn(BEST_CASE_CORNER)
+        assert slow.floor() != fast.floor()
+        for database in (slow, fast, slow, slow, fast):
+            with use_chardb(database):
+                assert bus.minimum_safe_voltage(assumed) == database.floor()
+        assert (slow.lookups, fast.lookups) == (2, 2)
+        with use_chardb(None):
+            live = characterize_bus(paper_design, assumed, bus.grid)
+            assert bus.minimum_safe_voltage(assumed) == live.min_voltage_meeting(
+                shadow, worst_class
+            )
 
 
 class TestCycleLevelModel:

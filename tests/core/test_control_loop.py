@@ -132,6 +132,12 @@ class TestWindowedVoltageController:
         with pytest.raises(ValueError):
             WindowedVoltageController(regulator, window_cycles=1000)
 
+    def test_window_equal_to_ramp_rejected(self, regulator):
+        # A change decided at the end of one window would land exactly when
+        # the next decision comes due, before it is applied.
+        with pytest.raises(ValueError, match="longer than the regulator ramp"):
+            WindowedVoltageController(regulator, window_cycles=3000)
+
     def test_low_error_rate_schedules_step_down(self, regulator):
         controller = WindowedVoltageController(regulator, window_cycles=10_000)
         decision = controller.on_window(_window(0, 10_000, 0))

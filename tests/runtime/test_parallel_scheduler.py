@@ -1,9 +1,10 @@
-"""Unit and fault tests for the statistics pass and its chunk scheduler.
+"""Unit and fault tests for the statistics pass and its scheduler.
 
 The equivalence sweeps (tests/core/test_engine_equivalence.py) prove the
 pass bit-identical end to end; this file tests the scheduler's own
-contracts: segment geometry, merge-order invariance, backpressure, inline
-fallbacks, and -- most importantly -- that a dead worker surfaces a clean
+contracts: segment geometry, merge-order invariance, the fan-out by part
+(junction cycles, word-range seams, the 1-word tail), inline fallbacks,
+and -- most importantly -- that a dead worker surfaces a clean
 :class:`ParallelExecutionError` instead of a hang.
 """
 
@@ -21,6 +22,7 @@ from repro.bus.bus_model import (
     merge_summaries,
 )
 from repro.core.dvs_system import DVSBusSystem
+from repro.encoding.transition import TransitionEncoder
 from repro.interconnect.block_kernels import MAX_LANE_BITS, lanes_supported
 from repro.runtime import (
     ChunkSegmenter,
@@ -29,14 +31,70 @@ from repro.runtime import (
 )
 from repro.telemetry import Telemetry, format_parallel_summary, use_telemetry
 from repro.trace import DEFAULT_CHUNK_CYCLES, SyntheticTraceSource
+from repro.trace.benchmarks import BenchmarkProfile, ProgramPhase, WordMix
+from repro.trace.io import save_trace_npz
+from repro.trace.stream import (
+    HELD_PART_WORDS,
+    ConcatenatedTraceSource,
+    EncodedTraceSource,
+    InMemoryTraceSource,
+    NpzTraceSource,
+)
+from repro.trace.synthetic import (
+    GENERATION_BLOCK_WORDS,
+    block_carry_word,
+    block_rng,
+    generate_word_block,
+    trace_seed_sequence,
+)
+from repro.trace.trace import BusTrace
 from tests.pass_plan import KERNELS, forced_plan
 
 N_CYCLES = 6_000
+
+#: Cycles per program of the two-program suite: two parts, one junction.
+PROGRAM_CYCLES = 3_000
 
 
 @pytest.fixture(scope="module")
 def source():
     return SyntheticTraceSource("crafty", N_CYCLES, seed=11)
+
+
+def _suite(*lengths: int) -> ConcatenatedTraceSource:
+    """Synthetic programs back to back: one part per program."""
+    names = ("crafty", "mgrid", "vortex", "swim")
+    return ConcatenatedTraceSource(
+        [
+            SyntheticTraceSource(names[index % len(names)], length, seed=index)
+            for index, length in enumerate(lengths)
+        ]
+    )
+
+
+@pytest.fixture(scope="module")
+def suite():
+    return _suite(PROGRAM_CYCLES, PROGRAM_CYCLES)
+
+
+def _assert_same_summaries(measured, reference) -> None:
+    """Equal in every summary field, segment by segment."""
+    assert len(measured) == len(reference)
+    for got, want in zip(measured, reference):
+        assert got.n_cycles == want.n_cycles
+        assert got.toggles_total == want.toggles_total
+        assert got.coupling_weights_total == want.coupling_weights_total
+        np.testing.assert_array_equal(got.worst_coupling_values, want.worst_coupling_values)
+        np.testing.assert_array_equal(got.worst_coupling_counts, want.worst_coupling_counts)
+
+
+def _serial_and_pooled(workload, segmenter, topology, n_workers=2):
+    """The pass inline and on ``n_workers`` pool workers."""
+    with ParallelChunkScheduler(n_workers=1) as scheduler:
+        serial = scheduler.segment_summaries(workload, segmenter, topology)
+    with ParallelChunkScheduler(n_workers=n_workers) as scheduler:
+        pooled = scheduler.segment_summaries(workload, segmenter, topology)
+    return serial, pooled
 
 
 @pytest.fixture(scope="module")
@@ -176,16 +234,6 @@ class TestSchedulerLifecycle:
             assert scheduler.effective_workers == 1
         assert summaries[0].n_cycles == N_CYCLES
 
-    def test_tight_backpressure_still_exact(self, source, topology, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "INFLIGHT_CHUNKS_PER_WORKER", 1)
-        segmenter = ChunkSegmenter(n_cycles=N_CYCLES, window_cycles=1_000)
-        with (
-            forced_plan(chunk_cycles=499),
-            ParallelChunkScheduler(n_workers=2) as scheduler,
-        ):
-            summaries = scheduler.segment_summaries(source, segmenter, topology)
-        assert [summary.n_cycles for summary in summaries] == [1_000] * 6
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ParallelChunkScheduler(n_workers=0)
@@ -197,77 +245,263 @@ class TestSchedulerLifecycle:
                     source, ChunkSegmenter(n_cycles=N_CYCLES + 1), topology
                 )
 
-    def test_pool_survives_reuse_and_close(self, source, topology):
+    def test_pool_survives_reuse_and_close(self, suite, topology):
         scheduler = ParallelChunkScheduler(n_workers=2)
-        segmenter = ChunkSegmenter(n_cycles=N_CYCLES)
+        segmenter = ChunkSegmenter(n_cycles=suite.n_cycles)
         with forced_plan(chunk_cycles=1_024):
-            first = scheduler.segment_summaries(source, segmenter, topology)
+            first = scheduler.segment_summaries(suite, segmenter, topology)
+            assert scheduler.effective_workers == 2
         with forced_plan(chunk_cycles=777):
-            second = scheduler.segment_summaries(source, segmenter, topology)
+            second = scheduler.segment_summaries(suite, segmenter, topology)
         scheduler.close()
         # A closed scheduler lazily re-creates its pool on next use.
         with forced_plan(chunk_cycles=2_048):
-            third = scheduler.segment_summaries(source, segmenter, topology)
+            third = scheduler.segment_summaries(suite, segmenter, topology)
         scheduler.close()
-        for summary in (first[0], second[0], third[0]):
-            assert summary.n_cycles == N_CYCLES
-            assert summary.toggles_total == first[0].toggles_total
+        _assert_same_summaries(second, first)
+        _assert_same_summaries(third, first)
+
+    def test_one_part_runs_inline_without_a_pool(self, source, topology):
+        # An encoder carries its state from the first word on: one part.
+        encoded = EncodedTraceSource(source, TransitionEncoder())
+        assert encoded.parts(2) == [encoded]
+        segmenter = ChunkSegmenter(n_cycles=N_CYCLES)
+        with ParallelChunkScheduler(n_workers=2) as scheduler:
+            pooled = scheduler.segment_summaries(encoded, segmenter, topology)
+            assert scheduler.effective_workers == 1
+        with ParallelChunkScheduler(n_workers=1) as scheduler:
+            serial = scheduler.segment_summaries(encoded, segmenter, topology)
+        _assert_same_summaries(pooled, serial)
+
+    def test_inline_progress_is_reported_per_chunk(self, source, topology):
+        calls = []
+        with ParallelChunkScheduler(n_workers=1) as scheduler, forced_plan(chunk_cycles=1_000):
+            scheduler.segment_summaries(
+                source,
+                ChunkSegmenter(n_cycles=N_CYCLES),
+                topology,
+                progress=lambda done, total: calls.append((done, total)),
+            )
+        assert calls == [(end, N_CYCLES) for end in range(1_000, N_CYCLES + 1, 1_000)]
 
 
-def _exit_worker(payload):
+#: Each block is one run of a single kind, and half of them hold: with this
+#: seed blocks 1 and 2 only repeat the last word of block 0 and block 3
+#: varies, so a word range starting in block 3 walks back over two blocks.
+HOLDING = BenchmarkProfile(
+    name="holding",
+    description="whole generation blocks of held words",
+    phases=(ProgramPhase(WordMix(0.5, 0.5, 0.0, 0.0, 0.0), 1.0),),
+    kind_run_length=1e9,
+)
+HOLDING_SEED = 32
+
+
+class TestFanOut:
+    """Parts fan out to workers; the pooled pass equals the inline one."""
+
+    @pytest.mark.parametrize(
+        ("lengths", "place"),
+        [
+            ((3_000, 3_000), "starts"),
+            ((2_500, 3_000), "inside"),
+            ((2_999, 3_000), "ends"),
+            ((1_500, 2_000, 2_500), "inside"),
+        ],
+    )
+    def test_suite_junctions(self, topology, lengths, place):
+        workload = _suite(*lengths)
+        assert [part.n_cycles for part in workload.parts(2)] == list(lengths)
+        segmenter = ChunkSegmenter(
+            n_cycles=workload.n_cycles, window_cycles=1_000, ramp_delay_cycles=300
+        )
+        bounds = segmenter.boundaries().tolist()
+        junction = lengths[0]  # the cycle from program 0's last word to program 1's first
+        assert (junction in bounds) == (place == "starts")
+        assert (junction + 1 in bounds) == (place == "ends")
+        with forced_plan(chunk_cycles=997):
+            serial, pooled = _serial_and_pooled(workload, segmenter, topology)
+        _assert_same_summaries(pooled, serial)
+
+    @pytest.mark.parametrize("n_workers", (2, 3))
+    def test_word_ranges_cover_the_one_word_tail(self, topology, n_workers):
+        # k x 65 536 + 1 words: the last generation block holds one word, and
+        # the last range starts inside the block before it.
+        workload = SyntheticTraceSource("vortex", 2 * GENERATION_BLOCK_WORDS, seed=5)
+        parts = workload.parts(n_workers)
+        assert len(parts) == n_workers
+        assert sum(part.n_cycles for part in parts) + n_workers - 1 == workload.n_cycles
+        np.testing.assert_array_equal(
+            np.concatenate([part.materialize().packed_values for part in parts]),
+            workload.materialize().packed_values,
+        )
+        segmenter = ChunkSegmenter(
+            n_cycles=workload.n_cycles, window_cycles=10_000, ramp_delay_cycles=3_000
+        )
+        serial, pooled = _serial_and_pooled(workload, segmenter, topology, n_workers)
+        _assert_same_summaries(pooled, serial)
+
+    def test_seam_walks_back_over_held_blocks(self, topology):
+        n_blocks = 5
+        workload = SyntheticTraceSource(
+            HOLDING, n_blocks * GENERATION_BLOCK_WORDS - 7, seed=HOLDING_SEED
+        )
+        root = trace_seed_sequence(HOLDING_SEED)
+        held = [
+            generate_word_block(HOLDING, GENERATION_BLOCK_WORDS, block_rng(root, index), 0)[1]
+            for index in range(1, n_blocks - 1)
+        ]
+        assert held == [True, True, False]
+        words = workload.materialize().to_words()
+        assert len(np.unique(words)) > 1
+        for block in range(1, n_blocks):
+            carry = block_carry_word(HOLDING, block, seed=HOLDING_SEED)
+            assert carry == int(words[block * GENERATION_BLOCK_WORDS - 1])
+        parts = workload.parts(3)
+        # The last range starts inside block 3, so its carry walks back to block 0.
+        last_start = sum(part.n_cycles + 1 for part in parts[:-1])
+        assert last_start // GENERATION_BLOCK_WORDS == 3
+        np.testing.assert_array_equal(
+            np.concatenate([part.materialize().packed_values for part in parts]),
+            workload.materialize().packed_values,
+        )
+        segmenter = ChunkSegmenter(
+            n_cycles=workload.n_cycles, window_cycles=10_000, ramp_delay_cycles=3_000
+        )
+        serial, pooled = _serial_and_pooled(workload, segmenter, topology, n_workers=3)
+        _assert_same_summaries(pooled, serial)
+
+    @pytest.mark.parametrize("form", ("synthetic", "in-memory", "npz"))
+    @pytest.mark.parametrize("n_cycles", (2_000, 12_000))
+    def test_short_workloads_fan_out(self, topology, tmp_path, form, n_cycles):
+        # Shorter than one generation block, yet each worker gets a range.
+        synthetic = SyntheticTraceSource("mgrid", n_cycles, seed=3)
+        if form == "synthetic":
+            workload = synthetic
+        elif form == "in-memory":
+            workload = InMemoryTraceSource(synthetic.materialize())
+        else:
+            path = tmp_path / "trace.npz"
+            save_trace_npz(synthetic.materialize(), path)
+            workload = NpzTraceSource(path)
+        parts = workload.parts(2)
+        assert [part.n_cycles for part in parts] == [n_cycles // 2 - 1, n_cycles // 2]
+        np.testing.assert_array_equal(
+            np.concatenate([part.materialize().packed_values for part in parts]),
+            synthetic.materialize().packed_values,
+        )
+        segmenter = ChunkSegmenter(n_cycles=n_cycles, window_cycles=500, ramp_delay_cycles=150)
+        with ParallelChunkScheduler(n_workers=1) as scheduler, forced_plan(chunk_cycles=331):
+            serial = scheduler.segment_summaries(workload, segmenter, topology)
+        with ParallelChunkScheduler(n_workers=2) as scheduler, forced_plan(chunk_cycles=331):
+            pooled = scheduler.segment_summaries(workload, segmenter, topology)
+            assert scheduler.effective_workers == 2
+        _assert_same_summaries(pooled, serial)
+
+    def test_held_trace_parts_are_bounded(self):
+        rows = np.arange(4 * (2 * HELD_PART_WORDS + 5)).astype(np.uint8).reshape(-1, 4)
+        trace = BusTrace(packed=rows, n_bits=32)
+        parts = InMemoryTraceSource(trace).parts(2)
+        assert len(parts) == 3
+        assert all(part.n_cycles < HELD_PART_WORDS for part in parts)
+        np.testing.assert_array_equal(
+            np.concatenate([part.materialize().packed_values for part in parts]),
+            trace.packed_values,
+        )
+
+    def test_too_short_to_split_is_one_part(self):
+        assert len(SyntheticTraceSource("mgrid", 2, seed=3).parts(2)) == 1
+        assert [part.n_cycles for part in SyntheticTraceSource("mgrid", 3).parts(4)] == [1, 1]
+
+    def test_parts_that_miss_cycles_raise(self, topology):
+        class Truncated(ConcatenatedTraceSource):
+            def parts(self, count):
+                return super().parts(count)[:-1]
+
+        workload = Truncated(_suite(1_500, 2_000, 2_500).sources)
+        with ParallelChunkScheduler(n_workers=2) as scheduler:
+            with pytest.raises(ParallelExecutionError, match="covered 3501 of"):
+                scheduler.segment_summaries(
+                    workload, ChunkSegmenter(n_cycles=workload.n_cycles), topology
+                )
+
+    def test_progress_is_reported_per_part(self, topology):
+        workload = _suite(1_500, 2_000, 2_500)
+        calls = []
+        with ParallelChunkScheduler(n_workers=2) as scheduler:
+            scheduler.segment_summaries(
+                workload,
+                ChunkSegmenter(n_cycles=workload.n_cycles),
+                topology,
+                progress=lambda done, total: calls.append((done, total)),
+            )
+        total = workload.n_cycles
+        # A junction cycle counts with the part after it.
+        assert calls == [(1_500, total), (3_501, total), (total, total)]
+
+
+def _exit_worker(*task):
     """Simulates a hard worker crash (segfault/OOM-kill): no exception, no result."""
     os._exit(3)
 
 
-def _raise_worker(payload):
+def _raise_worker(*task):
     raise ValueError("synthetic worker failure")
 
 
 class TestWorkerFaults:
-    def test_crashed_worker_raises_clean_error(self, source, topology, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "_analyze_chunk_payload", _exit_worker)
-        with ParallelChunkScheduler(n_workers=2) as scheduler, forced_plan(chunk_cycles=1_000):
+    def test_crashed_worker_raises_clean_error(self, suite, topology, monkeypatch):
+        monkeypatch.setattr(parallel_mod, "_part_summaries", _exit_worker)
+        with ParallelChunkScheduler(n_workers=2) as scheduler:
             with pytest.raises(ParallelExecutionError, match="worker died"):
-                scheduler.segment_summaries(source, ChunkSegmenter(n_cycles=N_CYCLES), topology)
+                scheduler.segment_summaries(
+                    suite, ChunkSegmenter(n_cycles=suite.n_cycles), topology
+                )
 
-    def test_crash_then_recover_with_fresh_pool(self, source, topology, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "_analyze_chunk_payload", _exit_worker)
+    def test_crash_then_recover_with_fresh_pool(self, suite, topology, monkeypatch):
+        monkeypatch.setattr(parallel_mod, "_part_summaries", _exit_worker)
         scheduler = ParallelChunkScheduler(n_workers=2)
-        with forced_plan(chunk_cycles=1_000), pytest.raises(ParallelExecutionError):
-            scheduler.segment_summaries(source, ChunkSegmenter(n_cycles=N_CYCLES), topology)
+        segmenter = ChunkSegmenter(n_cycles=suite.n_cycles)
+        with pytest.raises(ParallelExecutionError):
+            scheduler.segment_summaries(suite, segmenter, topology)
         monkeypatch.undo()
         # The broken pool was torn down; the same scheduler works again.
-        with scheduler, forced_plan(chunk_cycles=1_000):
-            summaries = scheduler.segment_summaries(
-                source, ChunkSegmenter(n_cycles=N_CYCLES), topology
-            )
-        assert summaries[0].n_cycles == N_CYCLES
+        with scheduler:
+            summaries = scheduler.segment_summaries(suite, segmenter, topology)
+            assert scheduler.effective_workers == 2
+        assert summaries[0].n_cycles == suite.n_cycles
 
-    def test_worker_exception_propagates(self, source, topology, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "_analyze_chunk_payload", _raise_worker)
-        with ParallelChunkScheduler(n_workers=2) as scheduler, forced_plan(chunk_cycles=1_000):
+    def test_worker_exception_propagates(self, suite, topology, monkeypatch):
+        monkeypatch.setattr(parallel_mod, "_part_summaries", _raise_worker)
+        with ParallelChunkScheduler(n_workers=2) as scheduler:
             with pytest.raises(ValueError, match="synthetic worker failure"):
-                scheduler.segment_summaries(source, ChunkSegmenter(n_cycles=N_CYCLES), topology)
+                scheduler.segment_summaries(
+                    suite, ChunkSegmenter(n_cycles=suite.n_cycles), topology
+                )
+
+
+#: Chunk starts of the two-program suite in chunks of 997 cycles: each
+#: program is 4 chunks, and program 1 starts after the junction cycle.
+SUITE_CHUNK_STARTS = [0, 997, 1_994, 2_991, 3_001, 3_998, 4_995, 5_992]
 
 
 class TestParallelTelemetry:
-    def test_spans_and_scaling_summary(self, typical_corner_bus, source):
+    def test_spans_and_scaling_summary(self, typical_corner_bus, suite):
         system = DVSBusSystem(typical_corner_bus, window_cycles=1_000, ramp_delay_cycles=300)
         telemetry = Telemetry(label="test-parallel")
         with use_telemetry(telemetry), forced_plan(chunk_cycles=997):
-            system.run(source, jobs=2)
+            system.run(suite, jobs=2)
         names = {event.name for event in telemetry.events}
         assert {"parallel.pass1", "parallel.chunk", "parallel.merge", "dvs.replay"} <= names
-        assert telemetry.metrics.counters["parallel.chunks"] == 7  # ceil(6000 / 997)
+        assert telemetry.metrics.counters["parallel.chunks"] == 8
         # Worker spans carry their chunk range for the Perfetto view.
         chunk_spans = [e for e in telemetry.events if e.name == "parallel.chunk"]
-        assert sorted(e.args["start_cycle"] for e in chunk_spans) == [
-            i * 997 for i in range(7)
-        ]
+        assert sorted(e.args["start_cycle"] for e in chunk_spans) == SUITE_CHUNK_STARTS
+        assert all(e.pid != telemetry.pid for e in chunk_spans)
         block = format_parallel_summary(telemetry)
         assert block is not None
         assert "scaling efficiency" in block
-        assert "chunks analyzed     : 7" in block
+        assert "chunks analyzed     : 8" in block
 
     def test_serial_run_has_no_parallel_summary(self, typical_corner_bus, source):
         system = DVSBusSystem(typical_corner_bus, window_cycles=1_000, ramp_delay_cycles=300)
@@ -286,13 +520,14 @@ class TestKernelPlan:
             assert kernel_plan(32) == (True, LANE_CHUNK_CYCLES)
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_forced_plan_reaches_pool_workers(self, typical_corner_bus, source, kernel):
+    def test_forced_plan_reaches_pool_workers(self, typical_corner_bus, suite, kernel):
         # The seam the bit-identity harnesses use: fork-started workers
         # inherit it, so every chunk runs the forced kernel at the forced length.
         system = DVSBusSystem(typical_corner_bus, window_cycles=1_000, ramp_delay_cycles=300)
         telemetry = Telemetry(label="test-plan")
         with use_telemetry(telemetry), forced_plan(kernel, 997):
-            system.run(source, jobs=2)
+            system.run(suite, jobs=2)
         counters = telemetry.metrics.counters
-        assert counters["parallel.chunks"] == 7  # ceil(6000 / 997)
-        assert counters[f"kernel.invocations.{kernel}"] == 7
+        assert counters["parallel.chunks"] == 8
+        # The master analyses the one junction cycle on the same kernel.
+        assert counters[f"kernel.invocations.{kernel}"] == 8 + 1

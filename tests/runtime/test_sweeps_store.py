@@ -1,12 +1,14 @@
 """Tests for the named-sweep registry, report formatting and result store."""
 
+import inspect
+
 import pytest
 
 from repro.runtime.executor import run_jobs
 from repro.runtime.spec import SweepSpec
 from repro.runtime.store import ResultStore, load_results
 from repro.runtime.sweeps import SWEEPS, format_sweep_report, get_sweep
-from repro.runtime.tasks import CORNERS, resolve_corner
+from repro.runtime.tasks import CORNERS, _dvs_job, dvs_run, resolve_corner
 
 
 class TestRegistry:
@@ -17,6 +19,21 @@ class TestRegistry:
     def test_every_sweep_expands_to_its_declared_size(self):
         for sweep in SWEEPS.values():
             assert len(sweep.expand()) == sweep.n_points
+
+    def test_every_sweep_point_builds_its_run(self):
+        # Each point's workload, control segmenter, regulator and controller
+        # are built as dvs_run builds them; nothing is simulated.
+        parameters = inspect.signature(dvs_run).parameters
+        for sweep in SWEEPS.values():
+            assert sweep.task == "dvs_run", f"{sweep.name}: teach this test {sweep.task!r}"
+            for job in sweep.expand():
+                params = {name: value.default for name, value in parameters.items()}
+                params.update(job.params)
+                _, source, system, segmenter, warmup = _dvs_job(
+                    *(params[name] for name in inspect.signature(_dvs_job).parameters)
+                )
+                assert segmenter.n_cycles == source.n_cycles, (sweep.name, job.params)
+                system.stream(source.n_cycles, warmup_cycles=warmup)
 
     def test_pvt_mega_is_a_multi_hundred_point_grid(self):
         assert get_sweep("pvt-mega").n_points >= 300
