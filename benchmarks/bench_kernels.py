@@ -89,9 +89,10 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
         # replay the closed loop over them.
         system = DVSBusSystem(bus)
         state = system.stream(stats.n_cycles)
-        for summary in statistics_pass(
-            stats, system.control_segmenter(stats.n_cycles), topology
-        ):
+        (summaries,) = statistics_pass(
+            [(stats, system.control_segmenter(stats.n_cycles))], topology
+        )
+        for summary in summaries:
             state.feed_summary(summary)
         state.finish()
 

@@ -5,10 +5,11 @@ Runs the same closed-loop DVS workload end to end serially and with the
 statistics pass on 1, 2 and 4 worker processes, checks every result
 bit-identical to the serial ``run``, and writes throughput, speedup and
 scaling efficiency to a JSON report (``BENCH_parallel.json``).  Each worker
-config reuses one persistent :class:`ParallelChunkScheduler` for the pass
-(each worker generates and analyses its own range of the trace) and replays
-its segment summaries through ``DVSBusSystem.replay``, so the numbers
-measure steady-state scaling, not pool spin-up.
+config times ``DVSBusSystem.run(source, jobs=N)`` end to end: the pass opens
+its own pool of ``N`` workers (each generates and analyses its own range of
+the trace) and shuts it down before the replay, so pool start-up is inside
+every timed run -- a few milliseconds against a pass of about a second at
+10M cycles.
 
 With ``--baseline`` the run **fails on a >2x throughput regression in any
 config**, exactly like the per-kernel gates; on hosts with at least two CPUs
@@ -77,7 +78,6 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
     from repro.bus import BusDesign, CharacterizedBus
     from repro.circuit.pvt import TYPICAL_CORNER
     from repro.core.dvs_system import DVSBusSystem
-    from repro.runtime import ParallelChunkScheduler
     from repro.telemetry import Telemetry, use_telemetry
     from repro.trace import benchmark_trace_source
 
@@ -97,20 +97,14 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
         "cycles_per_sec": round(cycles / serial_seconds, 1),
     }
 
-    def run_on(scheduler):
-        # What system.run(source, jobs=N) does, on a pool that outlives the run.
-        summaries = scheduler.segment_summaries(
-            source, system.control_segmenter(cycles), bus.design.topology
-        )
-        return system.replay(summaries)
-
     for n_workers in WORKER_COUNTS:
         name = f"parallel_{n_workers}"
-        with ParallelChunkScheduler(n_workers=n_workers) as scheduler:
-            # Identity first (also warms the pool up), then the timed repeats.
-            _assert_identical(name, run_on(scheduler), reference)
-            with use_telemetry(telemetry):
-                _observe_repeats(telemetry, name, lambda: run_on(scheduler), repeats)
+        # Identity first, then the timed repeats.
+        _assert_identical(name, system.run(source, jobs=n_workers), reference)
+        with use_telemetry(telemetry):
+            _observe_repeats(
+                telemetry, name, lambda: system.run(source, jobs=n_workers), repeats
+            )
         seconds = telemetry.metrics.histograms[f"bench.{name}.seconds"].min
         speedup = serial_seconds / seconds
         results[name] = {

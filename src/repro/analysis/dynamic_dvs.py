@@ -21,7 +21,6 @@ and merged into the one fixed-VS summary all corners share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -30,16 +29,13 @@ from repro.bus.bus_design import BusDesign
 from repro.bus.bus_model import CharacterizedBus, TraceSummary, merge_summaries
 from repro.circuit.pvt import TYPICAL_CORNER, WORST_CASE_CORNER, PVTCorner
 from repro.core.dvs_system import DVSBusSystem, DVSRunResult
-from repro.core.fixed_vs import FixedScalingResult, evaluate_fixed_scaling
+from repro.core.fixed_vs import evaluate_fixed_scaling
 from repro.core.policies import ControlPolicy
 from repro.energy.gains import energy_gain_percent
 from repro.trace.benchmarks import TABLE1_ORDER
 from repro.trace.generator import PAPER_CYCLES_PER_BENCHMARK, suite_sources
 from repro.trace.stream import ConcatenatedTraceSource, TraceSource, as_trace_source
 from repro.trace.trace import BusTrace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.runtime.parallel import ParallelChunkScheduler
 
 #: Default fraction of each benchmark run treated as controller warm-up.  The
 #: paper's runs are 10 M cycles, where the descent from the nominal supply is
@@ -138,36 +134,45 @@ class Table1Result:
         }
 
 
-def _run_benchmark_streamed(
+def _run_suite_streamed(
     systems: Sequence[DVSBusSystem],
-    workload: BusTrace | TraceSource,
+    workloads: Sequence[BusTrace | TraceSource],
     warmup_fraction: float,
+    jobs: int | None,
     progress,
-    scheduler: ParallelChunkScheduler,
-) -> tuple[TraceSummary, list[DVSRunResult]]:
-    """One statistics pass over a workload replayed into every system's closed loop.
+) -> list[tuple[TraceSummary, list[DVSRunResult]]]:
+    """One statistics pass over a suite, replayed into every system's closed loop.
 
     Segment summaries depend only on the data, the wiring and the control
     timing the systems share, never on the corner or the parasitics, so each
     benchmark is analysed once: its summaries replay every system's closed
     loop and merge into the one summary the static studies evaluate (the
-    Table 1 fixed-VS baselines, the Fig. 10 corner studies).  Returns that
-    summary and one run per system.
+    Table 1 fixed-VS baselines, the Fig. 10 corner studies).  The whole
+    suite is one batch of the pass, so with ``jobs > 1`` each benchmark is a
+    task of its own.  Returns, per workload, that summary and one run per
+    system.
     """
-    source = as_trace_source(workload)
-    total = source.n_cycles
-    warmup = int(warmup_fraction * total)
-    segmenter = systems[0].control_segmenter(total, warmup_cycles=warmup)
-    if any(s.control_segmenter(total, warmup_cycles=warmup) != segmenter for s in systems):
-        raise ValueError("systems sharing one pass must agree on window, ramp and warm-up")
-    summaries = scheduler.segment_summaries(
-        source,
-        segmenter,
-        systems[0].bus.design.topology,
-        progress=progress,
-    )
-    runs = [system.replay(summaries, warmup_cycles=warmup) for system in systems]
-    return merge_summaries(summaries), runs
+    # Imported lazily, like the progress reporter: repro.runtime circles back.
+    from repro.runtime.parallel import statistics_pass
+
+    warmups = [int(warmup_fraction * workload.n_cycles) for workload in workloads]
+    runs = []
+    for workload, warmup in zip(workloads, warmups):
+        segmenter = systems[0].control_segmenter(workload.n_cycles, warmup_cycles=warmup)
+        if any(
+            s.control_segmenter(workload.n_cycles, warmup_cycles=warmup) != segmenter
+            for s in systems
+        ):
+            raise ValueError("systems sharing one pass must agree on window, ramp and warm-up")
+        runs.append((workload, segmenter))
+    passes = statistics_pass(runs, systems[0].bus.design.topology, jobs=jobs, progress=progress)
+    return [
+        (
+            merge_summaries(summaries),
+            [system.replay(summaries, warmup_cycles=warmup) for system in systems],
+        )
+        for summaries, warmup in zip(passes, warmups)
+    ]
 
 
 def run_table1(
@@ -214,8 +219,8 @@ def run_table1(
         still reaches steady state.
     jobs:
         Worker processes for the statistics pass (inline for ``None`` or 1).
-        One worker pool is created for the whole table and reused for every
-        benchmark's single statistics pass, which all corners share.
+        The whole suite is one batch of the pass: each benchmark is analysed
+        once, as its own task on one worker pool, and all corners share it.
     order:
         Row order of the table; defaults to the paper's
         :data:`~repro.trace.benchmarks.TABLE1_ORDER` (names absent from
@@ -230,39 +235,6 @@ def run_table1(
     if order is None:
         order = TABLE1_ORDER
 
-    # One persistent worker pool for the whole table: fork/start-up costs are
-    # paid once, every benchmark's pass reuses the same workers.
-    from repro.runtime.parallel import ParallelChunkScheduler
-
-    n_workers = jobs if jobs is not None and jobs > 1 else 1
-    with ParallelChunkScheduler(n_workers=n_workers) as scheduler:
-        corner_results = _run_table1_corners(
-            design=design,
-            workloads=workloads,
-            corners=corners,
-            warmup_fraction=warmup_fraction,
-            policy=policy,
-            window_cycles=window_cycles,
-            ramp_delay_cycles=ramp_delay_cycles,
-            order=order,
-            scheduler=scheduler,
-        )
-    return Table1Result(corners=tuple(corner_results), n_cycles_per_benchmark=n_cycles)
-
-
-def _run_table1_corners(
-    design: BusDesign,
-    workloads: WorkloadMapping,
-    corners: Sequence[PVTCorner],
-    warmup_fraction: float,
-    policy: ControlPolicy | None,
-    window_cycles: int,
-    ramp_delay_cycles: int,
-    order: Sequence[str],
-    scheduler: ParallelChunkScheduler,
-) -> list[Table1CornerResult]:
-    """The benchmark loop of :func:`run_table1`: one pass per benchmark,
-    shared by every corner, then each corner's rows and totals in order."""
     systems = [
         DVSBusSystem(
             CharacterizedBus(design, corner),
@@ -272,21 +244,12 @@ def _run_table1_corners(
         )
         for corner in corners
     ]
-    if not systems:
-        return []
     names = [name for name in order if name in workloads]
-    runs: list[list[tuple[FixedScalingResult, DVSRunResult]]] = [[] for _ in systems]
-    for name in names:
-        progress = _auto_progress(
-            as_trace_source(workloads[name]).n_cycles, label=f"table1 {name}"
-        )
-        summary, dvs_runs = _run_benchmark_streamed(
-            systems, workloads[name], warmup_fraction, progress, scheduler=scheduler
-        )
-        for system, corner_runs, dvs in zip(systems, runs, dvs_runs):
-            corner_runs.append((evaluate_fixed_scaling(system.bus, summary), dvs))
+    suite = [workloads[name] for name in names]
+    progress = _auto_progress(sum(workload.n_cycles for workload in suite), label="table1")
+    passes = _run_suite_streamed(systems, suite, warmup_fraction, jobs, progress) if systems else []
     corner_results: list[Table1CornerResult] = []
-    for corner, corner_runs in zip(corners, runs):
+    for position, (corner, system) in enumerate(zip(corners, systems)):
         rows: list[Table1Row] = []
         fixed_energy_total = 0.0
         fixed_reference_total = 0.0
@@ -294,7 +257,9 @@ def _run_table1_corners(
         dvs_reference_total = 0.0
         error_cycles_total = 0
         cycles_total = 0
-        for name, (fixed, dvs) in zip(names, corner_runs):
+        for name, (summary, dvs_runs) in zip(names, passes):
+            fixed = evaluate_fixed_scaling(system.bus, summary)
+            dvs = dvs_runs[position]
             rows.append(
                 Table1Row(
                     benchmark=name,
@@ -324,7 +289,7 @@ def _run_table1_corners(
                 total_dvs_error_rate=(error_cycles_total / cycles_total) if cycles_total else 0.0,
             )
         )
-    return corner_results
+    return Table1Result(corners=tuple(corner_results), n_cycles_per_benchmark=n_cycles)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.analysis.dynamic_dvs import WorkloadMapping, _run_benchmark_streamed
+from repro.analysis.dynamic_dvs import WorkloadMapping, _run_suite_streamed
 from repro.analysis.static_scaling import CornerGainStudy, run_corner_gain_study
 from repro.bus.bus_design import BusDesign
 from repro.bus.bus_model import CharacterizedBus, merge_summaries
@@ -93,8 +93,6 @@ def run_modified_bus_study(
     statistics pass per benchmark feeds both closed loops and both corner
     studies.
     """
-    from repro.runtime.parallel import ParallelChunkScheduler
-
     if design is None:
         design = BusDesign.paper_bus()
     if workloads is None:
@@ -108,11 +106,7 @@ def run_modified_bus_study(
         )
         for bus_design in (design, modified_design)
     ]
-    with ParallelChunkScheduler(n_workers=1) as scheduler:
-        passes = [
-            _run_benchmark_streamed(systems, workload, warmup_fraction, None, scheduler)
-            for workload in workloads.values()
-        ]
+    passes = _run_suite_streamed(systems, list(workloads.values()), warmup_fraction, None, None)
     suite = merge_summaries([summary for summary, _ in passes])
 
     original_study = run_corner_gain_study(

@@ -520,12 +520,10 @@ class CharacterizedBus:
     # ------------------------------------------------------------------ #
     # Trace analysis
     # ------------------------------------------------------------------ #
-    def summarize(self, workload: WorkloadLike, jobs: int | None = None) -> TraceSummary:
+    def summarize(self, workload: WorkloadLike) -> TraceSummary:
         """Reduce a workload to one :class:`TraceSummary` in O(chunk) memory.
 
-        This is the statistics pass with the whole run as one segment;
-        ``jobs > 1`` fans its kernel work out to worker processes, with
-        bit-identical results.
+        This is the statistics pass, inline, with the whole run as one segment.
         """
         if isinstance(workload, TraceStatistics):
             return workload.summarize()
@@ -533,11 +531,8 @@ class CharacterizedBus:
             return TraceSummary.empty()
         from repro.runtime.parallel import ChunkSegmenter, statistics_pass
 
-        (summary,) = statistics_pass(
-            workload,
-            ChunkSegmenter(n_cycles=workload.n_cycles),
-            self.design.topology,
-            jobs=jobs,
+        ((summary,),) = statistics_pass(
+            [(workload, ChunkSegmenter(n_cycles=workload.n_cycles))], self.design.topology
         )
         return summary
 

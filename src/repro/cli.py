@@ -893,7 +893,7 @@ def _command_simulate(args: argparse.Namespace, cache: ResultCache | None) -> in
     bus = CharacterizedBus(design_for_width(BusDesign.paper_bus(), source.n_bits), corner)
     system = DVSBusSystem(bus, window_cycles=args.window, ramp_delay_cycles=args.ramp)
     progress = auto_chunk_progress(source.n_cycles, label=f"simulate {label}")
-    result = system.run(source, progress=progress, jobs=args.jobs if args.jobs > 1 else None)
+    result = system.run(source, progress=progress, jobs=args.jobs)
 
     print(f"Closed-loop DVS: workload {label!r}, corner {corner.label}")
     print(f"  cycles simulated      : {result.n_cycles}")

@@ -439,9 +439,8 @@ class DVSBusSystem:
         with get_telemetry().span(
             "dvs.run", workload=getattr(workload, "name", ""), cycles=total
         ):
-            summaries = statistics_pass(
-                workload,
-                self.control_segmenter(total, warmup_cycles=warmup_cycles),
+            (summaries,) = statistics_pass(
+                [(workload, self.control_segmenter(total, warmup_cycles=warmup_cycles))],
                 self.bus.design.topology,
                 jobs=jobs,
                 progress=progress,

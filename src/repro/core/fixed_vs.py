@@ -80,7 +80,6 @@ def evaluate_fixed_scaling(
     bus: CharacterizedBus,
     stats: TraceStatistics | TraceSummary | BusTrace | TraceSource,
     process_corner: ProcessCorner | None = None,
-    jobs: int | None = None,
 ) -> FixedScalingResult:
     """Run the fixed VS baseline on a workload and report its energy gain.
 
@@ -94,11 +93,9 @@ def evaluate_fixed_scaling(
     :class:`TraceSummary` statistics are fully sufficient; traces and
     :class:`~repro.trace.stream.TraceSource` workloads are reduced on the
     fly in O(chunk) memory, which is what makes the 10 M-cycle Table 1
-    baseline column feasible.  With ``jobs > 1`` that reduction fans out
-    over worker processes -- the exact merge makes the result bit-identical
-    either way.
+    baseline column feasible.
     """
-    summary = stats if isinstance(stats, TraceSummary) else bus.summarize(stats, jobs=jobs)
+    summary = stats if isinstance(stats, TraceSummary) else bus.summarize(stats)
     voltage = fixed_scaling_voltage(bus, process_corner)
     error_rate = bus.error_rate(summary, voltage)
     energy = bus.energy_breakdown(summary, voltage)

@@ -154,11 +154,10 @@ def oracle_voltage_schedule(
     floor_index = bus.grid.index_of(_resolve_floor(bus, v_floor))
     summaries = (
         statistics_pass(
-            workload,
-            ChunkSegmenter(n_cycles=workload.n_cycles, window_cycles=window_cycles),
+            [(workload, ChunkSegmenter(n_cycles=workload.n_cycles, window_cycles=window_cycles))],
             bus.design.topology,
             jobs=jobs,
-        )
+        )[0]
         if workload.n_cycles
         else []
     )

@@ -20,11 +20,12 @@ production-style execution system:
 * **Tasks** (:mod:`~repro.runtime.tasks`) -- the registry of named,
   picklable simulation units (`dvs_run`, `characterize`, `experiment`).
 * **Statistics pass** (:mod:`~repro.runtime.parallel`) -- the one pass
-  every simulation makes (:func:`statistics_pass`): a
-  :class:`ParallelChunkScheduler` that analyses a *single* run -- inline,
-  or as parts that ``jobs`` worker processes generate and analyse
-  themselves -- and reduces it deterministically to per-segment summaries
-  (bit-identical for any worker count).
+  every simulation makes (:func:`statistics_pass`): one call analyses a
+  batch of runs (a single simulation, or a whole Table 1 suite) -- inline,
+  or as parts that ``jobs`` worker processes of a pool, open for that call
+  only, generate and analyse themselves -- and reduces each run
+  deterministically to per-segment summaries (bit-identical for any worker
+  count).
 * **Store** (:mod:`~repro.runtime.store`) -- JSONL result records plus a
   run manifest and artifact registry for downstream reporting.
 * **Sweeps** (:mod:`~repro.runtime.sweeps`) -- named, ready-to-run grids
@@ -65,7 +66,6 @@ if TYPE_CHECKING:
     )
     from repro.runtime.parallel import (
         ChunkSegmenter,
-        ParallelChunkScheduler,
         ParallelExecutionError,
         statistics_pass,
     )
@@ -107,7 +107,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "repro.runtime.parallel": (
             "ChunkSegmenter",
-            "ParallelChunkScheduler",
             "ParallelExecutionError",
             "statistics_pass",
         ),

@@ -1,24 +1,27 @@
 """The statistics pass: every simulation's fan-out and ordered reduction.
 
 Every driver -- the closed-loop DVS run, the oracle, fixed-VS and static
-scaling, the Table 1 and Fig. 8 runners -- reduces its workload through
-:func:`statistics_pass` and then replays the resulting segment summaries:
+scaling, the Table 1, Fig. 8 and Fig. 10 runners -- reduces its workloads
+through one call of :func:`statistics_pass` and then replays the resulting
+segment summaries.  A call takes a batch of *runs*, each a workload with
+its own :class:`ChunkSegmenter` (a whole Table 1 suite, or a single
+simulation):
 
-1. **Statistics pass.**  The workload is cut into *parts*
-   (:meth:`~repro.trace.stream.TraceSource.parts`): one per program of a
-   concatenated suite, one contiguous word range per worker of a synthetic
-   benchmark, bounded word ranges of an in-memory trace or an ``.npz``
-   archive, and the whole trace for every other source (CPU kernels,
-   SimPoint and encoded streams carry state from their first word on).
-   One task per part (:func:`_part_summaries`) streams the part itself
-   (boundary-carrying chunks, so per-chunk transition computations are
-   chunk-local and exact), runs the kernels
+1. **Statistics pass.**  Each workload is cut into *parts*
+   (:meth:`~repro.trace.stream.TraceSource.parts`), ``jobs`` spread over
+   the batch's runs: one per program of a concatenated suite, word ranges
+   of a synthetic, in-memory or ``.npz`` trace, and the whole trace for
+   every other source (CPU kernels, SimPoint and encoded streams carry
+   state from their first word on).  Ten benchmarks on two workers are one
+   part each.  One task per part (:func:`_part_summaries`) streams the
+   part itself (boundary-carrying chunks, so per-chunk transition
+   computations are chunk-local and exact), runs the kernels
    (:func:`repro.bus.bus_model.analyze_trace_statistics`) on each chunk and
    reduces their coded per-cycle statistics with
    :meth:`repro.bus.bus_model.TraceStatistics.summaries` to one exact
    :class:`~repro.bus.bus_model.TraceSummary` per (chunk x segment) piece,
-   split at the *segment boundaries* of a :class:`ChunkSegmenter`.  It
-   returns those pieces and the packed first and last word of its part.
+   split at the *segment boundaries* of the run's :class:`ChunkSegmenter`.
+   It returns those pieces and the packed first and last word of its part.
 
 2. **Seams.**  A synthetic word range generates from the start of the
    65 536-word generation block it starts in, which resumes from the last
@@ -28,14 +31,14 @@ scaling, the Table 1 and Fig. 8 runners -- reduces its workload through
    one block with a placeholder carry, which feeds no RNG draw, and walks
    back a block only when the whole block was a leading ``hold`` run.
 
-3. **Reduction (deterministic).**  The master collects results in part
-   order.  Between two parts lies one *junction* cycle (the last word of one
-   part to the first word of the next), which the master analyses as a
-   2-word trace and merges into its segment.  Each segment's pieces are
-   folded in cycle order (:func:`~repro.bus.bus_model.merge_summaries`).
-   Every merged quantity is an exact integer (or small dyadic) total, so
-   neither the parts, the chunk size nor the worker count can change a
-   single bit.
+3. **Reduction (deterministic).**  The master collects each run's results
+   in part order.  Between two parts lies one *junction* cycle (the last
+   word of one part to the first word of the next), which the master
+   analyses as a 2-word trace and merges into its segment.  Each segment's
+   pieces are folded in cycle order
+   (:func:`~repro.bus.bus_model.merge_summaries`).  Every merged quantity
+   is an exact integer (or small dyadic) total, so neither the parts, the
+   batch, the chunk size nor the worker count can change a single bit.
 
 The consumer (e.g. :meth:`repro.core.dvs_system.DVSBusSystem.run`) then
 replays its sequential state machine over the per-segment summaries.  For
@@ -44,22 +47,22 @@ data-independent control boundaries (window starts, regulator ramp
 applications, the warm-up edge), over which the supply is constant, so the
 replay is exact.
 
-``jobs`` is the one parallelism knob: with one worker (the default) the same
-task runs inline on the whole workload, with more each part goes to a pool
-worker.
+``jobs`` is the one parallelism knob, and only :func:`statistics_pass`
+turns it into processes: with one worker (the default) each run's task
+runs inline on the whole workload, with more every part goes to one pool
+that lives for the length of the call.
 
 Scheduling notes
 ----------------
 * The pool is a ``fork``-context :class:`concurrent.futures.ProcessPoolExecutor`
   -- unlike ``multiprocessing.Pool`` it *raises* (``BrokenProcessPool``)
-  instead of hanging when a worker dies, which the scheduler converts into a
+  instead of hanging when a worker dies, which the pass converts into a
   clean :class:`ParallelExecutionError`.
 * The master sends each worker a description of a generated part, not its
   words, and gets back summaries, so it holds no generation buffers (an
   in-memory or ``.npz`` part carries its slice of the packed rows).
-* A workload of one part, and environments that cannot fork (sandboxes,
-  daemonic sweep workers), run the pass inline, like ``n_workers=1`` --
-  same results, one process.
+* A batch of one part, and environments that cannot fork (sandboxes,
+  daemonic sweep workers), run the pass inline, like ``jobs=1``.
 * With telemetry enabled, each chunk records a ``parallel.chunk`` span
   (pool workers into a fresh collector whose snapshot the master merges onto
   its own timeline -- ``fork`` children share the monotonic clock) under a
@@ -74,7 +77,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,14 +91,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 __all__ = [
     "ChunkSegmenter",
-    "ParallelChunkScheduler",
     "ParallelExecutionError",
     "statistics_pass",
 ]
 
 #: A progress callback: ``callback(done_cycles, total_cycles)``.
 ProgressCallback = Any
-
 
 class ParallelExecutionError(RuntimeError):
     """The parallel statistics pass could not produce a complete result.
@@ -186,6 +187,8 @@ class ChunkSegmenter:
             yield first + offset, piece_start, piece_end
 
 
+
+
 #: A part's result: its ``(segment, start_cycle, summary)`` pieces in cycle
 #: order, the packed first and last word of the part, and optional telemetry.
 _PartResult = tuple[
@@ -193,22 +196,56 @@ _PartResult = tuple[
 ]
 
 
-def _probe_worker() -> int:
-    """Trivial pool probe; proves workers can start before real work is queued."""
-    return os.getpid()
+def _open_pool(n_workers: int) -> ProcessPoolExecutor | None:
+    """A fork pool of ``n_workers`` processes, or ``None`` to run inline.
+
+    Daemonic processes (the runtime's sweep workers) cannot have children,
+    and a sandbox may refuse to start them; both run the pass inline rather
+    than fail it.
+    """
+    if multiprocessing.current_process().daemon:
+        return None
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        context = multiprocessing.get_context()
+    try:
+        pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=context)
+        # ProcessPoolExecutor starts workers lazily: one round trip now
+        # surfaces a refusal before any real work is queued.
+        pool.submit(os.getpid).result(timeout=120)
+    except (OSError, PermissionError, BrokenProcessPool):  # pragma: no cover
+        return None
+    return pool
 
 
-def _stream_part(
+def _part_summaries(
     part: TraceSource,
     offset: int,
     segmenter: ChunkSegmenter,
     topology: NeighborTopology,
+    capture: bool,
     progress: Callable[[int], None] | None = None,
-) -> tuple[list[tuple[int, int, TraceSummary]], np.ndarray, np.ndarray]:
-    """Stream a part starting at global cycle ``offset`` and summarize its pieces.
+) -> _PartResult:
+    """The statistics-pass task: one part of a workload, starting at global
+    cycle ``offset``, to piece summaries.
 
-    ``progress``, if given, is called with the global end cycle of each chunk.
+    Module-level, so pool workers get it by reference.  With ``capture``
+    set (pool mode under an active collector) the part streams under a
+    fresh telemetry collector, inside a ``parallel.part`` span that also
+    covers its generation, and the collector's snapshot is returned for the
+    master to merge; without it (inline mode) spans record straight into
+    the active collector, under the master's ``parallel.pass1`` span, and
+    ``progress`` (inline mode only) hears the global end cycle of every
+    chunk.
     """
+    if capture:
+        telemetry = Telemetry(label="parallel-worker")
+        with use_telemetry(telemetry), telemetry.span(
+            "parallel.part", part=part.name, start_cycle=offset, cycles=part.n_cycles
+        ):
+            result = _part_summaries(part, offset, segmenter, topology, False)
+        return (*result[:3], telemetry.snapshot())
     from repro.bus.bus_model import analyze_trace_statistics, kernel_plan
 
     _, chunk_cycles = kernel_plan(part.n_bits)
@@ -235,237 +272,170 @@ def _stream_part(
         last = trace.packed_values[-1].copy()
     if first is None or last is None:
         raise ValueError(f"part {part.name!r} streamed no cycles")
-    return pieces, first, last
+    return pieces, first, last, None
 
 
-def _part_summaries(
-    part: TraceSource,
-    offset: int,
+def _part_offsets(parts: Sequence[TraceSource]) -> list[int]:
+    """The global start cycle of each part: a junction cycle lies between two."""
+    return np.cumsum([0] + [part.n_cycles + 1 for part in parts[:-1]]).tolist()
+
+
+def _fold_parts(
+    results: Iterable[tuple[int, _PartResult]],
     segmenter: ChunkSegmenter,
     topology: NeighborTopology,
-    capture: bool,
-    progress: Callable[[int], None] | None = None,
-) -> _PartResult:
-    """The statistics-pass task: one part of a workload to piece summaries.
+    n_bits: int,
+    on_part: Callable[[int], None] | None,
+) -> list[list[TraceSummary]]:
+    """One run's part results, in order, as the pieces of each segment.
 
-    Module-level, so pool workers get it by reference.  With ``capture``
-    set (pool mode under an active collector) the part streams under a
-    fresh telemetry collector, inside a ``parallel.part`` span that also
-    covers its generation, and the collector's snapshot is returned for the
-    master to merge; without it (inline mode) spans record straight into
-    the active collector, under the master's ``parallel.pass1`` span, and
-    ``progress`` (inline mode only) hears of every chunk.
+    ``results`` yields ``(global start cycle, result)`` per part; the cycle
+    before each part after the first is the junction with the part before
+    it.  ``on_part`` hears the run's folded cycle count after every part.
     """
-    if capture:
-        telemetry = Telemetry(label="parallel-worker")
-        with use_telemetry(telemetry), telemetry.span(
-            "parallel.part", part=part.name, start_cycle=offset, cycles=part.n_cycles
-        ):
-            result = _stream_part(part, offset, segmenter, topology)
-        return (*result, telemetry.snapshot())
-    return (*_stream_part(part, offset, segmenter, topology, progress), None)
+    from repro.bus.bus_model import analyze_trace_statistics
 
-
-class ParallelChunkScheduler:
-    """Worker pool running the statistics pass (inline with one worker).
-
-    Parameters
-    ----------
-    n_workers:
-        Worker processes; ``None`` means one per CPU.  ``1`` (or any
-        environment where process pools are unavailable -- sandboxes,
-        daemonic sweep workers) runs the identical pass inline.
-
-    The pool is created lazily by the first pass over a workload of more
-    than one part and persists across :meth:`segment_summaries` calls (e.g.
-    the Table 1 driver reuses one scheduler for every benchmark's pass,
-    shared by all corners), so fork/start-up costs are paid once.  Use as a context manager or call
-    :meth:`close` when done.
-    """
-
-    def __init__(self, n_workers: int | None = None) -> None:
-        if n_workers is None:
-            n_workers = os.cpu_count() or 1
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = int(n_workers)
-        self._executor: ProcessPoolExecutor | None = None
-        self._started = False
-
-    # ------------------------------------------------------------------ #
-    # Pool lifecycle
-    # ------------------------------------------------------------------ #
-    def _ensure_executor(self) -> ProcessPoolExecutor | None:
-        """The live executor, or ``None`` when running inline."""
-        if self._started:
-            return self._executor
-        self._started = True
-        if self.n_workers <= 1:
-            return None
-        if multiprocessing.current_process().daemon:
-            # Daemonic processes (the runtime's sweep workers) cannot spawn
-            # children; run inline rather than fail the whole job.
-            return None
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-        try:
-            executor = ProcessPoolExecutor(max_workers=self.n_workers, mp_context=context)
-            # Eager probe: ProcessPoolExecutor spawns workers lazily, so force
-            # one round-trip now to surface sandbox restrictions as a clean
-            # inline fallback instead of a mid-pass failure.
-            executor.submit(_probe_worker).result(timeout=120)
-        except (OSError, PermissionError, BrokenProcessPool):  # pragma: no cover
-            return None
-        self._executor = executor
-        return executor
-
-    @property
-    def effective_workers(self) -> int:
-        """Workers actually in use (1 when running inline)."""
-        return self.n_workers if self._executor is not None else 1
-
-    def close(self) -> None:
-        """Shut the pool down; a later call re-creates it."""
-        if self._executor is not None:
-            # wait=True: every future is collected before close() is reachable,
-            # so this only joins idle workers -- and avoids the noisy atexit
-            # wakeup on an already-closed pipe that wait=False can produce.
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-        self._started = False
-
-    def __enter__(self) -> ParallelChunkScheduler:
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # The statistics pass
-    # ------------------------------------------------------------------ #
-    def segment_summaries(
-        self,
-        source: TraceSource,
-        segmenter: ChunkSegmenter,
-        topology: NeighborTopology,
-        progress: ProgressCallback | None = None,
-    ) -> list[TraceSummary]:
-        """Run the statistics pass over ``source``.
-
-        Returns one exact :class:`~repro.bus.bus_model.TraceSummary` per
-        segment of ``segmenter``, in segment order -- bit-identical for any
-        kernel, worker count, chunk size or merge grouping.  The kernel and
-        the chunk size come from the bus width
-        (:func:`~repro.bus.bus_model.kernel_plan`).  ``progress`` is called
-        as each part finishes on the pool, and after every chunk inline.
-        """
-        from repro.bus.bus_model import analyze_trace_statistics, merge_summaries
-
-        if source.n_cycles != segmenter.n_cycles:
-            raise ValueError(
-                f"source covers {source.n_cycles} cycles but the segmenter "
-                f"was built for {segmenter.n_cycles}"
-            )
-        telemetry = get_telemetry()
-        parts = source.parts(self.n_workers) if self.n_workers > 1 else [source]
-        executor = self._ensure_executor() if len(parts) > 1 else None
-        if executor is None:
-            parts = [source]
-        workers = self.n_workers if executor is not None else 1
-        capture = executor is not None and telemetry.enabled
-        offsets = np.cumsum([0] + [part.n_cycles + 1 for part in parts[:-1]]).tolist()
-
-        pieces: list[list[TraceSummary]] = [[] for _ in range(segmenter.n_segments)]
-        total = source.n_cycles
-        done = 0
-        previous_last: np.ndarray | None = None
-
-        def consume(offset: int, result: _PartResult) -> None:
-            """Fold one part in, after its junction with the part before it."""
-            nonlocal done, previous_last
-            part_pieces, first, last, snapshot = result
-            if snapshot is not None:
-                telemetry.merge_snapshot(snapshot)
-            if previous_last is not None:
-                junction = BusTrace(packed=np.stack([previous_last, first]), n_bits=source.n_bits)
-                (summary,) = analyze_trace_statistics(junction, topology).summaries([0])
-                pieces[segmenter.segment_index(offset - 1)].append(summary)
-                done += 1
-            for index, start, summary in part_pieces:
-                if start != done:
-                    raise ParallelExecutionError(
-                        f"a piece starts at cycle {start}, but the parts before "
-                        f"it end at {done}"
-                    )
-                pieces[index].append(summary)
-                done += summary.n_cycles
-            previous_last = last
-            if progress is not None and executor is not None:
-                progress(done, total)
-
-        with telemetry.span("parallel.pass1", workers=workers, cycles=total):
-            if executor is None:
-                report = None if progress is None else lambda end: progress(end, total)
-                consume(0, _part_summaries(source, 0, segmenter, topology, False, report))
-            else:
-                futures = [
-                    executor.submit(_part_summaries, part, offset, segmenter, topology, capture)
-                    for part, offset in zip(parts, offsets)
-                ]
-                try:
-                    for offset, future in zip(offsets, futures):
-                        consume(offset, future.result())
-                except BrokenProcessPool as exc:
-                    self.close()
-                    raise ParallelExecutionError(
-                        "a parallel statistics worker died unexpectedly (the pool "
-                        "is broken); re-run serially or with fewer workers"
-                    ) from exc
-                finally:
-                    for future in futures:
-                        future.cancel()
-            telemetry.gauge("parallel.workers", workers)
-
-        if done != total:
-            raise ParallelExecutionError(
-                f"the parts covered {done} of the run's {total} cycles"
-            )
-        with telemetry.span("parallel.merge", segments=segmenter.n_segments, parts=len(parts)):
-            return [merge_summaries(segment_pieces) for segment_pieces in pieces]
+    telemetry = get_telemetry()
+    pieces: list[list[TraceSummary]] = [[] for _ in range(segmenter.n_segments)]
+    done_count = 0
+    previous_last: np.ndarray | None = None
+    for offset, (part_pieces, first, last, snapshot) in results:
+        if snapshot is not None:
+            telemetry.merge_snapshot(snapshot)
+        if previous_last is not None:
+            junction = BusTrace(packed=np.stack([previous_last, first]), n_bits=n_bits)
+            (summary,) = analyze_trace_statistics(junction, topology).summaries([0])
+            pieces[segmenter.segment_index(offset - 1)].append(summary)
+            done_count += 1
+        for index, start, summary in part_pieces:
+            if start != done_count:
+                raise ParallelExecutionError(
+                    f"a piece starts at cycle {start}, but the parts before "
+                    f"it end at {done_count}"
+                )
+            pieces[index].append(summary)
+            done_count += summary.n_cycles
+        previous_last = last
+        if on_part is not None:
+            on_part(done_count)
+    if done_count != segmenter.n_cycles:
+        raise ParallelExecutionError(
+            f"the parts covered {done_count} of the run's {segmenter.n_cycles} cycles"
+        )
+    return pieces
 
 
 def statistics_pass(
-    workload: BusTrace | TraceSource | TraceStatistics,
-    segmenter: ChunkSegmenter,
+    runs: Sequence[tuple[BusTrace | TraceSource | TraceStatistics, ChunkSegmenter]],
     topology: NeighborTopology,
     *,
     jobs: int | None = None,
     progress: ProgressCallback | None = None,
-) -> list[TraceSummary]:
-    """One exact summary per segment of ``segmenter``: the pass every driver makes.
+) -> list[list[TraceSummary]]:
+    """One exact summary per segment of every run: the pass every driver makes.
 
-    Traces and sources stream through a :class:`ParallelChunkScheduler` with
-    ``jobs`` workers (inline for ``jobs`` of ``None`` or 1).  Precomputed
+    ``runs`` holds ``(workload, segmenter)`` pairs; the result holds one
+    list of summaries per run, in segment order.  Traces and sources
+    stream, inline for ``jobs`` of ``None`` or 1, else as parts on one pool
+    of up to ``jobs`` workers shared by the whole batch.  Precomputed
     :class:`~repro.bus.bus_model.TraceStatistics` have no kernel work left
     and reduce in one call of the same reducer.  Results are bit-identical
-    for every kernel, chunk size and worker count.
-    """
-    from repro.bus.bus_model import TraceStatistics
+    for every kernel, chunk size, batch and worker count.  ``progress``
+    hears the cycles done over the whole batch: after every chunk inline,
+    after every part on the pool.
 
-    if isinstance(workload, TraceStatistics):
+    >>> from repro.bus.bus_model import TraceStatistics
+    >>> topology = NeighborTopology(2, [True, False], [False, True])
+    >>> stats = TraceStatistics.from_arrays([2.15, 0.0, 2.15], [3.0, 0.0, 2.0], [4.0, 0.0, 2.0])
+    >>> trace = BusTrace.from_words([0b00, 0b01, 0b11], n_bits=2)
+    >>> (whole,), windows = statistics_pass(
+    ...     [(stats, ChunkSegmenter(3)), (trace, ChunkSegmenter(2, window_cycles=1))],
+    ...     topology,
+    ... )
+    >>> whole.n_cycles, whole.worst_coupling_counts.tolist()
+    (3, [1, 2])
+    >>> [(window.n_cycles, window.toggles_total) for window in windows]
+    [(1, 1.0), (1, 1.0)]
+    """
+    from repro.bus.bus_model import TraceStatistics, merge_summaries
+
+    total = sum(workload.n_cycles for workload, _ in runs)
+    done_count = 0
+
+    def report(cycle_count: int) -> None:
+        if progress is not None:
+            progress(cycle_count, total)
+
+    results: dict[int, list[TraceSummary]] = {}
+    for index, (workload, segmenter) in enumerate(runs):
         if workload.n_cycles != segmenter.n_cycles:
             raise ValueError(
-                f"statistics cover {workload.n_cycles} cycles but the segmenter "
+                f"a workload covers {workload.n_cycles} cycles but its segmenter "
                 f"was built for {segmenter.n_cycles}"
             )
-        return workload.summaries(segmenter.boundaries()[:-1])
-    n_workers = jobs if jobs is not None and jobs > 1 else 1
-    with ParallelChunkScheduler(n_workers=n_workers) as scheduler:
-        return scheduler.segment_summaries(
-            as_trace_source(workload),
-            segmenter,
-            topology,
-            progress=progress,
-        )
+        if isinstance(workload, TraceStatistics):
+            results[index] = workload.summaries(segmenter.boundaries()[:-1])
+            done_count += workload.n_cycles
+            report(done_count)
+    streamed = [
+        (index, as_trace_source(workload), segmenter)
+        for index, (workload, segmenter) in enumerate(runs)
+        if not isinstance(workload, TraceStatistics)
+    ]
+    if not streamed:
+        return [results[index] for index in range(len(runs))]
+
+    workers = jobs if jobs is not None and jobs > 1 else 1
+    parts = [
+        source.parts(-(-workers // len(streamed))) if workers > 1 else [source]
+        for _, source, _ in streamed
+    ]
+    workers = min(workers, sum(map(len, parts)))
+    pool = _open_pool(workers) if workers > 1 else None
+    if pool is None:
+        workers = 1
+        parts = [[source] for _, source, _ in streamed]
+    telemetry = get_telemetry()
+    capture = pool is not None and telemetry.enabled
+
+    pieces: list[list[list[TraceSummary]]] = []
+    with telemetry.span("parallel.pass1", workers=workers, cycles=total - done_count):
+        try:
+            futures = [
+                [
+                    (offset, pool.submit(_part_summaries, part, offset, seg, topology, capture))
+                    for part, offset in zip(run_parts, _part_offsets(run_parts))
+                ]
+                for (_, _, seg), run_parts in zip(streamed, parts)
+            ] if pool is not None else []
+            for position, (_, source, segmenter) in enumerate(streamed):
+
+                def run_report(cycle_count: int, base: int = done_count) -> None:
+                    report(base + cycle_count)
+
+                part_results: Iterable[tuple[int, _PartResult]] = (
+                    ((offset, future.result()) for offset, future in futures[position])
+                    if pool is not None
+                    else [(0, _part_summaries(source, 0, segmenter, topology, False, run_report))]
+                )
+                on_part = run_report if pool is not None else None
+                pieces.append(
+                    _fold_parts(part_results, segmenter, topology, source.n_bits, on_part)
+                )
+                done_count += source.n_cycles
+        except BrokenProcessPool as exc:
+            raise ParallelExecutionError(
+                "a parallel statistics worker died unexpectedly (the pool "
+                "is broken); re-run serially or with fewer workers"
+            ) from exc
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+        telemetry.gauge("parallel.workers", workers)
+
+    with telemetry.span(
+        "parallel.merge", segments=sum(map(len, pieces)), parts=sum(map(len, parts))
+    ):
+        for (index, _, _), run_pieces in zip(streamed, pieces):
+            results[index] = [merge_summaries(segment) for segment in run_pieces]
+    return [results[index] for index in range(len(runs))]

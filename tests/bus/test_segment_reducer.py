@@ -261,5 +261,5 @@ class TestPassSeams:
             mock.patch.object(block_kernels, "_SUB_BLOCK_CYCLES", sub_block),
             forced_plan(kernel, chunk_cycles),
         ):
-            summaries = statistics_pass(trace, segmenter, topology)
+            (summaries,) = statistics_pass([(trace, segmenter)], topology)
         _assert_matches(summaries, _reference(reference_stats, segmenter.boundaries().tolist()))

@@ -17,7 +17,7 @@ from repro.core.dvs_system import DVSBusSystem
 from repro.core.fixed_vs import evaluate_fixed_scaling
 from repro.core.oracle import oracle_voltage_schedule
 from repro.trace import SyntheticTraceSource
-from tests.core.conftest import PASSES, configured_pass
+from tests.core.conftest import PASSES, configured_pass, fixed_vs_workload
 from tests.pass_plan import SCALAR, forced_plan
 
 #: Control window of the fast test loop.
@@ -208,7 +208,7 @@ class TestParallelWorkers:
         with forced_plan(SCALAR, TINY_CYCLES):
             reference = evaluate_fixed_scaling(typical_corner_bus, tiny_source)
         with forced_plan(chunk_cycles=313):
-            measured = evaluate_fixed_scaling(typical_corner_bus, tiny_source, jobs=2)
+            measured = evaluate_fixed_scaling(typical_corner_bus, tiny_source)
         assert measured.voltage == reference.voltage
         assert measured.error_rate == reference.error_rate
         for component in ("bus_dynamic", "leakage", "flipflop_clocking", "recovery_overhead"):
@@ -226,7 +226,10 @@ class TestFixedVS:
         with forced_plan(SCALAR, TINY_CYCLES):
             reference = evaluate_fixed_scaling(typical_corner_bus, tiny_source)
         with configured_pass(config, chunk_cycles) as kwargs:
-            measured = evaluate_fixed_scaling(typical_corner_bus, tiny_source, **kwargs)
+            measured = evaluate_fixed_scaling(
+                typical_corner_bus,
+                fixed_vs_workload(tiny_source, typical_corner_bus.design.topology, **kwargs),
+            )
         assert measured.voltage == reference.voltage
         assert measured.error_rate == reference.error_rate
         for component in ("bus_dynamic", "leakage", "flipflop_clocking", "recovery_overhead"):

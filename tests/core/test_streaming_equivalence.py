@@ -33,7 +33,7 @@ from repro.core.dvs_system import DVSBusSystem
 from repro.core.fixed_vs import evaluate_fixed_scaling
 from repro.core.oracle import oracle_voltage_schedule
 from repro.trace import SyntheticTraceSource, TraceSource, as_trace_source
-from tests.core.conftest import PASSES, configured_pass
+from tests.core.conftest import PASSES, configured_pass, fixed_vs_workload
 from tests.pass_plan import KERNELS, SCALAR, forced_plan
 
 #: Chunk sizes exercised everywhere: smaller than, straddling, and larger
@@ -250,9 +250,10 @@ class TestStreamedBaselines:
         stats = scalar_trace_statistics(crafty_trace, typical_corner_bus.design.topology)
         from_stats = evaluate_fixed_scaling(typical_corner_bus, stats)
         with configured_pass(config, 3_333) as kwargs:
-            from_source = evaluate_fixed_scaling(
-                typical_corner_bus, as_trace_source(crafty_trace), **kwargs
+            workload = fixed_vs_workload(
+                as_trace_source(crafty_trace), typical_corner_bus.design.topology, **kwargs
             )
+            from_source = evaluate_fixed_scaling(typical_corner_bus, workload)
         assert from_source == from_stats
 
     def test_oracle_counts_errors_at_top_grid_voltage(self, crafty_trace):

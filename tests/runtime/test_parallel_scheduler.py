@@ -1,11 +1,11 @@
-"""Unit and fault tests for the statistics pass and its scheduler.
+"""Unit and fault tests for the statistics pass and its worker pool.
 
 The equivalence sweeps (tests/core/test_engine_equivalence.py) prove the
-pass bit-identical end to end; this file tests the scheduler's own
-contracts: segment geometry, merge-order invariance, the fan-out by part
-(junction cycles, word-range seams, the 1-word tail), inline fallbacks,
-and -- most importantly -- that a dead worker surfaces a clean
-:class:`ParallelExecutionError` instead of a hang.
+pass bit-identical end to end; this file tests the pass's own contracts:
+segment geometry, merge-order invariance, the fan-out by part (junction
+cycles, word-range seams, the 1-word tail), batches of runs on one pool,
+inline fallbacks, and -- most importantly -- that a dead worker surfaces a
+clean :class:`ParallelExecutionError` instead of a hang.
 """
 
 import os
@@ -15,22 +15,21 @@ import numpy as np
 import pytest
 
 import repro.runtime.parallel as parallel_mod
+from repro.analysis import run_table1
 from repro.bus.bus_model import (
     LANE_CHUNK_CYCLES,
     analyze_trace_statistics,
     kernel_plan,
     merge_summaries,
 )
+from repro.circuit.pvt import TYPICAL_CORNER, WORST_CASE_CORNER
 from repro.core.dvs_system import DVSBusSystem
 from repro.encoding.transition import TransitionEncoder
 from repro.interconnect.block_kernels import MAX_LANE_BITS, lanes_supported
-from repro.runtime import (
-    ChunkSegmenter,
-    ParallelChunkScheduler,
-    ParallelExecutionError,
-)
+from repro.interconnect.crosstalk import grouped_shield_topology
+from repro.runtime import ChunkSegmenter, ParallelExecutionError, statistics_pass
 from repro.telemetry import Telemetry, format_parallel_summary, use_telemetry
-from repro.trace import DEFAULT_CHUNK_CYCLES, SyntheticTraceSource
+from repro.trace import DEFAULT_CHUNK_CYCLES, SyntheticTraceSource, suite_sources
 from repro.trace.benchmarks import BenchmarkProfile, ProgramPhase, WordMix
 from repro.trace.io import save_trace_npz
 from repro.trace.stream import (
@@ -88,18 +87,37 @@ def _assert_same_summaries(measured, reference) -> None:
         np.testing.assert_array_equal(got.worst_coupling_counts, want.worst_coupling_counts)
 
 
+def _pass(workload, segmenter, topology, **kwargs):
+    """The pass over a batch of one run: that run's summaries."""
+    (summaries,) = statistics_pass([(workload, segmenter)], topology, **kwargs)
+    return summaries
+
+
 def _serial_and_pooled(workload, segmenter, topology, n_workers=2):
-    """The pass inline and on ``n_workers`` pool workers."""
-    with ParallelChunkScheduler(n_workers=1) as scheduler:
-        serial = scheduler.segment_summaries(workload, segmenter, topology)
-    with ParallelChunkScheduler(n_workers=n_workers) as scheduler:
-        pooled = scheduler.segment_summaries(workload, segmenter, topology)
+    """The pass inline and with ``n_workers`` jobs."""
+    serial = _pass(workload, segmenter, topology, jobs=1)
+    pooled = _pass(workload, segmenter, topology, jobs=n_workers)
     return serial, pooled
 
 
 @pytest.fixture(scope="module")
 def topology(paper_design):
     return paper_design.topology
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The size of every pool a pass opens, ``None`` where it fell back inline."""
+    opened = []
+    open_pool = parallel_mod._open_pool
+
+    def recording(n_workers):
+        pool = open_pool(n_workers)
+        opened.append(None if pool is None else n_workers)
+        return pool
+
+    monkeypatch.setattr(parallel_mod, "_open_pool", recording)
+    return opened
 
 
 class TestChunkSegmenter:
@@ -211,72 +229,48 @@ class TestMergeSummaries:
             merge_summaries([])
 
 
-class TestSchedulerLifecycle:
-    def test_single_worker_runs_inline(self, source, topology):
-        with ParallelChunkScheduler(n_workers=1) as scheduler, forced_plan(chunk_cycles=997):
-            summaries = scheduler.segment_summaries(
-                source, ChunkSegmenter(n_cycles=N_CYCLES), topology
-            )
-            assert scheduler.effective_workers == 1
+class TestPassLifecycle:
+    @pytest.mark.parametrize("jobs", (None, 0, 1))
+    def test_fewer_than_two_jobs_run_inline(self, source, topology, pools, jobs):
+        with forced_plan(chunk_cycles=997):
+            summaries = _pass(source, ChunkSegmenter(n_cycles=N_CYCLES), topology, jobs=jobs)
+        assert pools == []
         assert len(summaries) == 1
         assert summaries[0].n_cycles == N_CYCLES
 
-    def test_daemonic_process_falls_back_inline(self, source, topology, monkeypatch):
+    def test_daemonic_process_falls_back_inline(self, source, topology, pools, monkeypatch):
         monkeypatch.setattr(
             parallel_mod.multiprocessing,
             "current_process",
             lambda: SimpleNamespace(daemon=True),
         )
-        with ParallelChunkScheduler(n_workers=4) as scheduler:
-            summaries = scheduler.segment_summaries(
-                source, ChunkSegmenter(n_cycles=N_CYCLES), topology
-            )
-            assert scheduler.effective_workers == 1
+        summaries = _pass(source, ChunkSegmenter(n_cycles=N_CYCLES), topology, jobs=4)
+        assert pools == [None]
         assert summaries[0].n_cycles == N_CYCLES
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ParallelChunkScheduler(n_workers=0)
-
     def test_mismatched_segmenter_raises(self, source, topology):
-        with ParallelChunkScheduler(n_workers=1) as scheduler:
-            with pytest.raises(ValueError, match="segmenter"):
-                scheduler.segment_summaries(
-                    source, ChunkSegmenter(n_cycles=N_CYCLES + 1), topology
-                )
+        with pytest.raises(ValueError, match="segmenter"):
+            statistics_pass(
+                [
+                    (source, ChunkSegmenter(n_cycles=N_CYCLES)),
+                    (source, ChunkSegmenter(n_cycles=N_CYCLES + 1)),
+                ],
+                topology,
+            )
 
-    def test_pool_survives_reuse_and_close(self, suite, topology):
-        scheduler = ParallelChunkScheduler(n_workers=2)
-        segmenter = ChunkSegmenter(n_cycles=suite.n_cycles)
-        with forced_plan(chunk_cycles=1_024):
-            first = scheduler.segment_summaries(suite, segmenter, topology)
-            assert scheduler.effective_workers == 2
-        with forced_plan(chunk_cycles=777):
-            second = scheduler.segment_summaries(suite, segmenter, topology)
-        scheduler.close()
-        # A closed scheduler lazily re-creates its pool on next use.
-        with forced_plan(chunk_cycles=2_048):
-            third = scheduler.segment_summaries(suite, segmenter, topology)
-        scheduler.close()
-        _assert_same_summaries(second, first)
-        _assert_same_summaries(third, first)
-
-    def test_one_part_runs_inline_without_a_pool(self, source, topology):
+    def test_one_part_runs_inline_without_a_pool(self, source, topology, pools):
         # An encoder carries its state from the first word on: one part.
         encoded = EncodedTraceSource(source, TransitionEncoder())
         assert encoded.parts(2) == [encoded]
         segmenter = ChunkSegmenter(n_cycles=N_CYCLES)
-        with ParallelChunkScheduler(n_workers=2) as scheduler:
-            pooled = scheduler.segment_summaries(encoded, segmenter, topology)
-            assert scheduler.effective_workers == 1
-        with ParallelChunkScheduler(n_workers=1) as scheduler:
-            serial = scheduler.segment_summaries(encoded, segmenter, topology)
+        serial, pooled = _serial_and_pooled(encoded, segmenter, topology)
+        assert pools == []
         _assert_same_summaries(pooled, serial)
 
     def test_inline_progress_is_reported_per_chunk(self, source, topology):
         calls = []
-        with ParallelChunkScheduler(n_workers=1) as scheduler, forced_plan(chunk_cycles=1_000):
-            scheduler.segment_summaries(
+        with forced_plan(chunk_cycles=1_000):
+            _pass(
                 source,
                 ChunkSegmenter(n_cycles=N_CYCLES),
                 topology,
@@ -373,7 +367,7 @@ class TestFanOut:
 
     @pytest.mark.parametrize("form", ("synthetic", "in-memory", "npz"))
     @pytest.mark.parametrize("n_cycles", (2_000, 12_000))
-    def test_short_workloads_fan_out(self, topology, tmp_path, form, n_cycles):
+    def test_short_workloads_fan_out(self, topology, pools, tmp_path, form, n_cycles):
         # Shorter than one generation block, yet each worker gets a range.
         synthetic = SyntheticTraceSource("mgrid", n_cycles, seed=3)
         if form == "synthetic":
@@ -391,11 +385,9 @@ class TestFanOut:
             synthetic.materialize().packed_values,
         )
         segmenter = ChunkSegmenter(n_cycles=n_cycles, window_cycles=500, ramp_delay_cycles=150)
-        with ParallelChunkScheduler(n_workers=1) as scheduler, forced_plan(chunk_cycles=331):
-            serial = scheduler.segment_summaries(workload, segmenter, topology)
-        with ParallelChunkScheduler(n_workers=2) as scheduler, forced_plan(chunk_cycles=331):
-            pooled = scheduler.segment_summaries(workload, segmenter, topology)
-            assert scheduler.effective_workers == 2
+        with forced_plan(chunk_cycles=331):
+            serial, pooled = _serial_and_pooled(workload, segmenter, topology)
+        assert pools == [2]
         _assert_same_summaries(pooled, serial)
 
     def test_held_trace_parts_are_bounded(self):
@@ -419,22 +411,19 @@ class TestFanOut:
                 return super().parts(count)[:-1]
 
         workload = Truncated(_suite(1_500, 2_000, 2_500).sources)
-        with ParallelChunkScheduler(n_workers=2) as scheduler:
-            with pytest.raises(ParallelExecutionError, match="covered 3501 of"):
-                scheduler.segment_summaries(
-                    workload, ChunkSegmenter(n_cycles=workload.n_cycles), topology
-                )
+        with pytest.raises(ParallelExecutionError, match="covered 3501 of"):
+            _pass(workload, ChunkSegmenter(n_cycles=workload.n_cycles), topology, jobs=2)
 
     def test_progress_is_reported_per_part(self, topology):
         workload = _suite(1_500, 2_000, 2_500)
         calls = []
-        with ParallelChunkScheduler(n_workers=2) as scheduler:
-            scheduler.segment_summaries(
-                workload,
-                ChunkSegmenter(n_cycles=workload.n_cycles),
-                topology,
-                progress=lambda done, total: calls.append((done, total)),
-            )
+        _pass(
+            workload,
+            ChunkSegmenter(n_cycles=workload.n_cycles),
+            topology,
+            jobs=2,
+            progress=lambda done, total: calls.append((done, total)),
+        )
         total = workload.n_cycles
         # A junction cycle counts with the part after it.
         assert calls == [(1_500, total), (3_501, total), (total, total)]
@@ -449,35 +438,121 @@ def _raise_worker(*task):
     raise ValueError("synthetic worker failure")
 
 
+def _exit_on_mgrid(part, *task):
+    """Crashes on the mgrid program only: the runs before it complete."""
+    if part.name.startswith("mgrid"):
+        os._exit(3)
+    return _PART_SUMMARIES(part, *task)
+
+
+_PART_SUMMARIES = parallel_mod._part_summaries
+
+
 class TestWorkerFaults:
     def test_crashed_worker_raises_clean_error(self, suite, topology, monkeypatch):
         monkeypatch.setattr(parallel_mod, "_part_summaries", _exit_worker)
-        with ParallelChunkScheduler(n_workers=2) as scheduler:
-            with pytest.raises(ParallelExecutionError, match="worker died"):
-                scheduler.segment_summaries(
-                    suite, ChunkSegmenter(n_cycles=suite.n_cycles), topology
-                )
+        with pytest.raises(ParallelExecutionError, match="worker died"):
+            _pass(suite, ChunkSegmenter(n_cycles=suite.n_cycles), topology, jobs=2)
 
-    def test_crash_then_recover_with_fresh_pool(self, suite, topology, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "_part_summaries", _exit_worker)
-        scheduler = ParallelChunkScheduler(n_workers=2)
-        segmenter = ChunkSegmenter(n_cycles=suite.n_cycles)
-        with pytest.raises(ParallelExecutionError):
-            scheduler.segment_summaries(suite, segmenter, topology)
-        monkeypatch.undo()
-        # The broken pool was torn down; the same scheduler works again.
-        with scheduler:
-            summaries = scheduler.segment_summaries(suite, segmenter, topology)
-            assert scheduler.effective_workers == 2
-        assert summaries[0].n_cycles == suite.n_cycles
+    def test_crash_mid_batch_then_the_next_call_succeeds(self, topology, pools, monkeypatch):
+        programs = [
+            SyntheticTraceSource(name, 2_000, seed=index)
+            for index, name in enumerate(("crafty", "vortex", "mgrid", "swim"))
+        ]
+        runs = [(program, ChunkSegmenter(n_cycles=2_000)) for program in programs]
+        monkeypatch.setattr(parallel_mod, "_part_summaries", _exit_on_mgrid)
+        with pytest.raises(ParallelExecutionError, match="worker died"):
+            statistics_pass(runs, topology, jobs=2)
+        monkeypatch.setattr(parallel_mod, "_part_summaries", _PART_SUMMARIES)
+        summaries = statistics_pass(runs, topology, jobs=2)
+        assert pools == [2, 2]
+        for run_summaries, (program, segmenter) in zip(summaries, runs):
+            _assert_same_summaries(run_summaries, _pass(program, segmenter, topology))
 
     def test_worker_exception_propagates(self, suite, topology, monkeypatch):
         monkeypatch.setattr(parallel_mod, "_part_summaries", _raise_worker)
-        with ParallelChunkScheduler(n_workers=2) as scheduler:
-            with pytest.raises(ValueError, match="synthetic worker failure"):
-                scheduler.segment_summaries(
-                    suite, ChunkSegmenter(n_cycles=suite.n_cycles), topology
-                )
+        with pytest.raises(ValueError, match="synthetic worker failure"):
+            _pass(suite, ChunkSegmenter(n_cycles=suite.n_cycles), topology, jobs=2)
+
+
+#: The bus width of the mixed batch: odd, and too narrow for whole bytes.
+ODD_WIDTH = 13
+
+
+class TestBatches:
+    """One call, several runs: each run's result is its own pass's."""
+
+    @pytest.fixture(scope="class")
+    def mixed_batch(self):
+        synthetic = SyntheticTraceSource("crafty", 5_000, n_bits=ODD_WIDTH, seed=1)
+        suite = ConcatenatedTraceSource(
+            [
+                SyntheticTraceSource("mgrid", 1_500, n_bits=ODD_WIDTH, seed=2),
+                SyntheticTraceSource("vortex", 2_000, n_bits=ODD_WIDTH, seed=3),
+            ]
+        )
+        in_memory = SyntheticTraceSource("swim", 3_001, n_bits=ODD_WIDTH, seed=4).materialize()
+        topology = grouped_shield_topology(ODD_WIDTH, 4)
+        statistics = analyze_trace_statistics(
+            SyntheticTraceSource("crafty", 2_500, n_bits=ODD_WIDTH, seed=5).materialize(),
+            topology,
+        )
+        workloads = (synthetic, suite, in_memory, statistics)
+        runs = [
+            (
+                workload,
+                ChunkSegmenter(
+                    n_cycles=workload.n_cycles, window_cycles=700, ramp_delay_cycles=200
+                ),
+            )
+            for workload in workloads
+        ]
+        return runs, topology
+
+    def test_mixed_batch_on_workers_equals_each_run_alone(self, mixed_batch, pools):
+        runs, topology = mixed_batch
+        with forced_plan(chunk_cycles=331):
+            batch = statistics_pass(runs, topology, jobs=2)
+            alone = [_pass(workload, segmenter, topology, jobs=1) for workload, segmenter in runs]
+        assert pools == [2]
+        assert len(batch) == len(runs)
+        for measured, reference in zip(batch, alone):
+            _assert_same_summaries(measured, reference)
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_batch_progress_is_monotone_and_complete(self, mixed_batch, jobs):
+        runs, topology = mixed_batch
+        total = sum(workload.n_cycles for workload, _ in runs)
+        calls = []
+        with forced_plan(chunk_cycles=997):
+            statistics_pass(
+                runs, topology, jobs=jobs, progress=lambda done, of: calls.append((done, of))
+            )
+        assert len(calls) > len(runs)
+        assert all(of == total for _, of in calls)
+        done = [cycles for cycles, _ in calls]
+        assert done == sorted(done)
+        assert calls[-1] == (total, total)
+
+    def test_table1_submits_one_part_per_benchmark(self, pools):
+        names = ("crafty", "mgrid", "vortex")
+        workloads = suite_sources(names=names, n_cycles=12_000, seed=23)
+        telemetry = Telemetry(label="test-table1")
+        with use_telemetry(telemetry):
+            run_table1(
+                workloads=workloads,
+                corners=(WORST_CASE_CORNER, TYPICAL_CORNER),
+                n_cycles=12_000,
+                order=names,
+                window_cycles=1_000,
+                ramp_delay_cycles=300,
+                jobs=2,
+            )
+        assert pools == [2]
+        parts = [event for event in telemetry.events if event.name == "parallel.part"]
+        assert sorted(event.args["cycles"] for event in parts) == [12_000] * len(names)
+        assert sorted(event.args["start_cycle"] for event in parts) == [0] * len(names)
+        assert telemetry.metrics.gauges["parallel.workers"] == 2
 
 
 #: Chunk starts of the two-program suite in chunks of 997 cycles: each

@@ -67,8 +67,8 @@ class TestDVSRunInstrumentation:
         system = DVSBusSystem(bus)
         telemetry = Telemetry(label="replay")
         with use_telemetry(telemetry):
-            summaries = statistics_pass(
-                source, system.control_segmenter(30_000), bus.design.topology
+            (summaries,) = statistics_pass(
+                [(source, system.control_segmenter(30_000))], bus.design.topology
             )
             state = system.stream(30_000)
             for summary in summaries:
