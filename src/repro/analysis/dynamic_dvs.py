@@ -149,8 +149,9 @@ def _run_suite_streamed(
     loop and merge into the one summary the static studies evaluate (the
     Table 1 fixed-VS baselines, the Fig. 10 corner studies).  The whole
     suite is one batch of the pass, so with ``jobs > 1`` each benchmark is a
-    task of its own.  Returns, per workload, that summary and one run per
-    system.
+    task of its own.  Each benchmark is replayed, and its summaries let go,
+    before the pass folds the next.  Returns, per workload, that summary and
+    one run per system.
     """
     # Imported lazily, like the progress reporter: repro.runtime circles back.
     from repro.runtime.parallel import statistics_pass
@@ -166,13 +167,17 @@ def _run_suite_streamed(
             raise ValueError("systems sharing one pass must agree on window, ramp and warm-up")
         runs.append((workload, segmenter))
     passes = statistics_pass(runs, systems[0].bus.design.topology, jobs=jobs, progress=progress)
-    return [
-        (
+
+    def replayed(
+        summaries: list[TraceSummary], warmup: int
+    ) -> tuple[TraceSummary, list[DVSRunResult]]:
+        return (
             merge_summaries(summaries),
             [system.replay(summaries, warmup_cycles=warmup) for system in systems],
         )
-        for summaries, warmup in zip(passes, warmups)
-    ]
+
+    # ``map`` lets go of each run's summaries before the pass folds the next.
+    return list(map(replayed, passes, warmups))
 
 
 def run_table1(

@@ -88,31 +88,18 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 from collections.abc import Iterator, Sequence
 
-# Module top imports only what every command needs -- the parser's choice
-# lists, the result cache and telemetry -- and none of it loads numpy, so
-# ``--help``, a cache-hit ``run`` and a cache-hit ``submit`` start fast
-# (``tests/test_import_budget.py``).  Each handler imports the simulation
-# code it drives.
-from repro.analysis.experiments import EXPERIMENTS, accepted_kwargs, run_experiment
-from repro.runtime.cache import ResultCache, default_cache_dir
-from repro.runtime.tasks import CORNERS
-from repro.telemetry import (
-    DEFAULT_TELEMETRY_BASE,
-    Telemetry,
-    format_parallel_summary,
-    format_summary,
-    get_telemetry,
-    read_jsonl_metrics,
-    telemetry_paths,
-    use_telemetry,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.telemetry.metrics import format_quantity
-from repro.trace import WorkloadError
-from repro.trace.benchmarks import TABLE1_ORDER
+if TYPE_CHECKING:
+    from repro.runtime.cache import ResultCache
+
+# The module top imports nothing from ``repro``: each command's arguments
+# are added only when argparse selects that command (``_LazySubParsers``),
+# and each ``_configure_*`` function and handler imports what it uses.  So
+# ``--help`` loads no other ``repro`` module, and a cache-hit ``run`` or
+# ``submit`` loads the experiment registry and the cache or the server
+# client, not the simulation stack (``tests/test_import_budget.py``).
 
 #: The ids of :data:`repro.runtime.sweeps.SWEEPS`, sorted, for the ``sweep``
 #: parser.  Spelled out because building that registry loads numpy (its
@@ -128,6 +115,33 @@ SWEEP_NAMES = (
 )
 
 
+class _LazySubParsers(argparse._SubParsersAction):
+    """The ``command`` action: a command's arguments are added when it is chosen.
+
+    :func:`build_parser` registers every command's name, help line and
+    handler, which is all the top-level ``--help`` prints; the command's
+    ``configure`` function (:data:`COMMANDS`) runs just before argparse
+    parses the rest of the command line with that command's parser.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._configured: set[str] = set()
+
+    def configure(self, name: str) -> argparse.ArgumentParser:
+        """The parser of command ``name``, with its arguments added."""
+        parser = self.choices[name]
+        if name not in self._configured:
+            self._configured.add(name)
+            _, configure, _ = COMMANDS[name]
+            configure(parser)
+        return parser
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        self.configure(values[0])
+        super().__call__(parser, namespace, values, option_string)
+
+
 def _workload_error(error: Exception) -> int:
     """Print a workload-spec failure as a clean CLI error (no traceback)."""
     message = error.args[0] if error.args else str(error)
@@ -135,7 +149,99 @@ def _workload_error(error: Exception) -> int:
     return 2
 
 
+# --------------------------------------------------------------------------- #
+# Arguments.  The runtime flags are accepted both before and after the
+# subcommand (``repro --jobs 4 sweep ...`` and ``repro sweep ... --jobs 4``).
+# The sub-parser copies default to SUPPRESS so an unused post-command flag
+# never clobbers a value the top-level parser already set.
+# --------------------------------------------------------------------------- #
+def _add_runtime_flags(target: argparse.ArgumentParser, top_level: bool) -> None:
+    target.add_argument(
+        "--jobs",
+        type=int,
+        metavar="N",
+        default=1 if top_level else argparse.SUPPRESS,
+        help="worker processes (sweep/report cache misses, or the statistics "
+        "pass of run/simulate/profile; results are identical to serial)",
+    )
+    target.add_argument(
+        "--cache-dir",
+        type=Path,
+        metavar="PATH",
+        default=None if top_level else argparse.SUPPRESS,
+        help="result-cache root (default: $REPRO_CACHE_DIR or ./.repro-cache)",
+    )
+    target.add_argument(
+        "--no-cache",
+        action="store_true",
+        default=False if top_level else argparse.SUPPRESS,
+        help="bypass the result cache entirely (always simulate)",
+    )
+    _add_telemetry_flag(target, top_level)
+    _add_chardb_flag(target, top_level)
+
+
+def _add_chardb_flag(target: argparse.ArgumentParser, top_level: bool) -> None:
+    target.add_argument(
+        "--chardb",
+        metavar="PATH",
+        default=None if top_level else argparse.SUPPRESS,
+        help="characterization database (.chardb file) to resolve "
+        "delay/error/energy surfaces from instead of the circuit models; "
+        "results are bit-identical (build one with 'repro chardb build')",
+    )
+
+
+def _add_telemetry_flag(target: argparse.ArgumentParser, top_level: bool) -> None:
+    # 'telemetry' is repro.telemetry.DEFAULT_TELEMETRY_BASE, spelled out so
+    # the top-level parser needs no import (tests/test_import_budget.py).
+    target.add_argument(
+        "--telemetry",
+        nargs="?",
+        const="",
+        metavar="PATH",
+        default=None if top_level else argparse.SUPPRESS,
+        help="trace the command: write PATH.jsonl + PATH.trace.json "
+        "(default base: 'telemetry') and print a span/counter "
+        "summary; 'cache stats' reads PATH.jsonl instead",
+    )
+
+
+# Workload-scale flags: accepted globally and on the commands that consume
+# them, so any registered experiment or sweep can be scaled without code
+# edits (``repro run table1 --cycles 500000`` or ``repro --cycles 500000
+# sweep controller-grid``).
+def _add_workload_flags(target: argparse.ArgumentParser, top_level: bool) -> None:
+    target.add_argument(
+        "--cycles",
+        type=int,
+        metavar="N",
+        default=None if top_level else argparse.SUPPRESS,
+        help="cycles per benchmark (experiments default to the paper's 10M "
+        "for table1/fig8, streamed in O(chunk) memory)",
+    )
+
+
+# ``run``, ``profile`` and ``submit`` share the experiment arguments;
+# ``_experiment_kwargs`` turns them into the runner's keywords.
+def _add_experiment_arguments(target: argparse.ArgumentParser) -> None:
+    from repro.analysis.experiments import EXPERIMENTS
+
+    target.add_argument("experiment", choices=sorted(EXPERIMENTS), help="experiment id")
+    target.add_argument("--seed", type=int, default=2005, help="workload seed")
+    target.add_argument(
+        "--workload",
+        default=None,
+        metavar="SPEC",
+        help="registry workload spec(s), comma-separated rows ('+' concatenates "
+        "within a row; experiments that take workloads only -- see "
+        "'repro trace --list')",
+    )
+
+
 def _add_corner_argument(parser: argparse.ArgumentParser) -> None:
+    from repro.runtime.tasks import CORNERS
+
     parser.add_argument(
         "--corner",
         choices=sorted(CORNERS),
@@ -144,145 +250,58 @@ def _add_corner_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser (exposed for the tests and for docs)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Reproduction of 'DVS for On-Chip Bus Designs Based on Timing Error "
-            "Correction' (Kaul et al., DATE 2005)."
-        ),
+def _add_server_address(target: argparse.ArgumentParser) -> None:
+    target.add_argument(
+        "--host", default=None, metavar="HOST", help="server address (default 127.0.0.1)"
     )
-    # The runtime flags are accepted both before and after the subcommand
-    # (``repro --jobs 4 sweep ...`` and ``repro sweep ... --jobs 4``).  The
-    # sub-parser copies default to SUPPRESS so an unused post-command flag
-    # never clobbers a value the top-level parser already set.
-    def add_runtime_flags(target: argparse.ArgumentParser, top_level: bool) -> None:
-        target.add_argument(
-            "--jobs",
-            type=int,
-            metavar="N",
-            default=1 if top_level else argparse.SUPPRESS,
-            help="worker processes (sweep/report cache misses, or the statistics "
-            "pass of run/simulate/profile; results are identical to serial)",
-        )
-        target.add_argument(
-            "--cache-dir",
-            type=Path,
-            metavar="PATH",
-            default=None if top_level else argparse.SUPPRESS,
-            help="result-cache root (default: $REPRO_CACHE_DIR or ./.repro-cache)",
-        )
-        target.add_argument(
-            "--no-cache",
-            action="store_true",
-            default=False if top_level else argparse.SUPPRESS,
-            help="bypass the result cache entirely (always simulate)",
-        )
-        add_telemetry_flag(target, top_level)
-        add_chardb_flag(target, top_level)
-
-    def add_chardb_flag(target: argparse.ArgumentParser, top_level: bool) -> None:
-        target.add_argument(
-            "--chardb",
-            metavar="PATH",
-            default=None if top_level else argparse.SUPPRESS,
-            help="characterization database (.chardb file) to resolve "
-            "delay/error/energy surfaces from instead of the circuit models; "
-            "results are bit-identical (build one with 'repro chardb build')",
-        )
-
-    def add_telemetry_flag(target: argparse.ArgumentParser, top_level: bool) -> None:
-        target.add_argument(
-            "--telemetry",
-            nargs="?",
-            const="",
-            metavar="PATH",
-            default=None if top_level else argparse.SUPPRESS,
-            help="trace the command: write PATH.jsonl + PATH.trace.json "
-            f"(default base: {DEFAULT_TELEMETRY_BASE!r}) and print a span/counter "
-            "summary; 'cache stats' reads PATH.jsonl instead",
-        )
-
-    # Workload-scale flags: accepted globally and on the commands that
-    # consume them, so any registered experiment or sweep can be scaled
-    # without code edits (``repro run table1 --cycles 500000`` or
-    # ``repro --cycles 500000 sweep controller-grid``).
-    def add_workload_flags(target: argparse.ArgumentParser, top_level: bool) -> None:
-        target.add_argument(
-            "--cycles",
-            type=int,
-            metavar="N",
-            default=None if top_level else argparse.SUPPRESS,
-            help="cycles per benchmark (experiments default to the paper's 10M "
-            "for table1/fig8, streamed in O(chunk) memory)",
-        )
-
-    add_runtime_flags(parser, top_level=True)
-    add_workload_flags(parser, top_level=True)
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name: str, handler, help: str) -> argparse.ArgumentParser:
-        command = subparsers.add_parser(name, help=help)
-        command.set_defaults(handler=handler)
-        return command
-
-    # ``run``, ``profile`` and ``submit`` share the experiment arguments;
-    # ``_experiment_kwargs`` turns them into the runner's keywords.
-    def add_experiment_arguments(target: argparse.ArgumentParser) -> None:
-        target.add_argument("experiment", choices=sorted(EXPERIMENTS), help="experiment id")
-        target.add_argument("--seed", type=int, default=2005, help="workload seed")
-        target.add_argument(
-            "--workload",
-            default=None,
-            metavar="SPEC",
-            help="registry workload spec(s), comma-separated rows ('+' concatenates "
-            "within a row; experiments that take workloads only -- see "
-            "'repro trace --list')",
-        )
-
-    add_command("list", _command_list, help="list the paper's experiments and their ids")
-
-    run_parser = add_command("run", _command_run, help="run one experiment by id")
-    add_experiment_arguments(run_parser)
-    add_workload_flags(run_parser, top_level=False)
-    add_runtime_flags(run_parser, top_level=False)
-
-    sweep_parser = add_command(
-        "sweep", _command_sweep, help="run a declarative parameter grid through the runtime engine"
+    target.add_argument(
+        "--port",
+        type=int,
+        default=None,
+        metavar="PORT",
+        help="server port (default: $REPRO_SERVER_ADDR or 7325)",
     )
-    sweep_parser.add_argument(
+
+
+def _configure_list(parser: argparse.ArgumentParser) -> None:
+    pass
+
+
+def _configure_run(parser: argparse.ArgumentParser) -> None:
+    _add_experiment_arguments(parser)
+    _add_workload_flags(parser, top_level=False)
+    _add_runtime_flags(parser, top_level=False)
+
+
+def _configure_sweep(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "name",
         nargs="?",
         choices=SWEEP_NAMES,
         help="sweep id (omit with --list to enumerate)",
     )
-    sweep_parser.add_argument(
+    parser.add_argument(
         "--list", action="store_true", dest="list_sweeps", help="list the named sweeps"
     )
-    sweep_parser.add_argument(
+    parser.add_argument(
         "--limit", type=int, default=None, metavar="K", help="run only the first K grid points"
     )
-    sweep_parser.add_argument(
+    parser.add_argument(
         "--out",
         type=Path,
         default=None,
         metavar="DIR",
         help="also write manifest.json + results.jsonl under DIR/<sweep>/",
     )
-    sweep_parser.add_argument(
+    parser.add_argument(
         "--quiet", action="store_true", help="suppress per-job progress lines on stderr"
     )
-    add_workload_flags(sweep_parser, top_level=False)
-    add_runtime_flags(sweep_parser, top_level=False)
+    _add_workload_flags(parser, top_level=False)
+    _add_runtime_flags(parser, top_level=False)
 
-    report_parser = add_command(
-        "report",
-        _command_report,
-        help="render experiments into a Markdown/JSON/SVG artifact directory "
-        "with a fidelity summary vs the paper",
-    )
-    report_parser.add_argument(
+
+def _configure_report(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--experiments",
         default="all",
         metavar="IDS",
@@ -290,72 +309,65 @@ def build_parser() -> argparse.ArgumentParser:
         "the paper's default scale simulates for ~15-20 min single-core "
         "(cached afterwards); scale with --cycles for a quick look.",
     )
-    report_parser.add_argument(
+    parser.add_argument(
         "--out",
         type=Path,
         default=Path("report"),
         metavar="DIR",
         help="directory the report is written into (default: ./report)",
     )
-    report_parser.add_argument("--seed", type=int, default=2005, help="workload seed")
-    report_parser.add_argument(
+    parser.add_argument("--seed", type=int, default=2005, help="workload seed")
+    parser.add_argument(
         "--quiet", action="store_true", help="suppress per-job progress lines on stderr"
     )
-    add_workload_flags(report_parser, top_level=False)
-    add_runtime_flags(report_parser, top_level=False)
+    _add_workload_flags(parser, top_level=False)
+    _add_runtime_flags(parser, top_level=False)
 
-    cache_parser = add_command(
-        "cache", _command_cache, help="inspect or clear the content-addressed result cache"
-    )
-    cache_parser.add_argument(
+
+def _configure_cache(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "action",
         choices=("info", "list", "clear", "stats"),
         help="what to do with the cache ('stats' adds the hit/miss counters "
         "of the last telemetry log)",
     )
-    add_runtime_flags(cache_parser, top_level=False)
+    _add_runtime_flags(parser, top_level=False)
 
-    profile_parser = add_command(
-        "profile",
-        _command_profile,
-        help="run one bounded experiment under the span tracer and print the "
-        "top spans and counter deltas (always writes a Chrome trace file)",
-    )
-    add_experiment_arguments(profile_parser)
-    profile_parser.add_argument(
+
+def _configure_profile(parser: argparse.ArgumentParser) -> None:
+    _add_experiment_arguments(parser)
+    parser.add_argument(
         "--top", type=int, default=15, metavar="N", help="span paths to print (default 15)"
     )
     # Bounded by default: profiling wants a quick, representative run, not
     # the paper's 10M cycles (override with --cycles for a longer look).
-    profile_parser.add_argument(
+    parser.add_argument(
         "--cycles",
         type=int,
         default=argparse.SUPPRESS,
         metavar="N",
         help="cycles per benchmark (default 50000 -- bounded, unlike 'run')",
     )
-    profile_parser.add_argument(
+    parser.add_argument(
         "--jobs",
         type=int,
         metavar="N",
         default=argparse.SUPPRESS,
         help="worker processes for the statistics pass",
     )
-    add_telemetry_flag(profile_parser, top_level=False)
-    add_chardb_flag(profile_parser, top_level=False)
+    _add_telemetry_flag(parser, top_level=False)
+    _add_chardb_flag(parser, top_level=False)
 
-    characterize_parser = add_command(
-        "characterize",
-        _command_characterize,
-        help="delay and error behaviour of the bus over the voltage grid",
-    )
-    _add_corner_argument(characterize_parser)
-    add_chardb_flag(characterize_parser, top_level=False)
 
-    simulate_parser = add_command(
-        "simulate", _command_simulate, help="one closed-loop DVS run on a single workload"
-    )
-    simulate_parser.add_argument(
+def _configure_characterize(parser: argparse.ArgumentParser) -> None:
+    _add_corner_argument(parser)
+    _add_chardb_flag(parser, top_level=False)
+
+
+def _configure_simulate(parser: argparse.ArgumentParser) -> None:
+    from repro.trace.benchmarks import TABLE1_ORDER
+
+    parser.add_argument(
         "--benchmark",
         choices=TABLE1_ORDER,
         default="crafty",
@@ -363,177 +375,159 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep task (--workload NAME derives Table 1's per-benchmark stream "
         "instead, so the two print slightly different runs)",
     )
-    simulate_parser.add_argument(
+    parser.add_argument(
         "--workload",
         default=None,
         metavar="SPEC",
         help="registry workload spec (overrides --benchmark; see 'repro trace --list')",
     )
-    _add_corner_argument(simulate_parser)
+    _add_corner_argument(parser)
     # SUPPRESS keeps the global --cycles usable before the subcommand: a
     # subparser default would overwrite the already-parsed top-level value.
     # The handler applies the 200k fallback.
-    simulate_parser.add_argument(
+    parser.add_argument(
         "--cycles", type=int, default=argparse.SUPPRESS, help="cycles to simulate (default 200000)"
     )
-    simulate_parser.add_argument(
+    parser.add_argument(
         "--jobs",
         type=int,
         metavar="N",
         default=argparse.SUPPRESS,
         help="worker processes for the statistics pass",
     )
-    simulate_parser.add_argument("--seed", type=int, default=2005)
-    simulate_parser.add_argument("--window", type=int, default=10_000, help="error window (cycles)")
-    simulate_parser.add_argument("--ramp", type=int, default=3_000, help="regulator ramp (cycles)")
-    add_telemetry_flag(simulate_parser, top_level=False)
-    add_chardb_flag(simulate_parser, top_level=False)
+    parser.add_argument("--seed", type=int, default=2005)
+    parser.add_argument("--window", type=int, default=10_000, help="error window (cycles)")
+    parser.add_argument("--ramp", type=int, default=3_000, help="regulator ramp (cycles)")
+    _add_telemetry_flag(parser, top_level=False)
+    _add_chardb_flag(parser, top_level=False)
 
-    serve_parser = add_command(
-        "serve",
-        _command_serve,
-        help="run the persistent job server (submit with 'repro submit', "
-        "inspect with 'repro jobs')",
-    )
-    serve_parser.add_argument(
+
+def _configure_serve(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--host", default=None, metavar="HOST", help="bind address (default 127.0.0.1)"
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--port",
         type=int,
         default=None,
         metavar="PORT",
         help="bind port (default: $REPRO_SERVER_ADDR or 7325; 0 picks a free port)",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--max-pending",
         type=int,
         default=64,
         metavar="N",
         help="queued-job backpressure bound; further submissions are rejected (default 64)",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--quota",
         type=int,
         default=8,
         metavar="N",
         help="active jobs per client before submissions are rejected (0 = unlimited; default 8)",
     )
-    add_runtime_flags(serve_parser, top_level=False)
+    _add_runtime_flags(parser, top_level=False)
 
-    def add_server_address(target: argparse.ArgumentParser) -> None:
-        target.add_argument(
-            "--host", default=None, metavar="HOST", help="server address (default 127.0.0.1)"
-        )
-        target.add_argument(
-            "--port",
-            type=int,
-            default=None,
-            metavar="PORT",
-            help="server port (default: $REPRO_SERVER_ADDR or 7325)",
-        )
 
-    submit_parser = add_command(
-        "submit",
-        _command_submit,
-        help="submit one experiment to a running 'repro serve' and stream the result",
-    )
-    add_experiment_arguments(submit_parser)
-    add_server_address(submit_parser)
-    submit_parser.add_argument(
+def _configure_submit(parser: argparse.ArgumentParser) -> None:
+    _add_experiment_arguments(parser)
+    _add_server_address(parser)
+    parser.add_argument(
         "--quiet", action="store_true", help="suppress progress lines on stderr"
     )
-    add_workload_flags(submit_parser, top_level=False)
-    add_chardb_flag(submit_parser, top_level=False)
+    _add_workload_flags(parser, top_level=False)
+    _add_chardb_flag(parser, top_level=False)
 
-    jobs_parser = add_command(
-        "jobs",
-        _command_jobs,
-        help="inspect or control a running 'repro serve' (list/stats/cancel/shutdown)",
-    )
-    add_server_address(jobs_parser)
-    jobs_parser.add_argument(
+
+def _configure_jobs(parser: argparse.ArgumentParser) -> None:
+    _add_server_address(parser)
+    parser.add_argument(
         "--stats", action="store_true", help="print queue statistics instead of the job list"
     )
-    jobs_parser.add_argument(
+    parser.add_argument(
         "--cancel", metavar="JOB", default=None, help="cancel one job by id (e.g. job-3)"
     )
-    jobs_parser.add_argument(
+    parser.add_argument(
         "--shutdown", action="store_true", help="stop the server (drains queued jobs first)"
     )
 
-    chardb_parser = add_command(
-        "chardb",
-        _command_chardb,
-        help="build, inspect or verify the characterization database "
-        "(docs/chardb_format.md specifies the file format)",
-    )
-    chardb_parser.add_argument(
+
+def _configure_chardb(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "action",
         choices=("build", "inspect", "verify"),
         help="build: characterise the standard grid and write the artifact; "
         "inspect: print the header/index summary; verify: recheck the "
         "content hash and every entry's extents",
     )
-    chardb_parser.add_argument(
+    parser.add_argument(
         "path",
         nargs="?",
         default=None,
         metavar="PATH",
         help="database file (default: chardb/paper.chardb)",
     )
-    chardb_parser.add_argument(
+    parser.add_argument(
         "--check",
         action="store_true",
         help="with 'build': rebuild in memory and fail if PATH differs "
         "byte-for-byte (the CI drift gate); nothing is written",
     )
 
+
+def _configure_analyze(parser: argparse.ArgumentParser) -> None:
     from repro.analyze import cli as analyze_cli
 
-    analyze_parser = add_command(
-        "analyze",
-        lambda args, cache: analyze_cli.run(args),
-        help="run the invariant-aware static analyzer (determinism, cache-key "
-        "soundness, lock discipline)",
-    )
-    analyze_cli.add_arguments(analyze_parser)
+    analyze_cli.add_arguments(parser)
 
-    trace_parser = add_command(
-        "trace", _command_trace, help="generate, inspect or save any registered workload trace"
-    )
-    trace_parser.add_argument(
+
+def _configure_trace(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--workload",
         default=None,
         metavar="SPEC",
         help="workload spec (synthetic profile, cpu:<kernel>, file:<path>, "
         "simpoint:/suite:/encoded: wrappers; see --list)",
     )
-    trace_parser.add_argument(
+    parser.add_argument(
         "--list", action="store_true", dest="list_workloads", help="list the registered workloads"
     )
-    trace_parser.add_argument(
+    parser.add_argument(
         "--cycles",
         type=int,
         default=argparse.SUPPRESS,
         help="trace length for generative workloads (default 20000)",
     )
-    trace_parser.add_argument("--seed", type=int, default=2005, help="workload seed")
-    trace_parser.add_argument(
+    parser.add_argument("--seed", type=int, default=2005, help="workload seed")
+    parser.add_argument(
         "--out",
         type=Path,
         default=None,
         metavar="PATH",
         help="save the trace (.npz packed archive or .hex text, by extension)",
     )
-    return parser
 
 
 # --------------------------------------------------------------------------- #
-# Commands: each takes the parsed arguments and the result cache (``None``
-# under --no-cache) and returns the exit code.
+# Commands: each takes the parsed arguments and returns the exit code.
 # --------------------------------------------------------------------------- #
-def _command_list(args: argparse.Namespace, cache: ResultCache | None) -> int:
+def _result_cache(args: argparse.Namespace) -> ResultCache | None:
+    """The result cache under ``--cache-dir``, or ``None`` under ``--no-cache``.
+
+    Only the commands that store results open it (``run``, ``sweep``,
+    ``report``, ``serve``), so the others never import the cache.
+    """
+    if args.no_cache:
+        return None
+    from repro.runtime.cache import ResultCache, default_cache_dir
+
+    return ResultCache(args.cache_dir if args.cache_dir is not None else default_cache_dir())
+
+
+def _command_list(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import EXPERIMENTS
+
     width = max(len(identifier) for identifier in EXPERIMENTS)
     print("Experiments (regenerate with 'python -m repro run <id>'):")
     for identifier in sorted(EXPERIMENTS):
@@ -554,6 +548,8 @@ def _experiment_kwargs(
     ``run_experiment`` and the ``experiment`` task handle it for every
     runner.
     """
+    from repro.analysis.experiments import EXPERIMENTS, accepted_kwargs
+
     runner = EXPERIMENTS[args.experiment].runner
     requested = {
         "n_cycles": args.cycles,
@@ -572,8 +568,11 @@ def _experiment_kwargs(
     return kwargs
 
 
-def _command_run(args: argparse.Namespace, cache: ResultCache | None) -> int:
-    experiment = args.experiment
+def _command_run(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import run_experiment
+    from repro.trace import WorkloadError
+
+    experiment, cache = args.experiment, _result_cache(args)
     kwargs = _experiment_kwargs(args, jobs=args.jobs)
     started = time.perf_counter()
     try:
@@ -591,7 +590,8 @@ def _command_run(args: argparse.Namespace, cache: ResultCache | None) -> int:
     return 0
 
 
-def _command_sweep(args: argparse.Namespace, cache: ResultCache | None) -> int:
+def _command_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import accepted_kwargs
     from repro.runtime import ProgressPrinter, ResultStore, run_jobs
     from repro.runtime.sweeps import SWEEPS, format_sweep_report, get_sweep
     from repro.runtime.tasks import get_task
@@ -623,7 +623,7 @@ def _command_sweep(args: argparse.Namespace, cache: ResultCache | None) -> int:
         # the spec folds the file's content hash into each cache key.
         specs = tuple(spec.with_params(chardb=str(chardb)) for spec in specs)
     progress = ProgressPrinter(quiet=args.quiet)
-    report = run_jobs(specs, cache=cache, n_workers=args.jobs, progress=progress)
+    report = run_jobs(specs, cache=_result_cache(args), n_workers=args.jobs, progress=progress)
     print(format_sweep_report(sweep, report))
     print(f"[runtime] {report.summary()}", file=sys.stderr)
     if args.out is not None:
@@ -632,7 +632,7 @@ def _command_sweep(args: argparse.Namespace, cache: ResultCache | None) -> int:
     return 0
 
 
-def _command_report(args: argparse.Namespace, cache: ResultCache | None) -> int:
+def _command_report(args: argparse.Namespace) -> int:
     from repro.report import build_report, resolve_experiments
     from repro.runtime import ProgressPrinter
 
@@ -646,7 +646,7 @@ def _command_report(args: argparse.Namespace, cache: ResultCache | None) -> int:
     build = build_report(
         identifiers,
         args.out,
-        cache=cache,
+        cache=_result_cache(args),
         jobs=args.jobs,
         n_cycles=args.cycles,
         seed=args.seed,
@@ -663,7 +663,7 @@ def _command_report(args: argparse.Namespace, cache: ResultCache | None) -> int:
     return 0
 
 
-def _command_profile(args: argparse.Namespace, cache: ResultCache | None) -> int:
+def _command_profile(args: argparse.Namespace) -> int:
     """Run one bounded experiment under the (already installed) tracer.
 
     ``main`` installs the telemetry collector and writes the JSONL/Chrome
@@ -671,6 +671,10 @@ def _command_profile(args: argparse.Namespace, cache: ResultCache | None) -> int
     plus the on-stdout span/counter summary (including the scaling block
     whenever the statistics pass fanned out over worker processes).
     """
+    from repro.analysis.experiments import run_experiment
+    from repro.telemetry import format_parallel_summary, format_summary, get_telemetry
+    from repro.trace import WorkloadError
+
     experiment = args.experiment
     telemetry = get_telemetry()
     baseline = telemetry.metrics.snapshot()
@@ -694,9 +698,13 @@ def _command_profile(args: argparse.Namespace, cache: ResultCache | None) -> int
     return 0
 
 
-def _command_cache(args: argparse.Namespace, cache: ResultCache | None) -> int:
+def _command_cache(args: argparse.Namespace) -> int:
     # Honours --cache-dir even under --no-cache: the cache is what this
     # command inspects, not a store for its results.
+    from repro.runtime.cache import ResultCache, default_cache_dir
+    from repro.telemetry import DEFAULT_TELEMETRY_BASE, read_jsonl_metrics, telemetry_paths
+    from repro.telemetry.metrics import format_quantity
+
     cache = ResultCache(args.cache_dir if args.cache_dir is not None else default_cache_dir())
     action = args.action
     if action == "info":
@@ -754,7 +762,7 @@ def _print_chardb_summary(summary: dict) -> None:
               f"{corner['ir_drop'] * 100:>4.0f}% IR drop")
 
 
-def _command_chardb(args: argparse.Namespace, cache: ResultCache | None) -> int:
+def _command_chardb(args: argparse.Namespace) -> int:
     from repro.chardb import (
         DEFAULT_DB_PATH,
         CharacterizationDatabase,
@@ -835,9 +843,10 @@ def _chardb_env(path: str | None) -> Iterator[None]:
             os.environ[ENV_VAR] = previous
 
 
-def _command_characterize(args: argparse.Namespace, cache: ResultCache | None) -> int:
+def _command_characterize(args: argparse.Namespace) -> int:
     from repro.bus import BusDesign, CharacterizedBus
     from repro.circuit.pvt import PVTCorner
+    from repro.runtime.tasks import CORNERS
 
     corner = CORNERS[args.corner]
     bus = CharacterizedBus(BusDesign.paper_bus(), corner)
@@ -866,12 +875,13 @@ def _command_characterize(args: argparse.Namespace, cache: ResultCache | None) -
     return 0
 
 
-def _command_simulate(args: argparse.Namespace, cache: ResultCache | None) -> int:
+def _command_simulate(args: argparse.Namespace) -> int:
     from repro.bus import BusDesign, CharacterizedBus
     from repro.core.dvs_system import DVSBusSystem
     from repro.encoding.analysis import design_for_width
     from repro.plotting import Series, line_chart
     from repro.runtime import auto_chunk_progress
+    from repro.runtime.tasks import CORNERS
     from repro.trace import benchmark_trace_source, resolve_workload
 
     corner = CORNERS[args.corner]
@@ -941,12 +951,12 @@ def _server_unreachable(host: str, port: int, error: Exception) -> int:
     return 2
 
 
-def _command_serve(args: argparse.Namespace, cache: ResultCache | None) -> int:
+def _command_serve(args: argparse.Namespace) -> int:
     from repro.runtime.workqueue import WorkQueue
     from repro.server import DEFAULT_HOST, ReproServer, default_address
 
     port = args.port if args.port is not None else default_address()[1]
-    quota, max_pending = args.quota, args.max_pending
+    quota, max_pending, cache = args.quota, args.max_pending, _result_cache(args)
     queue = WorkQueue(
         n_workers=max(1, args.jobs),
         cache=cache,
@@ -974,7 +984,8 @@ def _command_serve(args: argparse.Namespace, cache: ResultCache | None) -> int:
     return 0
 
 
-def _command_submit(args: argparse.Namespace, cache: ResultCache | None) -> int:
+def _command_submit(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import EXPERIMENTS
     from repro.server import ReproClient, ServerError
 
     experiment, quiet = args.experiment, args.quiet
@@ -1052,7 +1063,7 @@ def _command_submit(args: argparse.Namespace, cache: ResultCache | None) -> int:
     return 0
 
 
-def _command_jobs(args: argparse.Namespace, cache: ResultCache | None) -> int:
+def _command_jobs(args: argparse.Namespace) -> int:
     from repro.server import ReproClient, ServerError
 
     host, port = _server_address(args.host, args.port)
@@ -1096,7 +1107,7 @@ def _command_jobs(args: argparse.Namespace, cache: ResultCache | None) -> int:
             return _server_unreachable(host, port, error)
 
 
-def _command_trace(args: argparse.Namespace, cache: ResultCache | None) -> int:
+def _command_trace(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.trace import BusTrace, resolve_workload, save_trace_hex, save_trace_npz
@@ -1167,6 +1178,114 @@ def _command_trace(args: argparse.Namespace, cache: ResultCache | None) -> int:
     return 0
 
 
+def _command_analyze(args: argparse.Namespace) -> int:
+    from repro.analyze import cli as analyze_cli
+
+    return analyze_cli.run(args)
+
+
+#: The commands, in ``--help`` order: ``name -> (help, configure, handler)``.
+#: ``configure(parser)`` adds the command's arguments when argparse selects
+#: it; ``handler(args)`` runs it and returns the exit code.
+COMMANDS = {
+    "list": ("list the paper's experiments and their ids", _configure_list, _command_list),
+    "run": ("run one experiment by id", _configure_run, _command_run),
+    "sweep": (
+        "run a declarative parameter grid through the runtime engine",
+        _configure_sweep,
+        _command_sweep,
+    ),
+    "report": (
+        "render experiments into a Markdown/JSON/SVG artifact directory "
+        "with a fidelity summary vs the paper",
+        _configure_report,
+        _command_report,
+    ),
+    "cache": (
+        "inspect or clear the content-addressed result cache",
+        _configure_cache,
+        _command_cache,
+    ),
+    "profile": (
+        "run one bounded experiment under the span tracer and print the "
+        "top spans and counter deltas (always writes a Chrome trace file)",
+        _configure_profile,
+        _command_profile,
+    ),
+    "characterize": (
+        "delay and error behaviour of the bus over the voltage grid",
+        _configure_characterize,
+        _command_characterize,
+    ),
+    "simulate": (
+        "one closed-loop DVS run on a single workload",
+        _configure_simulate,
+        _command_simulate,
+    ),
+    "serve": (
+        "run the persistent job server (submit with 'repro submit', "
+        "inspect with 'repro jobs')",
+        _configure_serve,
+        _command_serve,
+    ),
+    "submit": (
+        "submit one experiment to a running 'repro serve' and stream the result",
+        _configure_submit,
+        _command_submit,
+    ),
+    "jobs": (
+        "inspect or control a running 'repro serve' (list/stats/cancel/shutdown)",
+        _configure_jobs,
+        _command_jobs,
+    ),
+    "chardb": (
+        "build, inspect or verify the characterization database "
+        "(docs/chardb_format.md specifies the file format)",
+        _configure_chardb,
+        _command_chardb,
+    ),
+    "analyze": (
+        "run the invariant-aware static analyzer (determinism, cache-key "
+        "soundness, lock discipline)",
+        _configure_analyze,
+        _command_analyze,
+    ),
+    "trace": (
+        "generate, inspect or save any registered workload trace",
+        _configure_trace,
+        _command_trace,
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser (exposed for the tests and for docs).
+
+    Each command's own arguments are added when argparse selects it;
+    :func:`_command_parsers` adds them all.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Reproduction of 'DVS for On-Chip Bus Designs Based on Timing Error "
+            "Correction' (Kaul et al., DATE 2005)."
+        ),
+    )
+    _add_runtime_flags(parser, top_level=True)
+    _add_workload_flags(parser, top_level=True)
+    parser.register("action", "parsers", _LazySubParsers)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _, handler) in COMMANDS.items():
+        subparsers.add_parser(name, help=summary).set_defaults(handler=handler)
+    return parser
+
+
+def _command_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Every command's parser of ``parser``, each with all its arguments."""
+    (subparsers,) = (action for action in parser._actions if isinstance(action, _LazySubParsers))
+    return {name: subparsers.configure(name) for name in subparsers.choices}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
@@ -1187,11 +1306,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run_command(args: argparse.Namespace) -> int:
-    """Set up the cache and telemetry, then call the command's handler."""
-    cache: ResultCache | None = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir if args.cache_dir is not None else default_cache_dir())
-
+    """Set up telemetry, then call the command's handler."""
     # ``--telemetry`` (const "") enables the tracer; ``profile`` always runs
     # traced, defaulting its export base to "profile".  ``cache`` never
     # traces itself -- its --telemetry argument names the log to *read*.
@@ -1199,12 +1314,22 @@ def _run_command(args: argparse.Namespace) -> int:
     if args.command == "profile" and telemetry_arg is None:
         telemetry_arg = "profile"
     if telemetry_arg is None or args.command == "cache":
-        return args.handler(args, cache)
+        return args.handler(args)
+    from repro.telemetry import (
+        DEFAULT_TELEMETRY_BASE,
+        Telemetry,
+        format_summary,
+        telemetry_paths,
+        use_telemetry,
+        write_chrome_trace,
+        write_jsonl,
+    )
+
     base = telemetry_arg if telemetry_arg else DEFAULT_TELEMETRY_BASE
     telemetry = Telemetry(label=args.command)
     with use_telemetry(telemetry):
         with telemetry.span(f"repro.{args.command}"):
-            code = args.handler(args, cache)
+            code = args.handler(args)
     paths = telemetry_paths(base)
     write_jsonl(telemetry, paths.jsonl)
     write_chrome_trace(telemetry, paths.chrome_trace)

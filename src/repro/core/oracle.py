@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bus.bus_model import CharacterizedBus, TraceStatistics
+from repro.bus.bus_model import CharacterizedBus, TraceStatistics, TraceSummary
 from repro.core.error_detection import DEFAULT_WINDOW_CYCLES
 from repro.energy.accounting import EnergyBreakdown
 from repro.energy.gains import breakdown_gain_percent
@@ -152,15 +152,13 @@ def oracle_voltage_schedule(
     from repro.runtime.parallel import ChunkSegmenter, statistics_pass
 
     floor_index = bus.grid.index_of(_resolve_floor(bus, v_floor))
-    summaries = (
-        statistics_pass(
+    summaries: list[TraceSummary] = []
+    if workload.n_cycles:
+        (summaries,) = statistics_pass(
             [(workload, ChunkSegmenter(n_cycles=workload.n_cycles, window_cycles=window_cycles))],
             bus.design.topology,
             jobs=jobs,
-        )[0]
-        if workload.n_cycles
-        else []
-    )
+        )
 
     grid = bus.grid
     n_grid = len(grid)

@@ -71,7 +71,8 @@ class BusInvertEncoder(BusEncoder):
 
     def n_groups(self, n_bits: int) -> int:
         """Number of invert lines needed for an ``n_bits``-wide data word."""
-        return len(np.unique(self._wire_groups(n_bits)))
+        size = n_bits if self.group_size is None else self.group_size
+        return -(-n_bits // size)
 
     @property
     def extra_bits(self) -> int:

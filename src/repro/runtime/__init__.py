@@ -23,9 +23,9 @@ production-style execution system:
   every simulation makes (:func:`statistics_pass`): one call analyses a
   batch of runs (a single simulation, or a whole Table 1 suite) -- inline,
   or as parts that ``jobs`` worker processes of a pool, open for that call
-  only, generate and analyse themselves -- and reduces each run
-  deterministically to per-segment summaries (bit-identical for any worker
-  count).
+  only, generate and analyse themselves -- and yields each run, reduced
+  deterministically to per-segment summaries, as soon as it is folded
+  (bit-identical for any worker count).
 * **Store** (:mod:`~repro.runtime.store`) -- JSONL result records plus a
   run manifest and artifact registry for downstream reporting.
 * **Sweeps** (:mod:`~repro.runtime.sweeps`) -- named, ready-to-run grids

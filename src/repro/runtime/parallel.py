@@ -2,10 +2,10 @@
 
 Every driver -- the closed-loop DVS run, the oracle, fixed-VS and static
 scaling, the Table 1, Fig. 8 and Fig. 10 runners -- reduces its workloads
-through one call of :func:`statistics_pass` and then replays the resulting
-segment summaries.  A call takes a batch of *runs*, each a workload with
-its own :class:`ChunkSegmenter` (a whole Table 1 suite, or a single
-simulation):
+through one call of :func:`statistics_pass` and replays each run's segment
+summaries as the pass yields them.  A call takes a batch of *runs*, each a
+workload with its own :class:`ChunkSegmenter` (a whole Table 1 suite, or a
+single simulation):
 
 1. **Statistics pass.**  Each workload is cut into *parts*
    (:meth:`~repro.trace.stream.TraceSource.parts`), ``jobs`` spread over
@@ -50,7 +50,7 @@ replay is exact.
 ``jobs`` is the one parallelism knob, and only :func:`statistics_pass`
 turns it into processes: with one worker (the default) each run's task
 runs inline on the whole workload, with more every part goes to one pool
-that lives for the length of the call.
+that lives until the pass has yielded its last run.
 
 Scheduling notes
 ----------------
@@ -65,15 +65,17 @@ Scheduling notes
   daemonic sweep workers), run the pass inline, like ``jobs=1``.
 * With telemetry enabled, each chunk records a ``parallel.chunk`` span
   (pool workers into a fresh collector whose snapshot the master merges onto
-  its own timeline -- ``fork`` children share the monotonic clock) under a
-  ``parallel.pass1`` span, and the reduction runs under ``parallel.merge``.
+  its own timeline -- ``fork`` children share the monotonic clock) under its
+  run's ``parallel.pass1`` span, and each run's reduction runs under
+  ``parallel.merge``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -331,18 +333,22 @@ def statistics_pass(
     *,
     jobs: int | None = None,
     progress: ProgressCallback | None = None,
-) -> list[list[TraceSummary]]:
+) -> Iterator[list[TraceSummary]]:
     """One exact summary per segment of every run: the pass every driver makes.
 
-    ``runs`` holds ``(workload, segmenter)`` pairs; the result holds one
-    list of summaries per run, in segment order.  Traces and sources
-    stream, inline for ``jobs`` of ``None`` or 1, else as parts on one pool
-    of up to ``jobs`` workers shared by the whole batch.  Precomputed
-    :class:`~repro.bus.bus_model.TraceStatistics` have no kernel work left
-    and reduce in one call of the same reducer.  Results are bit-identical
-    for every kernel, chunk size, batch and worker count.  ``progress``
-    hears the cycles done over the whole batch: after every chunk inline,
-    after every part on the pool.
+    ``runs`` holds ``(workload, segmenter)`` pairs; the result yields one
+    list of summaries per run, in run order and segment order, as soon as
+    that run's parts are folded, so a caller that replays and drops each
+    run holds one run's summaries at a time.  The runs are checked when the
+    pass is called and analysed as its result is iterated.  Traces and
+    sources stream, inline for ``jobs`` of ``None`` or 1, else as parts on
+    one pool of up to ``jobs`` workers shared by the whole batch (all parts
+    are queued on the first ``next``; the pool closes after the last run).
+    Precomputed :class:`~repro.bus.bus_model.TraceStatistics` have no kernel
+    work left and reduce in one call of the same reducer.  Results are
+    bit-identical for every kernel, chunk size, batch and worker count.
+    ``progress`` hears the cycles done over the whole batch: after every
+    chunk inline, after every part on the pool.
 
     >>> from repro.bus.bus_model import TraceStatistics
     >>> topology = NeighborTopology(2, [True, False], [False, True])
@@ -357,85 +363,102 @@ def statistics_pass(
     >>> [(window.n_cycles, window.toggles_total) for window in windows]
     [(1, 1.0), (1, 1.0)]
     """
-    from repro.bus.bus_model import TraceStatistics, merge_summaries
-
-    total = sum(workload.n_cycles for workload, _ in runs)
-    done_count = 0
-
-    def report(cycle_count: int) -> None:
-        if progress is not None:
-            progress(cycle_count, total)
-
-    results: dict[int, list[TraceSummary]] = {}
-    for index, (workload, segmenter) in enumerate(runs):
+    for workload, segmenter in runs:
         if workload.n_cycles != segmenter.n_cycles:
             raise ValueError(
                 f"a workload covers {workload.n_cycles} cycles but its segmenter "
                 f"was built for {segmenter.n_cycles}"
             )
-        if isinstance(workload, TraceStatistics):
-            results[index] = workload.summaries(segmenter.boundaries()[:-1])
-            done_count += workload.n_cycles
-            report(done_count)
+    return _pass_runs(runs, topology, jobs, progress)
+
+
+def _pass_runs(
+    runs: Sequence[tuple[BusTrace | TraceSource | TraceStatistics, ChunkSegmenter]],
+    topology: NeighborTopology,
+    jobs: int | None,
+    progress: ProgressCallback | None,
+) -> Iterator[list[TraceSummary]]:
+    """The body of :func:`statistics_pass`: each run's summaries, in order."""
+    from repro.bus.bus_model import TraceStatistics, merge_summaries
+
+    total = sum(workload.n_cycles for workload, _ in runs)
     streamed = [
-        (index, as_trace_source(workload), segmenter)
-        for index, (workload, segmenter) in enumerate(runs)
+        (as_trace_source(workload), segmenter)
+        for workload, segmenter in runs
         if not isinstance(workload, TraceStatistics)
     ]
-    if not streamed:
-        return [results[index] for index in range(len(runs))]
-
     workers = jobs if jobs is not None and jobs > 1 else 1
     parts = [
         source.parts(-(-workers // len(streamed))) if workers > 1 else [source]
-        for _, source, _ in streamed
+        for source, _ in streamed
     ]
     workers = min(workers, sum(map(len, parts)))
     pool = _open_pool(workers) if workers > 1 else None
     if pool is None:
         workers = 1
-        parts = [[source] for _, source, _ in streamed]
     telemetry = get_telemetry()
     capture = pool is not None and telemetry.enabled
-
-    pieces: list[list[list[TraceSummary]]] = []
-    with telemetry.span("parallel.pass1", workers=workers, cycles=total - done_count):
-        try:
-            futures = [
-                [
-                    (offset, pool.submit(_part_summaries, part, offset, seg, topology, capture))
-                    for part, offset in zip(run_parts, _part_offsets(run_parts))
-                ]
-                for (_, _, seg), run_parts in zip(streamed, parts)
-            ] if pool is not None else []
-            for position, (_, source, segmenter) in enumerate(streamed):
-
-                def run_report(cycle_count: int, base: int = done_count) -> None:
-                    report(base + cycle_count)
-
-                part_results: Iterable[tuple[int, _PartResult]] = (
-                    ((offset, future.result()) for offset, future in futures[position])
-                    if pool is not None
-                    else [(0, _part_summaries(source, 0, segmenter, topology, False, run_report))]
-                )
-                on_part = run_report if pool is not None else None
-                pieces.append(
-                    _fold_parts(part_results, segmenter, topology, source.n_bits, on_part)
-                )
-                done_count += source.n_cycles
-        except BrokenProcessPool as exc:
-            raise ParallelExecutionError(
-                "a parallel statistics worker died unexpectedly (the pool "
-                "is broken); re-run serially or with fewer workers"
-            ) from exc
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
+    if streamed:
         telemetry.gauge("parallel.workers", workers)
 
-    with telemetry.span(
-        "parallel.merge", segments=sum(map(len, pieces)), parts=sum(map(len, parts))
-    ):
-        for (index, _, _), run_pieces in zip(streamed, pieces):
-            results[index] = [merge_summaries(segment) for segment in run_pieces]
-    return [results[index] for index in range(len(runs))]
+    def report(cycle_count: int) -> None:
+        if progress is not None:
+            progress(cycle_count, total)
+
+    def run_summaries(
+        source: TraceSource,
+        segmenter: ChunkSegmenter,
+        futures: list[tuple[int, Future[_PartResult]]] | None,
+        done_count: int,
+    ) -> list[TraceSummary]:
+        """One streamed run, inline or from its parts' ``futures``, folded and merged."""
+
+        def run_report(cycle_count: int) -> None:
+            report(done_count + cycle_count)
+
+        with telemetry.span("parallel.pass1", workers=workers, cycles=source.n_cycles):
+            if futures is None:
+                result = _part_summaries(source, 0, segmenter, topology, False, run_report)
+                pieces = _fold_parts([(0, result)], segmenter, topology, source.n_bits, None)
+            else:
+                results = ((offset, future.result()) for offset, future in futures)
+                pieces = _fold_parts(results, segmenter, topology, source.n_bits, run_report)
+        n_parts = 1 if futures is None else len(futures)
+        with telemetry.span("parallel.merge", segments=len(pieces), parts=n_parts):
+            return [merge_summaries(segment) for segment in pieces]
+
+    try:
+        # Every part is queued at once; each run's futures leave the queue
+        # when it is folded, and with them the results they hold.
+        pending = deque(
+            [
+                (offset, pool.submit(_part_summaries, part, offset, segmenter, topology, capture))
+                for part, offset in zip(run_parts, _part_offsets(run_parts))
+            ]
+            for (_, segmenter), run_parts in zip(streamed, parts)
+        ) if pool is not None else None
+        sources = iter(streamed)
+        done_count = 0
+        # Each run is yielded straight from the call that makes it, so this
+        # frame holds neither a run the caller has dropped nor its futures.
+        for workload, segmenter in runs:
+            done_count += workload.n_cycles
+            if isinstance(workload, TraceStatistics):
+                report(done_count)
+                yield workload.summaries(segmenter.boundaries()[:-1])
+                continue
+            source, _ = next(sources)
+            yield run_summaries(
+                source,
+                segmenter,
+                pending.popleft() if pending is not None else None,
+                done_count - source.n_cycles,
+            )
+    except BrokenProcessPool as exc:
+        raise ParallelExecutionError(
+            "a parallel statistics worker died unexpectedly (the pool "
+            "is broken); re-run serially or with fewer workers"
+        ) from exc
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)

@@ -241,7 +241,8 @@ def _segment_summaries(
         return summaries
     telemetry.count("tasks.summaries.misses")
     # The pass runs unlocked: two threads missing one key both compute it.
-    summaries = tuple(statistics_pass([(source, segmenter)], topology, jobs=jobs)[0])
+    (run,) = statistics_pass([(source, segmenter)], topology, jobs=jobs)
+    summaries = tuple(run)
     for summary in summaries:
         summary.worst_coupling_values.flags.writeable = False
         summary.worst_coupling_counts.flags.writeable = False

@@ -411,10 +411,11 @@ def _process_worker_main(conn: Any) -> None:
             return
 
 
-#: The simulation stack a worker needs for any task, imported by the parent
-#: before it forks.  ``import repro`` does not load it (the package exports
-#: are lazy), so without this every forked worker -- and every respawn --
-#: would import numpy and the stack again before its first job.
+#: The simulation stack and the task registry a worker needs for any task,
+#: imported by the parent before it forks.  Neither ``import repro`` nor the
+#: CLI loads them (the package exports and the CLI's imports are lazy), so
+#: without this every forked worker -- and every respawn -- would import
+#: numpy, the stack and the registry again before its first job.
 _PREFORK_MODULES: tuple[str, ...] = (
     "repro.bus",
     "repro.core",
@@ -422,6 +423,7 @@ _PREFORK_MODULES: tuple[str, ...] = (
     "repro.chardb",
     "repro.energy",
     "repro.runtime.parallel",
+    "repro.runtime.tasks",
 )
 
 

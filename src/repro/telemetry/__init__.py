@@ -31,51 +31,65 @@ Quickstart
 1000
 >>> [event.path for event in telemetry.events]
 ['outer']
+
+The names below load on first use (:mod:`repro.utils.lazy`), so reading
+the collector (:func:`get_telemetry`) does not load the exporters.
 """
 
-from repro.telemetry.core import (
-    NULL_TELEMETRY,
-    TELEMETRY_SCHEMA,
-    NullTelemetry,
-    SpanEvent,
-    Telemetry,
-    get_telemetry,
-    set_telemetry,
-    use_telemetry,
-)
-from repro.telemetry.export import (
-    DEFAULT_TELEMETRY_BASE,
-    SpanAggregate,
-    TelemetryPaths,
-    aggregate_spans,
-    format_parallel_summary,
-    format_summary,
-    read_jsonl_metrics,
-    telemetry_paths,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.telemetry.metrics import HistogramSummary, MetricsRegistry
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "NULL_TELEMETRY",
-    "TELEMETRY_SCHEMA",
-    "NullTelemetry",
-    "SpanEvent",
-    "Telemetry",
-    "get_telemetry",
-    "set_telemetry",
-    "use_telemetry",
-    "DEFAULT_TELEMETRY_BASE",
-    "SpanAggregate",
-    "TelemetryPaths",
-    "aggregate_spans",
-    "format_parallel_summary",
-    "format_summary",
-    "read_jsonl_metrics",
-    "telemetry_paths",
-    "write_chrome_trace",
-    "write_jsonl",
-    "HistogramSummary",
-    "MetricsRegistry",
-]
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.telemetry.core import (
+        NULL_TELEMETRY,
+        TELEMETRY_SCHEMA,
+        NullTelemetry,
+        SpanEvent,
+        Telemetry,
+        get_telemetry,
+        set_telemetry,
+        use_telemetry,
+    )
+    from repro.telemetry.export import (
+        DEFAULT_TELEMETRY_BASE,
+        SpanAggregate,
+        TelemetryPaths,
+        aggregate_spans,
+        format_parallel_summary,
+        format_summary,
+        read_jsonl_metrics,
+        telemetry_paths,
+        write_chrome_trace,
+        write_jsonl,
+    )
+    from repro.telemetry.metrics import HistogramSummary, MetricsRegistry
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.telemetry.core": (
+            "NULL_TELEMETRY",
+            "TELEMETRY_SCHEMA",
+            "NullTelemetry",
+            "SpanEvent",
+            "Telemetry",
+            "get_telemetry",
+            "set_telemetry",
+            "use_telemetry",
+        ),
+        "repro.telemetry.export": (
+            "DEFAULT_TELEMETRY_BASE",
+            "SpanAggregate",
+            "TelemetryPaths",
+            "aggregate_spans",
+            "format_parallel_summary",
+            "format_summary",
+            "read_jsonl_metrics",
+            "telemetry_paths",
+            "write_chrome_trace",
+            "write_jsonl",
+        ),
+        "repro.telemetry.metrics": ("HistogramSummary", "MetricsRegistry"),
+    },
+)

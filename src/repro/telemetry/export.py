@@ -251,7 +251,10 @@ def format_parallel_summary(telemetry: Telemetry) -> str | None:
     """Scaling report for a run whose statistics pass used worker processes.
 
     Returns ``None`` when the collector recorded no ``parallel.pass1`` span
-    or the pass ran inline (one worker: nothing to scale).  *Busy* time is
+    or the pass ran inline (one worker: nothing to scale).  *Wall* time is
+    the sum of the ``parallel.pass1`` spans, one per run, each the master
+    waiting for and folding that run's parts (the caller's replay between
+    two runs is outside them, while the workers go on).  *Busy* time is
     the sum of the ``parallel.part`` spans, each a worker generating and
     analysing one part of the workload -- merged worker snapshots land in
     the same collector -- so ``busy / wall`` is the achieved speedup of the

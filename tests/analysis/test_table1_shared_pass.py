@@ -12,9 +12,11 @@ import dataclasses
 import pytest
 
 import repro.bus.bus_model as bus_model
+import repro.runtime.parallel as parallel_mod
 from repro.analysis import run_table1
 from repro.analysis.experiments import EXPERIMENTS
 from repro.circuit.pvt import BEST_CASE_CORNER, TYPICAL_CORNER, WORST_CASE_CORNER
+from repro.core.dvs_system import DVSBusSystem
 from repro.interconnect import block_kernels
 from repro.trace import suite_sources
 from repro.trace.workloads import kernel_sources
@@ -109,6 +111,35 @@ class TestPassCount:
             _table1(synthetic, (WORST_CASE_CORNER, TYPICAL_CORNER))
         assert one_corner == len(NAMES) * N_CYCLES
         assert sum(analysed_cycles) == one_corner
+
+
+class TestReplayAsEachRunFolds:
+    """Each benchmark replays before the pass folds the next one, so the
+    suite holds one benchmark's summaries at a time."""
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_benchmark_0_replays_before_benchmark_1_is_folded(
+        self, synthetic, monkeypatch, jobs
+    ):
+        folded = []
+        replays = []
+        fold, replay = parallel_mod._fold_parts, DVSBusSystem.replay
+
+        def counting_fold(*args):
+            pieces = fold(*args)
+            folded.append(len(pieces))
+            return pieces
+
+        def recording_replay(system, summaries, **kwargs):
+            replays.append(len(folded))
+            return replay(system, summaries, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "_fold_parts", counting_fold)
+        monkeypatch.setattr(DVSBusSystem, "replay", recording_replay)
+        _table1(synthetic, (WORST_CASE_CORNER, TYPICAL_CORNER), jobs=jobs)
+        # Two corners replay each benchmark; the pass had folded only the
+        # benchmarks up to the one replaying.
+        assert replays == [1, 1, 2, 2, 3, 3]
 
 
 class TestKernelCrossCheck:

@@ -92,6 +92,14 @@ class TestBusInvert:
         assert encoder.encoded_bits(32) == 36
         assert encoder.n_groups(32) == 4
 
+    @pytest.mark.parametrize("group_size", [None, *range(1, 10)])
+    def test_n_groups_counts_the_distinct_wire_groups(self, group_size):
+        encoder = BusInvertEncoder(group_size=group_size)
+        for n_bits in range(1, 65):
+            size = n_bits if group_size is None else group_size
+            expected = len(np.unique(np.arange(n_bits) // size))
+            assert encoder.n_groups(n_bits) == expected, n_bits
+
     def test_uneven_final_group_is_supported(self, rng):
         encoder = BusInvertEncoder(group_size=5)
         trace = _random_trace(rng, n_words=50, n_bits=12)  # groups of 5, 5, 2

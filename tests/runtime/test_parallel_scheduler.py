@@ -462,9 +462,9 @@ class TestWorkerFaults:
         runs = [(program, ChunkSegmenter(n_cycles=2_000)) for program in programs]
         monkeypatch.setattr(parallel_mod, "_part_summaries", _exit_on_mgrid)
         with pytest.raises(ParallelExecutionError, match="worker died"):
-            statistics_pass(runs, topology, jobs=2)
+            list(statistics_pass(runs, topology, jobs=2))
         monkeypatch.setattr(parallel_mod, "_part_summaries", _PART_SUMMARIES)
-        summaries = statistics_pass(runs, topology, jobs=2)
+        summaries = list(statistics_pass(runs, topology, jobs=2))
         assert pools == [2, 2]
         for run_summaries, (program, segmenter) in zip(summaries, runs):
             _assert_same_summaries(run_summaries, _pass(program, segmenter, topology))
@@ -512,7 +512,7 @@ class TestBatches:
     def test_mixed_batch_on_workers_equals_each_run_alone(self, mixed_batch, pools):
         runs, topology = mixed_batch
         with forced_plan(chunk_cycles=331):
-            batch = statistics_pass(runs, topology, jobs=2)
+            batch = list(statistics_pass(runs, topology, jobs=2))
             alone = [_pass(workload, segmenter, topology, jobs=1) for workload, segmenter in runs]
         assert pools == [2]
         assert len(batch) == len(runs)
@@ -525,8 +525,10 @@ class TestBatches:
         total = sum(workload.n_cycles for workload, _ in runs)
         calls = []
         with forced_plan(chunk_cycles=997):
-            statistics_pass(
-                runs, topology, jobs=jobs, progress=lambda done, of: calls.append((done, of))
+            list(
+                statistics_pass(
+                    runs, topology, jobs=jobs, progress=lambda done, of: calls.append((done, of))
+                )
             )
         assert len(calls) > len(runs)
         assert all(of == total for _, of in calls)

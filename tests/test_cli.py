@@ -1,11 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
-import argparse
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.experiments import EXPERIMENTS
-from repro.cli import CORNERS, build_parser, main
+from repro.cli import _command_parsers, build_parser, main
 from repro.cpu import KERNELS
 from tests.pass_plan import SCALAR, VECTORIZED, forced_plan
 
@@ -39,16 +40,16 @@ class TestParser:
         assert "mars" in capsys.readouterr().err
 
     def test_corner_aliases_cover_the_figure5_corners(self):
-        assert {"worst", "typical", "best"} <= set(CORNERS)
-        assert {"corner1", "corner5"} <= set(CORNERS)
+        (corner,) = (
+            action
+            for action in _command_parsers(build_parser())["characterize"]._actions
+            if action.dest == "corner"
+        )
+        assert {"worst", "typical", "best"} <= set(corner.choices)
+        assert {"corner1", "corner5"} <= set(corner.choices)
 
     def test_subcommands_are_the_fourteen_survivors(self):
-        (subparsers,) = (
-            action
-            for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
-        assert sorted(subparsers.choices) == [
+        assert sorted(_command_parsers(build_parser())) == [
             "analyze", "cache", "characterize", "chardb", "jobs", "list", "profile",
             "report", "run", "serve", "simulate", "submit", "sweep", "trace",
         ]
@@ -71,6 +72,33 @@ class TestParser:
             main(argv)
         assert excinfo.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+
+#: Every ``repro [COMMAND] --help`` at 80 columns, each under a
+#: ``### repro [COMMAND] --help`` header line.
+HELP_GOLDEN = Path(__file__).with_name("cli_help_golden.txt")
+
+
+def _golden_help() -> dict[str, str]:
+    """``argv -> --help output`` as recorded in :data:`HELP_GOLDEN`."""
+    sections = re.split(r"^### repro (.*)\n", HELP_GOLDEN.read_text(), flags=re.MULTILINE)
+    return dict(zip(sections[1::2], sections[2::2]))
+
+
+class TestHelpGolden:
+    """The help texts, built from one command table, stay byte for byte."""
+
+    def test_the_golden_file_covers_every_command(self):
+        commands = _command_parsers(build_parser())
+        assert set(_golden_help()) == {"--help", *(f"{name} --help" for name in commands)}
+
+    @pytest.mark.parametrize("argv", sorted(_golden_help()))
+    def test_help_matches_the_golden_file(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.split())
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == _golden_help()[argv]
 
 
 class TestListCommands:

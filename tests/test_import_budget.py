@@ -16,7 +16,6 @@ dependency.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import importlib
@@ -28,12 +27,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import SWEEP_NAMES, build_parser, main
+from repro.cli import SWEEP_NAMES, _command_parsers, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Top-level modules the light commands must not import.
 HEAVY = ("numpy", "scipy")
+
+#: Every ``repro`` module ``repro --help`` may import: the top-level parser
+#: holds only the command names and help lines.
+HELP_MODULES = {"repro", "repro.utils", "repro.utils.lazy", "repro.cli", "repro.__main__"}
+
+
+def _simulation_modules(modules: set[str]) -> list[str]:
+    """The static analyzer and the task registry: no cache hit needs them."""
+    return sorted(
+        name
+        for name in modules
+        if name == "repro.runtime.tasks" or name.split(".")[:2] == ["repro", "analyze"]
+    )
 
 #: Every package whose exports resolve on first use.
 LAZY_PACKAGES = (
@@ -42,6 +54,7 @@ LAZY_PACKAGES = (
     "repro.circuit",
     "repro.runtime",
     "repro.server",
+    "repro.telemetry",
     "repro.trace",
     "repro.utils",
 )
@@ -58,10 +71,11 @@ def _child_env() -> dict[str, str]:
     return env
 
 
-def _run_light(*args: str) -> tuple[str, str]:
+def _run_light(*args: str) -> tuple[str, str, set[str]]:
     """Run ``python -m repro ARGS``; assert exit 0 and no heavy import.
 
-    Returns ``(stdout, stderr)`` with the import-time report removed.
+    Returns ``(stdout, stderr, repro modules imported)``, the import-time
+    report removed from ``stderr``.
     """
     completed = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "repro", *args],
@@ -81,7 +95,8 @@ def _run_light(*args: str) -> tuple[str, str]:
     imported = {line.rsplit("|", 1)[1].strip() for line in report}
     heavy = sorted(name for name in imported if name.split(".")[0] in HEAVY)
     assert not heavy, f"repro {' '.join(args)} imported {heavy[:5]}"
-    return completed.stdout, stderr
+    modules = {name for name in imported if name.split(".")[0] == "repro"}
+    return completed.stdout, stderr, modules
 
 
 def _main_stdout(argv: list[str]) -> str:
@@ -96,12 +111,13 @@ def _main_stdout(argv: list[str]) -> str:
 # --------------------------------------------------------------------------- #
 class TestLightCommands:
     def test_help(self, monkeypatch):
-        stdout, _ = _run_light("--help")
+        stdout, _, modules = _run_light("--help")
+        assert modules <= HELP_MODULES, sorted(modules - HELP_MODULES)
         monkeypatch.setenv("COLUMNS", "80")
         assert stdout == build_parser().format_help()
 
     def test_list(self):
-        stdout, _ = _run_light("list")
+        stdout, _, _ = _run_light("list")
         assert stdout == _main_stdout(["list"])
 
     @pytest.fixture()
@@ -113,9 +129,11 @@ class TestLightCommands:
 
     def test_cache_hit_run(self, filled_cache):
         cache_dir, expected = filled_cache
-        stdout, stderr = _run_light(
+        stdout, stderr, modules = _run_light(
             "--cache-dir", str(cache_dir), "run", "table1", "--cycles", "2000"
         )
+        assert not _simulation_modules(modules), _simulation_modules(modules)
+        assert "repro.telemetry.export" not in modules
         assert "table1: cache hit" in stderr
         assert stdout == expected
 
@@ -135,12 +153,14 @@ class TestLightCommands:
         )
         server = ReproServer(queue, port=0).start()
         try:
-            stdout, stderr = _run_light(
+            stdout, stderr, modules = _run_light(
                 "submit", "table1", "--cycles", "2000", "--port", str(server.address[1])
             )
         finally:
             server.request_shutdown(drain=False)
             server.join(timeout=10.0)
+        assert not _simulation_modules(modules), _simulation_modules(modules)
+        assert "repro.runtime.cache" not in modules  # the server holds the cache
         assert "table1: cache hit" in stderr
         assert stdout == expected
 
@@ -211,11 +231,7 @@ class TestLazyExports:
 # The parser's numpy-free choice lists equal their registries
 # --------------------------------------------------------------------------- #
 def _choices(command: str, dest: str) -> list[str]:
-    parser = build_parser()
-    (subparsers,) = (
-        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
-    )
-    for action in subparsers.choices[command]._actions:
+    for action in _command_parsers(build_parser())[command]._actions:
         if action.dest == dest:
             return list(action.choices)
     raise AssertionError(f"{command} has no {dest!r} argument")
@@ -244,6 +260,15 @@ class TestChoiceLists:
 
         for command in ("run", "profile", "submit"):
             assert _choices(command, "experiment") == sorted(EXPERIMENTS)
+
+    def test_telemetry_base(self):
+        from repro.telemetry import DEFAULT_TELEMETRY_BASE
+
+        parsers = {"": build_parser(), **_command_parsers(build_parser())}
+        for command, parser in parsers.items():
+            for action in parser._actions:
+                if action.dest == "telemetry":
+                    assert f"(default base: {DEFAULT_TELEMETRY_BASE!r})" in action.help, command
 
 
 # --------------------------------------------------------------------------- #
